@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet invariants lint verify bench bench-smoke serve-smoke benchdiff
+.PHONY: build test race vet invariants lint verify bench-test bench bench-smoke serve-smoke benchdiff
 
 build:
 	$(GO) build ./...
@@ -26,9 +26,15 @@ invariants:
 lint:
 	$(GO) run ./cmd/netlint -Werror testdata/biquad.cir
 
-# verify is the full gate: static checks, a clean build, and the whole
-# test suite under the race detector. CI runs exactly this target.
-verify: vet invariants lint build race
+# bench-test runs the harness tests of the end-to-end benchmark, which
+# lives in its own module under bench/ and so is outside ./...
+bench-test:
+	cd bench && $(GO) test ./...
+
+# verify is the full gate: static checks, a clean build, the whole test
+# suite under the race detector and the benchmark harness tests. CI runs
+# exactly these steps.
+verify: vet invariants lint build race bench-test
 
 # bench runs the full benchmark suite three times with allocation stats
 # and commits the aggregated result into the BENCH_<date>.json perf

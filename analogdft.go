@@ -101,7 +101,9 @@ const (
 	// EngineLowRank factors the nominal system once per (configuration,
 	// frequency) grid point and solves rank-1 faults against the cached
 	// factorizations via Sherman–Morrison, falling back to the
-	// incremental path for faults that are not rank-1 updates.
+	// incremental path for faults that are not rank-1 updates. It matches
+	// the other modes within rounding, so cells whose |ΔT/T| sits exactly
+	// on ε at some grid point can get a different verdict.
 	EngineLowRank = detect.EngineLowRank
 )
 

@@ -58,7 +58,7 @@ func main() {
 		os.Exit(1)
 	}
 	sess.Report.SetInput("deck", cfg.path)
-	runErr := run(cfg)
+	runErr := run(cfg, os.Stdout)
 	if err := sess.Finish(); err != nil && runErr == nil {
 		runErr = err
 	}
@@ -68,7 +68,7 @@ func main() {
 	}
 }
 
-func run(cfg config) error {
+func run(cfg config, stdout io.Writer) error {
 	bench, err := analogdft.LoadBench(cfg.path)
 	if err != nil {
 		return err
@@ -86,16 +86,13 @@ func run(cfg config) error {
 	if cfg.loHz > 0 && cfg.hiHz > cfg.loHz {
 		opts.Region = analogdft.Region{LoHz: cfg.loHz, HiHz: cfg.hiHz}
 	}
-	exp, err := analogdft.Run(bench, cfg.frac, opts)
+	faults := analogdft.DeviationFaults(bench.Circuit, cfg.frac)
+	if cfg.bipolar {
+		faults = analogdft.BipolarDeviationFaults(bench.Circuit, cfg.frac)
+	}
+	exp, err := analogdft.RunFaults(bench, faults, opts)
 	if err != nil {
 		return err
-	}
-	if cfg.bipolar {
-		// Re-run the matrix with bipolar faults (Run uses single-sided).
-		exp.Faults = analogdft.BipolarDeviationFaults(bench.Circuit, cfg.frac)
-		if exp.Matrix, err = analogdft.BuildMatrix(exp.Modified, exp.Faults, opts); err != nil {
-			return err
-		}
 	}
 	// The optimizer consumes d[i][j] as ground truth; a matrix with error
 	// placeholders can understate coverage and mislead Petrick's method,
@@ -119,16 +116,25 @@ func run(cfg config) error {
 	if exp.ConfigOpt, err = analogdft.Optimize(exp.Matrix, bench.Chain, costFn); err != nil {
 		return err
 	}
-	if err := exp.Report(os.Stdout); err != nil {
+	if err := exp.Report(stdout); err != nil {
 		return err
 	}
 	if cfg.sim.Stats {
-		fmt.Printf("\nfault simulation: %s\n", exp.Matrix.Stats)
-		if exp.PartialMatrix != nil {
-			fmt.Printf("partial matrix:   %s\n", exp.PartialMatrix.Stats)
-		}
+		writeStats(stdout, exp)
 	}
-	return reportProgram(exp, bench)
+	return reportProgram(stdout, exp, bench)
+}
+
+// writeStats prints the simulation effort behind the full and partial
+// matrices.
+func writeStats(w io.Writer, exp *analogdft.Experiment) {
+	fmt.Fprintf(w, "\nfault simulation: %s\n", exp.Matrix.Stats)
+	switch {
+	case exp.PartialReused:
+		fmt.Fprintf(w, "partial matrix:   %d rows reused from the full matrix, 0 solves\n", exp.PartialMatrix.NumConfigs())
+	case exp.PartialMatrix != nil:
+		fmt.Fprintf(w, "partial matrix:   %s\n", exp.PartialMatrix.Stats)
+	}
 }
 
 // warnCellErrors lists a matrix's failed cells on w; the optimization
@@ -147,7 +153,7 @@ func warnCellErrors(w io.Writer, label string, mx *analogdft.Matrix) {
 // reportProgram appends the concrete test program for the optimized set:
 // per-configuration test frequencies, the minimum-toggle application
 // order and the BIST hardware budget.
-func reportProgram(exp *analogdft.Experiment, bench *analogdft.Bench) error {
+func reportProgram(w io.Writer, exp *analogdft.Experiment, bench *analogdft.Bench) error {
 	var cfgIdxs []int
 	for _, r := range exp.ConfigOpt.Best.Rows {
 		cfgIdxs = append(cfgIdxs, exp.Matrix.Configs[r].Index)
@@ -168,19 +174,19 @@ func reportProgram(exp *analogdft.Experiment, bench *analogdft.Bench) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("\ntest program for the optimal set:")
+	fmt.Fprintln(w, "\ntest program for the optimal set:")
 	for _, step := range prog.Steps {
-		fmt.Printf("  %s (%s): %d toggles in, frequencies %v\n",
+		fmt.Fprintf(w, "  %s (%s): %d toggles in, frequencies %v\n",
 			step.Config.Label(), step.Config.Vector(), step.TogglesIn, step.Freqs)
 	}
-	fmt.Printf("selection-line toggles: %d (naive order: %d)\n",
+	fmt.Fprintf(w, "selection-line toggles: %d (naive order: %d)\n",
 		prog.TotalToggles(), analogdft.NaiveToggleCount(items, start))
 	est, err := analogdft.EstimateBIST(analogdft.DefaultBISTModel, exp.Modified.N(),
 		len(items), prog.TotalMeasurements())
 	if err != nil {
 		return err
 	}
-	fmt.Printf("BIST budget: %.0f gate equivalents (%d config ROM bits, %d freq words, %d windows)\n",
+	fmt.Fprintf(w, "BIST budget: %.0f gate equivalents (%d config ROM bits, %d freq words, %d windows)\n",
 		est.GateEquivalents, est.ConfigROMBits, est.FreqROMBits, est.Windows)
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestLoadBenchMissingFile(t *testing.T) {
 func TestRunRejectsUnknownCost(t *testing.T) {
 	cfg := base()
 	cfg.cost = "bogus"
-	err := run(cfg)
+	err := run(cfg, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "unknown cost") {
 		t.Fatalf("err = %v", err)
 	}
@@ -57,7 +58,7 @@ func TestRunCostVariants(t *testing.T) {
 	for _, cost := range []string{"configs", "opamps", "weighted"} {
 		cfg := base()
 		cfg.cost = cost
-		if err := run(cfg); err != nil {
+		if err := run(cfg, io.Discard); err != nil {
 			t.Fatalf("cost %s: %v", cost, err)
 		}
 	}
@@ -66,7 +67,7 @@ func TestRunCostVariants(t *testing.T) {
 func TestRunBipolar(t *testing.T) {
 	cfg := base()
 	cfg.bipolar = true
-	if err := run(cfg); err != nil {
+	if err := run(cfg, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -75,8 +76,37 @@ func TestRunSimStats(t *testing.T) {
 	cfg := base()
 	cfg.sim.Stats = true
 	cfg.sim.Workers = 2
-	if err := run(cfg); err != nil {
+	var out strings.Builder
+	if err := run(cfg, &out); err != nil {
 		t.Fatal(err)
+	}
+	// The biquad's chosen opamps {OP1, OP2} are a prefix of the chain, so
+	// the partial rows are copies of full rows, not simulated.
+	if !strings.Contains(out.String(), "partial matrix:   4 rows reused from the full matrix, 0 solves") {
+		t.Fatalf("stats do not report the reused partial rows:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "0/0 cells") {
+		t.Fatalf("stats print an empty simulation:\n%s", out.String())
+	}
+}
+
+func TestRunReportsFaultSize(t *testing.T) {
+	cfg := base()
+	cfg.frac = 0.3
+	var out strings.Builder
+	if err := run(cfg, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "(+30% deviations)") {
+		t.Fatalf("header does not print the 30%% fault size:\n%s", out.String()[:400])
+	}
+	cfg.bipolar = true
+	out.Reset()
+	if err := run(cfg, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "16 soft faults (±30% deviations)") {
+		t.Fatalf("bipolar header wrong:\n%s", out.String()[:400])
 	}
 }
 

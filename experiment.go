@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"analogdft/internal/analysis"
 	"analogdft/internal/core"
 	"analogdft/internal/detect"
+	"analogdft/internal/fault"
 	"analogdft/internal/obs"
 	"analogdft/internal/paperdata"
 	"analogdft/internal/report"
@@ -45,6 +47,9 @@ type Experiment struct {
 	Bench *Bench
 	// Faults is the fault universe.
 	Faults FaultList
+	// FaultSize is the largest relative value deviation in Faults (0.20
+	// for the paper's +20% faults).
+	FaultSize float64
 	// Opts are the evaluation options used throughout.
 	Opts Options
 	// Initial is the §2 evaluation of the unmodified circuit (Graph 1).
@@ -63,11 +68,29 @@ type Experiment struct {
 	Partial *Modified
 	// PartialMatrix is the Table 4 matrix of the partial-DFT circuit.
 	PartialMatrix *Matrix
+	// PartialReused reports that PartialMatrix holds copies of Matrix rows
+	// instead of simulated ones (DESIGN.md §17): every partial
+	// configuration emulates the same circuit as the full configuration
+	// with the same followers. Its Stats are then zero.
+	PartialReused bool
+	// PartialMissed lists the faults OpampOpt counts as covered that
+	// PartialMatrix does not detect. OpampOpt predicts from full-matrix
+	// rows; when the chosen opamps are not a prefix of the test chain,
+	// SubChain rewires their test inputs and the simulated partial DFT
+	// can fall short of the prediction.
+	PartialMissed []string
 }
 
-// Run executes the full experiment sequence on a bench with the given
-// fault fraction and options.
+// Run executes the full experiment sequence on a bench with the paper's
+// single-sided deviation faults of size frac.
 func Run(bench *Bench, frac float64, opts Options) (*Experiment, error) {
+	return RunFaults(bench, DeviationFaults(bench.Circuit, frac), opts)
+}
+
+// RunFaults executes the full experiment sequence on a bench against the
+// given fault universe, so every matrix, optimization and report series
+// shares one fault list (e.g. BipolarDeviationFaults).
+func RunFaults(bench *Bench, faults FaultList, opts Options) (*Experiment, error) {
 	if err := bench.Validate(); err != nil {
 		return nil, err
 	}
@@ -75,9 +98,10 @@ func Run(bench *Bench, frac float64, opts Options) (*Experiment, error) {
 	span.SetTag("circuit", bench.Circuit.Name)
 	defer span.End()
 	e := &Experiment{
-		Bench:  bench,
-		Faults: DeviationFaults(bench.Circuit, frac),
-		Opts:   opts,
+		Bench:     bench,
+		Faults:    faults,
+		FaultSize: faultSize(faults),
+		Opts:      opts,
 	}
 	var err error
 	if e.Initial, err = EvaluateCircuit(bench.Circuit, e.Faults, opts); err != nil {
@@ -112,11 +136,93 @@ func Run(bench *Bench, frac float64, opts Options) (*Experiment, error) {
 		// The partial chain's all-follower configuration is not the
 		// transparent identity unless every opamp is in the chain; keep it.
 		popts.IncludeTransparent = len(e.OpampOpt.Chosen) < len(e.Modified.AllOpamps)
-		if e.PartialMatrix, err = BuildMatrix(e.Partial, e.Faults, popts); err != nil {
-			return nil, fmt.Errorf("partial matrix: %w", err)
+		e.PartialMatrix, e.PartialReused = liftMatrix(e.Matrix, e.Modified, e.Partial, popts)
+		if !e.PartialReused {
+			if e.PartialMatrix, err = BuildMatrix(e.Partial, e.Faults, popts); err != nil {
+				return nil, fmt.Errorf("partial matrix: %w", err)
+			}
 		}
+		e.PartialMissed = missedFaults(e.Matrix, e.OpampOpt.UsableRows, e.PartialMatrix)
 	}
 	return e, nil
+}
+
+// liftMatrix assembles the matrix BuildMatrix(sub, full.Faults, opts)
+// would simulate from copies of full's rows, where full is m's matrix
+// built with the same faults and options (IncludeTransparent aside) and
+// sub comes from m.SubChain. ok is false, and the caller must simulate,
+// when some row of sub does not lift onto a row of full.
+func liftMatrix(full *Matrix, m, sub *Modified, opts Options) (mx *Matrix, ok bool) {
+	configs := detect.MatrixConfigs(sub, opts)
+	rows := make([]int, len(configs))
+	relabel := make(map[Configuration]Configuration, len(configs))
+	for k, cfg := range configs {
+		lifted, ok := m.Lift(sub, cfg)
+		if !ok {
+			return nil, false
+		}
+		if rows[k] = full.ConfigByLabel(lifted.Label()); rows[k] < 0 {
+			return nil, false
+		}
+		relabel[lifted] = cfg
+	}
+	mx, err := full.SubMatrix(rows)
+	if err != nil {
+		return nil, false
+	}
+	mx.Configs = configs
+	for i := range mx.CellErrors {
+		mx.CellErrors[i].Config = relabel[mx.CellErrors[i].Config]
+	}
+	return mx, true
+}
+
+// missedFaults lists the faults some usable row of full detects that no
+// row of partial does.
+func missedFaults(full *Matrix, usable []int, partial *Matrix) []string {
+	var out []string
+	for j, f := range full.Faults {
+		predicted := false
+		for _, i := range usable {
+			predicted = predicted || full.Det[i][j]
+		}
+		if predicted && !partial.DetectableAnywhere(j) {
+			out = append(out, f.ID)
+		}
+	}
+	return out
+}
+
+// deviationSign renders the direction of l's deviation faults: "+" when
+// every one raises its component value, "−" when every one lowers it and
+// "±" for a mix.
+func deviationSign(l FaultList) string {
+	up, down := false, false
+	for _, f := range l {
+		if f.Kind == fault.Deviation {
+			up = up || f.Factor > 1
+			down = down || f.Factor < 1
+		}
+	}
+	switch {
+	case up && down:
+		return "±"
+	case down:
+		return "−"
+	}
+	return "+"
+}
+
+// faultSize returns the largest relative value deviation among the
+// deviation faults of l.
+func faultSize(l FaultList) float64 {
+	size := 0.0
+	for _, f := range l {
+		if f.Kind == fault.Deviation {
+			size = math.Max(size, math.Abs(f.Factor-1))
+		}
+	}
+	return size
 }
 
 // RunPaperExperiment runs the complete paper sequence on the built-in
@@ -143,8 +249,8 @@ func (e *Experiment) Report(w io.Writer) error {
 
 	p("%s\n", report.Rule("Multi-configuration DFT optimization — "+e.Bench.Circuit.Name))
 	p("%s\n", e.Bench.Description)
-	p("fault universe: %d soft faults (+%.0f%% deviations); ε = %.0f%%; Ω_reference = %s\n\n",
-		len(e.Faults), 100*PaperFaultFraction, 100*e.Opts.Eps, e.Initial.Region)
+	p("fault universe: %d soft faults (%s%.0f%% deviations); ε = %.0f%%; Ω_reference = %s\n\n",
+		len(e.Faults), deviationSign(e.Faults), 100*e.FaultSize, 100*e.Opts.Eps, e.Initial.Region)
 
 	p("%s\n", report.Rule("Table 1: configuration table"))
 	p("%s\n", report.ConfigurationTable(e.Modified.N()))
@@ -236,6 +342,12 @@ func (e *Experiment) Report(w io.Writer) error {
 			{Name: "full", Values: e.Matrix.BestOmega(nil), Mark: '█'},
 			{Name: "partial", Values: e.PartialMatrix.BestOmega(nil), Mark: '░'},
 		}, 50))
+		if len(e.PartialMissed) > 0 {
+			p("warning: the simulated partial DFT covers %.1f%% of the faults, below the %.1f%% §4.3 predicts; missed %v.\n",
+				100*e.PartialMatrix.FaultCoverage(), 100*e.OpampOpt.Coverage, e.PartialMissed)
+			p("The prediction reads full-DFT rows, but %v is not a prefix of the test chain %v,\n", e.OpampOpt.Chosen, e.Modified.Chain)
+			p("so the partial chain rewires test inputs and its follower configurations emulate other circuits.\n\n")
+		}
 	}
 
 	p("%s\n", report.Rule("Headline summary"))

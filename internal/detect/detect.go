@@ -99,6 +99,9 @@ const (
 	// counted in engine_fallback_total; grid points where the rank-1 update
 	// is singular fall back to a full patched refactorization inside the
 	// sweep (engine_lowrank_refactor_total). All modes evaluate every cell.
+	// The Sherman–Morrison solve agrees with a refactorization only within
+	// rounding, so a cell whose |ΔT/T| equals ε at some grid point can get
+	// a different verdict than under the other modes (see Options.Engine).
 	EngineLowRank
 )
 
@@ -212,7 +215,11 @@ type Options struct {
 	OnError ErrorPolicy
 	// Engine selects the cell simulation strategy: EngineIncremental
 	// (default), EngineLowRank or EngineNaive. All modes produce identical
-	// Det matrices and Omega values within floating-point noise.
+	// Det matrices and Omega values within floating-point noise, except on
+	// cells whose |ΔT/T| equals ε (within rounding) at some grid point:
+	// there the verdict r > ε is decided by rounding, and EngineLowRank can
+	// flip it. The paper biquad at 10% faults has two such cells, (C1, fR3)
+	// and (C3, fR3), where R3×1.1 scales the response by exactly 1.1.
 	Engine EngineMode
 	// Layout selects the MNA matrix layout for every system the
 	// evaluation builds: mna.LayoutAuto (the zero value) applies the fill
@@ -1342,8 +1349,9 @@ func (m *Matrix) RowOf(i int) (*Row, error) {
 	return row, nil
 }
 
-// SubMatrix returns a new matrix restricted to the given row indices (in
-// the given order), sharing fault columns and region.
+// SubMatrix returns a new matrix holding copies of the given rows (in the
+// given order), sharing fault columns and region. Stats stay zero: no cell
+// of the result was simulated.
 func (m *Matrix) SubMatrix(rows []int) (*Matrix, error) {
 	out := &Matrix{
 		Source: m.Source,
@@ -1355,8 +1363,8 @@ func (m *Matrix) SubMatrix(rows []int) (*Matrix, error) {
 			return nil, fmt.Errorf("detect: row %d out of range", i)
 		}
 		out.Configs = append(out.Configs, m.Configs[i])
-		out.Det = append(out.Det, m.Det[i])
-		out.Omega = append(out.Omega, m.Omega[i])
+		out.Det = append(out.Det, append([]bool(nil), m.Det[i]...))
+		out.Omega = append(out.Omega, append([]float64(nil), m.Omega[i]...))
 		for _, ce := range m.CellErrors {
 			if ce.Config == m.Configs[i] {
 				out.CellErrors = append(out.CellErrors, ce)

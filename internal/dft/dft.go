@@ -8,6 +8,7 @@ package dft
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"analogdft/internal/circuit"
@@ -278,6 +279,44 @@ func (m *Modified) SubChain(names []string) (*Modified, error) {
 		return nil, fmt.Errorf("%w: duplicate names in sub-chain", ErrBadChain)
 	}
 	return Apply(pristine, sub)
+}
+
+// Lift maps cfg, a configuration of sub, onto the configuration of m with
+// the same follower opamps. sub must come from m.SubChain; the two
+// configurations then emulate the same circuit unless the test chain was
+// rewired. SubChain keeps every component, value and node of m's base and
+// only changes test inputs: opamps outside sub lose theirs, and a chosen
+// opamp whose chain predecessor was dropped is fed from an earlier output
+// (sub is not a prefix of m's chain). A normal-mode opamp ignores its test
+// input, so only the followers matter: ok is false when some follower of
+// cfg has a different test input in sub than in m, or when cfg does not
+// belong to sub.
+func (m *Modified) Lift(sub *Modified, cfg Configuration) (lifted Configuration, ok bool) {
+	if cfg.N != sub.N() || cfg.Index < 0 || cfg.Index >= sub.NumConfigurations() {
+		return Configuration{}, false
+	}
+	idx := 0
+	for i, name := range sub.Chain {
+		if !cfg.Follower(i) {
+			continue
+		}
+		j := slices.Index(m.Chain, name)
+		if j < 0 || testIn(m.Base, name) != testIn(sub.Base, name) {
+			return Configuration{}, false
+		}
+		idx |= 1 << uint(j)
+	}
+	return Configuration{Index: idx, N: m.N()}, true
+}
+
+// testIn returns the test-input node of the named opamp, or "" when it is
+// missing or not an opamp.
+func testIn(ckt *circuit.Circuit, name string) string {
+	comp, _ := ckt.Component(name)
+	if op, ok := comp.(*circuit.Opamp); ok {
+		return op.TestIn
+	}
+	return ""
 }
 
 // AccessBlock returns the configuration that exposes an embedded block

@@ -3,6 +3,7 @@ package dft
 import (
 	"errors"
 	"math/cmplx"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -417,5 +418,59 @@ func TestConfigurationProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestLiftPrefixSubChain(t *testing.T) {
+	m, err := ApplyAll(cascade3())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := m.SubChain([]string{"OP1", "OP2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range sub.Configurations(true) {
+		lifted, ok := m.Lift(sub, cfg)
+		if !ok {
+			t.Fatalf("%v of a prefix sub-chain did not lift", cfg)
+		}
+		// OP1/OP2 keep their chain positions, so the index is unchanged.
+		if lifted != (Configuration{Index: cfg.Index, N: 3}) {
+			t.Fatalf("%v lifted to %v", cfg, lifted)
+		}
+		if got, want := strings.Join(m.FollowerOpamps(lifted), ","), strings.Join(sub.FollowerOpamps(cfg), ","); got != want {
+			t.Fatalf("%v: followers %v, want %v", cfg, got, want)
+		}
+	}
+}
+
+func TestLiftRewiredFollower(t *testing.T) {
+	m, err := ApplyAll(cascade3())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Dropping OP2 rewires OP3's test input from v2 to v1.
+	sub, err := m.SubChain([]string{"OP1", "OP3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		index, lifted int
+		ok            bool
+	}{
+		{0, 0, true},  // functional: no follower
+		{1, 1, true},  // OP1 follows the primary input in both circuits
+		{2, 0, false}, // OP3 follows v1 instead of v2
+		{3, 0, false},
+	}
+	for _, c := range cases {
+		lifted, ok := m.Lift(sub, Configuration{Index: c.index, N: 2})
+		if ok != c.ok || (ok && lifted.Index != c.lifted) {
+			t.Errorf("Lift(C%d) = %v, %t; want C%d, %t", c.index, lifted, ok, c.lifted, c.ok)
+		}
+	}
+	if _, ok := m.Lift(sub, Configuration{Index: 1, N: 3}); ok {
+		t.Error("a configuration of another chain lifted")
 	}
 }
