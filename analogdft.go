@@ -49,7 +49,7 @@ type (
 	// FailFast or Retry).
 	ErrorPolicy = detect.ErrorPolicy
 	// EngineMode selects the cell simulation strategy
-	// (EngineIncremental, EngineLowRank or EngineNaive).
+	// (EngineIncremental or EngineLowRank).
 	EngineMode = detect.EngineMode
 	// Layout selects the MNA matrix layout (LayoutAuto, LayoutDense or
 	// LayoutSparse). Every layout produces bit-identical matrices; the
@@ -93,11 +93,10 @@ const (
 // Engine modes for Options.Engine.
 const (
 	// EngineIncremental patches faults into a reusable per-configuration
-	// system in place — no clone, no rebuild (the default).
+	// system in place — no clone, no rebuild (the default). Faults that
+	// cannot be patched (opens, shorts, opamp model faults) are cloned
+	// and rebuilt cell by cell.
 	EngineIncremental = detect.EngineIncremental
-	// EngineNaive clones the circuit and rebuilds the system per cell
-	// (the reference implementation).
-	EngineNaive = detect.EngineNaive
 	// EngineLowRank factors the nominal system once per (configuration,
 	// frequency) grid point and solves rank-1 faults against the cached
 	// factorizations via Sherman–Morrison, falling back to the
@@ -107,8 +106,8 @@ const (
 	EngineLowRank = detect.EngineLowRank
 )
 
-// ParseEngineMode maps an -engine flag value ("incremental", "lowrank"
-// or "naive") onto an engine mode.
+// ParseEngineMode maps an -engine flag value ("incremental" or
+// "lowrank") onto an engine mode.
 func ParseEngineMode(name string) (EngineMode, error) {
 	return detect.ParseEngineMode(name)
 }

@@ -401,8 +401,7 @@ func BenchmarkDetectParallelVsSerial(b *testing.B) {
 // layouts: the incremental engine patches each fault into a reusable
 // per-configuration system, the low-rank engine solves each rank-1 fault
 // via Sherman–Morrison against nominal factorizations cached per
-// (configuration, ω) grid point, and the naive engine clones the circuit
-// and rebuilds the system per cell. The layout sub-benchmarks share the
+// (configuration, ω) grid point. The layout sub-benchmarks share the
 // engine sub-benchmark's name grammar ("key=value"), so benchdiff can
 // both track each combination over time and cross-compare dense against
 // sparse within one snapshot (-dim layout=dense:sparse).
@@ -413,7 +412,7 @@ func BenchmarkBuildMatrix(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []detect.EngineMode{detect.EngineIncremental, detect.EngineLowRank, detect.EngineNaive} {
+	for _, mode := range []detect.EngineMode{detect.EngineIncremental, detect.EngineLowRank} {
 		for _, layout := range []Layout{LayoutDense, LayoutSparse} {
 			b.Run(fmt.Sprintf("engine=%s/layout=%s", mode, layout), func(b *testing.B) {
 				opts := PaperOptions()

@@ -265,6 +265,21 @@ func TestServerValidationAndLookup(t *testing.T) {
 	}
 }
 
+// TestServerRejectsRetiredEngine: "naive" is no longer an engine a
+// request can name; it maps to 400 bad_request like any unknown engine.
+func TestServerRejectsRetiredEngine(t *testing.T) {
+	ts, _ := startServer(t, jobs.Config{Workers: 1})
+	body := map[string]any{"kind": "matrix", "bench": "paper-biquad", "options": map[string]any{"engine": "naive"}}
+	var ae apiError
+	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", body, &ae)
+	if resp.StatusCode != http.StatusBadRequest || ae.Code != "bad_request" {
+		t.Fatalf("HTTP %d code %q, want 400 bad_request", resp.StatusCode, ae.Code)
+	}
+	if !strings.Contains(ae.Message, `unknown engine mode "naive"`) {
+		t.Errorf("message %q does not name the engine", ae.Message)
+	}
+}
+
 // TestServerAuxEndpoints: benches, healthz and a non-empty Prometheus
 // exposition that includes the job-layer series.
 func TestServerAuxEndpoints(t *testing.T) {

@@ -109,6 +109,14 @@ func TestRunRejectsUnknownPolicy(t *testing.T) {
 	}
 }
 
+func TestRunRejectsRetiredEngine(t *testing.T) {
+	cfg := base()
+	cfg.sim.Engine = "naive"
+	if err := run(cfg); err == nil || !strings.Contains(err.Error(), `unknown engine mode "naive"`) {
+		t.Fatalf("err = %v", err)
+	}
+}
+
 // brokenMatrix hand-builds a matrix with two failed cells so the error
 // listing can be checked without constructing a failing circuit.
 func brokenMatrix() *analogdft.Matrix {

@@ -4,9 +4,11 @@
 // configurations of a DFT-modified circuit (Figure 5 / Table 2).
 //
 // Fault simulation is embarrassingly parallel: each (configuration, fault)
-// cell requires an independent AC sweep of a faulty circuit clone, so the
-// engine fans the cells out over a chunked worker pool and reduces the
-// results into fixed matrix positions. The engine is race-clean (each cell
+// cell is an independent AC sweep of the faulty circuit — a rank-1 solve
+// or an in-place patch on the worker's reusable per-configuration engine,
+// or a fresh clone when neither can express the fault — so the engine
+// fans the cells out over a chunked worker pool and reduces the results
+// into fixed matrix positions. The engine is race-clean (each cell
 // writes only its own slot; shared accounting goes through a mutex-guarded
 // reducer) and error-transparent: a cell whose simulation fails is never
 // silently recorded as "undetectable" — it is reported as a structured
@@ -73,7 +75,11 @@ func (p ErrorPolicy) String() string {
 	}
 }
 
-// EngineMode selects how matrix cells simulate their faulty circuit.
+// EngineMode selects the first rung of the engine ladder every matrix
+// cell climbs down to produce its faulty response (see
+// cellRunner.response). Whatever the mode, a fault the chosen rung cannot
+// express falls to the next one, ending at clone-and-rebuild, so every
+// mode evaluates every cell.
 type EngineMode int
 
 // Engine modes.
@@ -82,27 +88,27 @@ const (
 	// per-configuration analysis.Engine and applies each fault as an
 	// in-place stamp patch — no circuit clone, no system rebuild, no
 	// per-cell allocation. Faults the patcher cannot express (opens,
-	// shorts, opamp model faults) fall back to the naive path cell by
-	// cell, counted in engine_fallback_total, so both modes always
-	// evaluate every cell.
+	// shorts, opamp model faults) are cloned and rebuilt cell by cell,
+	// counted in engine_fallback_total.
 	EngineIncremental EngineMode = iota
-	// EngineNaive clones the circuit and rebuilds the MNA system for
-	// every cell — the original, allocation-heavy strategy, kept as the
-	// reference implementation for equivalence testing.
-	EngineNaive
 	// EngineLowRank factors the nominal MNA matrix once per (configuration,
 	// ω) grid point and solves each rank-1 fault against those cached
 	// factorizations via Sherman–Morrison — O(n²) per point instead of the
-	// O(n³) refactorization both other modes pay. Faults whose stamp delta
-	// is not a single outer product (opens, shorts, opamp model faults,
-	// source amplitudes) fall back to the incremental path cell by cell,
-	// counted in engine_fallback_total; grid points where the rank-1 update
-	// is singular fall back to a full patched refactorization inside the
-	// sweep (engine_lowrank_refactor_total). All modes evaluate every cell.
-	// The Sherman–Morrison solve agrees with a refactorization only within
-	// rounding, so a cell whose |ΔT/T| equals ε at some grid point can get
-	// a different verdict than under the other modes (see Options.Engine).
+	// O(n³) refactorization of a patch. Faults whose stamp delta is not a
+	// single outer product (opens, shorts, opamp model faults, source
+	// amplitudes) fall to the patch rung cell by cell, counted in
+	// engine_fallback_total; grid points where the rank-1 update is
+	// singular fall back to a full patched refactorization inside the
+	// sweep (engine_lowrank_refactor_total). The Sherman–Morrison solve
+	// agrees with a refactorization only within rounding, so a cell whose
+	// |ΔT/T| equals ε at some grid point can get a different verdict than
+	// under EngineIncremental (see Options.Engine).
 	EngineLowRank
+
+	// engineClone starts every cell at the clone-and-rebuild rung: the
+	// reference the equivalence tests hold the other modes to. No flag,
+	// request field or ParseEngineMode name selects it.
+	engineClone
 )
 
 // String implements fmt.Stringer.
@@ -110,10 +116,10 @@ func (m EngineMode) String() string {
 	switch m {
 	case EngineIncremental:
 		return "incremental"
-	case EngineNaive:
-		return "naive"
 	case EngineLowRank:
 		return "lowrank"
+	case engineClone:
+		return "clone"
 	default:
 		return fmt.Sprintf("EngineMode(%d)", int(m))
 	}
@@ -124,12 +130,10 @@ func ParseEngineMode(name string) (EngineMode, error) {
 	switch name {
 	case "", "incremental":
 		return EngineIncremental, nil
-	case "naive":
-		return EngineNaive, nil
 	case "lowrank":
 		return EngineLowRank, nil
 	default:
-		return EngineIncremental, fmt.Errorf("detect: unknown engine mode %q (want incremental, lowrank or naive)", name)
+		return EngineIncremental, fmt.Errorf("detect: unknown engine mode %q (want incremental or lowrank)", name)
 	}
 }
 
@@ -214,12 +218,13 @@ type Options struct {
 	// (default), FailFast or Retry.
 	OnError ErrorPolicy
 	// Engine selects the cell simulation strategy: EngineIncremental
-	// (default), EngineLowRank or EngineNaive. All modes produce identical
-	// Det matrices and Omega values within floating-point noise, except on
-	// cells whose |ΔT/T| equals ε (within rounding) at some grid point:
-	// there the verdict r > ε is decided by rounding, and EngineLowRank can
-	// flip it. The paper biquad at 10% faults has two such cells, (C1, fR3)
-	// and (C3, fR3), where R3×1.1 scales the response by exactly 1.1.
+	// (default) or EngineLowRank. Both produce the Det matrices and Omega
+	// values of cloning and rebuilding every faulty circuit, within
+	// floating-point noise, except on cells whose |ΔT/T| equals ε (within
+	// rounding) at some grid point: there the verdict r > ε is decided by
+	// rounding, and EngineLowRank can flip it. The paper biquad at 10%
+	// faults has two such cells, (C1, fR3) and (C3, fR3), where R3×1.1
+	// scales the response by exactly 1.1.
 	Engine EngineMode
 	// Layout selects the MNA matrix layout for every system the
 	// evaluation builds: mna.LayoutAuto (the zero value) applies the fill
@@ -395,80 +400,31 @@ func EvaluateCircuitContext(ctx context.Context, ckt *circuit.Circuit, faults fa
 	if err := opts.checkProfile(len(grid)); err != nil {
 		return nil, err
 	}
+	cr := newCellRunner(1, faults, opts)
 	_, nomSpan := obs.Start(sctx, "detect.nominal")
-	eng, err := analysis.NewEngineLayout(ckt, opts.Layout)
-	if err != nil {
-		nomSpan.End()
-		return nil, fmt.Errorf("detect: nominal sweep of %q: %w", ckt.Name, err)
-	}
-	nominal, err := eng.SweepGrid(grid)
-	if err != nil {
-		nomSpan.End()
-		return nil, fmt.Errorf("detect: nominal sweep of %q: %w", ckt.Name, err)
-	}
-	var base Stats
-	if err := accountNominal(eng, nominal, opts, &base); err != nil {
-		nomSpan.End()
-		return nil, fmt.Errorf("detect: nominal retry of %q: %w", ckt.Name, err)
-	}
+	err = cr.addConfig(ckt, func() string { return strconv.Quote(ckt.Name) }, grid)
 	nomSpan.End()
-
-	pool := newEnginePool([]*circuit.Circuit{ckt}, opts.Layout)
-	pool.put(0, eng)
-	cr := newCellRunner(opts.Workers, pool)
-	row := &Row{Circuit: ckt.Name, Region: region, Evals: make([]FaultEval, len(faults))}
-	tr := newTracker(len(faults), base, opts.Progress)
-	cellsCtx, cellSpan := obs.Start(sctx, "detect.cells")
-	cellCtx, cancel := cancelContext(cellsCtx, opts)
-	runParallel(cellCtx, len(faults), opts.Workers, func(cctx context.Context, w, j int) {
-		eval, st := cr.evaluate(cctx, w, 0, ckt, faults[j], nominal, grid, opts)
-		row.Evals[j] = eval
-		if eval.Err != nil && cancel != nil {
-			cancel()
-		}
-		tr.complete(j, st)
-	})
-	cellSpan.End()
-	if cancel != nil {
-		cancel()
+	if err != nil {
+		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		dCancelled.Inc()
+	evals, tr, err := cr.run(sctx)
+	if err != nil {
 		return nil, err
 	}
 	if opts.OnError == FailFast {
-		for j, e := range row.Evals {
+		for j, e := range evals {
 			if e.Err != nil {
 				dFailFast.Inc()
 				return nil, fmt.Errorf("detect: fault %s on %q: %w", faults[j].ID, ckt.Name, e.Err)
 			}
 		}
 	}
-	row.Stats = tr.finish(obs.Since(start))
+	row := &Row{Circuit: ckt.Name, Region: region, Evals: evals, Stats: tr.finish(obs.Since(start))}
 	bridgeStats(row.Stats, opts.OnError)
 	if row.Stats.Errors > 0 {
 		dlog.Warn("row evaluation degraded", "circuit", ckt.Name, "errors", row.Stats.Errors, "cells", row.Stats.Cells)
 	}
 	return row, nil
-}
-
-// accountNominal folds the cost of a nominal pre-sweep into st and, under
-// the Retry policy, re-solves its singular points first (on the engine
-// that produced the sweep, so nothing is rebuilt) so every cell compares
-// against the best available baseline.
-func accountNominal(eng *analysis.Engine, nominal *analysis.Response, opts Options, st *Stats) error {
-	st.Solves += nominal.Len()
-	if opts.OnError == Retry && nominal.InvalidCount() > 0 {
-		recovered, solves, err := eng.RetrySingularPoints(nominal, opts.MaxRetries)
-		st.Retries += solves
-		st.Solves += solves
-		st.Recovered += recovered
-		if err != nil {
-			return err
-		}
-	}
-	st.SingularPoints += nominal.InvalidCount()
-	return nil
 }
 
 // cancelContext returns the scheduling context for the configured error
@@ -526,11 +482,19 @@ func scoreCell(eval *FaultEval, nominal, resp *analysis.Response, grid []float64
 	return nil
 }
 
-// fallbackSpan records a marker span for a cell the requested engine
-// path could not run. Which cells fall back is a property of the circuit
-// and fault list — not of the schedule — so these spans are always
-// recorded and the exported tree shape stays deterministic.
-func fallbackSpan(ctx context.Context, f fault.Fault, from string) {
+// needsRetry reports whether the Retry policy re-solves resp's singular
+// points.
+func needsRetry(resp *analysis.Response, opts Options) bool {
+	return opts.OnError == Retry && resp.InvalidCount() > 0
+}
+
+// fallback records a cell leaving rung from of the engine ladder: it is
+// counted in engine_fallback_total and marked by a detect.fallback span.
+// Which cells fall back is a property of the circuit and fault list — not
+// of the schedule — so these spans are always recorded and the exported
+// tree shape stays deterministic.
+func fallback(ctx context.Context, f fault.Fault, from string) {
+	dEngineFallback.Inc()
 	_, s := obs.Start(ctx, "detect.fallback")
 	s.SetTag("fault", f.String())
 	s.SetTag("from", from)
@@ -553,232 +517,149 @@ func endRetrySpan(s *obs.Span, recovered int) {
 	s.End()
 }
 
-// evaluateFault measures one fault against a pre-swept nominal response
-// and accounts the simulation effort — the naive path: the circuit is
-// cloned and a fresh MNA system built for the cell. A nominal baseline
-// with no valid points makes every comparison meaningless (the deviation
-// profile is identically zero), so the cell records an error instead of a
-// silent "undetectable".
-func evaluateFault(ctx context.Context, ckt *circuit.Circuit, f fault.Fault, nominal *analysis.Response, grid []float64, opts Options) (FaultEval, cellStats) {
-	eval := FaultEval{Fault: f}
-	var st cellStats
-	fail := func(err error) (FaultEval, cellStats) {
-		eval.Err = err
-		st.err = true
-		return eval, st
-	}
-	if nominal.ValidCount() == 0 {
-		return fail(fmt.Errorf("detect: nominal response of %q: %w", ckt.Name, analysis.ErrAllInvalid))
-	}
-	faulty, err := f.Apply(ckt)
-	if err != nil {
-		return fail(err)
-	}
-	// A throwaway engine per cell keeps this the reference path (fresh
-	// clone, fresh system) while still honoring the requested layout;
-	// reusing it for the retry below skips only a redundant rebuild.
-	feng, err := analysis.NewEngineLayout(faulty, opts.Layout)
-	if err != nil {
-		return fail(err)
-	}
-	resp, err := feng.SweepGrid(grid)
-	if err != nil {
-		return fail(err)
-	}
-	st.solves += len(grid)
-	if opts.OnError == Retry && resp.InvalidCount() > 0 {
-		rs := retrySpan(ctx, f, resp.InvalidCount())
-		recovered, solves, rerr := feng.RetrySingularPoints(resp, opts.MaxRetries)
-		endRetrySpan(rs, recovered)
-		st.retries += solves
-		st.solves += solves
-		st.recovered += recovered
-		if rerr != nil {
-			return fail(rerr)
-		}
-	}
-	st.singular += resp.InvalidCount()
-	if err := scoreCell(&eval, nominal, resp, grid, opts); err != nil {
-		return fail(err)
-	}
-	return eval, st
-}
-
-// evaluateFaultIncremental measures one fault by patching it into the
-// worker's live engine: no circuit clone, no system rebuild, no per-cell
-// allocation beyond the response buffers. Faults the engine cannot patch
-// fall back to the naive clone path (counted in engine_fallback_total),
-// so both engine modes always evaluate the same cell set.
-func evaluateFaultIncremental(ctx context.Context, eng *analysis.Engine, ckt *circuit.Circuit, f fault.Fault, nominal *analysis.Response, grid []float64, opts Options) (FaultEval, cellStats) {
-	eval := FaultEval{Fault: f}
-	var st cellStats
-	fail := func(err error) (FaultEval, cellStats) {
-		eval.Err = err
-		st.err = true
-		return eval, st
-	}
-	if nominal.ValidCount() == 0 {
-		return fail(fmt.Errorf("detect: nominal response of %q: %w", ckt.Name, analysis.ErrAllInvalid))
-	}
-	if err := eng.ApplyFault(f); err != nil {
-		dEngineFallback.Inc()
-		fallbackSpan(ctx, f, "incremental")
-		return evaluateFault(ctx, ckt, f, nominal, grid, opts)
-	}
-	defer eng.Reset()
-	resp, err := eng.SweepGrid(grid)
-	if err != nil {
-		return fail(err)
-	}
-	st.solves += len(grid)
-	if opts.OnError == Retry && resp.InvalidCount() > 0 {
-		// The fault is still applied, so the jittered re-solves run on the
-		// faulty system, exactly as the naive path's retry does.
-		rs := retrySpan(ctx, f, resp.InvalidCount())
-		recovered, solves, rerr := eng.RetrySingularPoints(resp, opts.MaxRetries)
-		endRetrySpan(rs, recovered)
-		st.retries += solves
-		st.solves += solves
-		st.recovered += recovered
-		if rerr != nil {
-			return fail(rerr)
-		}
-	}
-	st.singular += resp.InvalidCount()
-	if err := scoreCell(&eval, nominal, resp, grid, opts); err != nil {
-		return fail(err)
-	}
-	return eval, st
-}
-
-// evaluateFaultLowRank measures one fault via the Sherman–Morrison path:
-// the worker's engine factors the nominal matrix once per grid point (the
-// cache persists across every fault on the same grid, so the faults
-// effectively iterate inside each (configuration, ω) factorization) and
-// each rank-1 fault solves against it in O(n²). Faults that cannot patch
-// at all, or whose stamp delta is not a single outer product, fall back
-// to the incremental path (counted in engine_fallback_total) — which in
-// turn can fall back to the naive clone path — so every engine mode
-// evaluates exactly the same cell set.
-func evaluateFaultLowRank(ctx context.Context, eng *analysis.Engine, ckt *circuit.Circuit, f fault.Fault, nominal *analysis.Response, grid []float64, opts Options) (FaultEval, cellStats) {
-	eval := FaultEval{Fault: f}
-	var st cellStats
-	fail := func(err error) (FaultEval, cellStats) {
-		eval.Err = err
-		st.err = true
-		return eval, st
-	}
-	if nominal.ValidCount() == 0 {
-		return fail(fmt.Errorf("detect: nominal response of %q: %w", ckt.Name, analysis.ErrAllInvalid))
-	}
-	lf, err := eng.PrepareLowRank(f)
-	if err != nil {
-		dEngineFallback.Inc()
-		fallbackSpan(ctx, f, "lowrank")
-		return evaluateFaultIncremental(ctx, eng, ckt, f, nominal, grid, opts)
-	}
-	eng.SetTraceContext(ctx)
-	defer eng.SetTraceContext(nil)
-	resp, err := eng.SweepLowRank(lf, grid)
-	if err != nil {
-		return fail(err)
-	}
-	st.solves += len(grid)
-	if opts.OnError == Retry && resp.InvalidCount() > 0 {
-		// Re-apply the fault as an ordinary patch so the jittered re-solves
-		// run on the faulty system, exactly as the other paths' retries do.
-		if err := eng.ApplyFault(f); err != nil {
-			return fail(err)
-		}
-		rs := retrySpan(ctx, f, resp.InvalidCount())
-		recovered, solves, rerr := eng.RetrySingularPoints(resp, opts.MaxRetries)
-		eng.Reset()
-		endRetrySpan(rs, recovered)
-		st.retries += solves
-		st.solves += solves
-		st.recovered += recovered
-		if rerr != nil {
-			return fail(rerr)
-		}
-	}
-	st.singular += resp.InvalidCount()
-	if err := scoreCell(&eval, nominal, resp, grid, opts); err != nil {
-		return fail(err)
-	}
-	return eval, st
-}
-
-// enginePool hands out per-configuration engines. The nominal phase seeds
-// it with the engine it built for each configuration; when several
-// workers land on the same configuration the extras are built lazily,
-// at most once per (worker, configuration) thanks to the cellRunner
-// caches.
-type enginePool struct {
-	mu     sync.Mutex
-	free   [][]*analysis.Engine
-	ckts   []*circuit.Circuit
-	layout mna.Layout
-}
-
-// newEnginePool creates an empty pool over the per-configuration
-// circuits; lazily built engines use the same matrix layout as the
-// seeded ones.
-func newEnginePool(ckts []*circuit.Circuit, layout mna.Layout) *enginePool {
-	return &enginePool{free: make([][]*analysis.Engine, len(ckts)), ckts: ckts, layout: layout}
-}
-
-// put returns an engine for configuration i to the pool.
-func (p *enginePool) put(i int, e *analysis.Engine) {
-	p.mu.Lock()
-	p.free[i] = append(p.free[i], e)
-	p.mu.Unlock()
-}
-
-// get hands out a free engine for configuration i, building one when the
-// pool is empty.
-func (p *enginePool) get(i int) (*analysis.Engine, error) {
-	p.mu.Lock()
-	if s := p.free[i]; len(s) > 0 {
-		e := s[len(s)-1]
-		p.free[i] = s[:len(s)-1]
-		p.mu.Unlock()
-		return e, nil
-	}
-	p.mu.Unlock()
-	return analysis.NewEngineLayout(p.ckts[i], p.layout)
-}
-
-// cellRunner dispatches cell evaluations to the configured engine mode.
-// Engines are not safe for concurrent use, so each worker keeps its own
-// cache of engines keyed by configuration index, fed from the shared
-// pool; caches[w] is touched only by worker w and needs no lock.
+// cellRunner evaluates the (configuration, fault) cells of one row or
+// matrix, row-major over the configurations added by the nominal phase
+// and the fault list. Engines are not safe for concurrent use: the
+// nominal phase leaves one seed engine per configuration, the first
+// worker to reach a configuration takes it and later ones build their
+// own, and each worker keeps its engines in caches[w], which only worker
+// w touches.
 type cellRunner struct {
-	pool   *enginePool
+	opts     Options
+	faults   fault.List
+	ckts     []*circuit.Circuit
+	nominals []*analysis.Response
+	grids    [][]float64
+	// base accounts the nominal phase; the tracker starts from it.
+	base Stats
+
+	mu     sync.Mutex // guards seeds
+	seeds  []*analysis.Engine
 	caches []map[int]*analysis.Engine
 }
 
-// newCellRunner prepares per-worker engine caches over the pool.
-func newCellRunner(workers int, pool *enginePool) *cellRunner {
-	caches := make([]map[int]*analysis.Engine, workers)
+// newCellRunner prepares a runner for up to configs configurations over
+// the fault list, with one engine cache per worker; opts is already
+// normalized.
+func newCellRunner(configs int, faults fault.List, opts Options) *cellRunner {
+	caches := make([]map[int]*analysis.Engine, opts.Workers)
 	for w := range caches {
 		caches[w] = make(map[int]*analysis.Engine)
 	}
-	return &cellRunner{pool: pool, caches: caches}
+	return &cellRunner{
+		opts:     opts,
+		faults:   faults,
+		ckts:     make([]*circuit.Circuit, 0, configs),
+		nominals: make([]*analysis.Response, 0, configs),
+		grids:    make([][]float64, 0, configs),
+		seeds:    make([]*analysis.Engine, 0, configs),
+		caches:   caches,
+	}
 }
 
-// evaluate runs the (configuration cfg, fault f) cell on worker w. When
+// addConfig is the nominal phase of one configuration: it builds the
+// configuration's engine, sweeps the nominal response over grid and folds
+// that cost into the base stats. Under the Retry policy it first
+// re-solves the nominal's singular points on the same engine, so every
+// cell compares against the best available baseline. The engine seeds the
+// configuration's pool. what names the configuration in errors; it is
+// called only on failure.
+func (cr *cellRunner) addConfig(ckt *circuit.Circuit, what func() string, grid []float64) error {
+	eng, err := analysis.NewEngineLayout(ckt, cr.opts.Layout)
+	if err != nil {
+		return fmt.Errorf("detect: nominal sweep of %s: %w", what(), err)
+	}
+	nominal, err := eng.SweepGrid(grid)
+	if err != nil {
+		return fmt.Errorf("detect: nominal sweep of %s: %w", what(), err)
+	}
+	cr.base.Solves += nominal.Len()
+	if needsRetry(nominal, cr.opts) {
+		recovered, solves, err := eng.RetrySingularPoints(nominal, cr.opts.MaxRetries)
+		cr.base.Retries += solves
+		cr.base.Solves += solves
+		cr.base.Recovered += recovered
+		if err != nil {
+			return fmt.Errorf("detect: nominal retry of %s: %w", what(), err)
+		}
+	}
+	cr.base.SingularPoints += nominal.InvalidCount()
+	cr.ckts = append(cr.ckts, ckt)
+	cr.nominals = append(cr.nominals, nominal)
+	cr.grids = append(cr.grids, grid)
+	cr.seeds = append(cr.seeds, eng)
+	return nil
+}
+
+// engine returns worker w's engine for configuration i: the seed engine
+// for the first worker to ask, a lazily built one (at most once per
+// worker and configuration) for the others.
+func (cr *cellRunner) engine(w, i int) (*analysis.Engine, error) {
+	if eng, ok := cr.caches[w][i]; ok {
+		return eng, nil
+	}
+	cr.mu.Lock()
+	eng := cr.seeds[i]
+	cr.seeds[i] = nil
+	cr.mu.Unlock()
+	if eng == nil {
+		var err error
+		if eng, err = analysis.NewEngineLayout(cr.ckts[i], cr.opts.Layout); err != nil {
+			return nil, err
+		}
+	}
+	cr.caches[w][i] = eng
+	return eng, nil
+}
+
+// run fans every cell out over the workers under one detect.cells span
+// and returns the evaluations in row-major cell order, with the tracker
+// holding their merged effort. Each cell writes only its own slot and the
+// tracker reduces stats behind a mutex in cell order, so the fan-out is
+// clean under -race and deterministic for any worker count. Under
+// FailFast the first failing cell stops scheduling; cells in flight
+// finish and cells never started keep a zero evaluation. A cancelled ctx
+// returns ctx's error.
+func (cr *cellRunner) run(ctx context.Context) ([]FaultEval, *tracker, error) {
+	nf := len(cr.faults)
+	n := len(cr.ckts) * nf
+	evals := make([]FaultEval, n)
+	tr := newTracker(n, cr.base, cr.opts.Progress)
+	cellsCtx, cellSpan := obs.Start(ctx, "detect.cells")
+	cellSpan.SetTag("cells", fmt.Sprint(n))
+	cellCtx, cancel := cancelContext(cellsCtx, cr.opts)
+	runParallel(cellCtx, n, cr.opts.Workers, func(cctx context.Context, w, k int) {
+		eval, st := cr.evaluate(cctx, w, k/nf, cr.faults[k%nf])
+		evals[k] = eval
+		if eval.Err != nil && cancel != nil {
+			cancel()
+		}
+		tr.complete(k, st)
+	})
+	cellSpan.End()
+	if cancel != nil {
+		cancel()
+	}
+	if err := ctx.Err(); err != nil {
+		dCancelled.Inc()
+		return nil, nil, err
+	}
+	return evals, tr, nil
+}
+
+// evaluate runs the (configuration i, fault f) cell on worker w. When
 // timing is on it also records the cell's wall latency under the
 // requested engine mode and offers it to the slow-cell exemplar store,
 // stamped with the trace ID carried by ctx.
-func (cr *cellRunner) evaluate(ctx context.Context, w, cfg int, ckt *circuit.Circuit, f fault.Fault, nominal *analysis.Response, grid []float64, opts Options) (FaultEval, cellStats) {
+func (cr *cellRunner) evaluate(ctx context.Context, w, i int, f fault.Fault) (FaultEval, cellStats) {
 	timed := obs.TimingOn()
 	var t0 time.Time
 	if timed {
 		t0 = obs.Now()
 	}
-	eval, st := cr.dispatch(ctx, w, cfg, ckt, f, nominal, grid, opts)
+	eval, st := cr.evaluateCell(ctx, w, i, f)
 	if timed {
-		mode := opts.Engine.String()
+		mode := cr.opts.Engine.String()
 		el := obs.Since(t0).Seconds()
 		dCellSeconds.With(mode).Observe(el)
 		id := ""
@@ -790,29 +671,115 @@ func (cr *cellRunner) evaluate(ctx context.Context, w, cfg int, ckt *circuit.Cir
 	return eval, st
 }
 
-// dispatch routes the cell to the configured engine path.
-func (cr *cellRunner) dispatch(ctx context.Context, w, cfg int, ckt *circuit.Circuit, f fault.Fault, nominal *analysis.Response, grid []float64, opts Options) (FaultEval, cellStats) {
-	if opts.Engine == EngineNaive {
-		return evaluateFault(ctx, ckt, f, nominal, grid, opts)
+// evaluateCell is the cell pipeline, response(f) → retry → score: it
+// measures fault f on configuration i against the pre-swept nominal
+// response and accounts the simulation effort. A nominal baseline with no
+// valid points makes every comparison meaningless (the deviation profile
+// is identically zero), so the cell records an error instead of a silent
+// "undetectable".
+func (cr *cellRunner) evaluateCell(ctx context.Context, w, i int, f fault.Fault) (FaultEval, cellStats) {
+	nominal, grid, opts := cr.nominals[i], cr.grids[i], cr.opts
+	eval := FaultEval{Fault: f}
+	var st cellStats
+	fail := func(err error) (FaultEval, cellStats) {
+		eval.Err = err
+		st.err = true
+		return eval, st
 	}
-	eng, ok := cr.caches[w][cfg]
-	if !ok {
+	if nominal.ValidCount() == 0 {
+		return fail(fmt.Errorf("detect: nominal response of %q: %w", cr.ckts[i].Name, analysis.ErrAllInvalid))
+	}
+	eng, resp, err := cr.response(ctx, w, i, f)
+	if eng != nil {
+		defer eng.Reset()
+	}
+	if err != nil {
+		return fail(err)
+	}
+	st.solves += len(grid)
+	if needsRetry(resp, opts) {
+		// The engine holds the faulty state, so the jittered re-solves run
+		// on the faulty system whichever rung produced resp.
+		rs := retrySpan(ctx, f, resp.InvalidCount())
+		recovered, solves, rerr := eng.RetrySingularPoints(resp, opts.MaxRetries)
+		endRetrySpan(rs, recovered)
+		st.retries += solves
+		st.solves += solves
+		st.recovered += recovered
+		if rerr != nil {
+			return fail(rerr)
+		}
+	}
+	st.singular += resp.InvalidCount()
+	if err := scoreCell(&eval, nominal, resp, grid, opts); err != nil {
+		return fail(err)
+	}
+	return eval, st
+}
+
+// response is the engine ladder of the cell pipeline. It produces the
+// faulty response of f on configuration i and returns it with the engine
+// that holds the faulty state (nil when none was built), so the caller's
+// retry re-solves the faulty system and the caller's Reset restores the
+// engine to nominal. The rungs, in order:
+//
+//  1. rank-1, under EngineLowRank only: a Sherman–Morrison solve against
+//     the worker engine's nominal factorizations, cached per grid point
+//     and shared by every fault of the configuration — O(n²) per point;
+//  2. in-place patch: the fault stamped into the worker's engine, with no
+//     clone, no system rebuild and no per-cell allocation beyond the
+//     response buffers;
+//  3. clone-and-rebuild: the faulty circuit cloned and a fresh engine
+//     built for the cell — the reference every other rung must match.
+//
+// A fault a rung cannot express (not a single outer product for rung 1;
+// opens, shorts and opamp model faults for rung 2) falls to the next rung,
+// so every engine mode evaluates the same cell set.
+func (cr *cellRunner) response(ctx context.Context, w, i int, f fault.Fault) (*analysis.Engine, *analysis.Response, error) {
+	grid := cr.grids[i]
+	var eng *analysis.Engine
+	if cr.opts.Engine != engineClone {
 		var err error
-		eng, err = cr.pool.get(cfg)
-		if err != nil {
+		if eng, err = cr.engine(w, i); err != nil {
 			// The nominal phase already built an engine for this exact
 			// circuit, so a failure here is exceptional; degrade to the
-			// naive path rather than invent a new error channel.
-			dEngineFallback.Inc()
-			fallbackSpan(ctx, f, "pool")
-			return evaluateFault(ctx, ckt, f, nominal, grid, opts)
+			// clone rung rather than invent a new error channel.
+			fallback(ctx, f, "pool")
 		}
-		cr.caches[w][cfg] = eng
 	}
-	if opts.Engine == EngineLowRank {
-		return evaluateFaultLowRank(ctx, eng, ckt, f, nominal, grid, opts)
+	if eng != nil && cr.opts.Engine == EngineLowRank {
+		if lf, err := eng.PrepareLowRank(f); err == nil {
+			eng.SetTraceContext(ctx)
+			resp, err := eng.SweepLowRank(lf, grid)
+			eng.SetTraceContext(nil)
+			if err == nil && needsRetry(resp, cr.opts) {
+				// The rank-1 solve leaves the system nominal; patch the
+				// fault in for the retry.
+				err = eng.ApplyFault(f)
+			}
+			return eng, resp, err
+		}
+		fallback(ctx, f, "lowrank")
 	}
-	return evaluateFaultIncremental(ctx, eng, ckt, f, nominal, grid, opts)
+	if eng != nil {
+		if err := eng.ApplyFault(f); err == nil {
+			resp, err := eng.SweepGrid(grid)
+			return eng, resp, err
+		}
+		fallback(ctx, f, "incremental")
+	}
+	faulty, err := f.Apply(cr.ckts[i])
+	if err != nil {
+		return nil, nil, err
+	}
+	// A throwaway engine per cell keeps this rung the reference path
+	// (fresh clone, fresh system) while still honoring the requested
+	// layout; reusing it for the retry skips only a redundant rebuild.
+	if eng, err = analysis.NewEngineLayout(faulty, cr.opts.Layout); err != nil {
+		return nil, nil, err
+	}
+	resp, err := eng.SweepGrid(grid)
+	return eng, resp, err
 }
 
 // CellError is a structured record of one failed matrix cell: which
@@ -917,20 +884,6 @@ func buildMatrixRange(ctx context.Context, m *dft.Modified, faults fault.List, o
 		span.SetTag("rows", fmt.Sprintf("[%d,%d)", lo, hi))
 	}
 	configs = configs[lo:hi]
-
-	mx := &Matrix{
-		Source:  m.Base.Name,
-		Configs: configs,
-		Faults:  faults,
-		Det:     make([][]bool, len(configs)),
-		Omega:   make([][]float64, len(configs)),
-		Region:  region,
-	}
-	for i := range configs {
-		mx.Det[i] = make([]bool, len(faults))
-		mx.Omega[i] = make([]float64, len(faults))
-	}
-
 	grid := region.Spec(opts.Points).Grid()
 	if err := opts.checkProfile(len(grid)); err != nil {
 		return nil, err
@@ -939,15 +892,10 @@ func buildMatrixRange(ctx context.Context, m *dft.Modified, faults fault.List, o
 	// Pre-sweep nominal responses per configuration (cheap, sequential),
 	// then fan out the (config, fault) cells. With PerConfigRegion each
 	// row gets its own grid; otherwise all rows share the functional
-	// region's grid. The engines built here are kept: they seed the pool
-	// the incremental cell loop draws from.
-	nominals := make([]*analysis.Response, len(configs))
-	circuits := make([]*circuit.Circuit, len(configs))
-	grids := make([][]float64, len(configs))
-	engines := make([]*analysis.Engine, len(configs))
-	var base Stats
+	// region's grid.
+	cr := newCellRunner(len(configs), faults, opts)
 	_, nomSpan := obs.Start(sctx, "detect.nominals")
-	for i, cfg := range configs {
+	for _, cfg := range configs {
 		if err := ctx.Err(); err != nil {
 			nomSpan.End()
 			dCancelled.Inc()
@@ -964,91 +912,52 @@ func buildMatrixRange(ctx context.Context, m *dft.Modified, faults fault.List, o
 				rowGrid = rowRegion.Spec(opts.Points).Grid()
 			}
 		}
-		eng, err := analysis.NewEngineLayout(ckt, opts.Layout)
-		if err != nil {
+		if err := cr.addConfig(ckt, cfg.String, rowGrid); err != nil {
 			nomSpan.End()
-			return nil, fmt.Errorf("detect: nominal sweep of %s: %w", cfg, err)
+			return nil, err
 		}
-		nom, err := eng.SweepGrid(rowGrid)
-		if err != nil {
-			nomSpan.End()
-			return nil, fmt.Errorf("detect: nominal sweep of %s: %w", cfg, err)
-		}
-		if err := accountNominal(eng, nom, opts, &base); err != nil {
-			nomSpan.End()
-			return nil, fmt.Errorf("detect: nominal retry of %s: %w", cfg, err)
-		}
-		circuits[i], nominals[i], grids[i], engines[i] = ckt, nom, rowGrid, eng
 	}
 	nomSpan.End()
-	pool := newEnginePool(circuits, opts.Layout)
-	for i, eng := range engines {
-		pool.put(i, eng)
-	}
-	cr := newCellRunner(opts.Workers, pool)
-
-	type cell struct{ i, j int }
-	cells := make([]cell, 0, len(configs)*len(faults))
-	for i := range configs {
-		for j := range faults {
-			cells = append(cells, cell{i, j})
-		}
-	}
-	// Fan out. Each cell writes only its own results slot; the tracker
-	// reduces stats behind a mutex in cell order, so the whole engine is
-	// clean under -race and deterministic for any worker count.
-	type cellResult struct {
-		eval FaultEval
-		done bool
-	}
-	results := make([]cellResult, len(cells))
-	tr := newTracker(len(cells), base, opts.Progress)
-	cellsCtx, cellSpan := obs.Start(sctx, "detect.cells")
-	cellSpan.SetTag("cells", fmt.Sprint(len(cells)))
-	cellCtx, cancel := cancelContext(cellsCtx, opts)
-	runParallel(cellCtx, len(cells), opts.Workers, func(cctx context.Context, w, k int) {
-		c := cells[k]
-		eval, st := cr.evaluate(cctx, w, c.i, circuits[c.i], faults[c.j], nominals[c.i], grids[c.i], opts)
-		results[k] = cellResult{eval: eval, done: true}
-		if eval.Err != nil && cancel != nil {
-			cancel()
-		}
-		tr.complete(k, st)
-	})
-	cellSpan.End()
-	if cancel != nil {
-		cancel()
-	}
-	if err := ctx.Err(); err != nil {
-		dCancelled.Inc()
+	evals, tr, err := cr.run(sctx)
+	if err != nil {
 		return nil, err
 	}
+	nf := len(faults)
 	if opts.OnError == FailFast {
 		// Return the lowest-index completed failure as a structured
 		// CellError. With Workers=1 this is exactly the first failing
 		// cell; with more workers a later cell may have raced ahead, but
 		// some cell error is always reported.
-		for k, r := range results {
-			if r.done && r.eval.Err != nil {
-				c := cells[k]
+		for k, e := range evals {
+			if e.Err != nil {
 				dFailFast.Inc()
-				return nil, CellError{Config: configs[c.i], FaultIndex: c.j, Fault: faults[c.j], Err: r.eval.Err}
+				return nil, CellError{Config: configs[k/nf], FaultIndex: k % nf, Fault: faults[k%nf], Err: e.Err}
 			}
 		}
 	}
-	for k, r := range results {
-		c := cells[k]
-		mx.Det[c.i][c.j] = r.eval.Detectable
-		mx.Omega[c.i][c.j] = r.eval.OmegaDet
-		if r.eval.Err != nil {
-			mx.CellErrors = append(mx.CellErrors,
-				CellError{Config: configs[c.i], FaultIndex: c.j, Fault: faults[c.j], Err: r.eval.Err})
+	mx := &Matrix{
+		Source:  m.Base.Name,
+		Configs: configs,
+		Faults:  faults,
+		Det:     make([][]bool, len(configs)),
+		Omega:   make([][]float64, len(configs)),
+		Region:  region,
+		Stats:   tr.finish(obs.Since(start)),
+	}
+	for i, cfg := range configs {
+		mx.Det[i] = make([]bool, nf)
+		mx.Omega[i] = make([]float64, nf)
+		for j, e := range evals[i*nf : (i+1)*nf] {
+			mx.Det[i][j] = e.Detectable
+			mx.Omega[i][j] = e.OmegaDet
+			if e.Err != nil {
+				mx.CellErrors = append(mx.CellErrors, CellError{Config: cfg, FaultIndex: j, Fault: faults[j], Err: e.Err})
+			}
 		}
 	}
-	mx.Stats = tr.finish(obs.Since(start))
 	bridgeStats(mx.Stats, opts.OnError)
 	if n := len(mx.CellErrors); n > 0 {
-		dlog.Warn("matrix degraded", "source", mx.Source, "failed_cells", n, "cells", len(cells))
+		dlog.Warn("matrix degraded", "source", mx.Source, "failed_cells", n, "cells", len(evals))
 	}
 	return mx, nil
 }

@@ -20,51 +20,51 @@ const omegaTol = 1e-12
 
 // requireEquivalent builds the matrix in every engine mode × layout
 // combination (and, for the fast modes, across worker counts) against the
-// naive/dense reference and fails on any difference: Det must be
+// clone/dense reference — every cell cloned and rebuilt, Workers=1 — and fails on any difference: Det must be
 // bit-identical, Omega within omegaTol, and the cell error sets must
 // agree position by position.
 func requireEquivalent(t *testing.T, m *dft.Modified, faults fault.List, opts Options) {
 	t.Helper()
-	naive := opts
-	naive.Engine = EngineNaive
-	naive.Layout = mna.LayoutDense
-	naive.Workers = 1
-	ref, err := BuildMatrix(m, faults, naive)
+	clone := opts
+	clone.Engine = engineClone
+	clone.Layout = mna.LayoutDense
+	clone.Workers = 1
+	ref, err := BuildMatrix(m, faults, clone)
 	if err != nil {
-		t.Fatalf("naive build: %v", err)
+		t.Fatalf("clone build: %v", err)
 	}
 	check := func(label string, got *Matrix) {
 		t.Helper()
 		if got.NumConfigs() != ref.NumConfigs() || got.NumFaults() != ref.NumFaults() {
-			t.Fatalf("%s: shape %dx%d vs naive %dx%d", label,
+			t.Fatalf("%s: shape %dx%d vs clone %dx%d", label,
 				got.NumConfigs(), got.NumFaults(), ref.NumConfigs(), ref.NumFaults())
 		}
 		for i := range ref.Det {
 			for j := range ref.Det[i] {
 				if got.Det[i][j] != ref.Det[i][j] {
-					t.Errorf("%s: Det[%d][%d] = %t, naive %t (fault %s, config %s)",
+					t.Errorf("%s: Det[%d][%d] = %t, clone %t (fault %s, config %s)",
 						label, i, j, got.Det[i][j], ref.Det[i][j],
 						faults[j].ID, ref.Configs[i].Label())
 				}
 				if d := math.Abs(got.Omega[i][j] - ref.Omega[i][j]); d > omegaTol {
-					t.Errorf("%s: Omega[%d][%d] differs by %g (got %g, naive %g)",
+					t.Errorf("%s: Omega[%d][%d] differs by %g (got %g, clone %g)",
 						label, i, j, d, got.Omega[i][j], ref.Omega[i][j])
 				}
 			}
 		}
 		if len(got.CellErrors) != len(ref.CellErrors) {
-			t.Errorf("%s: %d cell errors, naive %d", label, len(got.CellErrors), len(ref.CellErrors))
+			t.Errorf("%s: %d cell errors, clone %d", label, len(got.CellErrors), len(ref.CellErrors))
 		}
 	}
-	// The naive mode under the sparse layout closes the reference loop:
-	// if both references agree, the fast modes only need comparing once
-	// per combination.
-	sparseNaive := naive
-	sparseNaive.Layout = mna.LayoutSparse
-	if got, err := BuildMatrix(m, faults, sparseNaive); err != nil {
-		t.Fatalf("naive/sparse build: %v", err)
+	// The clone reference under the sparse layout closes the reference
+	// loop: if both references agree, the fast modes only need comparing
+	// once per combination.
+	sparseClone := clone
+	sparseClone.Layout = mna.LayoutSparse
+	if got, err := BuildMatrix(m, faults, sparseClone); err != nil {
+		t.Fatalf("clone/sparse build: %v", err)
 	} else {
-		check("naive/layout=sparse", got)
+		check("clone/layout=sparse", got)
 	}
 	for _, mode := range []EngineMode{EngineIncremental, EngineLowRank} {
 		for _, layout := range []mna.Layout{mna.LayoutDense, mna.LayoutSparse} {
@@ -104,7 +104,7 @@ func TestEngineEquivalenceBiquad(t *testing.T) {
 
 // TestEngineEquivalenceFallback mixes catastrophic faults (which the
 // incremental engine cannot patch) into the universe: every such cell
-// must fall back to the naive path and still agree exactly.
+// must fall back to the clone rung and still agree exactly.
 func TestEngineEquivalenceFallback(t *testing.T) {
 	bench := circuits.PaperBiquad()
 	m, err := dft.Apply(bench.Circuit, bench.Chain)
@@ -127,7 +127,7 @@ func TestEngineEquivalenceFallback(t *testing.T) {
 
 // TestEngineEquivalenceGenerated fuzzes the equivalence over 20 random
 // stable active-RC circuits: for every generated netlist the incremental
-// and naive engines must produce bit-identical Det matrices and Omega
+// engine and the clone reference must produce bit-identical Det matrices and Omega
 // values within omegaTol, for multiple worker counts.
 func TestEngineEquivalenceGenerated(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {

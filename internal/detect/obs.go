@@ -32,9 +32,10 @@ var (
 	dCancelled = obs.Reg().Counter("detect_cancelled_total",
 		"evaluations abandoned because the caller's context was cancelled")
 	// dEngineFallback pairs with the analysis package's engine_patch_total:
-	// patches / (patches + fallbacks) is the incremental hit rate.
+	// under EngineIncremental, patches / (patches + fallbacks) is the patch
+	// hit rate. A lowrank cell that falls to the clone rung counts twice.
 	dEngineFallback = obs.Reg().Counter("engine_fallback_total",
-		"cells the incremental engine could not patch, evaluated on the naive clone path")
+		"steps from one rung of the cell engine ladder to the next (rank-1, in-place patch, clone-and-rebuild)")
 
 	dCellSeconds = obs.Reg().HistogramVec("detect_cell_seconds",
 		"per-cell solve latency by requested engine mode (timing on only)", "engine", obs.TimeBuckets)

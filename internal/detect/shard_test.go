@@ -98,7 +98,7 @@ func TestShardedMatrixByteIdentical(t *testing.T) {
 		Region:    analysis.Region{LoHz: 100, HiHz: 5600},
 		Points:    31,
 	}
-	for _, mode := range []EngineMode{EngineNaive, EngineIncremental, EngineLowRank} {
+	for _, mode := range []EngineMode{engineClone, EngineIncremental, EngineLowRank} {
 		for _, layout := range []mna.Layout{mna.LayoutDense, mna.LayoutSparse} {
 			opts := base
 			opts.Engine = mode

@@ -98,10 +98,3 @@ func WithScheduler(s Scheduler) Option { return func(o *options) { o.sched = s }
 // WithRunner executes jobs through r instead of the default session
 // runner. Tests stub simulation with it.
 func WithRunner(r Runner) Option { return func(o *options) { o.runner = r } }
-
-// NewManager starts a manager sized by cfg.
-//
-// Deprecated: NewManager is the positional-config constructor retained
-// for one release; use New with functional options, e.g.
-// New(WithWorkers(4), WithStore(st)).
-func NewManager(cfg Config) *Manager { return New(WithConfig(cfg)) }

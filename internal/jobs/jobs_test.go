@@ -393,15 +393,10 @@ func TestMemStoreLRU(t *testing.T) {
 	}
 }
 
-func TestDeprecatedNewManagerShim(t *testing.T) {
-	m := NewManager(Config{Workers: 1, QueueDepth: 3})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := m.Close(ctx); err != nil {
-			t.Errorf("Close: %v", err)
-		}
-	}()
+// TestWithConfigSizing: a manager built from a Config reports that
+// sizing back and bounds its queue by it.
+func TestWithConfigSizing(t *testing.T) {
+	m := testManager(t, Config{Workers: 1, QueueDepth: 3}, nil)
 	cfg := m.Config()
 	if cfg.Workers != 1 || cfg.QueueDepth != 3 || cfg.Shards != 1 {
 		t.Errorf("Config = %+v, want workers 1, queue 3, shards 1", cfg)

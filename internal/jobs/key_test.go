@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -146,7 +147,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 	variants := map[string]Request{
 		"component value": {Kind: KindMatrix, Deck: perturbed},
 		"job kind":        {Kind: KindEvaluate, Deck: deck},
-		"engine mode":     {Kind: KindMatrix, Deck: deck, Options: OptionSpec{Engine: "naive"}},
+		"engine mode":     {Kind: KindMatrix, Deck: deck, Options: OptionSpec{Engine: "lowrank"}},
 		"layout dense":    {Kind: KindMatrix, Deck: deck, Options: OptionSpec{Layout: "dense"}},
 		"layout sparse":   {Kind: KindMatrix, Deck: deck, Options: OptionSpec{Layout: "sparse"}},
 		"eps":             {Kind: KindMatrix, Deck: deck, Options: OptionSpec{Eps: 0.25}},
@@ -186,5 +187,34 @@ func TestCacheKeyStable(t *testing.T) {
 	}
 	if !strings.HasPrefix(a, "sha256:") || len(a) != len("sha256:")+64 {
 		t.Errorf("malformed key %q", a)
+	}
+}
+
+// TestCacheKeyGolden pins the exact content addresses of the biquad matrix
+// request under the default and the lowrank engine. Keys already held in
+// a shared store stay valid only while these strings do: the key hashes
+// the engine by name, so renumbering EngineMode must not move them.
+func TestCacheKeyGolden(t *testing.T) {
+	deckBytes, err := os.ReadFile("../../testdata/biquad.cir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for engine, want := range map[string]string{
+		"":        "sha256:d613228667cc60f9cc80334129024e4c702a576a80956b3607c5a6567e5976a5",
+		"lowrank": "sha256:6a0de4defa2a6fdfec6bf8c5fa56aa21f5a90fcaaff0eef1ca7c5f0e717596db",
+	} {
+		req := Request{Kind: KindMatrix, Deck: string(deckBytes), Options: OptionSpec{Engine: engine}}
+		if got := resolveKey(t, req); got != want {
+			t.Errorf("engine %q: key %s, want %s", engine, got, want)
+		}
+	}
+}
+
+// TestResolveRejectsRetiredEngine: "naive" names no engine, so a request
+// spelling it is a bad request rather than a distinct cache key.
+func TestResolveRejectsRetiredEngine(t *testing.T) {
+	req := Request{Kind: KindMatrix, Bench: "paper-biquad", Options: OptionSpec{Engine: "naive"}}
+	if _, err := req.Resolve(); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("Resolve: err = %v, want ErrBadRequest", err)
 	}
 }

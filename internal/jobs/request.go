@@ -77,9 +77,10 @@ type OptionSpec struct {
 	IncludeTransparent bool      `json:"include_transparent,omitempty"`
 	PerConfigRegion    bool      `json:"per_config_region,omitempty"`
 	OnError            string    `json:"on_error,omitempty"`
-	// Engine names the cell simulation strategy ("incremental" default,
-	// "lowrank", "naive"). It enters the cache key: all modes agree on Det
-	// bit-for-bit, but Omega values can differ within floating-point noise.
+	// Engine names the cell simulation strategy ("incremental" default or
+	// "lowrank"); any other name is a bad request. It enters the cache key
+	// by name: the modes agree on Det except on cells sitting exactly on ε,
+	// and Omega values can differ within floating-point noise.
 	Engine string `json:"engine,omitempty"`
 	// Layout names the MNA matrix layout ("auto" default, "dense",
 	// "sparse"). It enters the cache key even though every layout yields

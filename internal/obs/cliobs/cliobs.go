@@ -75,8 +75,8 @@ type SimFlags struct {
 	Progress bool
 	// OnError names the cell error policy (degrade, failfast, retry).
 	OnError string
-	// Engine names the cell simulation strategy (incremental, lowrank,
-	// naive).
+	// Engine names the cell simulation strategy (incremental, lowrank);
+	// either falls back to clone-and-rebuild for faults it cannot express.
 	Engine string
 	// Layout names the MNA matrix layout (auto, dense, sparse).
 	Layout string
@@ -95,7 +95,7 @@ func (s *SimFlags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&s.Stats, "stats", false, "print the simulation effort summary")
 	fs.BoolVar(&s.Progress, "progress", false, "report live progress on stderr")
 	fs.StringVar(&s.OnError, "onerror", "degrade", `cell error policy: "degrade", "failfast" or "retry"`)
-	fs.StringVar(&s.Engine, "engine", "incremental", `cell simulation strategy: "incremental" (patch a reusable system in place), "lowrank" (Sherman–Morrison rank-1 solves against cached nominal factorizations) or "naive" (clone + rebuild per cell)`)
+	fs.StringVar(&s.Engine, "engine", "incremental", `cell simulation strategy: "incremental" (patch a reusable system in place) or "lowrank" (Sherman–Morrison rank-1 solves against cached nominal factorizations); both clone and rebuild the circuit for faults they cannot express`)
 	fs.StringVar(&s.Layout, "layout", "auto", `MNA matrix layout: "auto" (fill heuristic per system), "dense" or "sparse" — results are identical, only the cost changes`)
 }
 
