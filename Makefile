@@ -60,7 +60,8 @@ serve-smoke:
 # counts are deterministic, so they gate hard while ns/op stays advisory),
 # and a cross-sectional `-dim layout=dense:sparse -gate allocs` pass that
 # holds the sparse layout to never allocating more than dense within one
-# snapshot.
+# snapshot. CSR is now the only layout, so that pass reads the pairs of
+# the committed BENCH_2026-08-08.json and retires with the next snapshot.
 benchdiff:
 	$(GO) run ./cmd/benchdiff -dir .
 	$(GO) run ./cmd/benchdiff -dir . -dim layout=dense:sparse -gate allocs

@@ -11,7 +11,6 @@ import (
 	"analogdft/internal/detect"
 	"analogdft/internal/dft"
 	"analogdft/internal/fault"
-	"analogdft/internal/mna"
 )
 
 // Re-exported types. The implementation lives in internal packages; these
@@ -51,10 +50,6 @@ type (
 	// EngineMode selects the cell simulation strategy
 	// (EngineIncremental or EngineLowRank).
 	EngineMode = detect.EngineMode
-	// Layout selects the MNA matrix layout (LayoutAuto, LayoutDense or
-	// LayoutSparse). Every layout produces bit-identical matrices; the
-	// choice only changes the cost of building and factoring them.
-	Layout = mna.Layout
 	// SimStats summarizes fault-simulation effort (cells, solves,
 	// singular points, retries, errors, wall time).
 	SimStats = detect.Stats
@@ -110,23 +105,6 @@ const (
 // "lowrank") onto an engine mode.
 func ParseEngineMode(name string) (EngineMode, error) {
 	return detect.ParseEngineMode(name)
-}
-
-// Matrix layouts for Options.Layout.
-const (
-	// LayoutAuto picks dense or sparse per system by a fill heuristic
-	// (the default).
-	LayoutAuto = mna.LayoutAuto
-	// LayoutDense forces the contiguous n×n layout.
-	LayoutDense = mna.LayoutDense
-	// LayoutSparse forces the CSR layout with the left-looking sparse LU.
-	LayoutSparse = mna.LayoutSparse
-)
-
-// ParseLayout maps a -layout flag value ("auto", "dense" or "sparse")
-// onto a matrix layout.
-func ParseLayout(name string) (Layout, error) {
-	return mna.ParseLayout(name)
 }
 
 // Predefined 2nd-order cost functions.

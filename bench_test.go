@@ -397,14 +397,12 @@ func BenchmarkDetectParallelVsSerial(b *testing.B) {
 }
 
 // BenchmarkBuildMatrix compares the fault-simulation engines on the full
-// paper matrix (8 configurations × ~10 faults) under both matrix
-// layouts: the incremental engine patches each fault into a reusable
-// per-configuration system, the low-rank engine solves each rank-1 fault
-// via Sherman–Morrison against nominal factorizations cached per
-// (configuration, ω) grid point. The layout sub-benchmarks share the
-// engine sub-benchmark's name grammar ("key=value"), so benchdiff can
-// both track each combination over time and cross-compare dense against
-// sparse within one snapshot (-dim layout=dense:sparse).
+// paper matrix (8 configurations × ~10 faults): the incremental engine
+// patches each fault into a reusable per-configuration system, the
+// low-rank engine solves each rank-1 fault via Sherman–Morrison against
+// nominal factorizations cached per (configuration, ω) grid point. The
+// sub-benchmarks are named "key=value", so benchdiff can track each
+// engine over time and cross-compare them (-dim engine=incremental:lowrank).
 func BenchmarkBuildMatrix(b *testing.B) {
 	bench := PaperBiquad()
 	faults := DeviationFaults(bench.Circuit, 0.2)
@@ -413,22 +411,19 @@ func BenchmarkBuildMatrix(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, mode := range []detect.EngineMode{detect.EngineIncremental, detect.EngineLowRank} {
-		for _, layout := range []Layout{LayoutDense, LayoutSparse} {
-			b.Run(fmt.Sprintf("engine=%s/layout=%s", mode, layout), func(b *testing.B) {
-				opts := PaperOptions()
-				opts.Points = 61
-				opts.Workers = 1
-				opts.Engine = mode
-				opts.Layout = layout
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := detect.BuildMatrix(mod, faults, opts); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("engine=%s", mode), func(b *testing.B) {
+			opts := PaperOptions()
+			opts.Points = 61
+			opts.Workers = 1
+			opts.Engine = mode
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := detect.BuildMatrix(mod, faults, opts); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -280,6 +280,25 @@ func TestServerRejectsRetiredEngine(t *testing.T) {
 	}
 }
 
+// TestServerRejectsRetiredLayout: the matrix layout is no longer a
+// request option (CSR is the only layout), so a submission naming one
+// is an unknown field and maps to 400 bad_request for every value it
+// used to accept.
+func TestServerRejectsRetiredLayout(t *testing.T) {
+	ts, _ := startServer(t, jobs.Config{Workers: 1})
+	for _, layout := range []string{"auto", "dense", "sparse"} {
+		body := map[string]any{"kind": "matrix", "bench": "paper-biquad", "options": map[string]any{"layout": layout}}
+		var ae apiError
+		resp := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", body, &ae)
+		if resp.StatusCode != http.StatusBadRequest || ae.Code != "bad_request" {
+			t.Fatalf("layout %q: HTTP %d code %q, want 400 bad_request", layout, resp.StatusCode, ae.Code)
+		}
+		if !strings.Contains(ae.Message, `"layout"`) {
+			t.Errorf("layout %q: message %q does not name the field", layout, ae.Message)
+		}
+	}
+}
+
 // TestServerAuxEndpoints: benches, healthz and a non-empty Prometheus
 // exposition that includes the job-layer series.
 func TestServerAuxEndpoints(t *testing.T) {

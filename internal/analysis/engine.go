@@ -58,23 +58,13 @@ func (e *Engine) traceContext() context.Context {
 
 // NewEngine prepares an engine for the (undriven) circuit: the input is
 // driven with a unit AC source and the output node is observed, exactly
-// as Sweep does per call. The matrix layout resolves automatically —
-// safe as a default because the sparse solve is bit-identical to the
-// dense one; pass an explicit layout through NewEngineLayout to force
-// either side.
+// as Sweep does per call.
 func NewEngine(ckt *circuit.Circuit) (*Engine, error) {
-	return NewEngineLayout(ckt, mna.LayoutAuto)
-}
-
-// NewEngineLayout is NewEngine with an explicit matrix layout
-// (mna.LayoutDense, mna.LayoutSparse, or mna.LayoutAuto for the fill
-// heuristic).
-func NewEngineLayout(ckt *circuit.Circuit, layout mna.Layout) (*Engine, error) {
 	driven, err := mna.Driven(ckt)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := mna.NewSystemLayout(driven, layout)
+	sys, err := mna.NewSystem(driven)
 	if err != nil {
 		return nil, err
 	}

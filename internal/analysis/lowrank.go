@@ -13,10 +13,10 @@ import (
 )
 
 // lowRankGrid caches, per grid point, the LU factorization of the nominal
-// MNA matrix together with its pre-solved excitation, plus the dense
-// rank-1 scratch vectors shared by every fault sweep. Building it costs
-// the same O(points·n³) the nominal sweep already pays; afterwards every
-// rank-1 fault solves the whole grid in O(points·n²).
+// MNA matrix together with its pre-solved excitation, plus the solution
+// scratch shared by every fault sweep. Building it costs the same
+// factorizations the nominal sweep already pays; afterwards every rank-1
+// fault solves the whole grid with two triangular solves per point.
 type lowRankGrid struct {
 	grid    []float64
 	solvers []*numeric.LowRankSolver // nil where the nominal matrix is singular
@@ -24,8 +24,7 @@ type lowRankGrid struct {
 
 	// Arenas backing the detached sparse factors (one growable segment
 	// store per element type); held so the storage lives exactly as long
-	// as the solvers addressing it. Unused under the dense layout, whose
-	// factors are views into per-grid slabs instead.
+	// as the solvers addressing it.
 	i32Arena  []int32
 	cplxArena []complex128
 	pivArena  []int
@@ -64,20 +63,13 @@ func (e *Engine) PrepareLowRank(f fault.Fault) (*LowRankFault, error) {
 // cache for the grid. The engine must be nominal: the cache is the
 // unpatched matrix, and every fault is expressed as a delta against it.
 //
-// The cache is slab-backed per layout rather than allocated per point:
-// dense factors are views into one points×n² backing array (plus one
-// pivot and one solution slab), and sparse factors are built in the
-// engine's workspace scratch and detached into shared append arenas —
-// O(nnz(L)+nnz(U)) retained per point instead of n².
+// Each point is factored in the engine's workspace scratch and the
+// compact factors are detached into the grid's shared arenas —
+// O(nnz(L)+nnz(U)) retained per point — while the symbolic pattern work
+// is done once by the scratch and reused across the whole ω grid.
 func (e *Engine) ensureLowRank(grid []float64) error {
 	if e.lr != nil && slices.Equal(e.lr.grid, grid) {
 		return nil
-	}
-	n := e.sys.N()
-	lr := &lowRankGrid{
-		grid:    append([]float64(nil), grid...),
-		solvers: make([]*numeric.LowRankSolver, len(grid)),
-		x:       make([]complex128, n),
 	}
 	timed := obs.TimingOn()
 	if timed {
@@ -88,69 +80,20 @@ func (e *Engine) ensureLowRank(grid []float64) error {
 		fs.SetTag("points", strconv.Itoa(len(grid)))
 		defer fs.End()
 	}
-	layout, err := e.sys.ResolveLayout()
+	pat, err := e.sys.Pattern()
 	if err != nil {
 		return err
 	}
-	if layout == mna.LayoutSparse {
-		if err := e.ensureLowRankSparse(grid, lr); err != nil {
-			return err
-		}
-	} else if err := e.ensureLowRankDense(grid, lr); err != nil {
-		return err
-	}
-	e.lr = lr
-	return nil
-}
-
-// ensureLowRankDense fills the solver cache from slab-backed dense
-// factorizations: one matrix slab, one pivot slab, one solution slab
-// for the whole grid, with per-point views into them.
-func (e *Engine) ensureLowRankDense(grid []float64, lr *lowRankGrid) error {
 	n := e.sys.N()
-	mSlab := make([]complex128, len(grid)*n*n)
-	ySlab := make([]complex128, len(grid)*n)
-	pivSlab := make([]int, len(grid)*n)
-	timed := obs.TimingOn()
-	for i, f := range grid {
-		m := numeric.MatrixView(n, mSlab[i*n*n:(i+1)*n*n])
-		y := ySlab[i*n : (i+1)*n]
-		if err := e.sys.AssembleInto(f, m, y); err != nil {
-			return err
-		}
-		if timed {
-			eLowRankFactors.Inc()
-		}
-		lu, err := numeric.FactorInPlace(m, pivSlab[i*n:(i+1)*n])
-		if err != nil {
-			if errors.Is(err, numeric.ErrSingular) {
-				continue // solver stays nil; the per-point fallback decides
-			}
-			return err
-		}
-		if err := lu.SolveInPlace(y); err != nil {
-			return err
-		}
-		solver, err := numeric.NewLowRankSolver(lu, y)
-		if err != nil {
-			return err
-		}
-		lr.solvers[i] = solver
+	lr := &lowRankGrid{
+		grid:    append([]float64(nil), grid...),
+		solvers: make([]*numeric.LowRankSolver, len(grid)),
+		x:       make([]complex128, n),
 	}
-	return nil
-}
-
-// ensureLowRankSparse fills the solver cache by factoring each point in
-// the engine's sparse workspace and detaching the compact factors into
-// the grid's shared arenas. The symbolic pattern work is done once by
-// the workspace scratch and reused across the whole ω grid.
-func (e *Engine) ensureLowRankSparse(grid []float64, lr *lowRankGrid) error {
-	pat := e.sys.Pattern()
-	n := e.sys.N()
 	// Borrow the sweeper's workspace: each factor is detached into the
 	// arenas before the next point, so nothing here outlives a later
-	// VoltageAt, and the sparse warmup (value slab, scratch slabs) is
-	// paid once per engine instead of once per path.
+	// VoltageAt, and the warmup (value slab, scratch slabs) is paid once
+	// per engine instead of once per path.
 	ws := e.sw.Workspace()
 	ws.EnsureSparse(pat)
 	// Pre-size the arenas from the scratch's fill estimate so the grid's
@@ -163,7 +106,6 @@ func (e *Engine) ensureLowRankSparse(grid []float64, lr *lowRankGrid) error {
 	lr.i32Arena = make([]int32, 0, len(grid)*(2*(n+1)+est))
 	lr.cplxArena = make([]complex128, 0, len(grid)*(est+3*n))
 	lr.pivArena = make([]int, 0, len(grid)*n)
-	timed := obs.TimingOn()
 	for i, f := range grid {
 		if err := e.sys.AssembleValsInto(f, ws.SVals, ws.RHS); err != nil {
 			return err
@@ -191,13 +133,14 @@ func (e *Engine) ensureLowRankSparse(grid []float64, lr *lowRankGrid) error {
 		if err := lu.SolveInPlace(y); err != nil {
 			return err
 		}
-		solver, err := numeric.NewLowRankSolverSparse(
+		solver, err := numeric.NewLowRankSolver(
 			lu.Detach(&lr.i32Arena, &lr.cplxArena, &lr.pivArena), y)
 		if err != nil {
 			return err
 		}
 		lr.solvers[i] = solver
 	}
+	e.lr = lr
 	return nil
 }
 
@@ -237,8 +180,7 @@ func (e *Engine) SweepLowRank(lf *LowRankFault, grid []float64) (*Response, erro
 		}
 		solves++
 		// The incidence factors carry at most two entries each, so the
-		// sparse rank-1 product skips the dense scatter and the n-length
-		// dot products; the result is bit-identical to the dense form.
+		// rank-1 product runs on their sparse form.
 		d := &lf.delta
 		if err := solver.SolveRankOneSparse(d.ScaleAt(f), d.UIdx, d.UVal, d.VIdx, d.VVal, lr.x); err != nil {
 			if errors.Is(err, numeric.ErrSingularUpdate) {

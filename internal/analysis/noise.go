@@ -1,11 +1,13 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"math/cmplx"
 
 	"analogdft/internal/circuit"
 	"analogdft/internal/mna"
+	"analogdft/internal/numeric"
 )
 
 // Boltzmann constant (J/K).
@@ -96,9 +98,11 @@ func OutputNoise(ckt *circuit.Circuit, grid []float64, tempK float64) (*NoiseSpe
 		s := 4 * kBoltzmann * tempK / r.Ohms // A²/Hz
 		for i, f := range grid {
 			sol, err := sys.SolveAt(f)
+			if errors.Is(err, numeric.ErrSingular) {
+				continue // singular point: no defined contribution
+			}
 			if err != nil {
-				contrib[i] = 0 // singular point: no defined contribution
-				continue
+				return nil, err
 			}
 			v, err := sol.Voltage(out)
 			if err != nil {

@@ -107,6 +107,36 @@ func TestOutputNoiseErrors(t *testing.T) {
 	}
 }
 
+// TestOutputNoiseInvalidPoint checks that only a singular point counts
+// as a zero contribution: a NaN or negative grid frequency is an error,
+// never a silently empty spectrum.
+func TestOutputNoiseInvalidPoint(t *testing.T) {
+	ckt := circuit.New("rc")
+	ckt.R("R1", "in", "out", 10e3)
+	ckt.Cap("C1", "out", "0", 1e-9)
+	ckt.Input, ckt.Output = "in", "out"
+	for _, f := range []float64{math.NaN(), -1} {
+		if ns, err := OutputNoise(ckt, []float64{100, f, 1e3}, 300); err == nil {
+			t.Errorf("grid point %g: spectrum %v, want an error", f, ns.Density)
+		}
+	}
+
+	// Node x hangs off the output through capacitors only, so the system
+	// is singular at DC and regular everywhere else.
+	float := circuit.New("float")
+	float.R("R1", "in", "out", 10e3)
+	float.Cap("C1", "out", "x", 1e-9)
+	float.Cap("C2", "x", "0", 1e-9)
+	float.Input, float.Output = "in", "out"
+	ns, err := OutputNoise(float, []float64{0, 1e3}, 300)
+	if err != nil {
+		t.Fatalf("singular DC point: %v", err)
+	}
+	if ns.Density[0] != 0 || ns.Density[1] <= 0 {
+		t.Fatalf("density = %v, want [0, >0]", ns.Density)
+	}
+}
+
 func TestGroupDelayRC(t *testing.T) {
 	// RC lowpass: τg = RC / (1 + (ωRC)²).
 	r, cp := 1e3, 100e-9

@@ -32,7 +32,6 @@ import (
 	"analogdft/internal/circuit"
 	"analogdft/internal/dft"
 	"analogdft/internal/fault"
-	"analogdft/internal/mna"
 	"analogdft/internal/obs"
 )
 
@@ -226,14 +225,6 @@ type Options struct {
 	// faults has two such cells, (C1, fR3) and (C3, fR3), where R3×1.1
 	// scales the response by exactly 1.1.
 	Engine EngineMode
-	// Layout selects the MNA matrix layout for every system the
-	// evaluation builds: mna.LayoutAuto (the zero value) applies the fill
-	// heuristic per system, mna.LayoutDense and mna.LayoutSparse force
-	// one side. The sparse factorization replays the dense elimination
-	// bit for bit, so every layout produces identical matrices under
-	// every engine mode; the layout is part of the job cache key because
-	// it changes the cost, not the answer.
-	Layout mna.Layout
 	// MaxRetries bounds the per-point jitter attempts of the Retry
 	// policy (default 3, clamped to analysis.MaxSingularRetries).
 	MaxRetries int
@@ -565,7 +556,7 @@ func newCellRunner(configs int, faults fault.List, opts Options) *cellRunner {
 // configuration's pool. what names the configuration in errors; it is
 // called only on failure.
 func (cr *cellRunner) addConfig(ckt *circuit.Circuit, what func() string, grid []float64) error {
-	eng, err := analysis.NewEngineLayout(ckt, cr.opts.Layout)
+	eng, err := analysis.NewEngine(ckt)
 	if err != nil {
 		return fmt.Errorf("detect: nominal sweep of %s: %w", what(), err)
 	}
@@ -604,7 +595,7 @@ func (cr *cellRunner) engine(w, i int) (*analysis.Engine, error) {
 	cr.mu.Unlock()
 	if eng == nil {
 		var err error
-		if eng, err = analysis.NewEngineLayout(cr.ckts[i], cr.opts.Layout); err != nil {
+		if eng, err = analysis.NewEngine(cr.ckts[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -773,9 +764,9 @@ func (cr *cellRunner) response(ctx context.Context, w, i int, f fault.Fault) (*a
 		return nil, nil, err
 	}
 	// A throwaway engine per cell keeps this rung the reference path
-	// (fresh clone, fresh system) while still honoring the requested
-	// layout; reusing it for the retry skips only a redundant rebuild.
-	if eng, err = analysis.NewEngineLayout(faulty, cr.opts.Layout); err != nil {
+	// (fresh clone, fresh system); reusing it for the retry skips only a
+	// redundant rebuild.
+	if eng, err = analysis.NewEngine(faulty); err != nil {
 		return nil, nil, err
 	}
 	resp, err := eng.SweepGrid(grid)

@@ -9,7 +9,6 @@ import (
 	"analogdft/internal/circuits"
 	"analogdft/internal/dft"
 	"analogdft/internal/fault"
-	"analogdft/internal/mna"
 	"analogdft/internal/netgen"
 )
 
@@ -18,16 +17,15 @@ import (
 // floating-point noise is an engine bug, not measurement noise.
 const omegaTol = 1e-12
 
-// requireEquivalent builds the matrix in every engine mode × layout
-// combination (and, for the fast modes, across worker counts) against the
-// clone/dense reference — every cell cloned and rebuilt, Workers=1 — and fails on any difference: Det must be
-// bit-identical, Omega within omegaTol, and the cell error sets must
-// agree position by position.
+// requireEquivalent builds the matrix in every engine mode, across worker
+// counts, against the clone reference — every cell cloned and rebuilt,
+// Workers=1 — and fails on any difference: Det must be bit-identical,
+// Omega within omegaTol, and the cell error sets must agree position by
+// position.
 func requireEquivalent(t *testing.T, m *dft.Modified, faults fault.List, opts Options) {
 	t.Helper()
 	clone := opts
 	clone.Engine = engineClone
-	clone.Layout = mna.LayoutDense
 	clone.Workers = 1
 	ref, err := BuildMatrix(m, faults, clone)
 	if err != nil {
@@ -56,30 +54,17 @@ func requireEquivalent(t *testing.T, m *dft.Modified, faults fault.List, opts Op
 			t.Errorf("%s: %d cell errors, clone %d", label, len(got.CellErrors), len(ref.CellErrors))
 		}
 	}
-	// The clone reference under the sparse layout closes the reference
-	// loop: if both references agree, the fast modes only need comparing
-	// once per combination.
-	sparseClone := clone
-	sparseClone.Layout = mna.LayoutSparse
-	if got, err := BuildMatrix(m, faults, sparseClone); err != nil {
-		t.Fatalf("clone/sparse build: %v", err)
-	} else {
-		check("clone/layout=sparse", got)
-	}
 	for _, mode := range []EngineMode{EngineIncremental, EngineLowRank} {
-		for _, layout := range []mna.Layout{mna.LayoutDense, mna.LayoutSparse} {
-			for _, workers := range []int{1, 4} {
-				fast := opts
-				fast.Engine = mode
-				fast.Layout = layout
-				fast.Workers = workers
-				label := fmt.Sprintf("%s/layout=%s/workers=%d", mode, layout, workers)
-				got, err := BuildMatrix(m, faults, fast)
-				if err != nil {
-					t.Fatalf("%s build: %v", label, err)
-				}
-				check(label, got)
+		for _, workers := range []int{1, 4} {
+			fast := opts
+			fast.Engine = mode
+			fast.Workers = workers
+			label := fmt.Sprintf("%s/workers=%d", mode, workers)
+			got, err := BuildMatrix(m, faults, fast)
+			if err != nil {
+				t.Fatalf("%s build: %v", label, err)
 			}
+			check(label, got)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"analogdft/internal/circuits"
 	"analogdft/internal/dft"
 	"analogdft/internal/fault"
-	"analogdft/internal/mna"
 )
 
 func TestShardBounds(t *testing.T) {
@@ -84,7 +83,7 @@ func TestMergeShardsRejectsMismatches(t *testing.T) {
 // paper biquad, a matrix assembled from configuration-range shards is
 // byte-identical (Det, Omega, configs, errors, summed stats — everything
 // except wall-clock Elapsed) to the unsharded build, across all three
-// engines, both layouts and several shard counts.
+// engines and several shard counts.
 func TestShardedMatrixByteIdentical(t *testing.T) {
 	bench := circuits.PaperBiquad()
 	m, err := dft.Apply(bench.Circuit, bench.Chain)
@@ -99,30 +98,27 @@ func TestShardedMatrixByteIdentical(t *testing.T) {
 		Points:    31,
 	}
 	for _, mode := range []EngineMode{engineClone, EngineIncremental, EngineLowRank} {
-		for _, layout := range []mna.Layout{mna.LayoutDense, mna.LayoutSparse} {
-			opts := base
-			opts.Engine = mode
-			opts.Layout = layout
-			label := fmt.Sprintf("%s/layout=%s", mode, layout)
-			ref, err := BuildMatrixContext(context.Background(), m, faults, opts)
-			if err != nil {
-				t.Fatalf("%s: unsharded build: %v", label, err)
-			}
-			for _, k := range []int{2, 3, len(ref.Configs)} {
-				bounds := ShardBounds(len(MatrixConfigs(m, opts)), k)
-				parts := make([]*Matrix, len(bounds))
-				for i, b := range bounds {
-					parts[i], err = BuildMatrixRangeContext(context.Background(), m, faults, opts, b[0], b[1])
-					if err != nil {
-						t.Fatalf("%s k=%d: shard %v: %v", label, k, b, err)
-					}
-				}
-				got, err := MergeShards(parts)
+		opts := base
+		opts.Engine = mode
+		label := mode.String()
+		ref, err := BuildMatrixContext(context.Background(), m, faults, opts)
+		if err != nil {
+			t.Fatalf("%s: unsharded build: %v", label, err)
+		}
+		for _, k := range []int{2, 3, len(ref.Configs)} {
+			bounds := ShardBounds(len(MatrixConfigs(m, opts)), k)
+			parts := make([]*Matrix, len(bounds))
+			for i, b := range bounds {
+				parts[i], err = BuildMatrixRangeContext(context.Background(), m, faults, opts, b[0], b[1])
 				if err != nil {
-					t.Fatalf("%s k=%d: merge: %v", label, k, err)
+					t.Fatalf("%s k=%d: shard %v: %v", label, k, b, err)
 				}
-				requireSameMatrix(t, fmt.Sprintf("%s k=%d", label, k), got, ref)
 			}
+			got, err := MergeShards(parts)
+			if err != nil {
+				t.Fatalf("%s k=%d: merge: %v", label, k, err)
+			}
+			requireSameMatrix(t, fmt.Sprintf("%s k=%d", label, k), got, ref)
 		}
 	}
 }

@@ -21,11 +21,13 @@ import (
 //   - the Options after Normalize, printed in a fixed field order, so a
 //     request relying on a default and one spelling the same value
 //     explicitly collapse onto one key;
-//   - the engine mode and matrix layout (part of Options) and the job
-//     kind (plus the cost name for optimize jobs). The layout produces
-//     bit-identical matrices on every side, but a pinned layout is a
-//     distinct request: the stored result advertises how it was computed,
-//     and re-running it must honor the pin.
+//   - the engine mode (part of Options) and the job kind (plus the cost
+//     name for optimize jobs).
+//
+// The options line still carries the literal token layout=auto, the
+// value every key carried while the matrix layout was a request field:
+// keeping it leaves every key, and so every entry of a shared store,
+// unchanged now that CSR is the only layout.
 //
 // Deliberately excluded: Workers (matrices are identical for any worker
 // count) and Progress (pure observation). Two requests with equal keys are
@@ -41,12 +43,12 @@ func CacheKey(kind Kind, costName string, ckt *circuit.Circuit, chain []string, 
 		fmt.Fprintf(h, "fault %s %s %d %g\n", f.ID, f.Component, f.Kind, f.Factor)
 	}
 	o := opts.Normalize()
-	fmt.Fprintf(h, "opts eps=%g noeps=%t points=%d floor=%g region=%g:%g probe=%g:%g:%d transparent=%t perconfig=%t onerror=%s engine=%s layout=%s maxretries=%d maxfollowers=%d\n",
+	fmt.Fprintf(h, "opts eps=%g noeps=%t points=%d floor=%g region=%g:%g probe=%g:%g:%d transparent=%t perconfig=%t onerror=%s engine=%s layout=auto maxretries=%d maxfollowers=%d\n",
 		o.Eps, o.NoEps, o.Points, o.MeasFloor,
 		o.Region.LoHz, o.Region.HiHz,
 		o.Probe.StartHz, o.Probe.StopHz, o.Probe.Points,
 		o.IncludeTransparent, o.PerConfigRegion,
-		o.OnError, o.Engine, o.Layout, o.MaxRetries, o.MaxFollowers)
+		o.OnError, o.Engine, o.MaxRetries, o.MaxFollowers)
 	for _, p := range o.EpsProfile {
 		fmt.Fprintf(h, "epsprofile %g\n", p)
 	}

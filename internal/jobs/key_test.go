@@ -94,9 +94,8 @@ func TestCacheKeyOptionDefaultsInvariance(t *testing.T) {
 			{Points: 241},
 			{MeasFloor: 1e-4},
 			{Engine: "incremental"},
-			{Layout: "auto"},
 			{OnError: "degrade"},
-			{Eps: 0.10, Points: 241, MeasFloor: 1e-4, Engine: "incremental", Layout: "auto", OnError: "degrade"},
+			{Eps: 0.10, Points: 241, MeasFloor: 1e-4, Engine: "incremental", OnError: "degrade"},
 			// Workers never enters the key: same matrix at any parallelism.
 			{Workers: 7},
 		}
@@ -148,8 +147,6 @@ func TestCacheKeySensitivity(t *testing.T) {
 		"component value": {Kind: KindMatrix, Deck: perturbed},
 		"job kind":        {Kind: KindEvaluate, Deck: deck},
 		"engine mode":     {Kind: KindMatrix, Deck: deck, Options: OptionSpec{Engine: "lowrank"}},
-		"layout dense":    {Kind: KindMatrix, Deck: deck, Options: OptionSpec{Layout: "dense"}},
-		"layout sparse":   {Kind: KindMatrix, Deck: deck, Options: OptionSpec{Layout: "sparse"}},
 		"eps":             {Kind: KindMatrix, Deck: deck, Options: OptionSpec{Eps: 0.25}},
 		"points":          {Kind: KindMatrix, Deck: deck, Options: OptionSpec{Points: 101}},
 		"region":          {Kind: KindMatrix, Deck: deck, Options: OptionSpec{LoHz: 100, HiHz: 1e5}},

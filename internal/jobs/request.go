@@ -81,15 +81,9 @@ type OptionSpec struct {
 	// "lowrank"); any other name is a bad request. It enters the cache key
 	// by name: the modes agree on Det except on cells sitting exactly on ε,
 	// and Omega values can differ within floating-point noise.
-	Engine string `json:"engine,omitempty"`
-	// Layout names the MNA matrix layout ("auto" default, "dense",
-	// "sparse"). It enters the cache key even though every layout yields
-	// bit-identical matrices: the layout changes the cost profile of the
-	// stored result's recomputation, so two submissions that pin different
-	// layouts are distinct jobs.
-	Layout string `json:"layout,omitempty"`
-	MaxRetries         int       `json:"max_retries,omitempty"`
-	MaxFollowers       int       `json:"max_followers,omitempty"`
+	Engine       string `json:"engine,omitempty"`
+	MaxRetries   int    `json:"max_retries,omitempty"`
+	MaxFollowers int    `json:"max_followers,omitempty"`
 	// Workers bounds the per-job simulation parallelism. It never enters
 	// the cache key: matrices are identical for any worker count.
 	Workers int `json:"workers,omitempty"`
@@ -119,11 +113,6 @@ func (o OptionSpec) build() (analogdft.Options, error) {
 		return opts, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	opts.Engine = engine
-	layout, err := analogdft.ParseLayout(o.Layout)
-	if err != nil {
-		return opts, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	opts.Layout = layout
 	switch {
 	case o.LoHz == 0 && o.HiHz == 0:
 		// Region derived from the circuit.

@@ -45,20 +45,6 @@ func (d RankOne) ScaleAt(freqHz float64) complex128 {
 	return d.GCoef + complex(0, 2*math.Pi*freqHz)*d.CCoef
 }
 
-// DenseInto scatters the sparse factors into dense length-n buffers,
-// zeroing them first. Typical callers fill the buffers once per fault and
-// reuse them across every grid point.
-func (d RankOne) DenseInto(u, v []complex128) {
-	clear(u)
-	clear(v)
-	for k, i := range d.UIdx {
-		u[i] = d.UVal[k]
-	}
-	for k, i := range d.VIdx {
-		v[i] = d.VVal[k]
-	}
-}
-
 // incidence returns the sparse ±1 incidence vector of a two-terminal
 // element between matrix rows a and b (either may be −1 for ground).
 func incidence(a, b int) ([]int, []complex128) {
@@ -177,36 +163,18 @@ func (s *System) RankOneDelta(name string, v float64) (RankOne, error) {
 	}
 }
 
-// AssembleInto assembles the MNA system at one frequency into
-// caller-owned storage: m must be N()×N() and rhs length N(). This is the
-// exported face of the per-point assembly the sweep loop uses, for
-// callers that keep their own per-frequency factorizations (the low-rank
-// sweep path factors the nominal matrix once per grid point and then
-// solves every rank-1 fault against it).
-func (s *System) AssembleInto(freqHz float64, m *numeric.Matrix, rhs []complex128) error {
-	if m.Rows != s.n || m.Cols != s.n || len(rhs) != s.n {
-		return fmt.Errorf("%w: assemble into %dx%d/rhs %d, want %d", numeric.ErrShape, m.Rows, m.Cols, len(rhs), s.n)
-	}
-	rebuilt, err := s.assemble(freqHz, m, rhs)
-	if err != nil {
-		return err
-	}
-	accountStamps(rebuilt)
-	return nil
-}
-
-// AssembleValsInto is AssembleInto for sparse-resolved systems: the
-// assembled M = G + jω·C values land in mv (length Pattern().NNZ())
-// under the shared pattern, and rhs (length N()) receives the
-// excitation. Callers resolve the layout first (ResolveLayout) and size
-// mv from the pattern.
+// AssembleValsInto assembles the MNA system at one frequency into
+// caller-owned storage: the M = G + jω·C values land in mv (length
+// Pattern().NNZ()) under the shared pattern, and rhs (length N())
+// receives the excitation. This is the exported face of the per-point
+// assembly the sweep loop uses, for callers that keep their own
+// per-frequency factorizations (the low-rank sweep path factors the
+// nominal matrix once per grid point and then solves every rank-1 fault
+// against it).
 func (s *System) AssembleValsInto(freqHz float64, mv, rhs []complex128) error {
 	rebuilt, err := s.ensureStamps()
 	if err != nil {
 		return err
-	}
-	if s.resolved != LayoutSparse {
-		return fmt.Errorf("%w: sparse assembly on %v-layout system", numeric.ErrShape, s.resolved)
 	}
 	if len(mv) != s.pat.NNZ() || len(rhs) != s.n {
 		return fmt.Errorf("%w: assemble into %d values/rhs %d, want %d/%d", numeric.ErrShape, len(mv), len(rhs), s.pat.NNZ(), s.n)

@@ -30,12 +30,20 @@ func lowRankCircuit() *circuit.Circuit {
 	return c
 }
 
-// assembleAt returns a fresh assembly of sys at freqHz.
+// assembleAt returns a fresh assembly of sys at freqHz, scattered dense.
 func assembleAt(t *testing.T, sys *System, freqHz float64) (*numeric.Matrix, []complex128) {
 	t.Helper()
-	m := numeric.NewMatrix(sys.N(), sys.N())
+	pat, err := sys.Pattern()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv := make([]complex128, pat.NNZ())
 	rhs := make([]complex128, sys.N())
-	if err := sys.AssembleInto(freqHz, m, rhs); err != nil {
+	if err := sys.AssembleValsInto(freqHz, mv, rhs); err != nil {
+		t.Fatal(err)
+	}
+	m := numeric.NewMatrix(sys.N(), sys.N())
+	if err := pat.ScatterInto(m, mv); err != nil {
 		t.Fatal(err)
 	}
 	return m, rhs
@@ -83,7 +91,8 @@ func TestRankOneDeltaMatchesSetValue(t *testing.T) {
 			n := sys.N()
 			u := make([]complex128, n)
 			v := make([]complex128, n)
-			d.DenseInto(u, v)
+			numeric.ScatterSparse(d.UIdx, d.UVal, u)
+			numeric.ScatterSparse(d.VIdx, d.VVal, v)
 			s := d.ScaleAt(freq)
 			want := nom.Clone()
 			for i := 0; i < n; i++ {
@@ -179,18 +188,21 @@ func TestScaleAt(t *testing.T) {
 	}
 }
 
-// TestAssembleIntoShape checks the exported assembly validates storage.
-func TestAssembleIntoShape(t *testing.T) {
+// TestAssembleValsIntoShape checks the exported assembly validates
+// storage.
+func TestAssembleValsIntoShape(t *testing.T) {
 	sys, err := NewSystem(lowRankCircuit())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := numeric.NewMatrix(2, 2)
-	if err := sys.AssembleInto(100, m, make([]complex128, sys.N())); !errors.Is(err, numeric.ErrShape) {
-		t.Fatalf("small matrix: err = %v, want ErrShape", err)
+	pat, err := sys.Pattern()
+	if err != nil {
+		t.Fatal(err)
 	}
-	ok := numeric.NewMatrix(sys.N(), sys.N())
-	if err := sys.AssembleInto(100, ok, make([]complex128, 1)); !errors.Is(err, numeric.ErrShape) {
+	if err := sys.AssembleValsInto(100, make([]complex128, 2), make([]complex128, sys.N())); !errors.Is(err, numeric.ErrShape) {
+		t.Fatalf("short values: err = %v, want ErrShape", err)
+	}
+	if err := sys.AssembleValsInto(100, make([]complex128, pat.NNZ()), make([]complex128, 1)); !errors.Is(err, numeric.ErrShape) {
 		t.Fatalf("short rhs: err = %v, want ErrShape", err)
 	}
 }
@@ -230,8 +242,8 @@ func TestVoltageAtWrapsBackSubstitutionError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm one point so the lazily sized workspace exists, then corrupt
-	// it so FactorInPlace succeeds but SolveInPlace sees a short RHS.
+	// Warm one point so the lazily bound workspace exists, then corrupt
+	// it so the factorization succeeds but SolveInPlace sees a short RHS.
 	// assemble copies into the truncated slice without complaint, so the
 	// failure surfaces exactly at back-substitution.
 	if _, err := sw.VoltageAt(100); err != nil {

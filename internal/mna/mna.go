@@ -56,10 +56,12 @@ func (e *SolveError) Unwrap() error { return e.Err }
 
 // System is a circuit prepared for AC analysis: node numbering and branch
 // allocation are fixed, and the component stamps are split once into a
-// frequency-independent part G and a capacitive part C, so a frequency
-// point assembles as the fused scale-add M = G + jω·C with no component
-// walk. Single-pole opamps are the one exception — their constraint row
-// is a nonlinear function of ω — and are re-stamped per point.
+// frequency-independent part G and a capacitive part C, stored as two
+// value arrays under one shared CSR pattern, so a frequency point
+// assembles as the fused scale-add M = G + jω·C over the nonzeros with no
+// component walk. Single-pole opamps are the one exception — their
+// constraint row is a nonlinear function of ω — and are re-stamped per
+// point into slots the pattern reserves for them.
 type System struct {
 	ckt *circuit.Circuit
 
@@ -69,34 +71,26 @@ type System struct {
 	n         int            // total unknowns
 
 	// Split stamps, built lazily by the first assembly (buildStamps).
-	// Which cache pair is populated depends on the resolved layout:
-	// dense fills g/c, sparse fills pat/gval/cval. rhs0 and dynamic are
-	// layout-independent.
 	stampsBuilt bool
-	layout      Layout           // requested layout (Auto resolved at build)
-	resolved    Layout           // LayoutDense or LayoutSparse once built
-	g           *numeric.Matrix  // frequency-independent stamps
-	c           *numeric.Matrix  // stamps proportional to jω (C in farads, −L in henries)
-	pat         *numeric.Pattern // shared symbolic structure (sparse layout)
-	gval        []complex128     // G values under pat
-	cval        []complex128     // C values under pat
+	pat         *numeric.Pattern // shared symbolic structure of G, C and M
+	gval        []complex128     // frequency-independent stamps under pat
+	cval        []complex128     // stamps proportional to jω (C in farads, −L in henries)
 	rhs0        []complex128     // frequency-independent excitation
 	dynamic     []*circuit.Opamp // single-pole opamps, stamped per point
 
-	// Sparse-build storage embedded in the (already heap-allocated)
-	// System so the build allocates no separate structs: patStore backs
-	// pat, and the CSRValues adapters are fields because passing a field
-	// pointer as the adder interface never boxes. mBox is mutated per
-	// assembly point — one more reason a System must not be assembled
-	// from two goroutines at once (ensureStamps already isn't safe for
-	// that).
+	// Build storage embedded in the (already heap-allocated) System so
+	// the build allocates no separate structs: patStore backs pat, and
+	// the CSRValues adapters are fields because passing a field pointer
+	// as the adder interface never boxes. mBox is mutated per assembly
+	// point — one more reason a System must not be assembled from two
+	// goroutines at once (ensureStamps already isn't safe for that).
 	patStore numeric.Pattern
 	gBox     numeric.CSRValues
 	cBox     numeric.CSRValues
 	mBox     numeric.CSRValues
 
 	// Patch state (SetValue/Reset): first-seen snapshots of every stamp
-	// entry a patch has touched, plus the current patched value per
+	// slot a patch has touched, plus the current patched value per
 	// component so repeated patches compose.
 	snapG, snapC, snapRHS map[int]complex128
 	patchedVals           map[string]float64
@@ -104,20 +98,10 @@ type System struct {
 
 // NewSystem validates and indexes a circuit for analysis. The circuit is
 // retained by reference; callers must not mutate it while solving (clone
-// first — fault injection does). The stamp caches use the dense layout;
-// use NewSystemLayout to select CSR storage or the fill heuristic.
+// first — fault injection does).
 func NewSystem(ckt *circuit.Circuit) (*System, error) {
-	return NewSystemLayout(ckt, LayoutDense)
-}
-
-// NewSystemLayout is NewSystem with an explicit stamp-cache layout.
-// LayoutAuto defers the dense/sparse decision to the fill heuristic,
-// which runs when the stamps are first built; the two layouts produce
-// bit-identical solutions, so the choice only moves performance.
-func NewSystemLayout(ckt *circuit.Circuit, layout Layout) (*System, error) {
 	s := &System{
 		ckt:       ckt,
-		layout:    layout,
 		nodeIndex: make(map[string]int),
 		branchOf:  make(map[string]int),
 	}
@@ -216,31 +200,17 @@ func (s *System) SolveAt(freqHz float64) (*Solution, error) {
 	}
 	accountStamps(rebuilt)
 
-	var x []complex128
-	if s.resolved == LayoutSparse {
-		ws := &numeric.Workspace{}
-		ws.EnsureSparse(s.pat)
-		if _, err := s.assembleVals(freqHz, ws.SVals, ws.RHS); err != nil {
-			accountSolve(err, t0, timed)
-			return nil, err
-		}
-		if err := ws.SparseFactorSolve(); err != nil {
-			accountSolve(err, t0, timed)
-			return nil, &SolveError{Circuit: s.ckt.Name, FreqHz: freqHz, Err: err}
-		}
-		x = ws.RHS
-	} else {
-		ws := numeric.NewWorkspace(s.n)
-		if _, err := s.assemble(freqHz, ws.M, ws.RHS); err != nil {
-			accountSolve(err, t0, timed)
-			return nil, err
-		}
-		x, err = numeric.Solve(ws.M, ws.RHS)
-		if err != nil {
-			accountSolve(err, t0, timed)
-			return nil, &SolveError{Circuit: s.ckt.Name, FreqHz: freqHz, Err: err}
-		}
+	ws := &numeric.Workspace{}
+	ws.EnsureSparse(s.pat)
+	if _, err := s.assembleVals(freqHz, ws.SVals, ws.RHS); err != nil {
+		accountSolve(err, t0, timed)
+		return nil, err
 	}
+	if err := ws.SparseFactorSolve(); err != nil {
+		accountSolve(err, t0, timed)
+		return nil, &SolveError{Circuit: s.ckt.Name, FreqHz: freqHz, Err: err}
+	}
+	x := ws.RHS
 	accountSolve(nil, t0, timed)
 
 	sol := &Solution{
@@ -277,41 +247,16 @@ func (s *System) ensureStamps() (rebuilt bool, err error) {
 	return true, nil
 }
 
-// assemble produces the dense MNA system for one frequency: the fused
-// scale-add M = G + jω·C over the cached split stamps (built on first
-// use), the cached excitation vector, and the per-point constraint rows
-// of any single-pole opamps. m must be n×n and rhs length n. It reports
-// whether this call had to rebuild the stamps (one full component walk)
-// or served them from the cache. The system must be dense-resolved
-// (assembleVals is the sparse twin).
-func (s *System) assemble(freqHz float64, m *numeric.Matrix, rhs []complex128) (rebuilt bool, err error) {
-	if err := validFreq(freqHz); err != nil {
-		return false, err
-	}
-	if rebuilt, err = s.ensureStamps(); err != nil {
-		return false, err
-	}
-	jw := complex(0, 2*math.Pi*freqHz)
-
-	md, gd, cd := m.Data, s.g.Data, s.c.Data
-	_ = md[len(gd)-1] // one bounds check for the fused loop
-	for i, gv := range gd {
-		md[i] = gv + jw*cd[i]
-	}
-	copy(rhs, s.rhs0)
-	for _, op := range s.dynamic {
-		s.stampOpampRow(m, op, jw)
-	}
-	return rebuilt, nil
-}
-
-// assembleVals is assemble for the sparse layout: the fused scale-add
-// runs over the pattern's nonzeros only, writing the assembled values
-// into mv (length pat.NNZ()), and the dynamic opamp rows land in their
-// pattern slots. Every slot not stamped by G, C or a dynamic row holds
-// exact +0 after the scale-add — the same bits the dense assembly
-// leaves outside its stamps — which is what makes the two layouts'
-// factorizations bit-identical.
+// assembleVals produces the MNA system for one frequency: the fused
+// scale-add M = G + jω·C over the pattern's nonzeros, written into mv
+// (length pat.NNZ()), the cached excitation copied into rhs (length n),
+// and the per-point constraint rows of any single-pole opamps in their
+// pattern slots. It reports whether this call had to build the stamps
+// (one full component walk) or served them from the cache. Every slot
+// not stamped by G, C or a dynamic row holds exact +0 after the
+// scale-add — the same bits a dense assembly leaves outside its stamps —
+// which is what keeps the CSR factorization bit-identical to the dense
+// LU the tests compare it against.
 func (s *System) assembleVals(freqHz float64, mv, rhs []complex128) (rebuilt bool, err error) {
 	if err := validFreq(freqHz); err != nil {
 		return false, err
@@ -336,19 +281,14 @@ func (s *System) assembleVals(freqHz float64, mv, rhs []complex128) (rebuilt boo
 	return rebuilt, nil
 }
 
-// ResolveLayout builds the stamp caches if necessary and returns the
-// layout the system actually uses (LayoutDense or LayoutSparse — a
-// requested LayoutAuto has been resolved by the fill heuristic).
-func (s *System) ResolveLayout() (Layout, error) {
+// Pattern builds the stamp caches if necessary and returns the shared CSR
+// pattern every assembly of the system writes under.
+func (s *System) Pattern() (*numeric.Pattern, error) {
 	if _, err := s.ensureStamps(); err != nil {
-		return 0, err
+		return nil, err
 	}
-	return s.resolved, nil
+	return s.pat, nil
 }
-
-// Pattern returns the shared CSR pattern of a sparse-resolved system
-// (nil under the dense layout or before the stamps are built).
-func (s *System) Pattern() *numeric.Pattern { return s.pat }
 
 // openLoopGain evaluates the single-pole model A(jω) = A0/(1 + jω/ωp).
 func openLoopGain(c *circuit.Opamp, jw complex128) complex128 {

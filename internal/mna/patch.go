@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"analogdft/internal/circuit"
-	"analogdft/internal/numeric"
 )
 
 // SetValue patches the cached split stamps so the named component behaves
@@ -169,20 +168,11 @@ func (s *System) Reset() {
 	if len(s.patchedVals) == 0 {
 		return
 	}
-	if s.resolved == LayoutSparse {
-		for idx, v := range s.snapG {
-			s.gval[idx] = v
-		}
-		for idx, v := range s.snapC {
-			s.cval[idx] = v
-		}
-	} else {
-		for idx, v := range s.snapG {
-			s.g.Data[idx] = v
-		}
-		for idx, v := range s.snapC {
-			s.c.Data[idx] = v
-		}
+	for slot, v := range s.snapG {
+		s.gval[slot] = v
+	}
+	for slot, v := range s.snapC {
+		s.cval[slot] = v
 	}
 	for idx, v := range s.snapRHS {
 		s.rhs0[idx] = v
@@ -196,45 +186,34 @@ func (s *System) Reset() {
 // Patched reports whether any component value is currently patched.
 func (s *System) Patched() bool { return len(s.patchedVals) > 0 }
 
-// patchTarget addresses one stamp cache (G or C) in whichever layout
-// the system resolved: dense patches index m.Data, sparse patches are
-// lowered to direct value-array writes through the pattern's
-// component→nonzero-slot index. The snapshot map is keyed by the same
-// index the write uses (flat dense offset or CSR slot), so Reset
+// patchTarget addresses one stamp value array (G or C) together with
+// its snapshot map, keyed by the CSR slot the write uses, so Reset
 // restores through the identical addressing.
 type patchTarget struct {
-	m    *numeric.Matrix
 	vals []complex128
 	snap map[int]complex128
 }
 
-// targetG addresses the frequency-independent stamp cache.
-func (s *System) targetG() patchTarget { return patchTarget{m: s.g, vals: s.gval, snap: s.snapG} }
+// targetG addresses the frequency-independent stamp values.
+func (s *System) targetG() patchTarget { return patchTarget{vals: s.gval, snap: s.snapG} }
 
-// targetC addresses the jω-proportional stamp cache.
-func (s *System) targetC() patchTarget { return patchTarget{m: s.c, vals: s.cval, snap: s.snapC} }
+// targetC addresses the jω-proportional stamp values.
+func (s *System) targetC() patchTarget { return patchTarget{vals: s.cval, snap: s.snapC} }
 
-// patchEntry adds delta to one stamp entry, snapshotting the pre-patch
-// value the first time the entry is touched.
+// patchEntry adds delta to one stamp entry, lowered to its CSR slot
+// through the pattern's component→nonzero-slot index, snapshotting the
+// pre-patch value the first time the slot is touched.
 func (s *System) patchEntry(t patchTarget, i, j int, delta complex128) {
-	if s.resolved == LayoutSparse {
-		slot := s.pat.SlotOf(i, j)
-		if slot < 0 {
-			// Unreachable: patches address subsets of the stamped entries,
-			// and the pattern was collected from the same stamp walk.
-			panic(fmt.Sprintf("mna: patch outside pattern at (%d,%d)", i, j))
-		}
-		if _, seen := t.snap[slot]; !seen {
-			t.snap[slot] = t.vals[slot]
-		}
-		t.vals[slot] += delta
-		return
+	slot := s.pat.SlotOf(i, j)
+	if slot < 0 {
+		// Unreachable: patches address subsets of the stamped entries,
+		// and the pattern was collected from the same stamp walk.
+		panic(fmt.Sprintf("mna: patch outside pattern at (%d,%d)", i, j))
 	}
-	idx := i*t.m.Cols + j
-	if _, seen := t.snap[idx]; !seen {
-		t.snap[idx] = t.m.Data[idx]
+	if _, seen := t.snap[slot]; !seen {
+		t.snap[slot] = t.vals[slot]
 	}
-	t.m.Data[idx] += delta
+	t.vals[slot] += delta
 }
 
 // patchConductance applies the two-terminal admittance stamp pattern as a

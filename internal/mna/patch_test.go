@@ -97,8 +97,8 @@ func TestResetRestoresStampsExactly(t *testing.T) {
 	if _, err := sys.SolveAt(1e3); err != nil { // force stamp build
 		t.Fatal(err)
 	}
-	g0 := append([]complex128(nil), sys.g.Data...)
-	c0 := append([]complex128(nil), sys.c.Data...)
+	g0 := append([]complex128(nil), sys.gval...)
+	c0 := append([]complex128(nil), sys.cval...)
 	r0 := append([]complex128(nil), sys.rhs0...)
 
 	// Patch several overlapping components (R1 and C1 share node "a"),
@@ -119,13 +119,13 @@ func TestResetRestoresStampsExactly(t *testing.T) {
 		t.Fatal("Patched() = true after Reset")
 	}
 	for i := range g0 {
-		if sys.g.Data[i] != g0[i] {
-			t.Fatalf("G[%d] drifted: %v != %v", i, sys.g.Data[i], g0[i])
+		if sys.gval[i] != g0[i] {
+			t.Fatalf("G[%d] drifted: %v != %v", i, sys.gval[i], g0[i])
 		}
 	}
 	for i := range c0 {
-		if sys.c.Data[i] != c0[i] {
-			t.Fatalf("C[%d] drifted: %v != %v", i, sys.c.Data[i], c0[i])
+		if sys.cval[i] != c0[i] {
+			t.Fatalf("C[%d] drifted: %v != %v", i, sys.cval[i], c0[i])
 		}
 	}
 	for i := range r0 {

@@ -7,19 +7,19 @@ import (
 	"analogdft/internal/numeric"
 )
 
-// adder is the write surface of one stamp walk. Three implementations
-// cover every layout phase: *numeric.Matrix (dense caches),
-// *numeric.CSRValues (sparse value arrays under a shared pattern —
-// passed by pointer so the interface conversion never boxes) and
-// *coordCollector (the symbolic pass that discovers the pattern).
+// adder is the write surface of one stamp walk: *numeric.CSRValues
+// (value arrays under the shared pattern — passed by pointer so the
+// interface conversion never boxes), *coordCollector (the symbolic pass
+// that discovers the pattern), or the *numeric.Matrix the tests' dense
+// reference stamps into.
 type adder interface {
 	Add(i, j int, v complex128)
 }
 
 // coordCollector records which entries a stamp walk touches, ignoring
-// the values — the symbolic phase of the sparse build. Running the same
-// walk that later writes the values guarantees the pattern covers every
-// slot assembly and patching will ever address.
+// the values — the symbolic phase of the build. Running the same walk
+// that later writes the values guarantees the pattern covers every slot
+// assembly and patching will ever address.
 type coordCollector struct {
 	coords []int64
 }
@@ -28,91 +28,62 @@ func (c *coordCollector) Add(i, j int, _ complex128) {
 	c.coords = append(c.coords, numeric.PackCoord(i, j))
 }
 
-// buildStamps performs the component walk(s) for one System: every
-// frequency-independent stamp goes into the G cache (and the excitation
-// into rhs0), every stamp proportional to jω goes into the C cache —
-// capacitors as +C farads, inductor branch equations as −L henries —
-// and single-pole opamps, whose constraint row is a nonlinear function
-// of ω, are collected on the dynamic list for per-point stamping. All
-// structural validation (zero resistors, dangling control branches,
-// unsupported models) happens here, once, instead of on every frequency
-// point.
-//
-// Under the dense layout the walk stamps two n×n matrices directly.
-// Otherwise a symbolic pass first collects the touched coordinates —
-// including the per-point opamp constraint rows, which must own slots
-// in the pattern even though their cached values stay zero — resolves
-// LayoutAuto via the fill heuristic, and (when sparse wins) re-walks
-// the components into two value arrays sharing one CSR pattern.
+// buildStamps performs the two component walks of one System. A symbolic
+// pass first collects the touched coordinates — including the per-point
+// opamp constraint rows, which must own slots in the pattern even though
+// their cached values stay zero — into one CSR pattern. The numeric pass
+// then stamps every frequency-independent entry into the G values (and
+// the excitation into rhs0) and every entry proportional to jω into the
+// C values — capacitors as +C farads, inductor branch equations as −L
+// henries — while single-pole opamps, whose constraint row is a
+// nonlinear function of ω, are collected on the dynamic list for
+// per-point stamping. All structural validation (zero resistors,
+// dangling control branches, unsupported models) happens here, once,
+// instead of on every frequency point.
 func (s *System) buildStamps() error {
-	resolved := s.layout
-	var pat *numeric.Pattern
-	if resolved != LayoutDense {
-		// Symbolic pass: coordinates only, no RHS buffer — the excitation
-		// vector is carved out of the value slab below once the pattern
-		// (and so the slab size) is known.
-		col := &coordCollector{coords: make([]int64, 0, 16*s.n)}
-		dynamic, err := s.stampAll(col, col, nil)
-		if err != nil {
-			return err
-		}
-		for _, op := range dynamic {
-			// The value of jw is irrelevant — the collector only records
-			// coordinates — but the walk must be the per-point one so the
-			// dynamic rows' slots enter the pattern.
-			s.stampOpampRow(col, op, 1i)
-		}
-		if err := s.patStore.InitFromCoords(s.n, col.coords); err != nil {
-			return err
-		}
-		if resolved == LayoutAuto {
-			resolved = chooseLayout(s.n, s.patStore.NNZ())
-		}
-		if resolved == LayoutSparse {
-			pat = &s.patStore
-		}
+	// Symbolic pass: coordinates only, no RHS buffer — the excitation
+	// vector is carved out of the value slab below once the pattern (and
+	// so the slab size) is known.
+	col := &coordCollector{coords: make([]int64, 0, 16*s.n)}
+	dynamic, err := s.stampAll(col, col, nil)
+	if err != nil {
+		return err
 	}
+	for _, op := range dynamic {
+		// The value of jw is irrelevant — the collector only records
+		// coordinates — but the walk must be the per-point one so the
+		// dynamic rows' slots enter the pattern.
+		s.stampOpampRow(col, op, 1i)
+	}
+	if err := s.patStore.InitFromCoords(s.n, col.coords); err != nil {
+		return err
+	}
+	pat := &s.patStore
 
-	if pat != nil {
-		// One slab for both value caches and the excitation, and the stamp
-		// adapters live in the System: a sparse build pays one value-array
-		// allocation where the dense build pays one per matrix plus the
-		// RHS.
-		nnz := pat.NNZ()
-		slab := make([]complex128, 2*nnz+s.n)
-		gval := slab[:nnz:nnz]
-		cval := slab[nnz : 2*nnz : 2*nnz]
-		rhs0 := slab[2*nnz:]
-		s.gBox = numeric.CSRValues{P: pat, Vals: gval}
-		s.cBox = numeric.CSRValues{P: pat, Vals: cval}
-		dynamic, err := s.stampAll(&s.gBox, &s.cBox, rhs0)
-		if err != nil {
-			return err
-		}
-		s.pat, s.gval, s.cval = pat, gval, cval
-		s.rhs0, s.dynamic = rhs0, dynamic
-		s.resolved = LayoutSparse
-	} else {
-		rhs0 := make([]complex128, s.n)
-		g := numeric.NewMatrix(s.n, s.n)
-		cm := numeric.NewMatrix(s.n, s.n)
-		dynamic, err := s.stampAll(g, cm, rhs0)
-		if err != nil {
-			return err
-		}
-		s.g, s.c = g, cm
-		s.rhs0, s.dynamic = rhs0, dynamic
-		s.resolved = LayoutDense
+	// One slab for both value arrays and the excitation, and the stamp
+	// adapters live in the System: the numeric pass pays one allocation.
+	nnz := pat.NNZ()
+	slab := make([]complex128, 2*nnz+s.n)
+	gval := slab[:nnz:nnz]
+	cval := slab[nnz : 2*nnz : 2*nnz]
+	rhs0 := slab[2*nnz:]
+	s.gBox = numeric.CSRValues{P: pat, Vals: gval}
+	s.cBox = numeric.CSRValues{P: pat, Vals: cval}
+	if dynamic, err = s.stampAll(&s.gBox, &s.cBox, rhs0); err != nil {
+		return err
 	}
+	s.pat, s.gval, s.cval = pat, gval, cval
+	s.rhs0, s.dynamic = rhs0, dynamic
 	s.stampsBuilt = true
 	return nil
 }
 
-// stampAll is the one component walk, layout-agnostic: g receives the
-// frequency-independent stamps, cm the jω-proportional ones, rhs0 the
-// excitation. A nil rhs0 skips the excitation writes — the symbolic
-// collector pass only needs coordinates and runs before the RHS buffer
-// exists. It returns the single-pole opamps needing per-point rows.
+// stampAll is the one component walk, shared by both build passes: g
+// receives the frequency-independent stamps, cm the jω-proportional
+// ones, rhs0 the excitation. A nil rhs0 skips the excitation writes — the
+// symbolic collector pass only needs coordinates and runs before the RHS
+// buffer exists. It returns the single-pole opamps needing per-point
+// rows.
 func (s *System) stampAll(g, cm adder, rhs0 []complex128) ([]*circuit.Opamp, error) {
 	var dynamic []*circuit.Opamp
 	for _, comp := range s.ckt.Components() {
@@ -323,11 +294,10 @@ func (s *System) buildOpampStamp(g adder, c *circuit.Opamp) error {
 }
 
 // stampOpampRow writes the frequency-dependent constraint row of a
-// single-pole opamp into the assembled matrix (either layout). The row
-// arrives all-zero from the fused scale-add — the split stamps never
-// touch it, and under the sparse layout its slots are part of the
-// pattern with zero cached values — so plain adds reproduce exactly
-// what the one-shot stamping used to write. Modes and models were
+// single-pole opamp into the assembled matrix. The row arrives all-zero
+// from the fused scale-add — the split stamps never touch it, and its
+// slots are part of the pattern with zero cached values — so plain adds
+// reproduce exactly what the one-shot stamping used to write. Modes and models were
 // validated by buildStamps.
 func (s *System) stampOpampRow(m adder, c *circuit.Opamp, jw complex128) {
 	out := s.node(c.Out)

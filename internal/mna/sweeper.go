@@ -11,8 +11,8 @@ import (
 
 // Sweeper is the allocation-free fast path for frequency sweeps that only
 // observe a single node (the detectability engine's hot loop): one
-// numeric.Workspace (matrix + rhs + pivots) is handed down and reused
-// across points, and the factorization happens in place.
+// numeric.Workspace (CSR values + rhs + sparse LU scratch) is handed down
+// and reused across points, and the factorization happens in place.
 type Sweeper struct {
 	sys     *System
 	ws      *numeric.Workspace
@@ -38,10 +38,9 @@ func (s *System) NewSweeperWS(node string, ws *numeric.Workspace) (*Sweeper, err
 		idx = i
 	}
 	if ws == nil {
-		// Empty, not NewWorkspace: the layout is resolved lazily with the
-		// stamps, and a sparse-resolved system must never be charged for
-		// a dense n×n matrix it will not use. VoltageAt sizes the right
-		// buffer set per layout (amortized to pointer/cap compares).
+		// Empty, not NewWorkspace: the pattern is built lazily with the
+		// stamps, and VoltageAt binds the workspace to it on first use —
+		// the dense n×n buffers NewWorkspace allocates would go unused.
 		ws = &numeric.Workspace{}
 	}
 	return &Sweeper{
@@ -76,44 +75,29 @@ func (sw *Sweeper) VoltageAt(freqHz float64) (complex128, error) {
 		return 0, err
 	}
 	sw.tally.recordStamps(rebuilt)
-	if sw.sys.resolved == LayoutSparse {
+	// Bound once per system, not repaired per point: after the first call
+	// the buffers fit (a workspace shared with another system's sweeper is
+	// rebound when it comes back), and a caller-corrupted workspace
+	// surfaces as a wrapped solve error below instead of being silently
+	// mended.
+	if !sw.ws.BoundTo(sw.sys.pat) {
 		sw.ws.EnsureSparse(sw.sys.pat)
-		if _, err := sw.sys.assembleVals(freqHz, sw.ws.SVals, sw.ws.RHS); err != nil {
-			sw.tally.record(err, t0, timed)
-			return 0, err
-		}
-		lu, err := sw.ws.SparseFactor()
-		if err != nil {
-			sw.tally.record(err, t0, timed)
-			return 0, &SolveError{Circuit: sw.sys.ckt.Name, FreqHz: freqHz, Err: err}
-		}
-		if err := lu.SolveInPlace(sw.ws.RHS); err != nil {
-			sw.tally.record(err, t0, timed)
-			return 0, &SolveError{Circuit: sw.sys.ckt.Name, FreqHz: freqHz, Err: err}
-		}
-	} else {
-		// Sized once per system, not repaired per point: after the first
-		// call the buffers fit, and a caller-corrupted workspace surfaces
-		// as a wrapped solve error below instead of being silently mended.
-		if sw.ws.M == nil || sw.ws.M.Rows != sw.sys.n {
-			sw.ws.Ensure(sw.sys.n)
-		}
-		if _, err := sw.sys.assemble(freqHz, sw.ws.M, sw.ws.RHS); err != nil {
-			sw.tally.record(err, t0, timed)
-			return 0, err
-		}
-		lu, err := numeric.FactorInPlace(sw.ws.M, sw.ws.Pivot)
-		if err != nil {
-			sw.tally.record(err, t0, timed)
-			return 0, &SolveError{Circuit: sw.sys.ckt.Name, FreqHz: freqHz, Err: err}
-		}
-		if err := lu.SolveInPlace(sw.ws.RHS); err != nil {
-			sw.tally.record(err, t0, timed)
-			// Wrapped exactly like the FactorInPlace failure above, so
-			// analysis.ClassifyError and the retry policies classify a failed
-			// back-substitution identically to a failed factorization.
-			return 0, &SolveError{Circuit: sw.sys.ckt.Name, FreqHz: freqHz, Err: err}
-		}
+	}
+	if _, err := sw.sys.assembleVals(freqHz, sw.ws.SVals, sw.ws.RHS); err != nil {
+		sw.tally.record(err, t0, timed)
+		return 0, err
+	}
+	lu, err := sw.ws.SparseFactor()
+	if err != nil {
+		sw.tally.record(err, t0, timed)
+		return 0, &SolveError{Circuit: sw.sys.ckt.Name, FreqHz: freqHz, Err: err}
+	}
+	if err := lu.SolveInPlace(sw.ws.RHS); err != nil {
+		sw.tally.record(err, t0, timed)
+		// Wrapped exactly like the factorization failure above, so
+		// analysis.ClassifyError and the retry policies classify a failed
+		// back-substitution identically to a failed factorization.
+		return 0, &SolveError{Circuit: sw.sys.ckt.Name, FreqHz: freqHz, Err: err}
 	}
 	sw.tally.record(nil, t0, timed)
 	if sw.nodeIdx < 0 {

@@ -145,8 +145,8 @@ func (p *Pattern) ScatterInto(m *Matrix, vals []complex128) error {
 
 // CSRValues couples a shared Pattern with one value array, exposing the
 // same Add surface as *Matrix so the stamp walks (component stamps,
-// per-point opamp rows, patch deltas) write either layout through one
-// interface. Adds outside the pattern panic: the pattern was collected
+// per-point opamp rows) write CSR values or a dense reference through
+// one interface. Adds outside the pattern panic: the pattern was collected
 // from the same walk, so a miss is a programming error, not a data
 // error.
 type CSRValues struct {

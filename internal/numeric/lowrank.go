@@ -6,9 +6,10 @@ import (
 	"math/cmplx"
 )
 
-// ErrSingularUpdate is returned by SolveRankOne when the Sherman–Morrison
-// denominator 1 + s·vᵀA⁻¹u is too small: the perturbed matrix A + s·u·vᵀ
-// is (numerically) singular even though the nominal A factored fine.
+// ErrSingularUpdate is returned by SolveRankOneSparse when the
+// Sherman–Morrison denominator 1 + s·vᵀA⁻¹u is too small: the perturbed
+// matrix A + s·u·vᵀ is (numerically) singular even though the nominal A
+// factored fine.
 // Callers fall back to a full refactorization of the perturbed matrix,
 // which reproduces the reference path's singularity verdict exactly.
 var ErrSingularUpdate = errors.New("numeric: singular rank-1 update")
@@ -21,11 +22,11 @@ var ErrSingularUpdate = errors.New("numeric: singular rank-1 update")
 // noise.
 const UpdateTolerance = 1e-8
 
-// LowRankSolver couples one LU factorization of a nominal matrix A with
-// its solution y = A⁻¹·b and a scratch vector, so that rank-1 perturbed
-// systems (A + s·u·vᵀ)·x = b solve in O(n²) — two triangular solves and
-// three dot products — instead of the O(n³) refactorization the naive
-// path pays per perturbation. This is the Sherman–Morrison identity:
+// LowRankSolver couples one sparse LU factorization of a nominal matrix
+// A with its solution y = A⁻¹·b and a scratch vector, so that rank-1
+// perturbed systems (A + s·u·vᵀ)·x = b solve in O(n²) — two triangular
+// solves and two sparse dot products — instead of refactoring the
+// perturbed matrix. This is the Sherman–Morrison identity:
 //
 //	x = y − z·(s·vᵀy)/(1 + s·vᵀz),  z = A⁻¹·u
 //
@@ -33,31 +34,18 @@ const UpdateTolerance = 1e-8
 // the solver is in use. A LowRankSolver is not safe for concurrent use
 // (the scratch vector is shared across calls); give each worker its own.
 type LowRankSolver struct {
-	lu  LU
-	slu *SparseLU    // sparse-layout factorization; nil on the dense path
-	y   []complex128 // nominal solution A⁻¹·b
-	z   []complex128 // scratch for A⁻¹·u
+	lu *SparseLU
+	y  []complex128 // nominal solution A⁻¹·b
+	z  []complex128 // scratch for A⁻¹·u
 }
 
 // NewLowRankSolver wraps a factorization of the nominal matrix and its
 // pre-solved right-hand side. y must have length lu.N().
-func NewLowRankSolver(lu LU, y []complex128) (*LowRankSolver, error) {
+func NewLowRankSolver(lu *SparseLU, y []complex128) (*LowRankSolver, error) {
 	if len(y) != lu.N() {
 		return nil, fmt.Errorf("%w: nominal solution length %d, want %d", ErrShape, len(y), lu.N())
 	}
 	return &LowRankSolver{lu: lu, y: y, z: make([]complex128, lu.N())}, nil
-}
-
-// NewLowRankSolverSparse is NewLowRankSolver for a sparse-layout
-// factorization. The solver is a concrete dual-backend type rather than
-// an interface wrapper so the dense path keeps its direct (unboxed)
-// calls; sparse triangular solves are bit-identical to dense ones, so
-// both backends yield the same x.
-func NewLowRankSolverSparse(slu *SparseLU, y []complex128) (*LowRankSolver, error) {
-	if len(y) != slu.N() {
-		return nil, fmt.Errorf("%w: nominal solution length %d, want %d", ErrShape, len(y), slu.N())
-	}
-	return &LowRankSolver{slu: slu, y: y, z: make([]complex128, slu.N())}, nil
 }
 
 // Nominal returns the cached nominal solution y = A⁻¹·b (a live reference,
@@ -65,66 +53,16 @@ func NewLowRankSolverSparse(slu *SparseLU, y []complex128) (*LowRankSolver, erro
 func (ls *LowRankSolver) Nominal() []complex128 { return ls.y }
 
 // N returns the dimension of the nominal system.
-func (ls *LowRankSolver) N() int {
-	if ls.slu != nil {
-		return ls.slu.N()
-	}
-	return ls.lu.N()
-}
+func (ls *LowRankSolver) N() int { return ls.lu.N() }
 
-// solveZ runs the backend's triangular solves over ls.z.
-func (ls *LowRankSolver) solveZ() error {
-	if ls.slu != nil {
-		return ls.slu.SolveInPlace(ls.z)
-	}
-	return ls.lu.SolveInPlace(ls.z)
-}
-
-// SolveRankOne writes x = (A + s·u·vᵀ)⁻¹·b into x via Sherman–Morrison.
-// u, v and x must have length N(); u and v are read only, and x may alias
-// neither. A scale of exactly zero short-circuits to the nominal
-// solution. Returns ErrSingularUpdate when |1 + s·vᵀA⁻¹u| <
-// UpdateTolerance — the singular-update detector; the caller must then
-// refactor the perturbed matrix in full (or propagate the point as
-// singular).
-func (ls *LowRankSolver) SolveRankOne(s complex128, u, v, x []complex128) error {
-	n := ls.N()
-	if len(u) != n || len(v) != n || len(x) != n {
-		return fmt.Errorf("%w: rank-1 operands (%d, %d, %d), want %d", ErrShape, len(u), len(v), len(x), n)
-	}
-	if s == 0 {
-		copy(x, ls.y)
-		return nil
-	}
-	copy(ls.z, u)
-	if err := ls.solveZ(); err != nil {
-		return err
-	}
-	var vy, vz complex128
-	for i, vi := range v {
-		if vi != 0 {
-			vy += vi * ls.y[i]
-			vz += vi * ls.z[i]
-		}
-	}
-	den := 1 + s*vz
-	if cmplx.Abs(den) < UpdateTolerance {
-		return fmt.Errorf("%w: |1 + s·vᵀA⁻¹u| = %.3g", ErrSingularUpdate, cmplx.Abs(den))
-	}
-	c := s * vy / den
-	for i := range x {
-		x[i] = ls.y[i] - c*ls.z[i]
-	}
-	return nil
-}
-
-// SolveRankOneSparse is SolveRankOne with u and v supplied in sparse
-// (index, value) form — the incidence vectors MNA rank-1 patches carry
-// hold at most two entries each, so scattering them dense first is pure
-// waste. The result is bit-identical to densifying and calling
-// SolveRankOne: the scatter places the same values, and with at most two
-// terms per dot product the accumulation order cannot change the sum
-// (complex addition of two terms is commutative bit-for-bit).
+// SolveRankOneSparse writes x = (A + s·u·vᵀ)⁻¹·b into x via
+// Sherman–Morrison, with u and v supplied in sparse (index, value) form —
+// the incidence vectors MNA rank-1 patches carry hold at most two entries
+// each. x must have length N(). A scale of exactly zero short-circuits to
+// the nominal solution. Returns ErrSingularUpdate when
+// |1 + s·vᵀA⁻¹u| < UpdateTolerance — the singular-update detector; the
+// caller must then refactor the perturbed matrix in full (or propagate
+// the point as singular).
 func (ls *LowRankSolver) SolveRankOneSparse(s complex128, uIdx []int, uVal []complex128, vIdx []int, vVal []complex128, x []complex128) error {
 	n := ls.N()
 	if len(x) != n {
@@ -145,7 +83,7 @@ func (ls *LowRankSolver) SolveRankOneSparse(s complex128, uIdx []int, uVal []com
 		return nil
 	}
 	ScatterSparse(uIdx, uVal, ls.z)
-	if err := ls.solveZ(); err != nil {
+	if err := ls.lu.SolveInPlace(ls.z); err != nil {
 		return err
 	}
 	vy := DotSparse(vIdx, vVal, ls.y)

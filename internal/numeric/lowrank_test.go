@@ -21,10 +21,11 @@ func testMatrix() (*Matrix, []complex128) {
 	return m, b
 }
 
-// newTestSolver factors a copy of m and primes the solver with A⁻¹b.
+// newTestSolver factors m sparsely and primes the solver with A⁻¹b.
 func newTestSolver(t *testing.T, m *Matrix, b []complex128) *LowRankSolver {
 	t.Helper()
-	lu, err := FactorInPlace(m.Clone(), nil)
+	p, vals := patternOf(t, m)
+	lu, err := NewSparseScratch(p).Factor(vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,32 +41,33 @@ func newTestSolver(t *testing.T, m *Matrix, b []complex128) *LowRankSolver {
 }
 
 // TestSolveRankOneMatchesDirect compares the Sherman–Morrison solution of
-// (A + s·u·vᵀ)x = b against a direct factor-and-solve of the perturbed
-// matrix, for several scales and sparse update patterns.
+// (A + s·u·vᵀ)x = b against numeric.Solve on the perturbed matrix, for
+// several scales and sparse update patterns.
 func TestSolveRankOneMatchesDirect(t *testing.T) {
 	a, b := testMatrix()
 	ls := newTestSolver(t, a, b)
 	cases := []struct {
-		name string
-		s    complex128
-		u, v []complex128
+		name       string
+		s          complex128
+		uIdx, vIdx []int
+		uVal, vVal []complex128
 	}{
-		{"conductance", 0.5, []complex128{1, -1, 0, 0}, []complex128{1, -1, 0, 0}},
-		{"capacitive", 2i, []complex128{0, 1, -1, 0}, []complex128{0, 1, -1, 0}},
-		{"asymmetric", -0.3 + 0.1i, []complex128{0, 0, 1, 0}, []complex128{1, 0, 0, -1}},
-		{"single-entry", 1.5, []complex128{0, 0, 0, 1}, []complex128{0, 0, 0, 1}},
+		{"conductance", 0.5, []int{0, 1}, []int{0, 1}, []complex128{1, -1}, []complex128{1, -1}},
+		{"capacitive", 2i, []int{1, 2}, []int{1, 2}, []complex128{1, -1}, []complex128{1, -1}},
+		{"asymmetric", -0.3 + 0.1i, []int{2}, []int{0, 3}, []complex128{1}, []complex128{1, -1}},
+		{"single-entry", 1.5, []int{3}, []int{3}, []complex128{1}, []complex128{1}},
 	}
 	x := make([]complex128, 4)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if err := ls.SolveRankOne(c.s, c.u, c.v, x); err != nil {
+			if err := ls.SolveRankOneSparse(c.s, c.uIdx, c.uVal, c.vIdx, c.vVal, x); err != nil {
 				t.Fatal(err)
 			}
 			// Direct reference: perturb A densely and solve from scratch.
 			p := a.Clone()
-			for i := 0; i < 4; i++ {
-				for j := 0; j < 4; j++ {
-					p.Add(i, j, c.s*c.u[i]*c.v[j])
+			for ki, i := range c.uIdx {
+				for kj, j := range c.vIdx {
+					p.Add(i, j, c.s*c.uVal[ki]*c.vVal[kj])
 				}
 			}
 			want, err := Solve(p, b)
@@ -87,8 +89,8 @@ func TestSolveRankOneZeroScale(t *testing.T) {
 	a, b := testMatrix()
 	ls := newTestSolver(t, a, b)
 	x := make([]complex128, 4)
-	u := []complex128{1, 0, 0, 0}
-	if err := ls.SolveRankOne(0, u, u, x); err != nil {
+	e0, one := []int{0}, []complex128{1}
+	if err := ls.SolveRankOneSparse(0, e0, one, e0, one, x); err != nil {
 		t.Fatal(err)
 	}
 	for i, y := range ls.Nominal() {
@@ -102,27 +104,20 @@ func TestSolveRankOneZeroScale(t *testing.T) {
 // u = v = e₀, s = −1 makes A + s·u·vᵀ exactly singular, and the detector
 // must refuse rather than divide by (nearly) zero.
 func TestSolveRankOneSingularUpdate(t *testing.T) {
-	lu, err := FactorInPlace(Identity(3), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y := []complex128{1, 1, 1} // A = I ⇒ y = b
-	ls, err := NewLowRankSolver(lu, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e0 := []complex128{1, 0, 0}
+	ls := newTestSolver(t, Identity(3), []complex128{1, 1, 1})
+	e0, one := []int{0}, []complex128{1}
 	x := make([]complex128, 3)
-	if err := ls.SolveRankOne(-1, e0, e0, x); !errors.Is(err, ErrSingularUpdate) {
+	if err := ls.SolveRankOneSparse(-1, e0, one, e0, one, x); !errors.Is(err, ErrSingularUpdate) {
 		t.Fatalf("err = %v, want ErrSingularUpdate", err)
 	}
 }
 
-// TestSolveRankOneShapeErrors covers operand-length validation in the
+// TestSolveRankOneShapeErrors covers operand validation in the
 // constructor and the solve.
 func TestSolveRankOneShapeErrors(t *testing.T) {
 	a, b := testMatrix()
-	lu, err := FactorInPlace(a.Clone(), nil)
+	p, vals := patternOf(t, a)
+	lu, err := NewSparseScratch(p).Factor(vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +125,14 @@ func TestSolveRankOneShapeErrors(t *testing.T) {
 		t.Fatalf("short nominal solution: err = %v, want ErrShape", err)
 	}
 	ls := newTestSolver(t, a, b)
-	good := make([]complex128, 4)
-	if err := ls.SolveRankOne(1, good[:3], good, good); !errors.Is(err, ErrShape) {
-		t.Fatalf("short u: err = %v, want ErrShape", err)
+	idx, one := []int{1}, []complex128{1}
+	if err := ls.SolveRankOneSparse(1, []int{-1}, one, idx, one, make([]complex128, 4)); !errors.Is(err, ErrShape) {
+		t.Fatalf("negative u index: err = %v, want ErrShape", err)
 	}
-	if err := ls.SolveRankOne(1, good, good[:1], good); !errors.Is(err, ErrShape) {
-		t.Fatalf("short v: err = %v, want ErrShape", err)
+	if err := ls.SolveRankOneSparse(1, idx, one, []int{4}, one, make([]complex128, 4)); !errors.Is(err, ErrShape) {
+		t.Fatalf("v index past order: err = %v, want ErrShape", err)
 	}
-	if err := ls.SolveRankOne(1, good, good, make([]complex128, 5)); !errors.Is(err, ErrShape) {
+	if err := ls.SolveRankOneSparse(1, idx, one, idx, one, make([]complex128, 5)); !errors.Is(err, ErrShape) {
 		t.Fatalf("long x: err = %v, want ErrShape", err)
 	}
 }

@@ -1,13 +1,14 @@
-// Package numeric provides the dense complex linear algebra used by the
-// MNA (Modified Nodal Analysis) engine: matrices over complex128, LU
-// factorization with partial pivoting, linear solves, determinants, norms
-// and a cheap condition estimate.
+// Package numeric provides the complex linear algebra used by the MNA
+// (Modified Nodal Analysis) engine: dense matrices over complex128 with LU
+// factorization, linear solves, determinants, norms and a cheap condition
+// estimate; and the CSR layer (Pattern, SparseLU, Workspace) the engine
+// actually solves with.
 //
-// The matrices arising from small-signal analysis of RC-opamp networks are
-// small (tens of unknowns) and dense once opamp constraint rows are added,
-// so a straightforward dense implementation is both simple and fast enough:
-// a full frequency sweep of a fault universe factors a few thousand
-// matrices of this size per circuit.
+// The matrices arising from small-signal analysis of RC-opamp networks
+// are small (tens of unknowns) but mostly empty, so the engine assembles
+// and factors them in CSR form. The sparse LU replays the dense
+// elimination operation for operation, which keeps the dense LU useful as
+// the bit-exact reference the sparse path is tested against.
 package numeric
 
 import (

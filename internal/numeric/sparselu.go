@@ -24,17 +24,16 @@ import (
 // before a single subtract, as the dense solver does. The operations
 // the sparse path skips involve entries that are exact +0 in the dense
 // working matrix, and adding a signed-zero product to a finite
-// accumulator never changes its bits. The engine-equivalence suite
-// leans on this: dense and sparse layouts agree bit-for-bit, not merely
-// within a tolerance.
+// accumulator never changes its bits. The MNA oracle tests lean on this:
+// the CSR solve path and a dense reference assembly agree bit-for-bit,
+// not merely within a tolerance.
 //
 // A factor returned by Factor aliases its scratch and is valid only
 // until the scratch factors again; Detach copies one that must outlive
 // the scratch (the low-rank grid cache retains one per frequency
 // point). SolveInPlace uses a scratch buffer inside the factor, so a
 // single factor must not be solved from multiple goroutines at once —
-// the same one-workspace-per-worker discipline the dense path already
-// follows.
+// the one-workspace-per-worker discipline every solve path follows.
 type SparseLU struct {
 	n     int
 	pivot []int // row-swap sequence, same semantics as the dense LU

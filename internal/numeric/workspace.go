@@ -10,10 +10,10 @@ type Workspace struct {
 	RHS   []complex128
 	Pivot []int
 
-	// Sparse-layout buffers, populated by EnsureSparse: SVals holds the
-	// assembled M = G + jω·C values under the bound pattern, and scratch
-	// is the reusable factorization state. A workspace serves one layout
-	// at a time; the dense buffers above stay untouched (and unallocated)
+	// CSR buffers, populated by EnsureSparse: SVals holds the assembled
+	// M = G + jω·C values under the bound pattern, and scratch is the
+	// reusable factorization state. A workspace serves one side at a
+	// time; the dense buffers above stay untouched (and unallocated)
 	// while a sweep runs sparse, and vice versa — only RHS is shared.
 	// RHS and SVals are carved from one slab so a sparse warmup costs a
 	// single value-buffer allocation.
@@ -36,9 +36,9 @@ func NewWorkspace(n int) *Workspace {
 // The buffers are NOT zeroed: after any Ensure — and in particular after
 // a shrink, where every retained element is stale data from the larger
 // system — the caller must fully re-stamp M and RHS before factoring.
-// Every assembly in this repo overwrites all n×n matrix entries and all n
-// RHS entries (mna.System.assemble is a full scale-add plus a full rhs
-// copy), which is what makes the non-zeroing reuse safe.
+// Every dense assembly in this repo (the MNA tests' dense reference is a
+// full scale-add plus a full rhs copy) overwrites all n×n matrix entries
+// and all n RHS entries, which is what makes the non-zeroing reuse safe.
 func (w *Workspace) Ensure(n int) {
 	if w.M == nil || cap(w.M.Data) < n*n {
 		w.M = NewMatrix(n, n)
@@ -96,6 +96,10 @@ func (w *Workspace) EnsureSparse(p *Pattern) {
 	w.SVals = w.sslab[n : n+nnz : n+nnz]
 	w.scratch.Bind(p)
 }
+
+// BoundTo reports whether the last EnsureSparse bound the workspace to p,
+// so a caller that owns the binding can skip re-slicing per solve.
+func (w *Workspace) BoundTo(p *Pattern) bool { return w.scratch.pat == p }
 
 // SparseFactor factors SVals under the pattern bound by EnsureSparse.
 // The factor aliases the workspace scratch and is valid until the next

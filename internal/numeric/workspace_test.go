@@ -150,8 +150,8 @@ func TestWorkspaceEnsureSparseNoAliasing(t *testing.T) {
 }
 
 // TestWorkspaceSharedAcrossLayouts exercises one workspace alternating
-// between the dense and sparse paths, as LayoutAuto engines can when the
-// circuit size crosses the heuristic between runs: RHS is the shared
+// between the dense and sparse paths, as a caller checking a CSR solve
+// against a dense reference in the same buffers does: RHS is the shared
 // buffer, and each Ensure* must leave the other layout's buffers intact.
 func TestWorkspaceSharedAcrossLayouts(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

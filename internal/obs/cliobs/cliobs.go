@@ -16,7 +16,6 @@ import (
 	"os"
 
 	"analogdft/internal/detect"
-	"analogdft/internal/mna"
 	"analogdft/internal/obs"
 )
 
@@ -78,8 +77,6 @@ type SimFlags struct {
 	// Engine names the cell simulation strategy (incremental, lowrank);
 	// either falls back to clone-and-rebuild for faults it cannot express.
 	Engine string
-	// Layout names the MNA matrix layout (auto, dense, sparse).
-	Layout string
 }
 
 // RegisterSim installs the shared simulation flags on fs.
@@ -96,7 +93,6 @@ func (s *SimFlags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&s.Progress, "progress", false, "report live progress on stderr")
 	fs.StringVar(&s.OnError, "onerror", "degrade", `cell error policy: "degrade", "failfast" or "retry"`)
 	fs.StringVar(&s.Engine, "engine", "incremental", `cell simulation strategy: "incremental" (patch a reusable system in place) or "lowrank" (Sherman–Morrison rank-1 solves against cached nominal factorizations); both clone and rebuild the circuit for faults they cannot express`)
-	fs.StringVar(&s.Layout, "layout", "auto", `MNA matrix layout: "auto" (fill heuristic per system), "dense" or "sparse" — results are identical, only the cost changes`)
 }
 
 // Policy maps the -onerror value onto the engine error policy.
@@ -104,9 +100,6 @@ func (s *SimFlags) Policy() (detect.ErrorPolicy, error) { return ParsePolicy(s.O
 
 // EngineMode maps the -engine value onto the cell simulation strategy.
 func (s *SimFlags) EngineMode() (detect.EngineMode, error) { return detect.ParseEngineMode(s.Engine) }
-
-// LayoutMode maps the -layout value onto the MNA matrix layout.
-func (s *SimFlags) LayoutMode() (mna.Layout, error) { return mna.ParseLayout(s.Layout) }
 
 // ParsePolicy maps an -onerror flag value onto the engine error policy.
 func ParsePolicy(name string) (detect.ErrorPolicy, error) {
@@ -123,8 +116,8 @@ func ParsePolicy(name string) (detect.ErrorPolicy, error) {
 }
 
 // Apply copies the parsed simulation flags onto engine options: worker
-// count, error policy, engine mode, matrix layout and (when -progress is
-// set) a live progress reporter writing to w.
+// count, error policy, engine mode and (when -progress is set) a live
+// progress reporter writing to w.
 func (s *SimFlags) Apply(o *detect.Options, w io.Writer) error {
 	policy, err := s.Policy()
 	if err != nil {
@@ -134,14 +127,9 @@ func (s *SimFlags) Apply(o *detect.Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	layout, err := s.LayoutMode()
-	if err != nil {
-		return err
-	}
 	o.Workers = s.Workers
 	o.OnError = policy
 	o.Engine = mode
-	o.Layout = layout
 	if s.Progress {
 		o.Progress = ProgressReporter(w)
 	}

@@ -71,6 +71,20 @@ func TestRegisterFlagTable(t *testing.T) {
 	}
 }
 
+// TestSimFlagsRejectLayout: -layout is retired (CSR is the only matrix
+// layout), so it is an undefined flag for every value it used to take.
+func TestSimFlagsRejectLayout(t *testing.T) {
+	for _, v := range []string{"auto", "dense", "sparse"} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		RegisterSim(fs)
+		err := fs.Parse([]string{"-layout", v})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -layout") {
+			t.Fatalf("-layout %s: err = %v, want undefined flag", v, err)
+		}
+	}
+}
+
 func TestParsePolicy(t *testing.T) {
 	cases := []struct {
 		in   string

@@ -140,40 +140,16 @@ for r in rows:
 PY
 log "row stream delivered all $(python3 -c "import json;print(len(json.load(open('$workdir/result.json'))['configs']))") rows + aggregate"
 
-# Layout pinning: submissions differing only in the matrix layout are
-# distinct jobs (the layout is part of the cache key), yet their
-# matrices must be bit-identical — the sparse factorization replays the
-# dense elimination exactly.
-submit_layout() {
-    local layout=$1
-    local resp code
-    resp=$(curl -sS -w '\n%{http_code}' -X POST \
+# Retired layout option: CSR is the only matrix layout, so a submission
+# that still names one is rejected as a bad request, whatever the value.
+for layout in auto dense sparse; do
+    code=$(curl -sS -o "$workdir/layout.json" -w '%{http_code}' -X POST \
         -d "{\"kind\":\"matrix\",\"bench\":\"paper-biquad\",\"options\":{\"points\":31,\"layout\":\"$layout\"}}" \
         "$base/v1/jobs")
-    code=${resp##*$'\n'}
-    [ "$code" = 201 ] || fail "submit layout=$layout: HTTP $code"
-    printf '%s' "${resp%$'\n'*}"
-}
-dense_id=$(submit_layout dense | json_field "['id']")
-sparse_id=$(submit_layout sparse | json_field "['id']")
-for id in "$dense_id" "$sparse_id"; do
-    state=queued
-    for _ in $(seq 1 300); do
-        state=$(curl -sS "$base/v1/jobs/$id" | json_field "['state']")
-        case "$state" in done|failed|canceled) break ;; esac
-        sleep 0.1
-    done
-    [ "$state" = done ] || fail "layout job $id ended in state $state"
+    [ "$code" = 400 ] || fail "submit layout=$layout: HTTP $code, want 400"
+    json_field "['code']" <"$workdir/layout.json" | grep -qx bad_request || fail "layout=$layout: error code is not bad_request"
 done
-dense_key=$(curl -sS "$base/v1/jobs/$dense_id" | json_field "['key']")
-sparse_key=$(curl -sS "$base/v1/jobs/$sparse_id" | json_field "['key']")
-[ "$dense_key" != "$sparse_key" ] || fail "dense and sparse submissions share cache key $dense_key"
-dense_matrix=$(curl -sS "$base/v1/jobs/$dense_id/result" | python3 -c \
-    "import json,sys; r=json.load(sys.stdin); r.pop('stats',None); print(json.dumps(r,sort_keys=True))")
-sparse_matrix=$(curl -sS "$base/v1/jobs/$sparse_id/result" | python3 -c \
-    "import json,sys; r=json.load(sys.stdin); r.pop('stats',None); print(json.dumps(r,sort_keys=True))")
-[ "$dense_matrix" = "$sparse_matrix" ] || fail "dense and sparse matrices differ"
-log "layout pinning: distinct keys, bit-identical matrices"
+log "retired layout option: HTTP 400 bad_request"
 
 # Shared store: a second replica over the same -store-dir must serve the
 # first replica's result as a cache hit without ever reaching the engine.
