@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet invariants lint verify bench-test bench bench-smoke serve-smoke benchdiff
+.PHONY: build test race vet fmt invariants lint verify bench-test bench bench-smoke serve-smoke benchdiff
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when any Go file is not gofmt-clean, listing the offenders.
+fmt:
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 # invariants enforces the repo-wide source rules with the type-aware
 # multi-pass analyzer in internal/invariants (run
@@ -34,13 +38,15 @@ bench-test:
 # verify is the full gate: static checks, a clean build, the whole test
 # suite under the race detector and the benchmark harness tests. CI runs
 # exactly these steps.
-verify: vet invariants lint build race bench-test
+verify: vet fmt invariants lint build race bench-test
 
 # bench runs the full benchmark suite three times with allocation stats
 # and commits the aggregated result into the BENCH_<date>.json perf
-# trajectory (see cmd/benchjson).
+# trajectory (see cmd/benchjson). -cpu=1 pins GOMAXPROCS so snapshots
+# from machines with different core counts stay comparable: the names
+# carry no -N suffix, as in the committed snapshots.
 bench:
-	$(GO) test -bench=. -benchmem -count=3 -run=^$$ -timeout 60m ./... \
+	$(GO) test -bench=. -benchmem -count=3 -cpu=1 -run=^$$ -timeout 60m ./... \
 		| $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json
 
 # bench-smoke is the cheap CI variant: every benchmark runs exactly once.
@@ -58,10 +64,9 @@ serve-smoke:
 # with noise-aware thresholds; exit 2 means at least one regression.
 # CI runs this advisory plus an enforcing `-gate allocs` pass (allocation
 # counts are deterministic, so they gate hard while ns/op stays advisory),
-# and a cross-sectional `-dim layout=dense:sparse -gate allocs` pass that
-# holds the sparse layout to never allocating more than dense within one
-# snapshot. CSR is now the only layout, so that pass reads the pairs of
-# the committed BENCH_2026-08-08.json and retires with the next snapshot.
+# and a cross-sectional `-dim impl=dense-ref:csr -gate allocs` pass that
+# holds the CSR sweep point (internal/mna BenchmarkSolvePoint) to never
+# allocating more than its in-test dense reference within one snapshot.
 benchdiff:
 	$(GO) run ./cmd/benchdiff -dir .
-	$(GO) run ./cmd/benchdiff -dir . -dim layout=dense:sparse -gate allocs
+	$(GO) run ./cmd/benchdiff -dir . -dim impl=dense-ref:csr -gate allocs

@@ -10,10 +10,10 @@
 // along a sub-benchmark dimension, pairing names that differ only in the
 // given key=value path segment:
 //
-//	benchdiff -dir . -dim layout=dense:sparse -gate allocs
+//	benchdiff -dir . -dim impl=dense-ref:csr -gate allocs
 //
-// which asserts, within one run on one machine, that every sparse-layout
-// benchmark still beats (or at least does not regress against) its dense
+// which asserts, within one run on one machine, that every CSR benchmark
+// still beats (or at least does not regress against) its dense reference
 // twin — the base variant is the "old" side, the alternative the "new".
 //
 // The ns/op threshold is noise-aware: a benchmark whose old samples
@@ -47,7 +47,7 @@ func main() {
 	memPct := flag.Float64("mem-pct", benchfmt.DefaultThresholds.MemPct, "B/op and allocs/op regression threshold, percent")
 	asJSON := flag.Bool("json", false, "emit the report as JSON instead of text")
 	gate := flag.String("gate", "all", "which regressions fail the run: all, allocs or none")
-	dim := flag.String("dim", "", "cross-sectional diff within one snapshot: key=base:alt (e.g. layout=dense:sparse)")
+	dim := flag.String("dim", "", "cross-sectional diff within one snapshot: key=base:alt (e.g. impl=dense-ref:csr)")
 	flag.Parse()
 
 	code, err := runDim(*dim, *dir, flag.Args(), benchfmt.Thresholds{NsPct: *nsPct, MemPct: *memPct}, *asJSON, *gate, os.Stdout)
@@ -70,7 +70,7 @@ func runDim(dim, dir string, args []string, th benchfmt.Thresholds, asJSON bool,
 	key, spec, ok := strings.Cut(dim, "=")
 	base, alt, ok2 := strings.Cut(spec, ":")
 	if !ok || !ok2 || key == "" || base == "" || alt == "" {
-		return 1, fmt.Errorf("bad -dim %q (want key=base:alt, e.g. layout=dense:sparse)", dim)
+		return 1, fmt.Errorf("bad -dim %q (want key=base:alt, e.g. impl=dense-ref:csr)", dim)
 	}
 	path, err := resolveOne(dir, args)
 	if err != nil {

@@ -15,11 +15,13 @@
 package boolexpr
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -154,13 +156,7 @@ type SOP struct {
 // determinism.
 func absorb(terms []uint64) []uint64 {
 	bAbsorbIn.Add(int64(len(terms)))
-	sort.Slice(terms, func(a, b int) bool {
-		pa, pb := bits.OnesCount64(terms[a]), bits.OnesCount64(terms[b])
-		if pa != pb {
-			return pa < pb
-		}
-		return terms[a] < terms[b]
-	})
+	sortTerms(terms)
 	var out []uint64
 	for _, t := range terms {
 		dominated := false
@@ -177,6 +173,18 @@ func absorb(terms []uint64) []uint64 {
 	bAbsorbOut.Add(int64(len(out)))
 	return out
 }
+
+// termCompare orders terms by popcount, then value: the order of every
+// SOP this package returns.
+func termCompare(a, b uint64) int {
+	if pa, pb := bits.OnesCount64(a), bits.OnesCount64(b); pa != pb {
+		return pa - pb
+	}
+	return cmp.Compare(a, b)
+}
+
+// sortTerms sorts terms by termCompare.
+func sortTerms(terms []uint64) { slices.SortFunc(terms, termCompare) }
 
 // Petrick expands the POS into an absorbed SOP (Petrick's method). The
 // expansion aborts with ErrTooLarge when the intermediate term count
@@ -197,50 +205,106 @@ const petrickCancelStride = 4096
 // clauses and between every petrickCancelStride product terms of the
 // distribution step, so even a combinatorially exploding expansion stops
 // promptly (returning ctx's error) when the caller cancels.
+//
+// The expansion runs no general absorption pass. The running terms always
+// form an antichain (no term contains another), and multiplying an
+// antichain by one clause needs only a narrow check (DESIGN.md §18):
+// terms that already satisfy the clause survive unchanged, the products
+// t·l of the other terms never absorb one another, and a product t·l can
+// only be absorbed by a surviving term whose sole literal in the clause is
+// l. Terms are sorted by (popcount, value) once, at the end. The term
+// budget and the absorption counters see the same pre-absorption counts
+// as a clause-by-clause absorb would.
 func (e *Expr) PetrickContext(ctx context.Context, maxTerms int) (*SOP, error) {
 	if maxTerms <= 0 {
 		maxTerms = 200000
 	}
 	terms := []uint64{0}
+	var next, rest []uint64
+	// single[l] holds the terms whose only literal in the current clause
+	// is l: the only terms that can absorb a product t·l.
+	var single [MaxLiterals][]uint64
 	for _, clause := range e.Clauses {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		bPetrickClauses.Inc()
-		lits := Bits(clause)
-		next := make([]uint64, 0, len(terms)*len(lits))
-		for ti, t := range terms {
+		for l := range single {
+			single[l] = single[l][:0]
+		}
+		next, rest = next[:0], rest[:0]
+		for _, t := range terms {
+			in := t & clause
+			if in == 0 {
+				rest = append(rest, t)
+				continue
+			}
+			if in&(in-1) == 0 {
+				l := bits.TrailingZeros64(in)
+				single[l] = append(single[l], t)
+			}
+			next = append(next, t) // already satisfies the clause
+		}
+		expanded := len(next) + len(rest)*bits.OnesCount64(clause)
+		bPetrickPeak.SetMax(float64(expanded))
+		if expanded > maxTerms {
+			return nil, fmt.Errorf("%w: %d intermediate terms", ErrTooLarge, expanded)
+		}
+		bAbsorbIn.Add(int64(expanded))
+		for ti, t := range rest {
 			if ti%petrickCancelStride == petrickCancelStride-1 {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
 			}
-			if t&clause != 0 {
-				// The term already satisfies this clause; keep as-is.
-				next = append(next, t)
-				continue
-			}
-			for _, l := range lits {
-				next = append(next, t|1<<uint(l))
+			for c := clause; c != 0; c &= c - 1 {
+				l := bits.TrailingZeros64(c)
+				if p := t | 1<<uint(l); !hasSubsetOf(single[l], p) {
+					next = append(next, p)
+				}
 			}
 		}
-		bPetrickPeak.SetMax(float64(len(next)))
-		if len(next) > maxTerms {
-			return nil, fmt.Errorf("%w: %d intermediate terms", ErrTooLarge, len(next))
-		}
-		terms = absorb(next)
+		bAbsorbOut.Add(int64(len(next)))
+		terms, next = next, terms
 	}
+	if len(terms) == 0 {
+		return &SOP{N: e.N}, nil
+	}
+	sortTerms(terms)
 	return &SOP{N: e.N, Terms: terms}, nil
 }
 
+// hasSubsetOf reports whether some term of ts is a subset of t.
+func hasSubsetOf(ts []uint64, t uint64) bool {
+	for _, s := range ts {
+		if s&^t == 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // WithRequired prepends the required literal mask to every term (the
-// ξ = ξ_ess·ξ_compl product) and re-absorbs.
+// ξ = ξ_ess·ξ_compl product) and re-absorbs. When the terms are in
+// (popcount, value) order and none shares a literal with required — an
+// SOP this package returned, expanded from ReduceBy(required) — ORing
+// required in keeps them absorbed and in order, so the absorption pass is
+// skipped (its counters still see every term kept).
 func (s *SOP) WithRequired(required uint64) *SOP {
 	terms := make([]uint64, len(s.Terms))
+	skipAbsorb := true
 	for i, t := range s.Terms {
 		terms[i] = t | required
+		if t&required != 0 || i > 0 && termCompare(s.Terms[i-1], t) >= 0 {
+			skipAbsorb = false
+		}
 	}
-	return &SOP{N: s.N, Terms: absorb(terms)}
+	if !skipAbsorb || len(terms) == 0 {
+		return &SOP{N: s.N, Terms: absorb(terms)}
+	}
+	bAbsorbIn.Add(int64(len(terms)))
+	bAbsorbOut.Add(int64(len(terms)))
+	return &SOP{N: s.N, Terms: terms}
 }
 
 // Minimal returns the terms with the fewest literals (ties all returned,

@@ -142,33 +142,124 @@ func FollowerOpampsOf(cfg dft.Configuration, chain []string) []string {
 	return out
 }
 
-// buildCandidate assembles a Candidate from matrix rows.
+// rowTable holds what candidate construction reads per matrix row, built
+// once per matrix and chain.
+type rowTable struct {
+	mx    *detect.Matrix
+	chain []string
+	rows  []tableRow
+	// opampBit[i] is the bit chain[i] sets in a follower mask: that of the
+	// last chain entry with its name.
+	opampBit []uint64
+}
+
+type tableRow struct {
+	// followers is the mask of the row's follower-mode opamps, which is
+	// also the row's literal in ξ*.
+	followers uint64
+	label     string // filled on first use
+}
+
+func newRowTable(mx *detect.Matrix, chain []string) rowTable {
+	tab := rowTable{
+		mx:       mx,
+		chain:    chain,
+		rows:     make([]tableRow, len(mx.Configs)),
+		opampBit: make([]uint64, len(chain)),
+	}
+	for i, name := range chain {
+		last := i
+		for j := i + 1; j < len(chain); j++ {
+			if chain[j] == name {
+				last = j
+			}
+		}
+		tab.opampBit[i] = 1 << uint(last)
+	}
+	for r, cfg := range mx.Configs {
+		for i := range chain {
+			if cfg.Follower(i) {
+				tab.rows[r].followers |= tab.opampBit[i]
+			}
+		}
+	}
+	return tab
+}
+
+// label returns row r's configuration label.
+func (tab *rowTable) label(r int) string {
+	if tab.rows[r].label == "" {
+		tab.rows[r].label = tab.mx.Configs[r].Label()
+	}
+	return tab.rows[r].label
+}
+
+// buildCandidate assembles a Candidate from matrix rows in any order.
 func buildCandidate(mx *detect.Matrix, chain []string, rows []int) Candidate {
 	sorted := append([]int(nil), rows...)
 	sort.Ints(sorted)
+	tab := newRowTable(mx, chain)
+	return tab.candidate(sorted)
+}
+
+// candidate assembles the Candidate of the given ascending matrix rows,
+// which it keeps.
+func (tab *rowTable) candidate(rows []int) Candidate {
 	var labels []string
-	opampSet := map[string]bool{}
-	for _, i := range sorted {
-		labels = append(labels, mx.Configs[i].Label())
-		for _, op := range FollowerOpampsOf(mx.Configs[i], chain) {
-			opampSet[op] = true
-		}
+	if len(rows) > 0 {
+		labels = make([]string, len(rows))
+	}
+	var followers uint64
+	for k, r := range rows {
+		labels[k] = tab.label(r)
+		followers |= tab.rows[r].followers
 	}
 	var opamps []string
-	for _, name := range chain {
-		if opampSet[name] {
+	for i, name := range tab.chain {
+		if followers&tab.opampBit[i] != 0 {
 			opamps = append(opamps, name)
 		}
 	}
+	coverage, avgOmega := tab.score(rows)
 	return Candidate{
-		Rows:        sorted,
+		Rows:        rows,
 		Labels:      labels,
-		Coverage:    mx.CoverageOf(sorted),
-		AvgOmegaDet: mx.AvgBestOmega(sorted),
-		NumConfigs:  len(sorted),
+		Coverage:    coverage,
+		AvgOmegaDet: avgOmega,
+		NumConfigs:  len(rows),
 		Opamps:      opamps,
 		NumOpamps:   len(opamps),
 	}
+}
+
+// score returns the fault coverage and the average best-case
+// ω-detectability of testing with the given rows, in one pass: the values
+// Matrix.CoverageOf and Matrix.AvgBestOmega return, bit for bit (nil rows
+// score no fault covered and, as AvgBestOmega has it, every row's ω).
+func (tab *rowTable) score(rows []int) (coverage, avgOmega float64) {
+	mx := tab.mx
+	if rows == nil {
+		return mx.CoverageOf(nil), mx.AvgBestOmega(nil)
+	}
+	nf := mx.NumFaults()
+	if nf == 0 {
+		return 0, 0
+	}
+	covered, sum := 0, 0.0
+	for j := 0; j < nf; j++ {
+		hit, best := false, 0.0
+		for _, i := range rows {
+			hit = hit || mx.Det[i][j]
+			if i < len(mx.Omega) && mx.Omega[i][j] > best {
+				best = mx.Omega[i][j]
+			}
+		}
+		if hit {
+			covered++
+		}
+		sum += best
+	}
+	return float64(covered) / float64(nf), sum / float64(nf)
 }
 
 // Optimize runs the full §4 pipeline on a detectability matrix. chain maps
@@ -190,37 +281,16 @@ func OptimizeContext(ctx context.Context, mx *detect.Matrix, chain []string, cos
 	if cost.Cost == nil {
 		cost = ConfigCountCost
 	}
-	expr, undetCols, err := boolexpr.FromMatrix(mx.Det, mx.Faults.IDs())
+	res, err := cover(ctx, mx)
 	if err != nil {
 		return nil, err
 	}
-	var undetectable []string
-	for _, j := range undetCols {
-		undetectable = append(undetectable, mx.Faults[j].ID)
-	}
-
-	ess := expr.Essential()
-	reduced := expr.ReduceBy(ess)
-	sop, err := reduced.PetrickContext(ctx, 0)
-	if err != nil {
-		return nil, err
-	}
-	full := sop.WithRequired(ess)
-	if len(full.Terms) == 0 {
-		return nil, ErrNoSolution
-	}
-
-	res := &Result{
-		Expr:          expr,
-		EssentialRows: boolexpr.Bits(ess),
-		Reduced:       reduced,
-		SOP:           full,
-		Undetectable:  undetectable,
-		MaxCoverage:   mx.FaultCoverage(),
-		CostName:      cost.Name,
-	}
-	for _, term := range full.Terms {
-		res.Candidates = append(res.Candidates, buildCandidate(mx, chain, boolexpr.Bits(term)))
+	res.MaxCoverage = mx.FaultCoverage()
+	res.CostName = cost.Name
+	tab := newRowTable(mx, chain)
+	res.Candidates = make([]Candidate, len(res.SOP.Terms))
+	for k, term := range res.SOP.Terms {
+		res.Candidates[k] = tab.candidate(boolexpr.Bits(term))
 	}
 
 	// 2nd order: keep the minimum-cost candidates.
@@ -249,6 +319,38 @@ func OptimizeContext(ctx context.Context, mx *detect.Matrix, chain []string, cos
 	}
 	res.Best = &best
 	return res, nil
+}
+
+// cover builds ξ from the matrix, extracts the essential rows, expands
+// ξ_compl with Petrick's method and returns the absorbed SOP of ξ, every
+// term of which is a maximum-coverage configuration set: the part of the
+// Result that both §4 optimizations start from.
+func cover(ctx context.Context, mx *detect.Matrix) (*Result, error) {
+	expr, undetCols, err := boolexpr.FromMatrix(mx.Det, mx.Faults.IDs())
+	if err != nil {
+		return nil, err
+	}
+	var undetectable []string
+	for _, j := range undetCols {
+		undetectable = append(undetectable, mx.Faults[j].ID)
+	}
+	ess := expr.Essential()
+	reduced := expr.ReduceBy(ess)
+	sop, err := reduced.PetrickContext(ctx, 0)
+	if err != nil {
+		return nil, err
+	}
+	full := sop.WithRequired(ess)
+	if len(full.Terms) == 0 {
+		return nil, ErrNoSolution
+	}
+	return &Result{
+		Expr:          expr,
+		EssentialRows: boolexpr.Bits(ess),
+		Reduced:       reduced,
+		SOP:           full,
+		Undetectable:  undetectable,
+	}, nil
 }
 
 func lexLessInts(a, b []int) bool {
@@ -288,22 +390,13 @@ func OptimizeOpamps(mx *detect.Matrix, chain []string) (*OpampResult, error) {
 	if len(chain) == 0 || len(chain) > boolexpr.MaxLiterals {
 		return nil, fmt.Errorf("core: bad chain length %d", len(chain))
 	}
-	base, err := Optimize(mx, chain, ConfigCountCost)
+	base, err := cover(context.Background(), mx)
 	if err != nil {
 		return nil, err
 	}
-	opampIdx := make(map[string]int, len(chain))
-	for i, name := range chain {
-		opampIdx[name] = i
-	}
+	tab := newRowTable(mx, chain)
 	// Map SOP literals (matrix rows) to opamp masks.
-	xiStar := base.SOP.MapLiterals(len(chain), func(row int) uint64 {
-		var m uint64
-		for _, op := range FollowerOpampsOf(mx.Configs[row], chain) {
-			m |= 1 << uint(opampIdx[op])
-		}
-		return m
-	})
+	xiStar := base.SOP.MapLiterals(len(chain), func(row int) uint64 { return tab.rows[row].followers })
 	minimal := xiStar.Minimal()
 	if len(minimal) == 0 {
 		return nil, ErrNoSolution
@@ -323,12 +416,8 @@ func OptimizeOpamps(mx *detect.Matrix, chain []string) (*OpampResult, error) {
 			names = append(names, chain[b])
 		}
 		var rows []int
-		for i, cfg := range mx.Configs {
-			var fm uint64
-			for _, op := range FollowerOpampsOf(cfg, chain) {
-				fm |= 1 << uint(opampIdx[op])
-			}
-			if fm&^m == 0 { // follower set ⊆ chosen opamps
+		for i, row := range tab.rows {
+			if row.followers&^m == 0 { // follower set ⊆ chosen opamps
 				rows = append(rows, i)
 			}
 		}

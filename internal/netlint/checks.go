@@ -329,7 +329,7 @@ func (a *analysis) checkValues() {
 				Component: v.Name(), Line: a.lineOf(v.Name()),
 				Message: fmt.Sprintf("%s %q value %g %s is outside the plausible range [%g, %g] %s",
 					kindNoun(v), v.Name(), val, v.Unit(), r[0], r[1], v.Unit()),
-				Hint:    `check the scale suffix: "m" means milli in SPICE; use "meg" for 1e6`})
+				Hint: `check the scale suffix: "m" means milli in SPICE; use "meg" for 1e6`})
 		}
 	}
 }
