@@ -14,10 +14,16 @@
 // built as K concurrent configuration-range shards and merged — the
 // merged matrix is byte-identical to an unsharded build.
 //
+// Memory stays bounded: a finished job leaves the live job table for one
+// ring of the last -trace-ring finished jobs, which keeps each job's
+// view, result and span tree. Once a job ages out of that ring its
+// endpoints answer 410 (`evicted`, `trace_evicted` for the trace); the
+// result itself stays in the store, reachable by resubmitting the job.
+//
 // Endpoints:
 //
 //	POST   /v1/jobs             submit a job (201; 429 + Retry-After when the queue is full)
-//	GET    /v1/jobs             list jobs
+//	GET    /v1/jobs             list live and retained jobs
 //	GET    /v1/jobs/{id}        job status (with a links object to its resources)
 //	GET    /v1/jobs/{id}/result result payload (202 while running; ?stream=rows for NDJSON row streaming)
 //	GET    /v1/jobs/{id}/trace  span tree of the job (410 once evicted from the ring)
@@ -66,7 +72,7 @@ func main() {
 		shards     = flag.Int("shards", 1, "concurrent configuration-range shards per matrix job")
 		simWorkers = flag.Int("sim-workers", 0, "default per-job simulation parallelism (0 = GOMAXPROCS)")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
-		traceRing  = flag.Int("trace-ring", 64, "completed job traces retained for /v1/jobs/{id}/trace")
+		traceRing  = flag.Int("trace-ring", 64, "finished jobs retained with their results and traces; older job IDs answer 410")
 		sloGoal    = flag.Float64("slo-target", defaultSLOTarget, "availability objective for the error-budget gauge (fraction of non-5xx responses)")
 		timing     = flag.Bool("timing", false, "collect latency metrics and schedule-dependent spans (per-chunk solves, enqueue waits)")
 	)

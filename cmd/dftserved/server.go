@@ -133,10 +133,11 @@ type apiError struct {
 }
 
 // errorFor maps a manager error onto its HTTP status and apiError code:
-// bad requests → 400 bad_request, a full queue → 429 queue_full, unknown
-// jobs → 404 not_found, finished jobs → 409 finished, evicted traces →
-// 410 trace_evicted, a draining manager → 503 draining, everything else
-// → 500 internal.
+// bad requests → 400 bad_request, a full queue → 429 queue_full,
+// never-issued job IDs → 404 not_found, finished jobs → 409 finished,
+// jobs evicted from the ring of retired jobs → 410 evicted (their traces
+// → 410 trace_evicted), a draining manager → 503 draining, everything
+// else → 500 internal.
 func errorFor(err error) (int, apiError) {
 	body := apiError{Code: "internal", Message: err.Error()}
 	code := http.StatusInternalServerError
@@ -150,6 +151,8 @@ func errorFor(err error) (int, apiError) {
 		code, body.Code = http.StatusNotFound, "not_found"
 	case errors.Is(err, jobs.ErrFinished):
 		code, body.Code = http.StatusConflict, "finished"
+	case errors.Is(err, jobs.ErrEvicted):
+		code, body.Code = http.StatusGone, "evicted"
 	case errors.Is(err, jobs.ErrTraceEvicted):
 		code, body.Code = http.StatusGone, "trace_evicted"
 	case errors.Is(err, jobs.ErrClosed):
@@ -262,10 +265,10 @@ type streamEvent struct {
 // application/x-ndjson stream that emits one {"type":"row"} line per
 // completed matrix row as shards finish, then a final {"type":"result"}
 // line whose payload is byte-identical to the non-streaming result (or
-// {"type":"error"} when the job failed or was cancelled). Jobs that are
-// already terminal when the stream opens — cache hits in particular —
-// have an empty closed feed, so their rows are synthesized from the
-// stored payload: the protocol is the same either way.
+// {"type":"error"} when the job failed, was cancelled, or was evicted
+// before the result line). Cache hits and retired jobs have an empty
+// finished feed, so their rows are synthesized from the payload: the
+// protocol is the same either way.
 func (s *server) streamRows(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	feed, _, err := s.mgr.Stream(id)

@@ -18,8 +18,8 @@ type Config struct {
 	// leaves the library default (GOMAXPROCS) — sensible for Workers=1,
 	// oversubscribed otherwise.
 	SimWorkers int
-	// TraceEntries bounds the ring of completed job traces served by
-	// GET /v1/jobs/{id}/trace (default 64).
+	// TraceEntries bounds the ring of finished jobs, kept with their
+	// results and traces once they leave the job table (default 64).
 	TraceEntries int
 	// Shards is the number of configuration-range shards a matrix job
 	// is split into (default 1: unsharded). Sharding never changes the
@@ -79,7 +79,7 @@ func WithCacheEntries(n int) Option { return func(o *options) { o.cfg.CacheEntri
 // requests that do not pin options.workers.
 func WithSimWorkers(n int) Option { return func(o *options) { o.cfg.SimWorkers = n } }
 
-// WithTraceEntries bounds the completed-trace retention ring.
+// WithTraceEntries bounds the ring of finished jobs and their traces.
 func WithTraceEntries(n int) Option { return func(o *options) { o.cfg.TraceEntries = n } }
 
 // WithShards splits every matrix job into k configuration-range shards

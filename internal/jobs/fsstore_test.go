@@ -177,3 +177,83 @@ func TestFSStoreCrossProcess(t *testing.T) {
 		t.Errorf("replica b missed replica a's entry: %s, %v", got, ok)
 	}
 }
+
+// FuzzFSStore feeds the disk store hostile files: a truncated payload, a
+// payload file of arbitrary bytes and an arbitrary index.json. Opening
+// never fails or panics; a truncated payload always reads as a miss; the
+// arbitrary payload is served only when it is a whole JSON document, and
+// then byte for byte (a well-formed document is all this layer can check);
+// every rejected file is deleted, and the byte accounting matches the
+// payload files left on disk.
+func FuzzFSStore(f *testing.F) {
+	f.Add([]byte(`{"coverage":0.95}`), uint16(5), []byte(`{"entries":[]}`))
+	f.Add([]byte("\x00\xffgarbage"), uint16(0), []byte("not json"))
+	f.Add([]byte(`[1,2`), uint16(40), []byte(`{"entries":[{"key":"`+fsKey(3)+`","bytes":-5},{"key":"`+fsKey(2)+`","bytes":1}]}`))
+	f.Add([]byte(``), uint16(63), []byte(`{"entries":[{"key":"sha256:../index","bytes":9}]`))
+	genuine := []byte(`{"configs":["(none)","OP1"],"det":[[true,false],[false,true]],"omega":[[0.5,0],[0,1]]}`)
+	f.Fuzz(func(t *testing.T, garbage []byte, cut uint16, index []byte) {
+		dir := t.TempDir()
+		s, err := NewFSStore(dir, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Put(fsKey(1), genuine)
+		s.Put(fsKey(2), genuine)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		plant := func(key string, raw []byte) string {
+			name := fsIndexName
+			if key != "" {
+				name, _ = fsFileName(key)
+			}
+			path := filepath.Join(dir, name)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}
+		truncated := plant(fsKey(1), genuine[:int(cut)%len(genuine)])
+		arbitrary := plant(fsKey(2), garbage)
+		plant("", index)
+
+		s, err = NewFSStore(dir, 1<<30)
+		if err != nil {
+			t.Fatalf("reopen over a hostile index: %v", err)
+		}
+		defer s.Close()
+		if got, ok := s.Get(fsKey(1)); ok {
+			t.Fatalf("truncated payload served: %q", got)
+		}
+		if _, err := os.Stat(truncated); !os.IsNotExist(err) {
+			t.Errorf("truncated payload not deleted: %v", err)
+		}
+		got, ok := s.Get(fsKey(2))
+		if ok != json.Valid(garbage) || (ok && string(got) != string(garbage)) {
+			t.Fatalf("payload %q read as %q, hit %v", garbage, got, ok)
+		}
+		if _, err := os.Stat(arbitrary); ok == os.IsNotExist(err) {
+			t.Errorf("hit %v, but payload file present %v", ok, err == nil)
+		}
+		if got, ok := s.Get(fsKey(3)); ok {
+			t.Fatalf("key without a payload file served: %q", got)
+		}
+		var onDisk int64
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, de := range entries {
+			if _, ok := fsFileKey(de.Name()); ok {
+				fi, err := de.Info()
+				if err != nil {
+					t.Fatal(err)
+				}
+				onDisk += fi.Size()
+			}
+		}
+		if st := s.Stats(); st.Bytes != onDisk {
+			t.Errorf("store accounts %d bytes, payload files hold %d", st.Bytes, onDisk)
+		}
+	})
+}

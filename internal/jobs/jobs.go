@@ -1,10 +1,13 @@
 package jobs
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -18,13 +21,16 @@ var (
 	ErrQueueFull = errors.New("jobs: queue full")
 	// ErrClosed is returned by Submit once the manager is draining.
 	ErrClosed = errors.New("jobs: manager closed")
-	// ErrNotFound is returned for unknown job IDs.
+	// ErrNotFound is returned for job IDs the manager never issued.
 	ErrNotFound = errors.New("jobs: no such job")
+	// ErrEvicted is returned for a job ID that was issued but whose
+	// finished record has aged out of the bounded ring of retired jobs.
+	ErrEvicted = errors.New("jobs: job evicted from ring")
 	// ErrFinished is returned by Cancel when the job already reached a
 	// terminal state.
 	ErrFinished = errors.New("jobs: job already finished")
-	// ErrTraceEvicted is returned by Trace for a job whose span tree has
-	// aged out of the bounded trace ring.
+	// ErrTraceEvicted is returned by Trace for an evicted job: its span
+	// tree aged out of the ring together with its record.
 	ErrTraceEvicted = errors.New("jobs: trace evicted from ring")
 )
 
@@ -47,10 +53,13 @@ func (s State) Terminal() bool {
 }
 
 // job is the manager's internal record. All fields are guarded by the
-// manager's mutex; handlers only ever see immutable View snapshots.
+// manager's mutex; handlers only ever see immutable View snapshots. A
+// retired job (see retireJob) no longer changes.
 type job struct {
 	id       string
-	res      *Resolved
+	kind     Kind
+	key      string
+	res      *Resolved // nil once retired
 	state    State
 	cached   bool
 	err      string
@@ -59,7 +68,7 @@ type job struct {
 	started  time.Time
 	finished time.Time
 	cancel   context.CancelFunc
-	feed     *RowFeed
+	feed     *RowFeed // doneFeed for cache hits and once retired
 
 	// Per-job tracing. Every job runs under its own always-enabled
 	// tracer, attached to the run context as an override, so the span
@@ -67,9 +76,10 @@ type job struct {
 	// the job's private trace regardless of the global tracing switch.
 	tc     obs.TraceContext // W3C identity (inbound or generated)
 	parent string           // inbound caller's span ID, "" when generated
-	tracer *obs.Tracer      // nil once the trace moved to the ring
+	tracer *obs.Tracer      // nil once retired
 	root   *obs.Span        // the job's root span
 	wait   *obs.Span        // jobs.enqueue_wait, open while queued
+	trace  *JobTrace        // the exported trace, set on retirement
 }
 
 // Links lists a job's related resources; the HTTP layer fills it in so
@@ -102,8 +112,8 @@ type View struct {
 func (j *job) view() View {
 	v := View{
 		ID:        j.id,
-		Kind:      j.res.Req.Kind,
-		Key:       j.res.Key,
+		Kind:      j.kind,
+		Key:       j.key,
 		State:     j.state,
 		Cached:    j.cached,
 		Err:       j.err,
@@ -122,26 +132,38 @@ func (j *job) view() View {
 	return v
 }
 
+// exportTrace exports tracer's span tree as j's trace in the given
+// state. The identity fields it reads never change after Submit.
+func (j *job) exportTrace(state State, tracer *obs.Tracer) *JobTrace {
+	tr := tracer.Export()
+	jt := &JobTrace{JobID: j.id, Kind: j.kind, State: state, TraceID: j.tc.TraceIDString(),
+		Parent: j.parent, Spans: len(tr.Flat), Trace: tr}
+	if len(tr.Spans) > 0 {
+		jt.DurMs = tr.Spans[0].DurMs
+	}
+	return jt
+}
+
 // Manager owns the job table and composes the three seams of the job
 // layer: a Store for finished payloads, a Scheduler for admission and
 // dispatch, and a Runner for execution. All methods are safe for
-// concurrent use.
+// concurrent use. The job table holds live jobs only; finished ones
+// retire into a ring bounded by Config.TraceEntries.
 type Manager struct {
 	cfg    Config
 	store  Store
 	sched  Scheduler
 	runner Runner
-	traces *traceRing
+	traces *jobRing // retired jobs; lock order m.mu, then traces.mu
 
 	mu     sync.Mutex
 	jobs   map[string]*job
-	order  []string
-	seq    int
+	seq    int // IDs job-1 … job-seq have been issued
 	closed bool
 
-	// Trace retirement runs on its own goroutine so no trace export ever
-	// happens under m.mu; Close drains it, so a retained trace is
-	// guaranteed for every finished job once Close returns.
+	// Retirement runs on its own goroutine so no trace export ever
+	// happens under m.mu; Close drains it, so every finished job has
+	// retired once Close returns.
 	retMu     sync.Mutex
 	retQueue  []*job
 	retClosed bool
@@ -172,7 +194,7 @@ func New(opts ...Option) *Manager {
 		store:   o.store,
 		sched:   o.sched,
 		runner:  o.runner,
-		traces:  newTraceRing(o.cfg.TraceEntries),
+		traces:  newJobRing(o.cfg.TraceEntries),
 		jobs:    make(map[string]*job),
 		retWake: make(chan struct{}, 1),
 	}
@@ -210,10 +232,19 @@ func (m *Manager) SubmitCtx(ctx context.Context, req Request) (View, error) {
 		parent = tc.SpanIDString()
 		tc = tc.WithNewSpanID()
 	}
+	tracer := obs.NewTracer()
+	tracer.SetEnabled(true)
+	_, root := tracer.Start(context.Background(), "job")
+	root.SetTag("kind", string(res.Req.Kind))
+	root.SetTag("trace_id", tc.TraceIDString())
 	// The store lookup may touch disk (fsstore), so it happens before
 	// the manager lock. A racing Put of the same key is harmless: equal
 	// keys address byte-identical payloads.
+	_, lookup := tracer.Start(obs.ContextWithSpan(context.Background(), root), "jobs.cache_lookup")
 	payload, hit := m.store.Get(res.Key)
+	lookup.SetTag("key", res.Key)
+	lookup.SetTag("hit", strconv.FormatBool(hit))
+	lookup.End()
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -222,25 +253,19 @@ func (m *Manager) SubmitCtx(ctx context.Context, req Request) (View, error) {
 	}
 	m.seq++
 	j := &job{
-		id:      fmt.Sprintf("job-%d", m.seq),
+		id:      "job-" + strconv.Itoa(m.seq),
+		kind:    res.Req.Kind,
+		key:     res.Key,
 		res:     res,
 		state:   StateQueued,
 		created: obs.Now(),
-		feed:    newRowFeed(),
+		feed:    doneFeed,
 		tc:      tc,
 		parent:  parent,
-		tracer:  obs.NewTracer(),
+		tracer:  tracer,
+		root:    root,
 	}
-	j.tracer.SetEnabled(true)
-	_, j.root = j.tracer.Start(context.Background(), "job")
-	j.root.SetTag("job", j.id)
-	j.root.SetTag("kind", string(res.Req.Kind))
-	j.root.SetTag("trace_id", tc.TraceIDString())
-
-	_, lookup := j.tracer.Start(obs.ContextWithSpan(context.Background(), j.root), "jobs.cache_lookup")
-	lookup.SetTag("key", res.Key)
-	lookup.SetTag("hit", fmt.Sprintf("%t", hit))
-	lookup.End()
+	root.SetTag("job", j.id)
 	if hit {
 		jCacheHits.Inc()
 		jSubmitted.Inc()
@@ -248,7 +273,7 @@ func (m *Manager) SubmitCtx(ctx context.Context, req Request) (View, error) {
 		j.cached = true
 		j.result = payload
 		j.finished = j.created
-		m.register(j)
+		m.jobs[j.id] = j
 		jDone.With(string(StateDone)).Inc()
 		m.finishLocked(j)
 		return j.view(), nil
@@ -256,7 +281,8 @@ func (m *Manager) SubmitCtx(ctx context.Context, req Request) (View, error) {
 	if m.cfg.SimWorkers > 0 && req.Options.Workers == 0 {
 		res.Options.Workers = m.cfg.SimWorkers
 	}
-	_, j.wait = j.tracer.Start(obs.ContextWithSpan(context.Background(), j.root), "jobs.enqueue_wait")
+	j.feed = newRowFeed()
+	_, j.wait = tracer.Start(obs.ContextWithSpan(context.Background(), root), "jobs.enqueue_wait")
 	if err := m.sched.Enqueue(func(ctx context.Context) { m.runJob(ctx, j) }); err != nil {
 		m.seq-- // the job never existed
 		if errors.Is(err, ErrQueueFull) {
@@ -266,12 +292,12 @@ func (m *Manager) SubmitCtx(ctx context.Context, req Request) (View, error) {
 	}
 	jCacheMisses.Inc()
 	jSubmitted.Inc()
-	m.register(j)
+	m.jobs[j.id] = j
 	return j.view(), nil
 }
 
 // finishLocked completes a job's terminal bookkeeping: the row feed is
-// closed (streaming watchers unblock) and the trace is queued for
+// closed (streaming watchers unblock) and the job is queued for
 // retirement. Caller holds m.mu and has already put j in a terminal
 // state.
 func (m *Manager) finishLocked(j *job) {
@@ -288,74 +314,64 @@ func (m *Manager) finishLocked(j *job) {
 	}
 }
 
-// retireLoop moves finished traces into the bounded ring, off the
-// manager lock. Until a job's export lands in the ring its live tracer
-// keeps serving Trace, so the handoff is never observable as a gap.
+// retireLoop moves finished jobs from the table into the bounded ring;
+// it is the only place a record leaves the table.
 func (m *Manager) retireLoop() {
 	defer m.retWG.Done()
 	for {
 		m.retMu.Lock()
-		batch := m.retQueue
+		batch, quit := m.retQueue, m.retClosed
 		m.retQueue = nil
-		quit := m.retClosed
 		m.retMu.Unlock()
 		for _, j := range batch {
 			m.retireJob(j)
 		}
 		if quit {
-			// retClosed is set only after every enqueue path is quiet,
-			// so one final snapshot empties the queue for good.
-			m.retMu.Lock()
-			rest := m.retQueue
-			m.retQueue = nil
-			m.retMu.Unlock()
-			for _, j := range rest {
-				m.retireJob(j)
-			}
+			// retClosed is set only once no job can finish any more,
+			// so the batch taken with it was the last.
 			return
 		}
 		<-m.retWake
 	}
 }
 
-// retireJob exports one finished job's span tree into the ring and
-// releases the live tracer. The export runs without m.mu (tracers are
-// internally synchronized); the ring add happens before the tracer is
-// cleared, so Trace always finds one of the two.
+// retireJob strips a finished job to its view fields, payload and
+// exported trace and moves it from the table into the ring. A terminal
+// job's fields no longer change, so the export runs without m.mu; the
+// move runs under it, so a lookup finds the job in exactly one place.
 func (m *Manager) retireJob(j *job) {
+	jt := j.exportTrace(j.state, j.tracer)
 	m.mu.Lock()
-	tracer, state := j.tracer, j.state
-	m.mu.Unlock()
-	if tracer == nil {
-		return
-	}
-	tr := tracer.Export()
-	spans := len(tr.Flat)
-	dur := 0.0
-	if len(tr.Spans) > 0 {
-		dur = tr.Spans[0].DurMs
-	}
-	m.traces.add(&JobTrace{
-		JobID:   j.id,
-		Kind:    j.res.Req.Kind,
-		State:   state,
-		TraceID: j.tc.TraceIDString(),
-		Parent:  j.parent,
-		Spans:   spans,
-		DurMs:   dur,
-		Trace:   tr,
-	})
-	m.mu.Lock()
-	j.tracer = nil
-	j.root = nil
-	j.wait = nil
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	j.trace = jt
+	j.res, j.feed, j.tracer, j.root, j.wait = nil, doneFeed, nil, nil, nil
+	m.traces.add(j)
+	delete(m.jobs, j.id)
 }
 
-// register adds j to the job table. Caller holds m.mu.
-func (m *Manager) register(j *job) {
-	m.jobs[j.id] = j
-	m.order = append(m.order, j.id)
+// lookupLocked finds id among the live jobs, then in the ring of retired
+// ones. An ID that was issued but is held by neither has been evicted.
+// Caller holds m.mu.
+func (m *Manager) lookupLocked(id string) (*job, error) {
+	if j, ok := m.jobs[id]; ok {
+		return j, nil
+	}
+	if j, ok := m.traces.get(id); ok {
+		return j, nil
+	}
+	if n := seqOf(id); n > 0 && n <= m.seq {
+		return nil, ErrEvicted
+	}
+	return nil, ErrNotFound
+}
+
+// seqOf returns N for a canonical job ID "job-N", 0 for anything else.
+func seqOf(id string) int {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "job-"))
+	if err != nil || n < 1 || id != "job-"+strconv.Itoa(n) {
+		return 0
+	}
+	return n
 }
 
 // runJob is the Task the scheduler executes: it runs one queued job to a
@@ -415,50 +431,51 @@ func (m *Manager) runJob(schedCtx context.Context, j *job) {
 	m.mu.Unlock()
 }
 
-// Get returns a snapshot of the job.
-func (m *Manager) Get(id string) (View, error) {
+// find returns the job's payload and row feed alongside its snapshot.
+func (m *Manager) find(id string) (json.RawMessage, *RowFeed, View, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return View{}, ErrNotFound
+	j, err := m.lookupLocked(id)
+	if err != nil {
+		return nil, nil, View{}, err
 	}
-	return j.view(), nil
+	return j.result, j.feed, j.view(), nil
+}
+
+// Get returns a snapshot of the job.
+func (m *Manager) Get(id string) (View, error) {
+	_, _, v, err := m.find(id)
+	return v, err
 }
 
 // Result returns the job's result payload alongside its snapshot. The
 // payload is nil until the job is done.
 func (m *Manager) Result(id string) (json.RawMessage, View, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return nil, View{}, ErrNotFound
-	}
-	return j.result, j.view(), nil
+	payload, _, v, err := m.find(id)
+	return payload, v, err
 }
 
 // Stream returns the job's row feed alongside its snapshot. The feed
 // delivers matrix rows as they complete and closes with the job; for
 // non-matrix jobs it simply closes without rows.
 func (m *Manager) Stream(id string) (*RowFeed, View, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return nil, View{}, ErrNotFound
-	}
-	return j.feed, j.view(), nil
+	_, feed, v, err := m.find(id)
+	return feed, v, err
 }
 
-// List returns snapshots of every job in submission order.
+// List returns snapshots of the live and retained jobs in submission order.
 func (m *Manager) List() []View {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]View, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.jobs[id].view())
+	retired := m.traces.all()
+	out := make([]View, 0, len(m.jobs)+len(retired))
+	for _, j := range m.jobs {
+		out = append(out, j.view())
 	}
+	for _, j := range retired {
+		out = append(out, j.view())
+	}
+	slices.SortFunc(out, func(a, b View) int { return cmp.Compare(seqOf(a.ID), seqOf(b.ID)) })
 	return out
 }
 
@@ -469,9 +486,9 @@ func (m *Manager) List() []View {
 func (m *Manager) Cancel(id string) (View, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return View{}, ErrNotFound
+	j, err := m.lookupLocked(id)
+	if err != nil {
+		return View{}, err
 	}
 	switch j.state {
 	case StateQueued:
@@ -491,42 +508,38 @@ func (m *Manager) Cancel(id string) (View, error) {
 	return j.view(), nil
 }
 
-// Trace returns the job's span tree: a live export for a job whose trace
-// has not retired yet, the retained export afterwards. ErrTraceEvicted
-// means the job finished but its trace aged out of the bounded ring.
+// Trace returns the job's span tree: a live export for a job that has
+// not retired yet, the retained export afterwards. ErrTraceEvicted means
+// the job finished but aged out of the bounded ring.
 func (m *Manager) Trace(id string) (*JobTrace, error) {
 	m.mu.Lock()
-	j, ok := m.jobs[id]
-	if !ok {
+	j, err := m.lookupLocked(id)
+	if err != nil {
 		m.mu.Unlock()
-		return nil, ErrNotFound
-	}
-	if j.tracer != nil {
-		jt := &JobTrace{
-			JobID:   j.id,
-			Kind:    j.res.Req.Kind,
-			State:   j.state,
-			TraceID: j.tc.TraceIDString(),
-			Parent:  j.parent,
-			Trace:   j.tracer.Export(),
+		if errors.Is(err, ErrEvicted) {
+			return nil, ErrTraceEvicted
 		}
+		return nil, err
+	}
+	if j.trace != nil {
 		m.mu.Unlock()
-		jt.Spans = len(jt.Trace.Flat)
-		if len(jt.Trace.Spans) > 0 {
-			jt.DurMs = jt.Trace.Spans[0].DurMs
-		}
-		return jt, nil
+		return j.trace, nil
 	}
+	state, tracer := j.state, j.tracer
 	m.mu.Unlock()
-	if jt, ok := m.traces.get(id); ok {
-		return jt, nil
-	}
-	return nil, ErrTraceEvicted
+	return j.exportTrace(state, tracer), nil
 }
 
-// TraceSummaries lists the retained completed traces, newest first,
-// without their span trees.
-func (m *Manager) TraceSummaries() []JobTrace { return m.traces.list() }
+// TraceSummaries lists the traces of the retained retired jobs, newest
+// first, without their span trees.
+func (m *Manager) TraceSummaries() []JobTrace {
+	retired := m.traces.all()
+	out := make([]JobTrace, 0, len(retired))
+	for i := len(retired) - 1; i >= 0; i-- {
+		out = append(out, retired[i].trace.Summary())
+	}
+	return out
+}
 
 // QueueStats returns the current queue depth and configured capacity,
 // for backpressure responses and health snapshots.
@@ -544,15 +557,15 @@ func (m *Manager) CacheLen() int { return m.store.Stats().Entries }
 // running jobs finish normally, and Close returns when the pool is idle.
 // If ctx expires first, every in-flight job is cancelled and Close waits
 // for the workers to acknowledge before returning ctx's error. Either
-// way — graceful or forced — the trace retirement queue is drained
-// before Close returns, so GET /v1/jobs/{id}/trace never races shutdown,
-// and the store is closed last.
+// way — graceful or forced — the retirement queue is drained before
+// Close returns, so GET /v1/jobs/{id}/trace never races shutdown, and the
+// store is closed last.
 func (m *Manager) Close(ctx context.Context) error {
 	m.mu.Lock()
 	m.closed = true
 	m.mu.Unlock()
 	err := m.sched.Close(ctx)
-	// The scheduler is quiet and Submit is rejected, so no new trace can
+	// The scheduler is quiet and Submit is rejected, so no new job can
 	// be queued for retirement: drain what is there and stop the loop.
 	m.retMu.Lock()
 	m.retClosed = true

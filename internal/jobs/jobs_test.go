@@ -40,7 +40,7 @@ func testManager(t *testing.T, cfg Config, fn func(ctx context.Context, res *Res
 
 // biquadRequest returns a small matrix request over the testdata deck,
 // uniquified by salt so each call has a distinct cache key.
-func biquadRequest(t *testing.T, salt int) Request {
+func biquadRequest(t testing.TB, salt int) Request {
 	t.Helper()
 	deck, err := os.ReadFile("../../testdata/biquad.cir")
 	if err != nil {
@@ -54,7 +54,7 @@ func biquadRequest(t *testing.T, salt int) Request {
 }
 
 // awaitState polls until job id reaches a terminal state.
-func awaitState(t *testing.T, m *Manager, id string) View {
+func awaitState(t testing.TB, m *Manager, id string) View {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {

@@ -34,6 +34,10 @@ func newRowFeed() *RowFeed {
 	return &RowFeed{wake: make(chan struct{})}
 }
 
+// doneFeed is the shared feed of cache hits and retired jobs: finished
+// and empty, so watchers synthesize rows from the payload.
+var doneFeed = func() *RowFeed { f := newRowFeed(); f.Close(); return f }()
+
 // Publish appends rows and wakes every watcher. No-op after Close.
 func (f *RowFeed) Publish(rows ...RowEvent) {
 	if f == nil || len(rows) == 0 {

@@ -322,3 +322,48 @@ func TestTraceShapeDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("trace shape misses engine spans: %s", one)
 	}
 }
+
+// slowStore delays every lookup, so a span that wraps the store read
+// must last at least that long.
+type slowStore struct {
+	Store
+	delay time.Duration
+}
+
+func (s slowStore) Get(key string) (json.RawMessage, bool) {
+	time.Sleep(s.delay)
+	return s.Store.Get(key)
+}
+
+// TestCacheLookupSpanCoversStoreRead: jobs.cache_lookup times the store
+// read itself, on a miss and on a hit alike.
+func TestCacheLookupSpanCoversStoreRead(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	m := New(WithWorkers(1), WithStore(slowStore{NewMemStore(4), delay}), stubRunner(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
+		return json.RawMessage(`{}`), nil
+	}))
+	t.Cleanup(func() {
+		if err := m.Close(context.Background()); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	req := biquadRequest(t, 370)
+	for _, hit := range []string{"false", "true"} {
+		v, err := m.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitState(t, m, v.ID)
+		jt, err := m.Trace(v.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lookup := findChild(jt.Trace.Spans[0], "jobs.cache_lookup")
+		if lookup == nil || lookup.Tags["hit"] != hit {
+			t.Fatalf("cache_lookup span = %+v, want hit=%s", lookup, hit)
+		}
+		if want := float64(delay) / float64(time.Millisecond); lookup.DurMs < want {
+			t.Errorf("hit=%s: cache_lookup lasted %.3f ms, the store read %.0f ms", hit, lookup.DurMs, want)
+		}
+	}
+}
