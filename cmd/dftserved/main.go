@@ -5,14 +5,12 @@
 // answered from a content-addressed result cache without re-simulating.
 //
 //	dftserved [-addr :8080] [-workers 2] [-queue 16] [-cache 128]
-//	          [-store-dir DIR] [-store-bytes N] [-shards K]
-//	          [-trace-ring 64] [-slo-target 0.99] [-timing]
+//	          [-store-dir DIR] [-store-bytes N] [-trace-ring 64]
+//	          [-slo-target 0.99] [-timing]
 //
 // With -store-dir the result cache lives on disk, content-addressed by
 // job key, so any number of replicas pointed at the same directory serve
-// each other's finished results. With -shards K > 1, matrix jobs are
-// built as K concurrent configuration-range shards and merged — the
-// merged matrix is byte-identical to an unsharded build.
+// each other's finished results.
 //
 // Memory stays bounded: a finished job leaves the live job table for one
 // ring of the last -trace-ring finished jobs, which keeps each job's
@@ -69,7 +67,6 @@ func main() {
 		cache      = flag.Int("cache", 128, "result cache entries (in-memory store only)")
 		storeDir   = flag.String("store-dir", "", "disk-backed result store directory, shareable between replicas (empty = in-memory)")
 		storeBytes = flag.Int64("store-bytes", 256<<20, "payload bytes retained in the disk store before LRU eviction")
-		shards     = flag.Int("shards", 1, "concurrent configuration-range shards per matrix job")
 		simWorkers = flag.Int("sim-workers", 0, "default per-job simulation parallelism (0 = GOMAXPROCS)")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
 		traceRing  = flag.Int("trace-ring", 64, "finished jobs retained with their results and traces; older job IDs answer 410")
@@ -89,7 +86,6 @@ func main() {
 		CacheEntries: *cache,
 		SimWorkers:   *simWorkers,
 		TraceEntries: *traceRing,
-		Shards:       *shards,
 	}, *storeDir, *storeBytes, *drain); err != nil {
 		fmt.Fprintln(os.Stderr, "dftserved:", err)
 		os.Exit(1)
@@ -117,7 +113,7 @@ func run(addr string, cfg jobs.Config, storeDir string, storeBytes int64, drain 
 	fmt.Printf("dftserved: listening on %s\n", ln.Addr())
 	srvlog.Info("listening", "addr", ln.Addr().String(),
 		"workers", mgr.Config().Workers, "queue", mgr.Config().QueueDepth,
-		"store", mgr.StoreStats().Kind, "shards", mgr.Config().Shards)
+		"store", mgr.StoreStats().Kind)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

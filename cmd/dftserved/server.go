@@ -263,7 +263,7 @@ type streamEvent struct {
 
 // streamRows handles GET /v1/jobs/{id}/result?stream=rows: a chunked
 // application/x-ndjson stream that emits one {"type":"row"} line per
-// completed matrix row as shards finish, then a final {"type":"result"}
+// matrix row once the build completes, then a final {"type":"result"}
 // line whose payload is byte-identical to the non-streaming result (or
 // {"type":"error"} when the job failed, was cancelled, or was evicted
 // before the result line). Cache hits and retired jobs have an empty
@@ -364,7 +364,6 @@ type healthBody struct {
 	Revision      string          `json:"revision,omitempty"`
 	UptimeSeconds float64         `json:"uptime_seconds"`
 	Workers       int             `json:"workers"`
-	Shards        int             `json:"shards"`
 	QueueDepth    int             `json:"queue_depth"`
 	QueueCapacity int             `json:"queue_capacity"`
 	CacheEntries  int             `json:"cache_entries"`
@@ -383,7 +382,6 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 		Revision:      buildRevision,
 		UptimeSeconds: obs.Since(s.started).Seconds(),
 		Workers:       s.mgr.Config().Workers,
-		Shards:        s.mgr.Config().Shards,
 		QueueDepth:    depth,
 		QueueCapacity: capacity,
 		CacheEntries:  store.Entries,

@@ -97,15 +97,16 @@ func readStream(t *testing.T, url string) ([]jobs.RowEvent, json.RawMessage, *ap
 }
 
 // TestServerStreamRows is the streaming acceptance test: the row stream
-// of a sharded matrix job delivers every row exactly once and finishes
-// with an aggregate byte-identical to the non-streaming result.
+// of a matrix job delivers every row exactly once and finishes with an
+// aggregate byte-identical to the non-streaming result.
 func TestServerStreamRows(t *testing.T) {
-	ts, _ := startServer(t, jobs.Config{Workers: 1, Shards: 3})
+	ts, _ := startServer(t, jobs.Config{Workers: 1})
 	var v jobs.View
 	if resp := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", smallMatrixJob(), &v); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit: HTTP %d", resp.StatusCode)
 	}
-	// Open the stream while the job runs: rows arrive as shards finish.
+	// Open the stream while the job runs: rows arrive when the build
+	// completes.
 	rows, result, streamErr := readStream(t, ts.URL+"/v1/jobs/"+v.ID+"/result?stream=rows")
 	if streamErr != nil {
 		t.Fatalf("stream error: %+v", streamErr)

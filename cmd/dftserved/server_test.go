@@ -16,7 +16,7 @@ import (
 )
 
 // startServer boots the handler over a real manager and tears both down
-// with the test. Extra options (WithStore, WithShards, …) layer on top of
+// with the test. Extra options (WithStore, WithRunner, …) layer on top of
 // the config.
 func startServer(t *testing.T, cfg jobs.Config, extra ...jobs.Option) (*httptest.Server, *jobs.Manager) {
 	t.Helper()

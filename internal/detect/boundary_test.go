@@ -24,7 +24,11 @@ const boundaryRelTol = 1e-12
 func epsBoundaryCells(t *testing.T, m *dft.Modified, faults fault.List, opts Options) []string {
 	t.Helper()
 	opts = opts.Normalize()
-	region, err := MatrixRegion(m, opts)
+	functional, err := m.Configure(dft.Configuration{Index: 0, N: m.N()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	region, err := resolveRegion(functional, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -821,6 +821,30 @@ type Matrix struct {
 	Stats Stats
 }
 
+// MatrixConfigs returns the configuration rows a matrix build over m
+// would produce under opts, in row order: the 2^n configurations
+// (transparent one included only with IncludeTransparent) after the
+// MaxFollowers filter.
+func MatrixConfigs(m *dft.Modified, opts Options) []dft.Configuration {
+	return matrixConfigs(m, opts.Normalize())
+}
+
+// matrixConfigs applies the row filtering shared by every matrix entry
+// point. opts is already normalized.
+func matrixConfigs(m *dft.Modified, opts Options) []dft.Configuration {
+	configs := m.Configurations(opts.IncludeTransparent)
+	if opts.MaxFollowers > 0 {
+		var kept []dft.Configuration
+		for _, cfg := range configs {
+			if cfg.FollowerCount() <= opts.MaxFollowers {
+				kept = append(kept, cfg)
+			}
+		}
+		configs = kept
+	}
+	return configs
+}
+
 // NumCellErrs returns the number of cells whose simulation failed.
 func (m *Matrix) NumCellErrs() int { return len(m.CellErrors) }
 
@@ -838,16 +862,6 @@ func BuildMatrix(m *dft.Modified, faults fault.List, opts Options) (*Matrix, err
 // nominal pre-sweeps, so an in-flight matrix build stops within one cell
 // boundary of ctx being cancelled and returns ctx's error.
 func BuildMatrixContext(ctx context.Context, m *dft.Modified, faults fault.List, opts Options) (*Matrix, error) {
-	return buildMatrixRange(ctx, m, faults, opts, 0, -1)
-}
-
-// buildMatrixRange is the matrix builder shared by BuildMatrixContext
-// (lo=0, hi=-1: every configuration) and BuildMatrixRangeContext. lo and
-// hi index the filtered configuration list; hi<0 means "to the end". The
-// reference region is always derived from the functional configuration
-// (unless pinned), never from the range, so every shard of one matrix
-// measures against the same Ω_reference and grid.
-func buildMatrixRange(ctx context.Context, m *dft.Modified, faults fault.List, opts Options, lo, hi int) (*Matrix, error) {
 	opts = opts.Normalize()
 	start := obs.Now()
 	sctx, span := obs.Start(ctx, "detect.matrix")
@@ -868,13 +882,6 @@ func buildMatrixRange(ctx context.Context, m *dft.Modified, faults fault.List, o
 		return nil, err
 	}
 	configs := matrixConfigs(m, opts)
-	if hi < 0 {
-		hi = len(configs)
-	}
-	if lo != 0 || hi != len(configs) {
-		span.SetTag("rows", fmt.Sprintf("[%d,%d)", lo, hi))
-	}
-	configs = configs[lo:hi]
 	grid := region.Spec(opts.Points).Grid()
 	if err := opts.checkProfile(len(grid)); err != nil {
 		return nil, err

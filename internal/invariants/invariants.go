@@ -126,7 +126,7 @@ var passTable = []passEntry{
 	},
 	{
 		PassInfo: PassInfo{Code: CodeCloningFactor, Name: "in-place-factorization",
-			Summary:   "internal/analysis must factor in place (numeric.FactorInPlace or a Workspace), never via the cloning numeric.Factor",
+			Summary:   "internal/analysis must factor in place (numeric.FactorInPlace or the sweeper's sparse Workspace), never via the cloning numeric.Factor",
 			Rationale: "sweeps stay allocation-flat and the low-rank grid cache owns its matrices explicitly",
 			Scope:     "internal/analysis"},
 		applies: func(r Roles) bool { return r.Analysis },

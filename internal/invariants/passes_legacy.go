@@ -86,6 +86,6 @@ func runBlockingJob(p *pass) {
 // runCloningFactor implements VI005: the sweep engine factors in place.
 func runCloningFactor(p *pass) {
 	usesOf(p, "analogdft/internal/numeric", map[string]string{
-		"Factor": "internal/analysis must factor in place (numeric.FactorInPlace or a Workspace), never via the cloning numeric.Factor",
+		"Factor": "internal/analysis must factor in place (numeric.FactorInPlace or the sweeper's sparse Workspace), never via the cloning numeric.Factor",
 	}, "factor through the sweeper's workspace so sweeps stay allocation-flat")
 }

@@ -21,10 +21,6 @@ type Config struct {
 	// TraceEntries bounds the ring of finished jobs, kept with their
 	// results and traces once they leave the job table (default 64).
 	TraceEntries int
-	// Shards is the number of configuration-range shards a matrix job
-	// is split into (default 1: unsharded). Sharding never changes the
-	// result — shard counts stay out of the cache key.
-	Shards int
 }
 
 func (c Config) normalize() Config {
@@ -39,9 +35,6 @@ func (c Config) normalize() Config {
 	}
 	if c.TraceEntries <= 0 {
 		c.TraceEntries = 64
-	}
-	if c.Shards <= 0 {
-		c.Shards = 1
 	}
 	return c
 }
@@ -81,11 +74,6 @@ func WithSimWorkers(n int) Option { return func(o *options) { o.cfg.SimWorkers =
 
 // WithTraceEntries bounds the ring of finished jobs and their traces.
 func WithTraceEntries(n int) Option { return func(o *options) { o.cfg.TraceEntries = n } }
-
-// WithShards splits every matrix job into k configuration-range shards
-// built concurrently and merged deterministically. Results are
-// byte-identical for any k.
-func WithShards(k int) Option { return func(o *options) { o.cfg.Shards = k } }
 
 // WithStore persists results in s instead of the default in-memory LRU.
 // The manager owns s from then on and closes it in Close.

@@ -172,8 +172,8 @@ type Manager struct {
 }
 
 // New starts a manager assembled from opts: unset seams default to the
-// in-memory store, the bounded worker-pool scheduler and the session
-// runner (sharded per WithShards).
+// in-memory store, the bounded worker-pool scheduler and runResolved,
+// which executes every job kind through the context-aware Session API.
 func New(opts ...Option) *Manager {
 	var o options
 	for _, opt := range opts {
@@ -187,7 +187,7 @@ func New(opts ...Option) *Manager {
 		o.sched = NewPoolScheduler(o.cfg.Workers, o.cfg.QueueDepth)
 	}
 	if o.runner == nil {
-		o.runner = &sessionRunner{shards: o.cfg.Shards}
+		o.runner = RunnerFunc(runResolved)
 	}
 	m := &Manager{
 		cfg:     o.cfg,

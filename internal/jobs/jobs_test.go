@@ -398,8 +398,8 @@ func TestMemStoreLRU(t *testing.T) {
 func TestWithConfigSizing(t *testing.T) {
 	m := testManager(t, Config{Workers: 1, QueueDepth: 3}, nil)
 	cfg := m.Config()
-	if cfg.Workers != 1 || cfg.QueueDepth != 3 || cfg.Shards != 1 {
-		t.Errorf("Config = %+v, want workers 1, queue 3, shards 1", cfg)
+	if cfg.Workers != 1 || cfg.QueueDepth != 3 {
+		t.Errorf("Config = %+v, want workers 1, queue 3", cfg)
 	}
 	if _, capacity := m.QueueStats(); capacity != 3 {
 		t.Errorf("queue capacity = %d, want 3", capacity)

@@ -41,13 +41,6 @@ var (
 		"stored payloads dropped because they failed to read back as JSON")
 	jStoreResultBytes = obs.Reg().Histogram("jobs_store_result_bytes",
 		"size distribution of stored result payloads", obs.ByteBuckets)
-
-	// Configuration-range sharding of matrix jobs.
-	jShardRows = obs.Reg().Histogram("jobs_shard_rows",
-		"matrix rows per configuration-range shard", obs.CountBuckets)
-	// jShardSeconds is clock-derived and gated on obs.TimingOn.
-	jShardSeconds = obs.Reg().Histogram("jobs_shard_seconds",
-		"wall time per matrix shard (timing mode only)", obs.TimeBuckets)
 )
 
 // jlog is the package logger.

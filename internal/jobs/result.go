@@ -99,10 +99,10 @@ type OptimizeResult struct {
 	Stats         StatsJSON       `json:"stats"`
 }
 
-// runResolved executes the job through the context-aware Session API and
-// marshals the payload. This is the unsharded path of the default
-// runner; matrix rows are published to feed in one batch at the end, so
-// streaming clients see the complete matrix either way.
+// runResolved is the default Runner: it executes the job through the
+// context-aware Session API and marshals the payload. Matrix rows are
+// published to feed in one batch when the build completes, so streaming
+// clients always see the complete matrix.
 func runResolved(ctx context.Context, res *Resolved, feed *RowFeed) (json.RawMessage, error) {
 	s := analogdft.NewSession(res.Bench, res.Faults, res.Options)
 	var payload any
@@ -132,7 +132,7 @@ func runResolved(ctx context.Context, res *Resolved, feed *RowFeed) (json.RawMes
 		if err != nil {
 			return nil, err
 		}
-		feed.Publish(rowEvents(mx, 0)...)
+		feed.Publish(rowEvents(mx)...)
 		payload = matrixResult(mx)
 	case KindOptimize:
 		opt, err := s.Optimize(ctx, res.Cost)

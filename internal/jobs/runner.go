@@ -3,13 +3,6 @@ package jobs
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"sync"
-
-	"analogdft"
-	"analogdft/internal/detect"
-	"analogdft/internal/obs"
 )
 
 // Runner is the execution seam of the job layer: it turns a resolved
@@ -29,113 +22,4 @@ type RunnerFunc func(ctx context.Context, res *Resolved, feed *RowFeed) (json.Ra
 // Run implements Runner.
 func (f RunnerFunc) Run(ctx context.Context, res *Resolved, feed *RowFeed) (json.RawMessage, error) {
 	return f(ctx, res, feed)
-}
-
-// sessionRunner is the default Runner: it executes jobs through the
-// context-aware Session API. With shards > 1, matrix jobs are split into
-// contiguous configuration-range shards built concurrently against one
-// pinned Ω_reference and merged deterministically — the merged matrix is
-// byte-identical to an unsharded build (the engine is deterministic for
-// any Workers value and every shard shares the region and grid), so the
-// shard count never enters the cache key.
-type sessionRunner struct {
-	shards int
-}
-
-func (r *sessionRunner) Run(ctx context.Context, res *Resolved, feed *RowFeed) (json.RawMessage, error) {
-	if res.Req.Kind == KindMatrix && r.shards > 1 {
-		return r.runMatrixSharded(ctx, res, feed)
-	}
-	return runResolved(ctx, res, feed)
-}
-
-// runMatrixSharded builds the matrix as r.shards configuration-range
-// shards. The row list and region are resolved once up front; each shard
-// then builds rows [lo, hi) under a "jobs.shard" span, publishing its
-// rows to the feed as it completes, and the shards merge in range order.
-// Per-job simulation parallelism is divided among the shards so the
-// total worker count matches an unsharded run.
-func (r *sessionRunner) runMatrixSharded(ctx context.Context, res *Resolved, feed *RowFeed) (json.RawMessage, error) {
-	s := analogdft.NewSession(res.Bench, res.Faults, res.Options)
-	mod, err := s.Modified()
-	if err != nil {
-		return nil, err
-	}
-	opts := s.Options
-	configs := detect.MatrixConfigs(mod, opts)
-	region, err := detect.MatrixRegion(mod, opts)
-	if err != nil {
-		return nil, err
-	}
-	opts.Region = region // every shard measures on the same grid
-	bounds := detect.ShardBounds(len(configs), r.shards)
-	if opts.Workers > len(bounds) {
-		opts.Workers /= len(bounds)
-	} else {
-		opts.Workers = 1
-	}
-
-	start := obs.Now()
-	parts := make([]*detect.Matrix, len(bounds))
-	errs := make([]error, len(bounds))
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i, b := range bounds {
-		// Spans start sequentially here (not in the goroutines) so the
-		// trace tree lists shards in range order.
-		cctx, span := obs.Start(sctx, "jobs.shard")
-		span.SetTag("shard", fmt.Sprint(i))
-		span.SetTag("rows", fmt.Sprintf("[%d,%d)", b[0], b[1]))
-		wg.Add(1)
-		go func(i int, lo, hi int, cctx context.Context, span *obs.Span) {
-			defer wg.Done()
-			defer span.End()
-			mx, err := detect.BuildMatrixRangeContext(cctx, mod, res.Faults, opts, lo, hi)
-			if err != nil {
-				errs[i] = err
-				cancel() // fail fast: stop sibling shards
-				return
-			}
-			parts[i] = mx
-			jShardRows.Observe(float64(hi - lo))
-			if obs.TimingOn() {
-				jShardSeconds.Observe(span.Duration().Seconds())
-			}
-			feed.Publish(rowEvents(mx, lo)...)
-		}(i, b[0], b[1], cctx, span)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err // a canceled job reports ctx's error, not a shard's
-	}
-	// A failing shard cancels its siblings, so their errors are context
-	// noise: report the real failure, not the fastest cancellation.
-	var shardErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if shardErr == nil {
-			shardErr = err
-		}
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			shardErr = err
-			break
-		}
-	}
-	if shardErr != nil {
-		return nil, shardErr
-	}
-	mx, err := detect.MergeShards(parts)
-	if err != nil {
-		return nil, err
-	}
-	mx.Stats.Elapsed = obs.Since(start) // wall clock, like an unsharded build
-	out := matrixResult(mx)
-	raw, err := json.Marshal(out)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: marshal result: %w", err)
-	}
-	return raw, nil
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // RowEvent is one completed matrix row as delivered to streaming result
-// watchers: the row's global index, its configuration label, and the
+// watchers: the row's index, its configuration label, and the
 // detectability verdicts of every fault. The slices are shared with the
 // job's result payload and must not be modified.
 type RowEvent struct {
@@ -18,9 +18,8 @@ type RowEvent struct {
 }
 
 // RowFeed fans completed matrix rows out to any number of watchers. The
-// runner publishes rows as shards finish (out of order is fine — events
-// carry their index); the manager closes the feed when the job reaches a
-// terminal state. Watchers poll with Snapshot, blocking on the returned
+// runner publishes every row once the matrix build completes; the
+// manager closes the feed when the job reaches a terminal state. Watchers poll with Snapshot, blocking on the returned
 // channel between polls, so a watcher can select against its own
 // context without the feed tracking subscribers.
 type RowFeed struct {
@@ -84,13 +83,12 @@ func (f *RowFeed) Snapshot(from int) (rows []RowEvent, done bool, wake <-chan st
 	return rows, f.done, f.wake
 }
 
-// rowEvents flattens a matrix (or matrix shard) into row events, with
-// base as the global index of the first row.
-func rowEvents(mx *detect.Matrix, base int) []RowEvent {
+// rowEvents flattens a matrix into row events, one per configuration.
+func rowEvents(mx *detect.Matrix) []RowEvent {
 	events := make([]RowEvent, 0, len(mx.Configs))
 	for i, cfg := range mx.Configs {
 		events = append(events, RowEvent{
-			Index:  base + i,
+			Index:  i,
 			Config: cfg.Label(),
 			Det:    mx.Det[i],
 			Omega:  mx.Omega[i],

@@ -64,12 +64,19 @@ func BenchmarkSolvePoint(b *testing.B) {
 				b.Fatal(err)
 			}
 			ref := newDenseRef(b, sys)
-			ws := numeric.NewWorkspace(sys.N())
+			n := sys.N()
+			m := numeric.NewMatrix(n, n)
+			rhs := make([]complex128, n)
+			pivot := make([]int, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ref.assemble(grid[i%len(grid)], ws.M, ws.RHS)
-				if err := ws.FactorSolve(); err != nil {
+				ref.assemble(grid[i%len(grid)], m, rhs)
+				lu, err := numeric.FactorInPlace(m, pivot)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := lu.SolveInPlace(rhs); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -38,9 +38,8 @@ func (s *System) NewSweeperWS(node string, ws *numeric.Workspace) (*Sweeper, err
 		idx = i
 	}
 	if ws == nil {
-		// Empty, not NewWorkspace: the pattern is built lazily with the
-		// stamps, and VoltageAt binds the workspace to it on first use —
-		// the dense n×n buffers NewWorkspace allocates would go unused.
+		// The pattern is built lazily with the stamps, and VoltageAt
+		// binds the workspace to it on first use.
 		ws = &numeric.Workspace{}
 	}
 	return &Sweeper{

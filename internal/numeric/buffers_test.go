@@ -46,70 +46,3 @@ func TestFactorInPlaceNilPivotAllocates(t *testing.T) {
 		t.Fatalf("pivot length = %d, want 4", len(lu.Pivot()))
 	}
 }
-
-// TestEnsureShrinkKeepsStaleStorage pins the documented Ensure contract:
-// shrinking reuses the backing storage without zeroing, so stale values
-// from the larger system remain visible and callers must fully re-stamp
-// before factoring.
-func TestEnsureShrinkKeepsStaleStorage(t *testing.T) {
-	w := NewWorkspace(4)
-	for i := range w.M.Data {
-		w.M.Data[i] = complex(float64(i+1), 0)
-	}
-	for i := range w.RHS {
-		w.RHS[i] = complex(float64(i+1), 0)
-	}
-	w.Ensure(2)
-	if w.M.Rows != 2 || w.M.Cols != 2 || len(w.RHS) != 2 || len(w.Pivot) != 2 {
-		t.Fatalf("shrink shapes: M %dx%d, rhs %d, pivot %d", w.M.Rows, w.M.Cols, len(w.RHS), len(w.Pivot))
-	}
-	// The contract: storage is stale, NOT zeroed — (0,0) still holds the
-	// old element 0, and (1,1) holds old element 3 (row-major reindexing).
-	if w.M.At(0, 0) != 1 || w.M.At(1, 1) != 4 {
-		t.Fatalf("shrink zeroed or moved storage: M = %v", w.M.Data)
-	}
-	if w.RHS[1] != 2 {
-		t.Fatalf("shrink zeroed RHS: %v", w.RHS)
-	}
-	// Growing back reuses the same backing array, stale data included.
-	data := &w.M.Data[:1][0]
-	w.Ensure(4)
-	if &w.M.Data[:1][0] != data {
-		t.Fatal("grow within capacity reallocated the matrix storage")
-	}
-	if w.M.At(0, 1) != 2 {
-		t.Fatalf("grow zeroed storage: M(0,1) = %v", w.M.At(0, 1))
-	}
-}
-
-// TestFactorSolveRepairsPivotDrift checks FactorSolve's defense: a pivot
-// slice whose length drifted from M.Rows is repaired (reslice within
-// capacity, else reallocate) instead of erroring or corrupting the solve.
-func TestFactorSolveRepairsPivotDrift(t *testing.T) {
-	a, b := testMatrix()
-	want, err := Solve(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, drift := range []func(w *Workspace){
-		func(w *Workspace) { w.Pivot = w.Pivot[:1] },       // short, capacity fits
-		func(w *Workspace) { w.Pivot = make([]int, 0, 1) }, // capacity too small
-		func(w *Workspace) { w.Pivot = append(w.Pivot, 9) },
-	} {
-		w := NewWorkspace(4)
-		copy(w.M.Data, a.Data)
-		copy(w.RHS, b)
-		drift(w)
-		if err := w.FactorSolve(); err != nil {
-			t.Fatalf("FactorSolve with drifted pivot: %v", err)
-		}
-		if len(w.Pivot) != 4 {
-			t.Fatalf("pivot length after repair = %d, want 4", len(w.Pivot))
-		}
-		for i := range want {
-			if d := w.RHS[i] - want[i]; d != 0 {
-				t.Fatalf("solution[%d] = %v, want %v", i, w.RHS[i], want[i])
-			}
-		}
-	}
-}

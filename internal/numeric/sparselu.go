@@ -206,7 +206,7 @@ func NewSparseScratch(p *Pattern) *SparseScratch {
 
 // Bind sizes the scratch for a pattern, reallocating only when the
 // current buffers are too small — the same grow-only reuse contract as
-// Workspace.Ensure. Rebinding the current pattern is a no-op.
+// Workspace.EnsureSparse. Rebinding the current pattern is a no-op.
 func (s *SparseScratch) Bind(p *Pattern) {
 	if s.pat == p {
 		return

@@ -1,43 +1,24 @@
 package numeric
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
 
-func TestWorkspaceEnsureReuses(t *testing.T) {
-	w := NewWorkspace(4)
-	if w.M.Rows != 4 || w.M.Cols != 4 || len(w.RHS) != 4 || len(w.Pivot) != 4 {
-		t.Fatalf("NewWorkspace(4) sized %dx%d rhs=%d pivot=%d", w.M.Rows, w.M.Cols, len(w.RHS), len(w.Pivot))
-	}
-	m, rhs, piv := &w.M.Data[0], &w.RHS[0], &w.Pivot[0]
-
-	// Shrinking must reuse the backing arrays.
-	w.Ensure(2)
-	if w.M.Rows != 2 || len(w.RHS) != 2 || len(w.Pivot) != 2 {
-		t.Fatalf("Ensure(2) sized %dx%d rhs=%d pivot=%d", w.M.Rows, w.M.Cols, len(w.RHS), len(w.Pivot))
-	}
-	if &w.M.Data[0] != m || &w.RHS[0] != rhs || &w.Pivot[0] != piv {
-		t.Fatal("Ensure(2) reallocated buffers that were large enough")
-	}
-
-	// Growing past capacity must reallocate to the right size.
-	w.Ensure(8)
-	if w.M.Rows != 8 || w.M.Cols != 8 || len(w.M.Data) != 64 || len(w.RHS) != 8 || len(w.Pivot) != 8 {
-		t.Fatalf("Ensure(8) sized %dx%d data=%d rhs=%d pivot=%d",
-			w.M.Rows, w.M.Cols, len(w.M.Data), len(w.RHS), len(w.Pivot))
-	}
-}
-
+// TestWorkspaceFactorSolve solves a known 2×2 system through the
+// workspace's sparse factor/solve.
 func TestWorkspaceFactorSolve(t *testing.T) {
-	w := NewWorkspace(2)
+	w := &Workspace{}
+	p := densePattern(t, 2)
+	w.EnsureSparse(p)
 	// [2 1; 1 3] x = [5; 10] → x = [1; 3]
-	w.M.Set(0, 0, 2)
-	w.M.Set(0, 1, 1)
-	w.M.Set(1, 0, 1)
-	w.M.Set(1, 1, 3)
+	w.SVals[p.SlotOf(0, 0)] = 2
+	w.SVals[p.SlotOf(0, 1)] = 1
+	w.SVals[p.SlotOf(1, 0)] = 1
+	w.SVals[p.SlotOf(1, 1)] = 3
 	w.RHS[0], w.RHS[1] = 5, 10
-	if err := w.FactorSolve(); err != nil {
+	if err := w.SparseFactorSolve(); err != nil {
 		t.Fatal(err)
 	}
 	if d := w.RHS[0] - 1; real(d)*real(d)+imag(d)*imag(d) > 1e-24 {
@@ -49,15 +30,16 @@ func TestWorkspaceFactorSolve(t *testing.T) {
 }
 
 func TestWorkspaceFactorSolveSingular(t *testing.T) {
-	w := NewWorkspace(2)
-	// Rank-1 matrix must surface ErrSingular through FactorSolve.
-	w.M.Set(0, 0, 1)
-	w.M.Set(0, 1, 1)
-	w.M.Set(1, 0, 1)
-	w.M.Set(1, 1, 1)
+	w := &Workspace{}
+	p := densePattern(t, 2)
+	w.EnsureSparse(p)
+	// Rank-1 matrix must surface ErrSingular through SparseFactorSolve.
+	for i := range w.SVals {
+		w.SVals[i] = 1
+	}
 	w.RHS[0], w.RHS[1] = 1, 2
-	if err := w.FactorSolve(); err == nil {
-		t.Fatal("FactorSolve on singular matrix returned nil error")
+	if err := w.SparseFactorSolve(); !errors.Is(err, ErrSingular) {
+		t.Fatalf("SparseFactorSolve on singular matrix: err = %v, want ErrSingular", err)
 	}
 }
 
@@ -147,66 +129,6 @@ func TestWorkspaceEnsureSparseNoAliasing(t *testing.T) {
 			t.Fatalf("SVals[%d] = %v, want 9", i, v)
 		}
 	}
-}
-
-// TestWorkspaceSharedAcrossLayouts exercises one workspace alternating
-// between the dense and sparse paths, as a caller checking a CSR solve
-// against a dense reference in the same buffers does: RHS is the shared
-// buffer, and each Ensure* must leave the other layout's buffers intact.
-func TestWorkspaceSharedAcrossLayouts(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	m := randSparse(rng, 5, 0.5)
-	p, vals := patternOf(t, m)
-	rhs := make([]complex128, 5)
-	for i := range rhs {
-		rhs[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-
-	// Reference dense solve in a fresh workspace.
-	ref := NewWorkspace(5)
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			ref.M.Set(i, j, m.At(i, j))
-		}
-	}
-	copy(ref.RHS, rhs)
-	if err := ref.FactorSolve(); err != nil {
-		t.Fatal(err)
-	}
-
-	// One workspace: sparse solve, then dense solve, then sparse again.
-	w := &Workspace{}
-	solveSparse := func() {
-		t.Helper()
-		w.EnsureSparse(p)
-		copy(w.SVals, vals)
-		copy(w.RHS, rhs)
-		if err := w.SparseFactorSolve(); err != nil {
-			t.Fatal(err)
-		}
-		for i := range ref.RHS {
-			if !sameBits(w.RHS[i], ref.RHS[i]) {
-				t.Fatalf("sparse x[%d] = %v, dense ref %v", i, w.RHS[i], ref.RHS[i])
-			}
-		}
-	}
-	solveSparse()
-	w.Ensure(5)
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			w.M.Set(i, j, m.At(i, j))
-		}
-	}
-	copy(w.RHS, rhs)
-	if err := w.FactorSolve(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref.RHS {
-		if !sameBits(w.RHS[i], ref.RHS[i]) {
-			t.Fatalf("dense x[%d] = %v after layout switch, want %v", i, w.RHS[i], ref.RHS[i])
-		}
-	}
-	solveSparse()
 }
 
 // TestWorkspaceSparseFactorSolveAllocFree pins the warmup contract of

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Smoke test for cmd/dftserved: boot the server on an ephemeral port with
-# a disk-backed result store and sharded matrix builds, run a
-# paper-biquad matrix job end to end under a fixed W3C traceparent,
-# assert the trace ID propagates into the job's span tree, assert the
-# identical resubmission is a cache hit, stream the matrix rows as
-# NDJSON, then boot a second replica over the same store directory and
+# a disk-backed result store, run a paper-biquad matrix job end to end
+# under a fixed W3C traceparent, assert the trace ID propagates into the
+# job's span tree, assert the identical resubmission is a cache hit,
+# stream the matrix rows as NDJSON, then boot a second replica over the same store directory and
 # assert it serves the first replica's result without simulating. Needs
 # curl and python3 (for JSON field extraction). Exits non-zero on any
 # failed assertion; CI runs this as the dftserved smoke job. When
@@ -36,12 +35,12 @@ wait_addr() {
 
 store_dir="$workdir/store"
 "$workdir/dftserved" -addr 127.0.0.1:0 -workers 1 -timing \
-    -store-dir "$store_dir" -shards 2 >"$workdir/server.log" 2>&1 &
+    -store-dir "$store_dir" >"$workdir/server.log" 2>&1 &
 server_pid=$!
 
 # The server prints "dftserved: listening on 127.0.0.1:PORT" on boot.
 base=$(wait_addr "$workdir/server.log" "$server_pid") || fail "server never reported its address"
-log "server at $base (store $store_dir, 2 shards)"
+log "server at $base (store $store_dir)"
 
 json_field() { python3 -c "import json,sys; print(json.load(sys.stdin)$1)"; }
 

@@ -17,5 +17,5 @@ func fromRows(rows [][]complex128) (*num.Matrix, error) { return num.FromRows(ro
 // negative: wrapping caller-owned slab storage is the sanctioned path.
 func viewMatrix(n int, slab []complex128) *num.Matrix { return num.MatrixView(n, slab) }
 
-// negative: workspace-held matrices are reused, not reallocated.
-func ensure(ws *num.Workspace, n int) { ws.Ensure(n) }
+// negative: a workspace bound to a sparse pattern reuses its buffers.
+func ensure(ws *num.Workspace, p *num.Pattern) { ws.EnsureSparse(p) }
