@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt invariants lint verify bench-test bench bench-smoke serve-smoke benchdiff
+.PHONY: build test race vet fmt invariants lint verify bench-test bench bench-smoke fuzz-smoke serve-smoke benchdiff
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,15 @@ bench:
 # bench-smoke is the cheap CI variant: every benchmark runs exactly once.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./...
+
+# fuzz-smoke runs each fuzz target beyond its seed corpus for
+# FUZZTIME (15 s by default); plain `go test` runs only the seeds.
+FUZZTIME ?= 15s
+fuzz-smoke:
+	$(GO) test -run=^$$ -fuzz=^FuzzCSR$$ -fuzztime=$(FUZZTIME) ./internal/numeric/
+	$(GO) test -run=^$$ -fuzz=^FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/spice/
+	$(GO) test -run=^$$ -fuzz=^FuzzPetrick$$ -fuzztime=$(FUZZTIME) ./internal/boolexpr/
+	$(GO) test -run=^$$ -fuzz=^FuzzFSStore$$ -fuzztime=$(FUZZTIME) ./internal/jobs/
 
 # serve-smoke boots dftserved on an ephemeral port, runs a matrix job end
 # to end over HTTP under a fixed traceparent, asserts the trace ID

@@ -2,6 +2,7 @@ package numeric
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -168,44 +169,9 @@ func TestSparseLUMatchesDenseExact(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(14)
 		density := 0.1 + 0.8*rng.Float64()
-		dense := randSparse(rng, n, density)
-		p, vals := patternOf(t, dense)
-
-		scratch := NewSparseScratch(p)
-		slu, err := scratch.Factor(vals)
-		if err != nil {
-			t.Fatalf("trial %d: sparse factor: %v", trial, err)
-		}
-		work := dense.Clone()
-		dlu, err := FactorInPlace(work, nil)
-		if err != nil {
-			t.Fatalf("trial %d: dense factor: %v", trial, err)
-		}
-		for k, dp := range dlu.Pivot() {
-			if slu.Pivot()[k] != dp {
-				t.Fatalf("trial %d: pivot[%d] = %d, dense %d", trial, k, slu.Pivot()[k], dp)
-			}
-		}
-		if !sameBits(slu.Det(), dlu.Det()) {
-			t.Fatalf("trial %d: Det = %v, dense %v", trial, slu.Det(), dlu.Det())
-		}
-		b := make([]complex128, n)
-		for i := range b {
-			b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		bs := append([]complex128(nil), b...)
-		bd := append([]complex128(nil), b...)
-		if err := slu.SolveInPlace(bs); err != nil {
-			t.Fatalf("trial %d: sparse solve: %v", trial, err)
-		}
-		if err := dlu.SolveInPlace(bd); err != nil {
-			t.Fatalf("trial %d: dense solve: %v", trial, err)
-		}
-		for i := range bs {
-			if !sameBits(bs[i], bd[i]) {
-				t.Fatalf("trial %d: x[%d] = %v, dense %v (Δ=%g)", trial, i, bs[i], bd[i],
-					math.Abs(real(bs[i])-real(bd[i]))+math.Abs(imag(bs[i])-imag(bd[i])))
-			}
+		c := denseCase(randSparse(rng, n, density))
+		if !checkAgainstDense(t, fmt.Sprintf("trial %d", trial), c, rng, t.Fatalf) {
+			t.Fatalf("trial %d: diagonally dominant system reported singular", trial)
 		}
 	}
 }
@@ -222,30 +188,8 @@ func TestSparseLUPivoting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, vals := patternOf(t, dense)
-	slu, err := NewSparseScratch(p).Factor(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dlu, err := FactorInPlace(dense.Clone(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameBits(slu.Det(), dlu.Det()) {
-		t.Fatalf("Det = %v, dense %v", slu.Det(), dlu.Det())
-	}
-	b := []complex128{1, 2, 3}
-	bs := append([]complex128(nil), b...)
-	if err := slu.SolveInPlace(bs); err != nil {
-		t.Fatal(err)
-	}
-	if err := dlu.SolveInPlace(b); err != nil {
-		t.Fatal(err)
-	}
-	for i := range b {
-		if !sameBits(bs[i], b[i]) {
-			t.Fatalf("x[%d] = %v, dense %v", i, bs[i], b[i])
-		}
+	if !checkAgainstDense(t, "anti-diagonal", denseCase(dense), rand.New(rand.NewSource(1)), t.Fatalf) {
+		t.Fatal("anti-diagonal system reported singular")
 	}
 }
 
@@ -260,14 +204,13 @@ func TestSparseLUSingularMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, vals := patternOf(t, dense)
-	_, serr := NewSparseScratch(p).Factor(vals)
-	_, derr := FactorInPlace(dense.Clone(), nil)
-	if !errors.Is(serr, ErrSingular) {
-		t.Fatalf("sparse err = %v, want ErrSingular", serr)
+	c := denseCase(dense)
+	if checkAgainstDense(t, "rank-deficient", c, rand.New(rand.NewSource(1)), t.Fatalf) {
+		t.Fatal("rank-deficient system factored")
 	}
-	if derr == nil || serr.Error() != derr.Error() {
-		t.Fatalf("error text diverges:\nsparse: %v\ndense:  %v", serr, derr)
+	p, vals := c.pattern(t)
+	if _, err := NewSparseScratch(p).Factor(vals); !errors.Is(err, ErrSingular) {
+		t.Fatalf("sparse err = %v, want ErrSingular", err)
 	}
 }
 
@@ -481,19 +424,39 @@ func TestSolveRankOneSparseBackends(t *testing.T) {
 // FuzzCSR exercises the symbolic layer and the factorization against
 // the dense reference on fuzz-chosen patterns and values: the dense↔CSR
 // round-trip must be exact, pattern writes must stay in their slots,
-// and on diagonally-dominant inputs the sparse LU must agree with the
-// dense LU bit-for-bit.
+// and the sparse LU must agree with the dense LU bit-for-bit. Mode 0
+// draws diagonally dominant systems; the other modes draw the
+// non-dominant systems of randNonDominant whose values stay within
+// [1e-100, 1e100] (row swaps, ties, near-ties, cancellations, wide
+// magnitudes). Orders reach 96, three words of the reach bitmap.
 func FuzzCSR(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(128))
-	f.Add(int64(99), uint8(9), uint8(40))
-	f.Add(int64(-7), uint8(1), uint8(255))
-	f.Add(int64(1234567), uint8(13), uint8(10))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, densityRaw uint8) {
-		n := 1 + int(nRaw)%14
+	f.Add(int64(1), uint8(4), uint8(128), uint8(0))
+	f.Add(int64(99), uint8(9), uint8(40), uint8(0))
+	f.Add(int64(-7), uint8(1), uint8(255), uint8(0))
+	f.Add(int64(1234567), uint8(13), uint8(10), uint8(0))
+	f.Add(int64(5), uint8(70), uint8(20), uint8(1))
+	f.Add(int64(6), uint8(33), uint8(60), uint8(2))
+	f.Add(int64(7), uint8(64), uint8(30), uint8(3))
+	f.Add(int64(8), uint8(95), uint8(10), uint8(4))
+	f.Add(int64(9), uint8(31), uint8(90), uint8(5))
+	fuzzModes := []int{-1, modeSwaps, modeTies, modeNearTies, modeCancel, modeWide}
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, densityRaw, modeRaw uint8) {
+		n := 1 + int(nRaw)%96
 		density := float64(densityRaw) / 255
+		if n > 14 {
+			// At most ~20 entries a row past n = 14: MNA-like, and cheap
+			// for the quadratic slot checks below.
+			density *= 21 / float64(n+7)
+		}
 		rng := rand.New(rand.NewSource(seed))
-		dense := randSparse(rng, n, density)
-		p, vals := patternOf(t, dense)
+		var c luCase
+		if mode := fuzzModes[int(modeRaw)%len(fuzzModes)]; mode < 0 {
+			c = denseCase(randSparse(rng, n, density))
+		} else {
+			c = randNonDominant(rng, n, density, mode)
+		}
+		dense := c.dense
+		p, vals := c.pattern(t)
 
 		// Round-trip dense → CSR → dense.
 		back := NewMatrix(n, n)
@@ -513,7 +476,7 @@ func FuzzCSR(f *testing.F) {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				slot := p.SlotOf(i, j)
-				if (slot >= 0) != (dense.At(i, j) != 0) {
+				if (slot >= 0) != c.mask[i*n+j] {
 					t.Fatalf("SlotOf(%d,%d) = %d disagrees with structure", i, j, slot)
 				}
 				if slot < 0 {
@@ -532,37 +495,10 @@ func FuzzCSR(f *testing.F) {
 				}
 			}
 		}
-		// Factorization parity on the (diagonally-dominant) system.
-		slu, serr := NewSparseScratch(p).Factor(vals)
-		dlu, derr := FactorInPlace(dense.Clone(), nil)
-		if (serr == nil) != (derr == nil) {
-			t.Fatalf("verdicts diverge: sparse %v, dense %v", serr, derr)
-		}
-		if serr != nil {
-			if serr.Error() != derr.Error() {
-				t.Fatalf("error text diverges: sparse %q, dense %q", serr, derr)
-			}
-			return
-		}
-		if !sameBits(slu.Det(), dlu.Det()) {
-			t.Fatalf("Det = %v, dense %v", slu.Det(), dlu.Det())
-		}
-		b := make([]complex128, n)
-		for i := range b {
-			b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		bd := append([]complex128(nil), b...)
-		if err := slu.SolveInPlace(b); err != nil {
-			t.Fatal(err)
-		}
-		if err := dlu.SolveInPlace(bd); err != nil {
-			t.Fatal(err)
-		}
-		for i := range b {
-			if !sameBits(b[i], bd[i]) {
-				t.Fatalf("x[%d] = %v, dense %v", i, b[i], bd[i])
-			}
-		}
+		// Factorization parity. The contract covers finite eliminations
+		// only; an input whose dense elimination or solve overflows is
+		// outside it and skipped.
+		checkAgainstDense(t, "fuzz", c, rng, t.Skipf)
 	})
 }
 

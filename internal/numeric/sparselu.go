@@ -2,6 +2,8 @@ package numeric
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/cmplx"
 )
 
@@ -14,19 +16,21 @@ import (
 //
 // Compatibility contract: for the same input values, a SparseLU and the
 // dense FactorInPlace produce bit-identical solutions, determinants and
-// singularity verdicts. This holds by construction, not by tolerance:
-// the elimination performs the same floating-point operations in the
-// same order — the pivot search scans candidate rows ascending with the
-// same strictly-greater comparison and the same tolerance, each entry
-// receives its updates in ascending elimination order (one subtraction
-// per step, same as the dense right-looking loop), and the
-// substitutions accumulate each row's sum in ascending column order
-// before a single subtract, as the dense solver does. The operations
-// the sparse path skips involve entries that are exact +0 in the dense
-// working matrix, and adding a signed-zero product to a finite
-// accumulator never changes its bits. The MNA oracle tests lean on this:
-// the CSR solve path and a dense reference assembly agree bit-for-bit,
-// not merely within a tolerance.
+// singularity verdicts, provided the elimination and the substitutions
+// stay finite. This holds by construction, not by tolerance: the
+// elimination performs the same floating-point operations in the same
+// order — the pivot search makes the same first-strictly-greatest
+// choice under the same tolerance, each entry receives its updates in
+// ascending elimination order (one subtraction per step, same as the
+// dense right-looking loop), and the substitutions accumulate each
+// row's sum in ascending column order before a single subtract, as the
+// dense solver does. The operations the sparse path skips involve
+// entries that are exact +0 in the dense working matrix, and adding a
+// signed-zero product to a finite accumulator never changes its bits.
+// Finiteness is the precondition: once a value overflows to Inf, the
+// dense loop's Inf·0 is NaN in a product the sparse loop never forms.
+// The MNA oracle tests lean on this: the CSR solve path and a dense
+// reference assembly agree bit-for-bit, not merely within a tolerance.
 //
 // A factor returned by Factor aliases its scratch and is valid only
 // until the scratch factors again; Detach copies one that must outlive
@@ -172,6 +176,7 @@ type SparseScratch struct {
 	rowAt []int32      // position → original row, tracking dense row swaps
 	posOf []int32      // original row → position
 	cnt   []int32      // counting-sort scratch (n)
+	marks []int32      // reach bitmap over elimination positions, ⌈n/32⌉ words
 
 	lColPtr []int32 // n+1: during factor, start of column j's L run
 	uColPtr []int32 // n+1: during factor, start of column j's U run
@@ -227,7 +232,8 @@ func (s *SparseScratch) Bind(p *Pattern) {
 	s.cVal = c[3*n : 3*n : 3*n+est]
 	s.uVal = c[3*n+est : 3*n+est : 3*n+2*est]
 	clear(s.x)
-	if need := 6*n + 3 + 2*est; cap(s.intSlab) < need {
+	nw := (n + 31) / 32
+	if need := 6*n + 3 + 2*est + nw; cap(s.intSlab) < need {
 		s.intSlab = make([]int32, need)
 	}
 	in := s.intSlab
@@ -239,6 +245,8 @@ func (s *SparseScratch) Bind(p *Pattern) {
 	s.uRowPtr = in[5*n+2 : 6*n+3 : 6*n+3]
 	s.cIdx = in[6*n+3 : 6*n+3 : 6*n+3+est]
 	s.uIdx = in[6*n+3+est : 6*n+3+est : 6*n+3+2*est]
+	s.marks = in[6*n+3+2*est : 6*n+3+2*est+nw : 6*n+3+2*est+nw]
+	clear(s.marks)
 	if cap(s.out.pivot) < n {
 		s.out.pivot = make([]int, n)
 	}
@@ -254,8 +262,11 @@ func (s *SparseScratch) Bind(p *Pattern) {
 //
 // The elimination is left-looking (Gilbert–Peierls shaped): each column
 // is scattered dense, updated by the prior L columns in ascending
-// order, then pivoted. See the SparseLU compatibility contract for why
-// every arithmetic step mirrors the dense right-looking elimination.
+// order, then pivoted. Every loop walks only the column's reach — the
+// elimination positions its scatter and updates mark — so a column
+// costs its arithmetic, not its order. See the SparseLU compatibility
+// contract for why every arithmetic step mirrors the dense right-looking
+// elimination.
 func (s *SparseScratch) Factor(vals []complex128) (*SparseLU, error) {
 	p := s.pat
 	n := p.N
@@ -276,20 +287,28 @@ func (s *SparseScratch) Factor(vals []complex128) (*SparseLU, error) {
 	s.cVal = s.cVal[:0]
 
 	for j := 0; j < n; j++ {
-		// Scatter column j of A into x by original row index. x is all
-		// +0 outside the column's structural entries: Bind clears it and
-		// every prior column re-clears what it touched.
+		// Scatter column j of A into x by original row index, marking
+		// each row's elimination position. x is all +0 outside the
+		// marked positions: Bind clears it and every prior column
+		// re-clears what it touched.
 		for t := p.ColPtr[j]; t < p.ColPtr[j+1]; t++ {
-			s.x[p.RowInd[t]] = vals[p.CSlot[t]]
+			r := p.RowInd[t]
+			s.x[r] = vals[p.CSlot[t]]
+			s.mark(s.posOf[r])
 		}
 		// Left-looking update: apply prior L columns in ascending
 		// elimination order. u[k][j] is read after columns < k have
-		// updated it and is final — later steps never touch row k. Each
-		// target entry receives one subtraction per step, in ascending
-		// step order: the dense right-looking loop's exact sequence.
+		// updated it and is final — later steps never touch row k, so
+		// its slot is re-zeroed on the spot. Each target entry receives
+		// one subtraction per step, in ascending step order: the dense
+		// right-looking loop's exact sequence. Column k's L rows all sit
+		// at positions > k, so the ascending walk over marks meets every
+		// position an earlier step marked; unmarked positions hold +0.
 		s.uColPtr[j] = int32(len(s.cIdx))
-		for k := 0; k < j; k++ {
-			ukj := s.x[s.rowAt[k]]
+		for k := s.nextMark(0); k < j; k = s.nextMark(k + 1) {
+			rk := s.rowAt[k]
+			ukj := s.x[rk]
+			s.x[rk] = 0
 			if ukj == 0 {
 				// Its products are all ±0 and leave every finite
 				// accumulator bit-unchanged; the dense loop performs
@@ -299,23 +318,34 @@ func (s *SparseScratch) Factor(vals []complex128) (*SparseLU, error) {
 			s.cIdx = append(s.cIdx, int32(k))
 			s.cVal = append(s.cVal, ukj)
 			for t := s.lColPtr[k]; t < s.uColPtr[k+1]; t++ {
-				s.x[s.cIdx[t]] -= s.cVal[t] * ukj
+				r := s.cIdx[t]
+				s.x[r] -= s.cVal[t] * ukj
+				s.mark(s.posOf[r])
 			}
 		}
 		s.lColPtr[j] = int32(len(s.cIdx))
 		// Pivot search over positions j..n-1 ascending, strictly-greater
-		// comparison — the dense scan verbatim. Positions with no
-		// structural entry or fill hold exact +0 and can never beat a
-		// nonzero maximum, so both scans pick the same row.
-		pp, best := j, cmplx.Abs(s.x[s.rowAt[j]])
-		for q := j + 1; q < n; q++ {
-			if v := cmplx.Abs(s.x[s.rowAt[q]]); v > best {
-				pp, best = q, v
+		// comparison — the dense scan's decisions exactly. Unmarked
+		// positions and zeros can never beat the running maximum, so
+		// only marked nonzeros are compared.
+		pp, bv := j, s.x[s.rowAt[j]]
+		bsq := sqAbs(bv)
+		for q := s.nextMark(j + 1); q < n; q = s.nextMark(q + 1) {
+			v := s.x[s.rowAt[q]]
+			if v == 0 {
+				continue
+			}
+			vsq := sqAbs(v)
+			if c := sqCmp(vsq, bsq); c > 0 || c == 0 && !mirrored(v, bv) && cmplx.Abs(v) > cmplx.Abs(bv) {
+				pp, bv, bsq = q, v, vsq
 			}
 		}
-		if best < PivotTolerance {
-			clear(s.x)
-			return nil, fmt.Errorf("%w: pivot %.3g at column %d", ErrSingular, best, j)
+		if sqCmp(bsq, pivotTolSq) <= 0 {
+			if best := cmplx.Abs(bv); best < PivotTolerance {
+				clear(s.x)
+				clear(s.marks)
+				return nil, fmt.Errorf("%w: pivot %.3g at column %d", ErrSingular, best, j)
+			}
 		}
 		out.pivot[j] = pp
 		if pp != j {
@@ -324,13 +354,17 @@ func (s *SparseScratch) Factor(vals []complex128) (*SparseLU, error) {
 			s.posOf[rp], s.posOf[rj] = int32(j), int32(pp)
 			sign = -sign
 		}
-		d := s.x[s.rowAt[j]]
+		rj := s.rowAt[j]
+		d := s.x[rj]
 		s.diag[j] = d
+		s.x[rj] = 0
 		// Gather L column j: the remaining candidates divided by the
-		// pivot, exactly the l = a/d the dense loop stores. Explicit
-		// zeros are dropped — the dense loop stores them but skips their
-		// updates, and their solve products are signed zeros.
-		for q := j + 1; q < n; q++ {
+		// pivot, exactly the l = a/d the dense loop stores, ascending by
+		// position. Position pp is marked, so the row the swap moved
+		// there is visited too. Explicit zeros are dropped — the dense
+		// loop stores them but skips their updates, and their solve
+		// products are signed zeros.
+		for q := s.nextMark(j + 1); q < n; q = s.nextMark(q + 1) {
 			r := s.rowAt[q]
 			if xv := s.x[r]; xv != 0 {
 				s.cIdx = append(s.cIdx, r)
@@ -341,16 +375,85 @@ func (s *SparseScratch) Factor(vals []complex128) (*SparseLU, error) {
 			// unstamped entry from +0).
 			s.x[r] = 0
 		}
-		// Re-zero the scatter's U-region slots for the next column (the
-		// L region was cleared while gathering). O(j) per column is
-		// noise at MNA sizes and keeps every slot exactly +0.
-		for q := 0; q <= j; q++ {
-			s.x[s.rowAt[q]] = 0
+		// An indexed loop, not clear: at MNA sizes the bitmap is a word
+		// or two, less than the cost of a memclr call.
+		for w := 0; w < len(s.marks); w++ {
+			s.marks[w] = 0
 		}
 	}
 	s.uColPtr[n] = int32(len(s.cIdx))
 	s.finalize(out, sign)
 	return out, nil
+}
+
+// mark records elimination position q in the column's reach bitmap.
+func (s *SparseScratch) mark(q int32) {
+	s.marks[q>>5] |= 1 << (q & 31)
+}
+
+// nextMark returns the least marked position ≥ q, or a value ≥ n when
+// there is none. Bits set above the current word while a caller walks
+// the marks are seen, because each call rereads the words.
+func (s *SparseScratch) nextMark(q int) int {
+	w := q >> 5
+	if w >= len(s.marks) {
+		return q
+	}
+	m := uint32(s.marks[w]) &^ (1<<(q&31) - 1)
+	for m == 0 {
+		if w++; w == len(s.marks) {
+			return w << 5
+		}
+		m = uint32(s.marks[w])
+	}
+	return w<<5 + bits.TrailingZeros32(m)
+}
+
+// The pivot search compares squared magnitudes instead of calling
+// cmplx.Abs (math.Hypot) on every candidate. A squared magnitude inside
+// [sqLo, sqHi] is a normal float with both squares free of overflow and
+// of any underflow that matters, so it carries a relative error of a
+// few ulp, as does Hypot. Two squares that differ by more than sqMargin
+// relative therefore order their Hypots the same way, strictly; closer
+// or out-of-range pairs are left to Hypot itself, as the dense scan
+// does. NaN fails every range test and so always goes to Hypot.
+const (
+	sqLo       = 1e-290
+	sqHi       = 1e290
+	sqMargin   = 1e-12
+	pivotTolSq = PivotTolerance * PivotTolerance
+)
+
+func sqAbs(v complex128) float64 { return real(v)*real(v) + imag(v)*imag(v) }
+
+func inSqRange(sq float64) bool { return sq >= sqLo && sq <= sqHi }
+
+// mirrored reports whether v and b have the same component magnitudes
+// (MNA's ±g and ±1 stamps), so Hypot, which reads only those, ties them.
+func mirrored(v, b complex128) bool {
+	return math.Abs(real(v)) == math.Abs(real(b)) && math.Abs(imag(v)) == math.Abs(imag(b))
+}
+
+// sqCmp orders two magnitudes by their squares vsq and bsq: +1 or -1
+// when the squares decide |v| > |b| one way or the other, 0 when Hypot
+// must. A bsq of exactly 0 means both of b's squares underflowed, so
+// |b| < 1e-161 lies far below any |v| whose square is in range.
+func sqCmp(vsq, bsq float64) int {
+	if !inSqRange(vsq) {
+		return 0
+	}
+	if bsq == 0 {
+		return 1
+	}
+	if !inSqRange(bsq) {
+		return 0
+	}
+	if d := vsq - bsq; d > sqMargin*bsq {
+		return 1
+	} else if d < -sqMargin*bsq {
+		return -1
+	}
+	return 0
 }
 
 // finalize turns the interleaved column-phase store into the factor's
