@@ -53,14 +53,13 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./...
 
-# fuzz-smoke runs each fuzz target beyond its seed corpus for
-# FUZZTIME (15 s by default); plain `go test` runs only the seeds.
-FUZZTIME ?= 15s
+# fuzz-smoke runs each fuzz target beyond its seed corpus for 15 s;
+# plain `go test` runs only the seeds.
 fuzz-smoke:
-	$(GO) test -run=^$$ -fuzz=^FuzzCSR$$ -fuzztime=$(FUZZTIME) ./internal/numeric/
-	$(GO) test -run=^$$ -fuzz=^FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/spice/
-	$(GO) test -run=^$$ -fuzz=^FuzzPetrick$$ -fuzztime=$(FUZZTIME) ./internal/boolexpr/
-	$(GO) test -run=^$$ -fuzz=^FuzzFSStore$$ -fuzztime=$(FUZZTIME) ./internal/jobs/
+	$(GO) test -run=^$$ -fuzz=^FuzzCSR$$ -fuzztime=15s ./internal/numeric/
+	$(GO) test -run=^$$ -fuzz=^FuzzParse$$ -fuzztime=15s ./internal/spice/
+	$(GO) test -run=^$$ -fuzz=^FuzzPetrick$$ -fuzztime=15s ./internal/boolexpr/
+	$(GO) test -run=^$$ -fuzz=^FuzzFSStore$$ -fuzztime=15s ./internal/jobs/
 
 # serve-smoke boots dftserved on an ephemeral port, runs a matrix job end
 # to end over HTTP under a fixed traceparent, asserts the trace ID

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -22,25 +21,7 @@ func sameBits(a, b complex128) bool {
 // Pattern plus the matching CSR value array.
 func patternOf(t testing.TB, m *Matrix) (*Pattern, []complex128) {
 	t.Helper()
-	var coords []int64
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if m.At(i, j) != 0 {
-				coords = append(coords, PackCoord(i, j))
-			}
-		}
-	}
-	p, err := PatternFromCoords(m.Rows, coords)
-	if err != nil {
-		t.Fatalf("PatternFromCoords: %v", err)
-	}
-	vals := make([]complex128, p.NNZ())
-	for i := 0; i < p.N; i++ {
-		for s := p.RowPtr[i]; s < p.RowPtr[i+1]; s++ {
-			vals[s] = m.At(i, int(p.ColIdx[s]))
-		}
-	}
-	return p, vals
+	return denseCase(m).pattern(t)
 }
 
 // randSparse builds a random diagonally-dominant sparse matrix: always
@@ -509,21 +490,7 @@ func TestFuzzCSRSmoke(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + int(seed)%11
-		dense := randSparse(rng, n, 0.05+0.1*float64(seed))
-		p, vals := patternOf(t, dense)
-		slu, err := NewSparseScratch(p).Factor(vals)
-		if err != nil {
-			if !strings.Contains(err.Error(), "singular") {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			continue
-		}
-		dlu, err := FactorInPlace(dense.Clone(), nil)
-		if err != nil {
-			t.Fatalf("seed %d: dense disagrees: %v", seed, err)
-		}
-		if !sameBits(slu.Det(), dlu.Det()) {
-			t.Fatalf("seed %d: Det %v vs %v", seed, slu.Det(), dlu.Det())
-		}
+		c := denseCase(randSparse(rng, n, 0.05+0.1*float64(seed)))
+		checkAgainstDense(t, fmt.Sprintf("seed %d", seed), c, rng, t.Fatalf)
 	}
 }

@@ -2,7 +2,6 @@ package numeric
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"math/cmplx"
 )
@@ -336,7 +335,7 @@ func (s *SparseScratch) Factor(vals []complex128) (*SparseLU, error) {
 				continue
 			}
 			vsq := sqAbs(v)
-			if c := sqCmp(vsq, bsq); c > 0 || c == 0 && !mirrored(v, bv) && cmplx.Abs(v) > cmplx.Abs(bv) {
+			if c := sqCmp(vsq, bsq); c > 0 || c == 0 && cmplx.Abs(v) > cmplx.Abs(bv) {
 				pp, bv, bsq = q, v, vsq
 			}
 		}
@@ -375,11 +374,7 @@ func (s *SparseScratch) Factor(vals []complex128) (*SparseLU, error) {
 			// unstamped entry from +0).
 			s.x[r] = 0
 		}
-		// An indexed loop, not clear: at MNA sizes the bitmap is a word
-		// or two, less than the cost of a memclr call.
-		for w := 0; w < len(s.marks); w++ {
-			s.marks[w] = 0
-		}
+		clear(s.marks)
 	}
 	s.uColPtr[n] = int32(len(s.cIdx))
 	s.finalize(out, sign)
@@ -427,12 +422,6 @@ const (
 func sqAbs(v complex128) float64 { return real(v)*real(v) + imag(v)*imag(v) }
 
 func inSqRange(sq float64) bool { return sq >= sqLo && sq <= sqHi }
-
-// mirrored reports whether v and b have the same component magnitudes
-// (MNA's ±g and ±1 stamps), so Hypot, which reads only those, ties them.
-func mirrored(v, b complex128) bool {
-	return math.Abs(real(v)) == math.Abs(real(b)) && math.Abs(imag(v)) == math.Abs(imag(b))
-}
 
 // sqCmp orders two magnitudes by their squares vsq and bsq: +1 or -1
 // when the squares decide |v| > |b| one way or the other, 0 when Hypot
