@@ -9,6 +9,7 @@ package analogdft
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -375,6 +376,9 @@ func BenchmarkFaultInjection(b *testing.B) {
 	}
 }
 
+// BenchmarkDetectParallelVsSerial builds the paper matrix on one worker
+// and on four. Each sub-benchmark sets GOMAXPROCS to its worker count, so
+// workers=4 runs on four threads even under `make bench`'s -cpu=1.
 func BenchmarkDetectParallelVsSerial(b *testing.B) {
 	bench := PaperBiquad()
 	faults := DeviationFaults(bench.Circuit, 0.2)
@@ -384,6 +388,7 @@ func BenchmarkDetectParallelVsSerial(b *testing.B) {
 	}
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			opts := PaperOptions()
 			opts.Points = 61
 			opts.Workers = workers

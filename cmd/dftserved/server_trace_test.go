@@ -96,9 +96,9 @@ func TestServerTraceEndToEnd(t *testing.T) {
 		t.Fatalf("root span = %+v", root)
 	}
 	// The full request-to-solve path: queue wait and cache lookup at the
-	// job layer, worker pickup (jobs.run), the engine's nominal pre-sweep
-	// and the chunked cell solves underneath it.
-	for _, name := range []string{"jobs.enqueue_wait", "jobs.cache_lookup", "jobs.run", "detect.nominals", "detect.cells", "detect.chunk"} {
+	// job layer, worker pickup (jobs.run), and the engine's chunked cell
+	// solves with one detect.config span per configuration row.
+	for _, name := range []string{"jobs.enqueue_wait", "jobs.cache_lookup", "jobs.run", "detect.config", "detect.cells", "detect.chunk"} {
 		if findNode(root, name) == nil {
 			t.Errorf("span %q missing from the job trace", name)
 		}

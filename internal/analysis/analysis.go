@@ -427,11 +427,7 @@ func RelativeDeviation(nominal, faulty *Response, measFloor float64) (*Deviation
 			return nil, fmt.Errorf("%w: grids differ at point %d", ErrBadSweep, i)
 		}
 	}
-	peak, _, okPeak := nominal.PeakMag()
-	floorAbs := 0.0
-	if okPeak && measFloor > 0 {
-		floorAbs = peak * measFloor
-	}
+	floorAbs := FloorAbs(nominal, measFloor)
 	p := &DeviationProfile{
 		Freqs: append([]float64(nil), nominal.Freqs...),
 		Rel:   make([]float64, nominal.Len()),
@@ -462,6 +458,16 @@ func RelativeDeviation(nominal, faulty *Response, measFloor float64) (*Deviation
 		}
 	}
 	return p, nil
+}
+
+// FloorAbs returns the absolute measurement floor RelativeDeviation
+// applies: measFloor times the nominal's peak magnitude, or 0 when the
+// nominal has no valid point or measFloor is not positive.
+func FloorAbs(nominal *Response, measFloor float64) float64 {
+	if peak, _, ok := nominal.PeakMag(); ok && measFloor > 0 {
+		return peak * measFloor
+	}
+	return 0
 }
 
 // ExceedsAt returns the indices where the deviation exceeds tolerance eps.

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -25,35 +24,9 @@ type Engine struct {
 	sw      *mna.Sweeper
 	nodeIdx int // observed node's unknown index, -1 for ground
 
-	// lr is the low-rank grid cache: the nominal factorization and
-	// solution at every grid point, built lazily by the first SweepLowRank
-	// and reused by every subsequent rank-1 fault on the same grid. This
-	// is the loop reorder of the Sherman–Morrison path expressed as state:
-	// the (configuration, ω) factorizations happen once, and the fault
-	// loop runs inside them.
-	lr *lowRankGrid
-
-	// traceCtx, when set, carries the caller's span context so the
-	// low-rank paths can attach their spans (grid factorization, per-point
-	// refactor fallbacks) to the caller's trace. The Engine API predates
-	// context plumbing; SetTraceContext sidesteps changing every sweep
-	// signature.
-	traceCtx context.Context
-}
-
-// SetTraceContext attaches (or, with nil, detaches) the span context the
-// engine's internal spans should parent under. Callers that set it must
-// clear it when the cell finishes so a retired trace is not held alive.
-func (e *Engine) SetTraceContext(ctx context.Context) {
-	e.traceCtx = ctx
-}
-
-// traceContext returns the attached span context, or Background.
-func (e *Engine) traceContext() context.Context {
-	if e.traceCtx != nil {
-		return e.traceCtx
-	}
-	return context.Background()
+	// rank1 answers rank-1 faults against the factorization SweepLowRank
+	// holds at each grid point, rebound point by point.
+	rank1 numeric.LowRankSolver
 }
 
 // NewEngine prepares an engine for the (undriven) circuit: the input is

@@ -11,17 +11,7 @@ import "analogdft/internal/obs"
 var ePatches = obs.Reg().Counter("engine_patch_total",
 	"faults applied to a live system as in-place stamp patches (no clone, no rebuild)")
 
-// Low-rank (Sherman–Morrison) path instrumentation. Solve and refactor
-// counts are properties of the cell set and the math — identical for any
-// worker count — so they stay always-live; the number of nominal grid
-// factorizations depends on how many engines the worker pool lazily
-// instantiates, which varies with scheduling, so that counter is gated on
-// obs.TimingOn() like mna_stamp_rebuild_total.
-var (
-	eLowRankSolves = obs.Reg().Counter("engine_lowrank_solve_total",
-		"rank-1 Sherman–Morrison fault solves against a cached nominal factorization (O(n²), no refactorization)")
-	eLowRankRefactors = obs.Reg().Counter("engine_lowrank_refactor_total",
-		"low-rank sweep points answered by a full patched refactorization (singular nominal point or singular rank-1 update)")
-	eLowRankFactors = obs.Reg().Counter("engine_lowrank_factor_total",
-		"nominal grid-point factorizations cached for the low-rank path (timing on only; engine count is schedule-dependent)")
-)
+// eLowRankSolves counts Sherman–Morrison answers: a property of the cell
+// set and the math, identical for any worker count, so always live.
+var eLowRankSolves = obs.Reg().Counter("engine_lowrank_solve_total",
+	"rank-1 Sherman–Morrison fault solves against a nominal grid-point factorization (O(n²), no refactorization)")

@@ -3,14 +3,17 @@
 // (Definition 2) and the fault detectability matrix across the test
 // configurations of a DFT-modified circuit (Figure 5 / Table 2).
 //
-// Fault simulation is embarrassingly parallel: each (configuration, fault)
-// cell is an independent AC sweep of the faulty circuit — a rank-1 solve
-// or an in-place patch on the worker's reusable per-configuration engine,
-// or a fresh clone when neither can express the fault — so the engine
-// fans the cells out over a chunked worker pool and reduces the results
-// into fixed matrix positions. The engine is race-clean (each cell
-// writes only its own slot; shared accounting goes through a mutex-guarded
-// reducer) and error-transparent: a cell whose simulation fails is never
+// Fault simulation is embarrassingly parallel. A matrix is built one
+// configuration row per task over a chunked worker pool: the worker that
+// claims a row builds one engine, factors the nominal matrix once per
+// grid point and answers every rank-1 fault of the row against that
+// factorization (Sherman–Morrison), then re-solves under an in-place
+// patch only the points that identity could not answer or whose verdict
+// it could not settle; faults it cannot express climb the patch → clone
+// ladder. Results land in fixed matrix positions. The engine is
+// race-clean (each row writes only its own slots; shared accounting goes
+// through a mutex-guarded reducer) and error-transparent: a cell whose
+// simulation fails is never
 // silently recorded as "undetectable" — it is reported as a structured
 // CellError, escalated (FailFast) or re-solved on a jittered grid (Retry)
 // according to Options.OnError. Matrices and error sets are identical for
@@ -74,39 +77,45 @@ func (p ErrorPolicy) String() string {
 	}
 }
 
-// EngineMode selects the first rung of the engine ladder every matrix
-// cell climbs down to produce its faulty response (see
-// cellRunner.response). Whatever the mode, a fault the chosen rung cannot
-// express falls to the next one, ending at clone-and-rebuild, so every
-// mode evaluates every cell.
+// EngineMode selects the first rung of the engine ladder every cell
+// climbs down to produce its faulty response. Whatever the mode, a fault
+// the first rung cannot express falls to the next one, ending at
+// clone-and-rebuild, so every mode evaluates every cell.
 type EngineMode int
 
 // Engine modes.
 const (
-	// EngineIncremental (the default) gives each worker a reusable
-	// per-configuration analysis.Engine and applies each fault as an
-	// in-place stamp patch — no circuit clone, no system rebuild, no
-	// per-cell allocation. Faults the patcher cannot express (opens,
-	// shorts, opamp model faults) are cloned and rebuilt cell by cell,
-	// counted in engine_fallback_total.
+	// EngineIncremental (the default) gives every cell the verdict of an
+	// in-place stamp patch of the fault into the configuration's reusable
+	// engine — no circuit clone, no system rebuild. A matrix row gets it
+	// at the cost of one factorization per grid point: each rank-1 fault
+	// is answered against the nominal factorization by Sherman–Morrison,
+	// and the points where that answer could decide differently from the
+	// patch — the identity could not answer, or the answer lies within
+	// guardBand of ε or of the measurement floor — are re-solved under
+	// the patch, so Det, Omega, CellErrors and Stats carry the patch
+	// rung's bits. Faults that are not rank-1 are patched cell by cell;
+	// faults the patcher cannot express (opens, shorts, opamp model
+	// faults) are cloned and rebuilt, counted in engine_fallback_total.
+	// EvaluateCircuit, which also reports MaxDev, patches every cell.
 	EngineIncremental EngineMode = iota
-	// EngineLowRank factors the nominal MNA matrix once per (configuration,
-	// ω) grid point and solves each rank-1 fault against those cached
-	// factorizations via Sherman–Morrison — O(n²) per point instead of the
-	// O(n³) refactorization of a patch. Faults whose stamp delta is not a
+	// EngineLowRank answers every rank-1 fault by Sherman–Morrison
+	// against the nominal factorization of each (configuration, ω) grid
+	// point, re-solving under a patch only the points the identity cannot
+	// answer (a singular nominal point or update denominator, counted in
+	// engine_lowrank_refactor_total). Faults whose stamp delta is not a
 	// single outer product (opens, shorts, opamp model faults, source
 	// amplitudes) fall to the patch rung cell by cell, counted in
-	// engine_fallback_total; grid points where the rank-1 update is
-	// singular fall back to a full patched refactorization inside the
-	// sweep (engine_lowrank_refactor_total). The Sherman–Morrison solve
-	// agrees with a refactorization only within rounding, so a cell whose
-	// |ΔT/T| equals ε at some grid point can get a different verdict than
-	// under EngineIncremental (see Options.Engine).
+	// engine_fallback_total. Without the default engine's guard, a cell
+	// whose |ΔT/T| equals ε (within rounding) at some grid point can get a
+	// different verdict than under EngineIncremental (see Options.Engine).
 	EngineLowRank
 
-	// engineClone starts every cell at the clone-and-rebuild rung: the
-	// reference the equivalence tests hold the other modes to. No flag,
-	// request field or ParseEngineMode name selects it.
+	// enginePatch starts every cell at the in-place patch rung, and
+	// engineClone at the clone-and-rebuild rung: the references the
+	// equivalence tests hold the other modes to. No flag, request field
+	// or ParseEngineMode name selects either.
+	enginePatch
 	engineClone
 )
 
@@ -117,6 +126,8 @@ func (m EngineMode) String() string {
 		return "incremental"
 	case EngineLowRank:
 		return "lowrank"
+	case enginePatch:
+		return "patch"
 	case engineClone:
 		return "clone"
 	default:
@@ -144,8 +155,10 @@ type Stats struct {
 	Cells int
 	// CellsDone is the number of cells completed so far.
 	CellsDone int
-	// Solves is the number of AC grid-point solves performed, including
-	// nominal pre-sweeps and retry attempts.
+	// Solves is the number of AC grid-point solves accounted: the nominal
+	// sweep and every cell over the whole grid, plus retry attempts,
+	// whichever solve — a refactorization or a rank-1 update — answered
+	// each point.
 	Solves int
 	// SingularPoints is the number of grid points that remained
 	// unsolvable (singular) after any retries.
@@ -217,13 +230,15 @@ type Options struct {
 	// (default), FailFast or Retry.
 	OnError ErrorPolicy
 	// Engine selects the cell simulation strategy: EngineIncremental
-	// (default) or EngineLowRank. Both produce the Det matrices and Omega
-	// values of cloning and rebuilding every faulty circuit, within
-	// floating-point noise, except on cells whose |ΔT/T| equals ε (within
-	// rounding) at some grid point: there the verdict r > ε is decided by
-	// rounding, and EngineLowRank can flip it. The paper biquad at 10%
-	// faults has two such cells, (C1, fR3) and (C3, fR3), where R3×1.1
-	// scales the response by exactly 1.1.
+	// (default) or EngineLowRank. EngineIncremental gives every cell the
+	// bits of an in-place patch, whichever solve produced them. Both
+	// produce the Det matrices and Omega values of cloning and rebuilding
+	// every faulty circuit, within floating-point noise, except on cells
+	// whose |ΔT/T| equals ε (within rounding) at some grid point: there
+	// the verdict r > ε is decided by rounding, and EngineLowRank, whose
+	// Sherman–Morrison answers carry no guard, can flip it. The paper
+	// biquad at 10% faults has two such cells, (C1, fR3) and (C3, fR3),
+	// where R3×1.1 scales the response by exactly 1.1.
 	Engine EngineMode
 	// MaxRetries bounds the per-point jitter attempts of the Retry
 	// policy (default 3, clamped to analysis.MaxSingularRetries).
@@ -368,9 +383,11 @@ func EvaluateCircuit(ckt *circuit.Circuit, faults fault.List, opts Options) (*Ro
 }
 
 // EvaluateCircuitContext is EvaluateCircuit with cancellation: ctx is
-// checked between cells (and during the nominal pre-sweep), so an
+// checked between cells (and at every grid point of a row sweep), so an
 // in-flight evaluation stops within one cell boundary of ctx being
-// cancelled and returns ctx's error.
+// cancelled and returns ctx's error. The default engine patches every
+// cell, fanned out over the workers, so MaxDev is the patch rung's;
+// EngineLowRank runs the matrix's row sweep on the one row.
 func EvaluateCircuitContext(ctx context.Context, ckt *circuit.Circuit, faults fault.List, opts Options) (*Row, error) {
 	opts = opts.Normalize()
 	start := obs.Now()
@@ -391,14 +408,24 @@ func EvaluateCircuitContext(ctx context.Context, ckt *circuit.Circuit, faults fa
 	if err := opts.checkProfile(len(grid)); err != nil {
 		return nil, err
 	}
-	cr := newCellRunner(1, faults, opts)
-	_, nomSpan := obs.Start(sctx, "detect.nominal")
-	err = cr.addConfig(ckt, func() string { return strconv.Quote(ckt.Name) }, grid)
-	nomSpan.End()
-	if err != nil {
-		return nil, err
+	what := func() string { return strconv.Quote(ckt.Name) }
+	var evals []FaultEval
+	var tr *tracker
+	if opts.Engine == EngineLowRank {
+		// The one-row case of the matrix's row sweep.
+		rr := newRowRunner(1, faults, opts, func(int) (rowSpec, error) {
+			return rowSpec{ckt: ckt, grid: grid, label: ckt.Name, what: what}, nil
+		})
+		evals, tr, err = rr.run(sctx)
+	} else {
+		cr := &cellRunner{opts: opts, faults: faults, ckt: ckt, grid: grid, engines: make([]*analysis.Engine, opts.Workers)}
+		_, nomSpan := obs.Start(sctx, "detect.nominal")
+		err = cr.nominalPhase(what)
+		nomSpan.End()
+		if err == nil {
+			evals, tr, err = cr.run(sctx)
+		}
 	}
-	evals, tr, err := cr.run(sctx)
 	if err != nil {
 		return nil, err
 	}
@@ -444,10 +471,59 @@ func resolveRegion(ckt *circuit.Circuit, opts Options) (analysis.Region, error) 
 	return region, nil
 }
 
-// cellStats is the per-cell effort record merged by the tracker.
+// cellStats is the effort record of one cell, or of one row's nominal
+// phase, merged by the tracker.
 type cellStats struct {
 	solves, singular, retries, recovered int
 	err                                  bool
+}
+
+// rung names the rung of the engine ladder that answered a cell: the
+// label of the cell-latency histogram and of the slow-cell exemplars.
+type rung string
+
+// The engine ladder's rungs.
+const (
+	rungRank1 rung = "rank1"
+	rungPatch rung = "patch"
+	rungClone rung = "clone"
+)
+
+// observeCell records one cell's wall latency under the rung that
+// answered it and offers it to the slow-cell exemplar store, stamped with
+// the trace ID carried by ctx. Call only with timing on.
+func observeCell(ctx context.Context, seconds float64, r rung) {
+	dCellSeconds.With(string(r)).Observe(seconds)
+	id := ""
+	if tc := obs.TraceFrom(ctx); !tc.IsZero() {
+		id = tc.TraceIDString()
+	}
+	dSlowCells.Offer(seconds, id, string(r))
+}
+
+// allInvalid is the error of every cell whose nominal baseline has no
+// valid point: the deviation profile would be identically zero, so the
+// cell records an error instead of a silent "undetectable".
+func allInvalid(ckt *circuit.Circuit) error {
+	return fmt.Errorf("detect: nominal response of %q: %w", ckt.Name, analysis.ErrAllInvalid)
+}
+
+// retryNominal accounts a configuration's nominal sweep. Under the Retry
+// policy it first re-solves the nominal's singular points on the same
+// engine, so every cell compares against the best available baseline.
+func retryNominal(eng *analysis.Engine, nominal *analysis.Response, opts Options) (cellStats, error) {
+	st := cellStats{solves: nominal.Len()}
+	if needsRetry(nominal, opts) {
+		recovered, solves, err := eng.RetrySingularPoints(nominal, opts.MaxRetries)
+		st.retries += solves
+		st.solves += solves
+		st.recovered += recovered
+		if err != nil {
+			return st, err
+		}
+	}
+	st.singular = nominal.InvalidCount()
+	return st, nil
 }
 
 // scoreCell fills eval's verdict — Definition 1 detectability, the
@@ -508,119 +584,81 @@ func endRetrySpan(s *obs.Span, recovered int) {
 	s.End()
 }
 
-// cellRunner evaluates the (configuration, fault) cells of one row or
-// matrix, row-major over the configurations added by the nominal phase
-// and the fault list. Engines are not safe for concurrent use: the
-// nominal phase leaves one seed engine per configuration, the first
-// worker to reach a configuration takes it and later ones build their
-// own, and each worker keeps its engines in caches[w], which only worker
-// w touches.
+// cellRunner evaluates one circuit's cells, each starting at the patch
+// rung (the clone rung for the clone reference), fanned out over the
+// workers: the default EvaluateCircuit row, which reports MaxDev and so
+// keeps the patch rung's own responses. Engines are not safe for
+// concurrent use: worker 0 takes the nominal phase's engine, every other
+// worker builds its own on first use, and only worker w touches
+// engines[w].
 type cellRunner struct {
-	opts     Options
-	faults   fault.List
-	ckts     []*circuit.Circuit
-	nominals []*analysis.Response
-	grids    [][]float64
-	// base accounts the nominal phase; the tracker starts from it.
-	base Stats
-
-	mu     sync.Mutex // guards seeds
-	seeds  []*analysis.Engine
-	caches []map[int]*analysis.Engine
+	opts    Options
+	faults  fault.List
+	ckt     *circuit.Circuit
+	grid    []float64
+	nominal *analysis.Response
+	base    cellStats // the nominal phase's effort
+	engines []*analysis.Engine
 }
 
-// newCellRunner prepares a runner for up to configs configurations over
-// the fault list, with one engine cache per worker; opts is already
-// normalized.
-func newCellRunner(configs int, faults fault.List, opts Options) *cellRunner {
-	caches := make([]map[int]*analysis.Engine, opts.Workers)
-	for w := range caches {
-		caches[w] = make(map[int]*analysis.Engine)
-	}
-	return &cellRunner{
-		opts:     opts,
-		faults:   faults,
-		ckts:     make([]*circuit.Circuit, 0, configs),
-		nominals: make([]*analysis.Response, 0, configs),
-		grids:    make([][]float64, 0, configs),
-		seeds:    make([]*analysis.Engine, 0, configs),
-		caches:   caches,
-	}
-}
-
-// addConfig is the nominal phase of one configuration: it builds the
-// configuration's engine, sweeps the nominal response over grid and folds
-// that cost into the base stats. Under the Retry policy it first
-// re-solves the nominal's singular points on the same engine, so every
-// cell compares against the best available baseline. The engine seeds the
-// configuration's pool. what names the configuration in errors; it is
-// called only on failure.
-func (cr *cellRunner) addConfig(ckt *circuit.Circuit, what func() string, grid []float64) error {
-	eng, err := analysis.NewEngine(ckt)
+// nominalPhase builds the circuit's engine and sweeps (and, under Retry,
+// repairs) the nominal response every cell compares against. what names
+// the circuit in errors; it is called only on failure.
+func (cr *cellRunner) nominalPhase(what func() string) error {
+	eng, err := analysis.NewEngine(cr.ckt)
 	if err != nil {
 		return fmt.Errorf("detect: nominal sweep of %s: %w", what(), err)
 	}
-	nominal, err := eng.SweepGrid(grid)
+	nominal, err := eng.SweepGrid(cr.grid)
 	if err != nil {
 		return fmt.Errorf("detect: nominal sweep of %s: %w", what(), err)
 	}
-	cr.base.Solves += nominal.Len()
-	if needsRetry(nominal, cr.opts) {
-		recovered, solves, err := eng.RetrySingularPoints(nominal, cr.opts.MaxRetries)
-		cr.base.Retries += solves
-		cr.base.Solves += solves
-		cr.base.Recovered += recovered
-		if err != nil {
-			return fmt.Errorf("detect: nominal retry of %s: %w", what(), err)
-		}
+	if cr.base, err = retryNominal(eng, nominal, cr.opts); err != nil {
+		return fmt.Errorf("detect: nominal retry of %s: %w", what(), err)
 	}
-	cr.base.SingularPoints += nominal.InvalidCount()
-	cr.ckts = append(cr.ckts, ckt)
-	cr.nominals = append(cr.nominals, nominal)
-	cr.grids = append(cr.grids, grid)
-	cr.seeds = append(cr.seeds, eng)
+	cr.nominal = nominal
+	cr.engines[0] = eng
 	return nil
 }
 
-// engine returns worker w's engine for configuration i: the seed engine
-// for the first worker to ask, a lazily built one (at most once per
-// worker and configuration) for the others.
-func (cr *cellRunner) engine(w, i int) (*analysis.Engine, error) {
-	if eng, ok := cr.caches[w][i]; ok {
-		return eng, nil
-	}
-	cr.mu.Lock()
-	eng := cr.seeds[i]
-	cr.seeds[i] = nil
-	cr.mu.Unlock()
-	if eng == nil {
-		var err error
-		if eng, err = analysis.NewEngine(cr.ckts[i]); err != nil {
+// engine returns worker w's engine, building it on first use.
+func (cr *cellRunner) engine(w int) (*analysis.Engine, error) {
+	if cr.engines[w] == nil {
+		eng, err := analysis.NewEngine(cr.ckt)
+		if err != nil {
 			return nil, err
 		}
+		cr.engines[w] = eng
 	}
-	cr.caches[w][i] = eng
-	return eng, nil
+	return cr.engines[w], nil
 }
 
 // run fans every cell out over the workers under one detect.cells span
-// and returns the evaluations in row-major cell order, with the tracker
-// holding their merged effort. Each cell writes only its own slot and the
-// tracker reduces stats behind a mutex in cell order, so the fan-out is
-// clean under -race and deterministic for any worker count. Under
-// FailFast the first failing cell stops scheduling; cells in flight
-// finish and cells never started keep a zero evaluation. A cancelled ctx
-// returns ctx's error.
+// and returns the evaluations in fault order, with the tracker holding
+// their merged effort. Each cell writes only its own slot and the tracker
+// reduces stats behind a mutex in cell order, so the fan-out is clean
+// under -race and deterministic for any worker count. Under FailFast the
+// first failing cell stops scheduling; cells in flight finish and cells
+// never started keep a zero evaluation. A cancelled ctx returns ctx's
+// error.
 func (cr *cellRunner) run(ctx context.Context) ([]FaultEval, *tracker, error) {
-	nf := len(cr.faults)
-	n := len(cr.ckts) * nf
+	n := len(cr.faults)
 	evals := make([]FaultEval, n)
-	tr := newTracker(n, cr.base, cr.opts.Progress)
+	tr := newTracker(1, n, cr.opts.Progress)
+	tr.nominal(0, cr.base)
 	cellsCtx, cellSpan := obs.Start(ctx, "detect.cells")
 	cellSpan.SetTag("cells", fmt.Sprint(n))
 	cellCtx, cancel := cancelContext(cellsCtx, cr.opts)
 	runParallel(cellCtx, n, cr.opts.Workers, func(cctx context.Context, w, k int) {
-		eval, st := cr.evaluate(cctx, w, k/nf, cr.faults[k%nf])
+		timed := obs.TimingOn()
+		var t0 time.Time
+		if timed {
+			t0 = obs.Now()
+		}
+		eval, st, r := cr.evaluateCell(cctx, w, cr.faults[k])
+		if timed {
+			observeCell(cctx, obs.Since(t0).Seconds(), r)
+		}
 		evals[k] = eval
 		if eval.Err != nil && cancel != nil {
 			cancel()
@@ -638,139 +676,101 @@ func (cr *cellRunner) run(ctx context.Context) ([]FaultEval, *tracker, error) {
 	return evals, tr, nil
 }
 
-// evaluate runs the (configuration i, fault f) cell on worker w. When
-// timing is on it also records the cell's wall latency under the
-// requested engine mode and offers it to the slow-cell exemplar store,
-// stamped with the trace ID carried by ctx.
-func (cr *cellRunner) evaluate(ctx context.Context, w, i int, f fault.Fault) (FaultEval, cellStats) {
-	timed := obs.TimingOn()
-	var t0 time.Time
-	if timed {
-		t0 = obs.Now()
-	}
-	eval, st := cr.evaluateCell(ctx, w, i, f)
-	if timed {
-		mode := cr.opts.Engine.String()
-		el := obs.Since(t0).Seconds()
-		dCellSeconds.With(mode).Observe(el)
-		id := ""
-		if tc := obs.TraceFrom(ctx); !tc.IsZero() {
-			id = tc.TraceIDString()
-		}
-		dSlowCells.Offer(el, id, mode)
-	}
-	return eval, st
-}
-
-// evaluateCell is the cell pipeline, response(f) → retry → score: it
-// measures fault f on configuration i against the pre-swept nominal
-// response and accounts the simulation effort. A nominal baseline with no
-// valid points makes every comparison meaningless (the deviation profile
-// is identically zero), so the cell records an error instead of a silent
-// "undetectable".
-func (cr *cellRunner) evaluateCell(ctx context.Context, w, i int, f fault.Fault) (FaultEval, cellStats) {
-	nominal, grid, opts := cr.nominals[i], cr.grids[i], cr.opts
+// evaluateCell is the cell pipeline, response → retry → score, for fault
+// f on worker w, returning the rung that produced the response.
+func (cr *cellRunner) evaluateCell(ctx context.Context, w int, f fault.Fault) (FaultEval, cellStats, rung) {
 	eval := FaultEval{Fault: f}
 	var st cellStats
-	fail := func(err error) (FaultEval, cellStats) {
+	r := rungPatch
+	err := func() error {
+		if cr.nominal.ValidCount() == 0 {
+			return allInvalid(cr.ckt)
+		}
+		var eng *analysis.Engine
+		if cr.opts.Engine != engineClone {
+			var err error
+			if eng, err = cr.engine(w); err != nil {
+				// The nominal phase already built an engine for this exact
+				// circuit, so a failure here is exceptional; degrade to the
+				// clone rung rather than invent a new error channel.
+				fallback(ctx, f, "pool")
+			}
+		}
+		eng, resp, rg, err := ladder(ctx, eng, cr.ckt, f, cr.grid)
+		r = rg
+		if eng != nil {
+			defer eng.Reset()
+		}
+		if err != nil {
+			return err
+		}
+		return finish(ctx, eng, f, cr.nominal, resp, cr.grid, cr.opts, &eval, &st)
+	}()
+	if err != nil {
 		eval.Err = err
 		st.err = true
-		return eval, st
 	}
-	if nominal.ValidCount() == 0 {
-		return fail(fmt.Errorf("detect: nominal response of %q: %w", cr.ckts[i].Name, analysis.ErrAllInvalid))
-	}
-	eng, resp, err := cr.response(ctx, w, i, f)
-	if eng != nil {
-		defer eng.Reset()
-	}
-	if err != nil {
-		return fail(err)
-	}
-	st.solves += len(grid)
-	if needsRetry(resp, opts) {
-		// The engine holds the faulty state, so the jittered re-solves run
-		// on the faulty system whichever rung produced resp.
-		rs := retrySpan(ctx, f, resp.InvalidCount())
-		recovered, solves, rerr := eng.RetrySingularPoints(resp, opts.MaxRetries)
-		endRetrySpan(rs, recovered)
-		st.retries += solves
-		st.solves += solves
-		st.recovered += recovered
-		if rerr != nil {
-			return fail(rerr)
-		}
-	}
-	st.singular += resp.InvalidCount()
-	if err := scoreCell(&eval, nominal, resp, grid, opts); err != nil {
-		return fail(err)
-	}
-	return eval, st
+	return eval, st, r
 }
 
-// response is the engine ladder of the cell pipeline. It produces the
-// faulty response of f on configuration i and returns it with the engine
-// that holds the faulty state (nil when none was built), so the caller's
-// retry re-solves the faulty system and the caller's Reset restores the
-// engine to nominal. The rungs, in order:
+// ladder is the patch → clone part of the engine ladder: it produces the
+// faulty response of f on ckt and returns it with the engine that holds
+// the faulty state (nil when none was built) and the rung that answered,
+// so the caller's retry re-solves the faulty system and the caller's
+// Reset restores the engine to nominal. The rungs, in order:
 //
-//  1. rank-1, under EngineLowRank only: a Sherman–Morrison solve against
-//     the worker engine's nominal factorizations, cached per grid point
-//     and shared by every fault of the configuration — O(n²) per point;
-//  2. in-place patch: the fault stamped into the worker's engine, with no
-//     clone, no system rebuild and no per-cell allocation beyond the
-//     response buffers;
-//  3. clone-and-rebuild: the faulty circuit cloned and a fresh engine
+//  1. in-place patch, on eng when non-nil: the fault stamped into the
+//     reusable engine, with no clone, no system rebuild and no per-cell
+//     allocation beyond the response buffers;
+//  2. clone-and-rebuild: the faulty circuit cloned and a fresh engine
 //     built for the cell — the reference every other rung must match.
 //
-// A fault a rung cannot express (not a single outer product for rung 1;
-// opens, shorts and opamp model faults for rung 2) falls to the next rung,
-// so every engine mode evaluates the same cell set.
-func (cr *cellRunner) response(ctx context.Context, w, i int, f fault.Fault) (*analysis.Engine, *analysis.Response, error) {
-	grid := cr.grids[i]
-	var eng *analysis.Engine
-	if cr.opts.Engine != engineClone {
-		var err error
-		if eng, err = cr.engine(w, i); err != nil {
-			// The nominal phase already built an engine for this exact
-			// circuit, so a failure here is exceptional; degrade to the
-			// clone rung rather than invent a new error channel.
-			fallback(ctx, f, "pool")
-		}
-	}
-	if eng != nil && cr.opts.Engine == EngineLowRank {
-		if lf, err := eng.PrepareLowRank(f); err == nil {
-			eng.SetTraceContext(ctx)
-			resp, err := eng.SweepLowRank(lf, grid)
-			eng.SetTraceContext(nil)
-			if err == nil && needsRetry(resp, cr.opts) {
-				// The rank-1 solve leaves the system nominal; patch the
-				// fault in for the retry.
-				err = eng.ApplyFault(f)
-			}
-			return eng, resp, err
-		}
-		fallback(ctx, f, "lowrank")
-	}
+// A fault the patcher cannot express (opens, shorts, opamp model faults)
+// falls to the clone rung. The rank-1 rung above both lives in the row
+// sweep (rowRunner).
+func ladder(ctx context.Context, eng *analysis.Engine, ckt *circuit.Circuit, f fault.Fault, grid []float64) (*analysis.Engine, *analysis.Response, rung, error) {
 	if eng != nil {
 		if err := eng.ApplyFault(f); err == nil {
 			resp, err := eng.SweepGrid(grid)
-			return eng, resp, err
+			return eng, resp, rungPatch, err
 		}
 		fallback(ctx, f, "incremental")
 	}
-	faulty, err := f.Apply(cr.ckts[i])
+	faulty, err := f.Apply(ckt)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, rungClone, err
 	}
 	// A throwaway engine per cell keeps this rung the reference path
 	// (fresh clone, fresh system); reusing it for the retry skips only a
 	// redundant rebuild.
 	if eng, err = analysis.NewEngine(faulty); err != nil {
-		return nil, nil, err
+		return nil, nil, rungClone, err
 	}
 	resp, err := eng.SweepGrid(grid)
-	return eng, resp, err
+	return eng, resp, rungClone, err
+}
+
+// finish is the tail of the cell pipeline, retry → score: eng holds f's
+// faulty state and resp its response over grid. It accounts the cell's
+// solves — the whole grid, whichever rung and however many factorizations
+// produced resp, plus any retries.
+func finish(ctx context.Context, eng *analysis.Engine, f fault.Fault, nominal, resp *analysis.Response, grid []float64, opts Options, eval *FaultEval, st *cellStats) error {
+	st.solves += len(grid)
+	if needsRetry(resp, opts) {
+		// The engine holds the faulty state, so the jittered re-solves run
+		// on the faulty system whichever rung produced resp.
+		rs := retrySpan(ctx, f, resp.InvalidCount())
+		recovered, solves, err := eng.RetrySingularPoints(resp, opts.MaxRetries)
+		endRetrySpan(rs, recovered)
+		st.retries += solves
+		st.solves += solves
+		st.recovered += recovered
+		if err != nil {
+			return err
+		}
+	}
+	st.singular += resp.InvalidCount()
+	return scoreCell(eval, nominal, resp, grid, opts)
 }
 
 // CellError is a structured record of one failed matrix cell: which
@@ -858,9 +858,9 @@ func BuildMatrix(m *dft.Modified, faults fault.List, opts Options) (*Matrix, err
 }
 
 // BuildMatrixContext is BuildMatrix with cancellation: ctx is checked
-// between (configuration, fault) cells and between the per-configuration
-// nominal pre-sweeps, so an in-flight matrix build stops within one cell
-// boundary of ctx being cancelled and returns ctx's error.
+// between (configuration, fault) cells and at every grid point of a
+// configuration's sweep, so an in-flight matrix build stops within one
+// cell boundary of ctx being cancelled and returns ctx's error.
 func BuildMatrixContext(ctx context.Context, m *dft.Modified, faults fault.List, opts Options) (*Matrix, error) {
 	opts = opts.Normalize()
 	start := obs.Now()
@@ -887,22 +887,13 @@ func BuildMatrixContext(ctx context.Context, m *dft.Modified, faults fault.List,
 		return nil, err
 	}
 
-	// Pre-sweep nominal responses per configuration (cheap, sequential),
-	// then fan out the (config, fault) cells. With PerConfigRegion each
-	// row gets its own grid; otherwise all rows share the functional
-	// region's grid.
-	cr := newCellRunner(len(configs), faults, opts)
-	_, nomSpan := obs.Start(sctx, "detect.nominals")
-	for _, cfg := range configs {
-		if err := ctx.Err(); err != nil {
-			nomSpan.End()
-			dCancelled.Inc()
-			return nil, err
-		}
+	// One task per configuration row. With PerConfigRegion each row gets
+	// its own grid; otherwise all rows share the functional region's grid.
+	rr := newRowRunner(len(configs), faults, opts, func(i int) (rowSpec, error) {
+		cfg := configs[i]
 		ckt, err := m.Configure(cfg)
 		if err != nil {
-			nomSpan.End()
-			return nil, err
+			return rowSpec{}, err
 		}
 		rowGrid := grid
 		if opts.PerConfigRegion {
@@ -910,13 +901,9 @@ func BuildMatrixContext(ctx context.Context, m *dft.Modified, faults fault.List,
 				rowGrid = rowRegion.Spec(opts.Points).Grid()
 			}
 		}
-		if err := cr.addConfig(ckt, cfg.String, rowGrid); err != nil {
-			nomSpan.End()
-			return nil, err
-		}
-	}
-	nomSpan.End()
-	evals, tr, err := cr.run(sctx)
+		return rowSpec{ckt: ckt, grid: rowGrid, label: cfg.Label(), what: cfg.String}, nil
+	})
+	evals, tr, err := rr.run(sctx)
 	if err != nil {
 		return nil, err
 	}
@@ -961,11 +948,14 @@ func BuildMatrixContext(ctx context.Context, m *dft.Modified, faults fault.List,
 }
 
 // tracker merges per-cell stats and emits Progress snapshots in cell
-// order: cell k's stats are folded in only after cells 0..k-1, so the
-// snapshot sequence is a deterministic function of the cell results,
-// independent of worker count and completion order.
+// order. Each row contributes its nominal phase, then its cells, and
+// every record is folded in only after all records before it, so the
+// snapshot sequence is a deterministic function of the results,
+// independent of worker count and completion order. Only cells emit
+// snapshots.
 type tracker struct {
 	mu       sync.Mutex
+	nf       int // cells per row
 	frontier int
 	done     []bool
 	pending  []cellStats
@@ -973,33 +963,43 @@ type tracker struct {
 	progress func(Stats)
 }
 
-// newTracker starts a tracker over the given number of cells, seeded with
-// the pre-sweep accounting in base.
-func newTracker(cells int, base Stats, progress func(Stats)) *tracker {
-	base.Cells = cells
+// newTracker starts a tracker over rows rows of nf cells each.
+func newTracker(rows, nf int, progress func(Stats)) *tracker {
+	n := rows * (nf + 1)
 	return &tracker{
-		done:     make([]bool, cells),
-		pending:  make([]cellStats, cells),
-		stats:    base,
+		nf:       nf,
+		done:     make([]bool, n),
+		pending:  make([]cellStats, n),
+		stats:    Stats{Cells: rows * nf},
 		progress: progress,
 	}
 }
 
-// complete records cell k's stats and advances the in-order frontier,
-// emitting one Progress snapshot per newly contiguous cell.
-func (t *tracker) complete(k int, cs cellStats) {
+// nominal records row i's nominal-phase stats.
+func (t *tracker) nominal(i int, ns cellStats) { t.record(i*(t.nf+1), ns) }
+
+// complete records cell k's stats.
+func (t *tracker) complete(k int, cs cellStats) { t.record(k/t.nf*(t.nf+1)+1+k%t.nf, cs) }
+
+// record stores one record and advances the in-order frontier, emitting
+// one Progress snapshot per newly contiguous cell.
+func (t *tracker) record(e int, cs cellStats) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.done[k] = true
-	t.pending[k] = cs
+	t.done[e] = true
+	t.pending[e] = cs
 	for t.frontier < len(t.done) && t.done[t.frontier] {
 		cs := t.pending[t.frontier]
+		cell := t.frontier%(t.nf+1) != 0
 		t.frontier++
-		t.stats.CellsDone++
 		t.stats.Solves += cs.solves
 		t.stats.SingularPoints += cs.singular
 		t.stats.Retries += cs.retries
 		t.stats.Recovered += cs.recovered
+		if !cell {
+			continue
+		}
+		t.stats.CellsDone++
 		if cs.err {
 			t.stats.Errors++
 		}
@@ -1024,8 +1024,8 @@ func (t *tracker) finish(elapsed time.Duration) Stats {
 // runParallel executes fn(ctx, worker, 0..n-1) over at most workers
 // goroutines using a chunked scheduler: indices are claimed in fixed-size
 // contiguous chunks off an atomic cursor. The worker index (0..workers-1)
-// lets fn keep per-worker state — the cell runner's engine caches —
-// without locking; fn must write only to index-distinct state beyond that
+// lets fn keep per-worker state — the cell runner's engines — without
+// locking; fn must write only to index-distinct state beyond that
 // (shared accounting goes through the tracker's mutex), which keeps the
 // engine race-clean and its results independent of worker count.
 // Cancelling ctx stops workers from starting new cells; cells already in

@@ -16,7 +16,7 @@ var (
 	dCells = obs.Reg().Counter("detect_cells_total",
 		"(configuration, fault) cells evaluated")
 	dSolves = obs.Reg().Counter("detect_solves_total",
-		"AC grid-point solves accounted by the engine (nominal pre-sweeps, cells, retries)")
+		"AC grid-point solves accounted by the engine (nominal sweeps, cells, retries), whichever solve answered each point")
 	dSingular = obs.Reg().Counter("detect_singular_points_total",
 		"grid points left singular after any retries")
 	dRetries = obs.Reg().Counter("detect_retries_total",
@@ -31,21 +31,33 @@ var (
 		"evaluations aborted by the FailFast policy")
 	dCancelled = obs.Reg().Counter("detect_cancelled_total",
 		"evaluations abandoned because the caller's context was cancelled")
-	// dEngineFallback pairs with the analysis package's engine_patch_total:
-	// under EngineIncremental, patches / (patches + fallbacks) is the patch
-	// hit rate. A lowrank cell that falls to the clone rung counts twice.
+	// dEngineFallback counts rungs left: under EngineLowRank a cell that
+	// falls from the rank-1 rung to the clone rung counts twice. Under
+	// EngineIncremental the rank-1 answer stands in for the patch, so only
+	// patch → clone steps count.
 	dEngineFallback = obs.Reg().Counter("engine_fallback_total",
 		"steps from one rung of the cell engine ladder to the next (rank-1, in-place patch, clone-and-rebuild)")
 
+	// The rank-1 tallies of the row sweep. Which cells are rank-1, and
+	// which of their points the identity cannot answer or the guard
+	// cannot settle, are properties of the cell set: always live, like
+	// engine_lowrank_solve_total in the analysis package.
+	dRank1Cells = obs.Reg().Counter("detect_rank1_cells_total",
+		"cells answered on the rank-1 rung: Sherman–Morrison against the row's nominal factorization at each grid point")
+	dLowRankRefactors = obs.Reg().Counter("engine_lowrank_refactor_total",
+		"rank-1 grid points re-solved under a patch because the identity could not answer them (singular nominal point or singular rank-1 update)")
+	dGuardResolves = obs.Reg().Counter("detect_guard_resolves_total",
+		"rank-1 grid points re-solved under a patch because the answer lay within the guard band of ε or of the measurement floor")
+
 	dCellSeconds = obs.Reg().HistogramVec("detect_cell_seconds",
-		"per-cell solve latency by requested engine mode (timing on only)", "engine", obs.TimeBuckets)
+		"per-cell solve latency by the engine-ladder rung that answered: rank1, patch or clone (timing on only)", "rung", obs.TimeBuckets)
 
 	dWorkers = obs.Reg().Gauge("detect_workers",
 		"worker count of the most recent fan-out (timing on only)")
 	dChunkSeconds = obs.Reg().Histogram("detect_chunk_seconds",
 		"scheduler chunk latency in seconds (timing on only)", obs.TimeBuckets)
 	dChunkCells = obs.Reg().Histogram("detect_chunk_cells",
-		"cells per scheduler chunk (timing on only)", obs.CountBuckets)
+		"tasks per scheduler chunk: cells of a row evaluation, configuration rows of a matrix (timing on only)", obs.CountBuckets)
 	dWorkerBusy = obs.Reg().Histogram("detect_worker_busy_ratio",
 		"per-worker busy fraction of the fan-out wall time (timing on only)", obs.RatioBuckets)
 )

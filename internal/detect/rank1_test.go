@@ -1,0 +1,294 @@
+package detect
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"runtime"
+	"slices"
+	"sort"
+	"testing"
+
+	"analogdft/internal/analysis"
+	"analogdft/internal/circuits"
+	"analogdft/internal/dft"
+	"analogdft/internal/fault"
+	"analogdft/internal/obs"
+)
+
+// requireSameMatrix fails unless got carries want's bits: Det, Omega
+// (bitwise), the cell error set with its texts, and Stats but Elapsed.
+func requireSameMatrix(t *testing.T, label string, got, want *Matrix) {
+	t.Helper()
+	for i := range want.Det {
+		for j := range want.Det[i] {
+			if got.Det[i][j] != want.Det[i][j] || math.Float64bits(got.Omega[i][j]) != math.Float64bits(want.Omega[i][j]) {
+				t.Errorf("%s: cell %s/%s = (%t, %v), patch (%t, %v)", label,
+					want.Configs[i].Label(), want.Faults[j].ID,
+					got.Det[i][j], got.Omega[i][j], want.Det[i][j], want.Omega[i][j])
+			}
+		}
+	}
+	if len(got.CellErrors) != len(want.CellErrors) {
+		t.Fatalf("%s: %d cell errors, patch %d", label, len(got.CellErrors), len(want.CellErrors))
+	}
+	for k, ce := range want.CellErrors {
+		if g := got.CellErrors[k]; g.Config != ce.Config || g.FaultIndex != ce.FaultIndex || g.Err.Error() != ce.Err.Error() {
+			t.Errorf("%s: cell error %d = %v, patch %v", label, k, g, ce)
+		}
+	}
+	gs, ws := got.Stats, want.Stats
+	gs.Elapsed, ws.Elapsed = 0, 0
+	if gs != ws {
+		t.Errorf("%s: stats %+v, patch %+v", label, gs, ws)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds, where the bitwise
+// sweep runs a smaller subset.
+var raceEnabled bool
+
+// TestRank1MatchesPatchBitwise is the default engine's contract: the row
+// sweep — rank-1 answers against one factorization per (configuration,
+// ω), re-solved under a patch wherever they could decide differently —
+// builds the matrix the patch-first ladder builds, bit for bit. It covers
+// the library benches and a six-opamp chain; the deviation universe at
+// fault sizes 0.10–0.30 and the bipolar one at 0.10/0.20/0.30 on 61
+// points; the deviation universe at 0.10, where the paper flow's ε ties
+// sit, on 241 points; and the catastrophic universe. -short keeps two
+// benches and three sweeps on 61 points, -race the paper biquad alone.
+func TestRank1MatchesPatchBitwise(t *testing.T) {
+	benches := circuits.Library()
+	ms6, err := circuits.MultiStageLowpass(6, 10e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	benches["multistage-lp-6"] = ms6
+	names := make([]string, 0, len(benches))
+	for name := range benches {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	type sweep struct {
+		universe string
+		frac     float64
+		points   int
+	}
+	var sweeps []sweep
+	for _, frac := range []float64{0.10, 0.15, 0.20, 0.25, 0.30} {
+		sweeps = append(sweeps, sweep{"deviation", frac, 61})
+		if frac != 0.15 && frac != 0.25 {
+			sweeps = append(sweeps, sweep{"bipolar", frac, 61})
+		}
+	}
+	sweeps = append(sweeps, sweep{"deviation", 0.10, 241}, sweep{"catastrophic", 0, 61})
+	if testing.Short() || raceEnabled {
+		names = []string{"leapfrog-lp5", "paper-biquad"}
+		sweeps = []sweep{{"deviation", 0.10, 61}, {"bipolar", 0.20, 61}, {"catastrophic", 0, 61}}
+	}
+	if raceEnabled {
+		// The race detector slows every solve several-fold, and
+		// TestRank1RowsRace already runs the rows concurrently.
+		names = []string{"paper-biquad"}
+	}
+	universe := func(b *circuits.Bench, sw sweep) fault.List {
+		switch sw.universe {
+		case "deviation":
+			return fault.DeviationUniverse(b.Circuit, sw.frac)
+		case "bipolar":
+			return fault.BipolarDeviationUniverse(b.Circuit, sw.frac)
+		}
+		return fault.CatastrophicUniverse(b.Circuit)
+	}
+	before := obs.Reg().Snapshot()["detect_guard_resolves_total"].Value
+	for _, name := range names {
+		b := benches[name]
+		m, err := dft.Apply(b.Circuit, b.Chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sw := range sweeps {
+			label := fmt.Sprintf("%s/%s/%.2f/%d", name, sw.universe, sw.frac, sw.points)
+			faults := universe(b, sw)
+			opts := Options{Points: sw.points}
+			patch := opts
+			patch.Engine = enginePatch
+			want, err := BuildMatrix(m, faults, patch)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			got, err := BuildMatrix(m, faults, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			requireSameMatrix(t, label, got, want)
+		}
+	}
+	if obs.Reg().Snapshot()["detect_guard_resolves_total"].Value == before {
+		t.Error("no point needed the guard: the sweep never exercised it")
+	}
+}
+
+// TestRank1GuardSettlesPaperTies: on the paper biquad at 10% faults, R3×1.1
+// scales the response of configurations C1 and C3 by exactly 1.1, so
+// their fR3 cells sit on ε and rounding decides them (see
+// TestEpsBoundaryCellsPaperBiquad). The guard must re-solve those points
+// under the patch, so the default engine's verdicts equal the patch
+// path's.
+func TestRank1GuardSettlesPaperTies(t *testing.T) {
+	bench := circuits.PaperBiquad()
+	m, err := dft.Apply(bench.Circuit, bench.Chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := fault.DeviationUniverse(bench.Circuit, 0.10)
+	opts := Options{Eps: 0.10, MeasFloor: 0.01, Region: analysis.Region{LoHz: 100, HiHz: 5600}, Points: 241, Workers: 1}
+	j := slices.IndexFunc(faults, func(f fault.Fault) bool { return f.ID == "fR3" })
+	before := obs.Reg().Snapshot()["detect_guard_resolves_total"].Value
+	if _, err := BuildMatrix(m, fault.List{faults[j]}, opts); err != nil {
+		t.Fatal(err)
+	}
+	if obs.Reg().Snapshot()["detect_guard_resolves_total"].Value == before {
+		t.Fatal("fR3 at 10%: no point re-solved by the guard")
+	}
+	got, err := BuildMatrix(m, faults, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patch := opts
+	patch.Engine = enginePatch
+	want, err := BuildMatrix(m, faults, patch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameMatrix(t, "paper/0.10", got, want)
+	for _, label := range []string{"C1", "C3"} {
+		i := got.ConfigByLabel(label)
+		if !got.Det[i][j] {
+			t.Errorf("%s/fR3 undetected; the patch path detects it", label)
+		}
+	}
+}
+
+// TestRank1SolveAccounting is the factorization gate of the row sweep: on
+// the paper matrix, mna_solves_total equals configurations × points (one
+// nominal factorization per (configuration, ω)) plus the points re-solved
+// under a patch — by the guard or because the identity could not answer —
+// plus a full sweep per cell that is not rank-1, while Stats.Solves still
+// accounts every cell's whole grid.
+func TestRank1SolveAccounting(t *testing.T) {
+	bench := circuits.PaperBiquad()
+	m, err := dft.Apply(bench.Circuit, bench.Chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const points = 241
+	faults := append(fault.DeviationUniverse(bench.Circuit, 0.10),
+		fault.Fault{ID: "R1:open", Component: "R1", Kind: fault.Open},
+		fault.Fault{ID: "C1:short", Component: "C1", Kind: fault.Short},
+	)
+	opts := Options{Eps: 0.10, MeasFloor: 0.01, Region: analysis.Region{LoHz: 100, HiHz: 5600}, Points: points, Workers: 2}
+	counters := func() map[string]float64 {
+		snap := obs.Reg().Snapshot()
+		out := map[string]float64{}
+		for _, name := range []string{"mna_solves_total", "detect_guard_resolves_total",
+			"engine_lowrank_refactor_total", "detect_rank1_cells_total", "engine_lowrank_solve_total"} {
+			out[name] = snap[name].Value
+		}
+		return out
+	}
+	before := counters()
+	mx, err := BuildMatrix(m, faults, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := counters()
+	d := func(name string) int { return int(after[name] - before[name]) }
+	configs, cells := mx.NumConfigs(), mx.NumConfigs()*len(faults)
+	rank1 := d("detect_rank1_cells_total")
+	if rank1 != configs*(len(faults)-2) {
+		t.Fatalf("rank-1 cells = %d, want %d (every deviation fault in every row)", rank1, configs*(len(faults)-2))
+	}
+	if got := d("engine_lowrank_solve_total"); got != rank1*points {
+		t.Errorf("Sherman–Morrison solves = %d, want %d", got, rank1*points)
+	}
+	want := configs*points + d("detect_guard_resolves_total") + d("engine_lowrank_refactor_total") + (cells-rank1)*points
+	if got := d("mna_solves_total"); got != want {
+		t.Errorf("mna_solves_total grew by %d, want %d = %d configs × %d points + %d guard + %d refactor + %d non-rank-1 cells × %d points",
+			got, want, configs, points, d("detect_guard_resolves_total"), d("engine_lowrank_refactor_total"), cells-rank1, points)
+	}
+	if mx.Stats.Solves != (configs+cells)*points {
+		t.Errorf("Stats.Solves = %d, want %d (nominal and every cell over the whole grid)", mx.Stats.Solves, (configs+cells)*points)
+	}
+}
+
+// TestRank1RowsRace runs the row sweep on four real threads: under -race
+// it checks that rows share nothing but the tracker and the counters, and
+// that the matrix is the single-worker one.
+func TestRank1RowsRace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	bench := circuits.PaperBiquad()
+	m, err := dft.Apply(bench.Circuit, bench.Chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := append(fault.DeviationUniverse(bench.Circuit, 0.10), fault.Fault{ID: "R1:open", Component: "R1", Kind: fault.Open})
+	opts := Options{Eps: 0.10, MeasFloor: 0.01, Region: analysis.Region{LoHz: 100, HiHz: 5600}, Points: 61, Workers: 1}
+	want, err := BuildMatrix(m, faults, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []EngineMode{EngineIncremental, EngineLowRank} {
+		o := opts
+		o.Workers = 4
+		o.Engine = mode
+		got, err := BuildMatrix(m, faults, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := want
+		if mode == EngineLowRank {
+			o.Workers = 1
+			if ref, err = BuildMatrix(m, faults, o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		requireSameMatrix(t, mode.String(), got, ref)
+	}
+}
+
+// TestRowErrorPrecedence pins the row runner's error order: whatever the
+// worker count, the lowest failing row's nominal error is reported, and
+// under FailFast it outranks cell errors in rows below it.
+func TestRowErrorPrecedence(t *testing.T) {
+	ckt := cascade3()
+	m, err := dft.ApplyAll(ckt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	configs := m.Configurations(false)
+	grid := analysis.Region{LoHz: 10, HiHz: 1e5}.Spec(31).Grid()
+	spec := func(bad ...int) func(int) (rowSpec, error) {
+		return func(i int) (rowSpec, error) {
+			if slices.Contains(bad, i) {
+				return rowSpec{}, fmt.Errorf("row %d", i)
+			}
+			c, err := m.Configure(configs[i])
+			return rowSpec{ckt: c, grid: grid, label: configs[i].Label(), what: configs[i].String}, err
+		}
+	}
+	good := fault.DeviationUniverse(ckt, 0.2)
+	missing := append(fault.List{{ID: "fBAD", Component: "missing", Kind: fault.Deviation, Factor: 1.2}}, good...)
+	for _, workers := range []int{1, 4} {
+		opts := Options{Points: 31, Workers: workers}.Normalize()
+		_, _, err := newRowRunner(len(configs), good, opts, spec(5, 2)).run(context.Background())
+		if err == nil || err.Error() != "row 2" {
+			t.Errorf("workers=%d: err = %v, want row 2's", workers, err)
+		}
+		opts.OnError = FailFast
+		_, _, err = newRowRunner(len(configs), missing, opts, spec(5)).run(context.Background())
+		if err == nil || err.Error() != "row 5" {
+			t.Errorf("workers=%d fail-fast: err = %v, want row 5's nominal error over the cell errors", workers, err)
+		}
+	}
+}

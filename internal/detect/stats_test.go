@@ -74,9 +74,8 @@ func snapshotAfterRun(t *testing.T, workers int, mode EngineMode) map[string]obs
 // gate: with timing off, the complete registry snapshot after a matrix
 // build must be byte-identical for any worker count and scheduling order
 // (runs under -race in CI), for every engine mode. Timing-gated metrics
-// (chunk latencies, worker utilization, per-engine nominal factorization
-// counts) are the only schedule-dependent instruments, and they must stay
-// silent here.
+// (chunk latencies, worker utilization) are the only schedule-dependent
+// instruments, and they must stay silent here.
 func TestMetricSnapshotDeterministicAcrossWorkers(t *testing.T) {
 	if obs.TimingOn() {
 		t.Fatal("timing unexpectedly enabled; determinism holds only with timing off")
@@ -90,12 +89,8 @@ func TestMetricSnapshotDeterministicAcrossWorkers(t *testing.T) {
 			if base["detect_chunk_seconds"].Count != 0 || base["detect_workers"].Value != 0 {
 				t.Fatalf("timing-gated metrics fired with timing off: %+v", base)
 			}
-			if base["engine_lowrank_factor_total"].Value != 0 {
-				t.Fatalf("schedule-dependent factorization count fired with timing off: %+v",
-					base["engine_lowrank_factor_total"])
-			}
-			if mode == EngineLowRank && base["engine_lowrank_solve_total"].Value == 0 {
-				t.Fatalf("low-rank mode performed no Sherman–Morrison solves: %+v", base)
+			if base["engine_lowrank_solve_total"].Value == 0 || base["detect_rank1_cells_total"].Value == 0 {
+				t.Fatalf("%s mode performed no Sherman–Morrison solves: %+v", mode, base)
 			}
 			for _, workers := range []int{2, 3, 8} {
 				got := snapshotAfterRun(t, workers, mode)

@@ -127,7 +127,7 @@ var passTable = []passEntry{
 	{
 		PassInfo: PassInfo{Code: CodeCloningFactor, Name: "in-place-factorization",
 			Summary:   "internal/analysis must factor in place (numeric.FactorInPlace or the sweeper's sparse Workspace), never via the cloning numeric.Factor",
-			Rationale: "sweeps stay allocation-flat and the low-rank grid cache owns its matrices explicitly",
+			Rationale: "sweeps stay allocation-flat: every factorization, rank-1 sweeps included, reuses the sweeper's workspace",
 			Scope:     "internal/analysis"},
 		applies: func(r Roles) bool { return r.Analysis },
 		run:     runCloningFactor,
@@ -175,7 +175,7 @@ var passTable = []passEntry{
 	{
 		PassInfo: PassInfo{Code: CodeDenseHotAlloc, Name: "slab-backed-matrices",
 			Summary:   "the analysis and detect layers must not allocate dense matrices (numeric.NewMatrix/Identity/FromRows); per-point matrices are slab views or workspace-held",
-			Rationale: "an O(n²) allocation per grid point or per cell undoes the allocation-flat engine design; dense factor caches are views into one slab, sparse ones detach into arenas",
+			Rationale: "an O(n²) allocation per grid point or per cell undoes the allocation-flat engine design; dense matrices are views into one slab, sparse factors live in the sweeper's workspace",
 			Scope:     "internal/analysis, internal/detect"},
 		applies: func(r Roles) bool { return r.Analysis || r.Detect },
 		run:     runDenseHotAlloc,

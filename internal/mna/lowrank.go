@@ -37,6 +37,11 @@ type RankOne struct {
 	// GCoef scales u·vᵀ frequency-independently; CCoef scales it by jω.
 	GCoef complex128
 	CCoef complex128
+
+	// u and v back the four slices above: every supported component's
+	// factors hold at most two entries each, so a RankOne that lives in
+	// a reused slot is lowered without allocating.
+	u, v incidenceVec
 }
 
 // ScaleAt returns the frequency-dependent scalar s(ω) = GCoef + jω·CCoef,
@@ -45,20 +50,28 @@ func (d RankOne) ScaleAt(freqHz float64) complex128 {
 	return d.GCoef + complex(0, 2*math.Pi*freqHz)*d.CCoef
 }
 
-// incidence returns the sparse ±1 incidence vector of a two-terminal
-// element between matrix rows a and b (either may be −1 for ground).
-func incidence(a, b int) ([]int, []complex128) {
-	var idx []int
-	var val []complex128
+// incidenceVec is the fixed storage of one sparse factor.
+type incidenceVec struct {
+	idx [2]int
+	val [2]complex128
+	n   int
+}
+
+// add appends one entry.
+func (f *incidenceVec) add(i int, v complex128) {
+	f.idx[f.n], f.val[f.n] = i, v
+	f.n++
+}
+
+// incidence sets f to the ±1 incidence vector of a two-terminal element
+// between matrix rows a and b (either may be −1 for ground).
+func (f *incidenceVec) incidence(a, b int) {
 	if a >= 0 {
-		idx = append(idx, a)
-		val = append(val, 1)
+		f.add(a, 1)
 	}
 	if b >= 0 {
-		idx = append(idx, b)
-		val = append(val, -1)
+		f.add(b, -1)
 	}
-	return idx, val
 }
 
 // RankOneDelta expresses "component name patched to value v" as a rank-1
@@ -75,15 +88,36 @@ func incidence(a, b int) ([]int, []complex128) {
 // patches) return ErrNotLowRank; a resistor patched from or to exactly
 // zero returns ErrUnsupported, exactly as SetValue would.
 func (s *System) RankOneDelta(name string, v float64) (RankOne, error) {
+	var d RankOne
+	err := s.RankOneDeltaInto(name, v, &d)
+	return d, err
+}
+
+// RankOneDeltaInto is RankOneDelta writing into d, whose slices then
+// alias d's own storage: lowering into a reused slot allocates nothing.
+// On error d is left zero.
+func (s *System) RankOneDeltaInto(name string, v float64, d *RankOne) error {
+	*d = RankOne{}
+	if err := s.rankOne(name, v, d); err != nil {
+		*d = RankOne{}
+		return err
+	}
+	d.UIdx, d.UVal = d.u.idx[:d.u.n], d.u.val[:d.u.n]
+	d.VIdx, d.VVal = d.v.idx[:d.v.n], d.v.val[:d.v.n]
+	return nil
+}
+
+// rankOne fills d's coefficients and factor storage.
+func (s *System) rankOne(name string, v float64, d *RankOne) error {
 	if !s.stampsBuilt {
 		if err := s.buildStamps(); err != nil {
-			return RankOne{}, err
+			return err
 		}
 		accountStamps(true)
 	}
 	comp, ok := s.ckt.Component(name)
 	if !ok {
-		return RankOne{}, fmt.Errorf("mna: unknown component %q", name)
+		return fmt.Errorf("mna: unknown component %q", name)
 	}
 	old, patched := s.patchedVals[name]
 
@@ -93,42 +127,43 @@ func (s *System) RankOneDelta(name string, v float64) (RankOne, error) {
 			old = c.Ohms
 		}
 		if old == 0 || v == 0 {
-			return RankOne{}, fmt.Errorf("%w: resistor %q patched to zero resistance", ErrUnsupported, name)
+			return fmt.Errorf("%w: resistor %q patched to zero resistance", ErrUnsupported, name)
 		}
-		idx, val := incidence(s.node(c.A), s.node(c.B))
-		return RankOne{UIdx: idx, UVal: val, VIdx: idx, VVal: val, GCoef: complex(1/v-1/old, 0)}, nil
+		d.u.incidence(s.node(c.A), s.node(c.B))
+		d.v = d.u
+		d.GCoef = complex(1/v-1/old, 0)
 
 	case *circuit.Capacitor:
 		if !patched {
 			old = c.Farads
 		}
-		idx, val := incidence(s.node(c.A), s.node(c.B))
-		return RankOne{UIdx: idx, UVal: val, VIdx: idx, VVal: val, CCoef: complex(v-old, 0)}, nil
+		d.u.incidence(s.node(c.A), s.node(c.B))
+		d.v = d.u
+		d.CCoef = complex(v-old, 0)
 
 	case *circuit.Inductor:
 		if !patched {
 			old = c.Henries
 		}
-		br := s.branchOf[name]
-		e := []int{br}
-		one := []complex128{1}
-		return RankOne{UIdx: e, UVal: one, VIdx: e, VVal: one, CCoef: -complex(v-old, 0)}, nil
+		d.u.add(s.branchOf[name], 1)
+		d.v = d.u
+		d.CCoef = -complex(v-old, 0)
 
 	case *circuit.VCVS:
 		if !patched {
 			old = c.Gain
 		}
-		br := s.branchOf[name]
-		idx, val := incidence(s.node(c.CtrlM), s.node(c.CtrlP)) // −gain on CtrlP, +gain on CtrlM
-		return RankOne{UIdx: []int{br}, UVal: []complex128{1}, VIdx: idx, VVal: val, GCoef: complex(v-old, 0)}, nil
+		d.u.add(s.branchOf[name], 1)
+		d.v.incidence(s.node(c.CtrlM), s.node(c.CtrlP)) // −gain on CtrlP, +gain on CtrlM
+		d.GCoef = complex(v-old, 0)
 
 	case *circuit.VCCS:
 		if !patched {
 			old = c.Gm
 		}
-		uIdx, uVal := incidence(s.node(c.OutP), s.node(c.OutM))
-		vIdx, vVal := incidence(s.node(c.CtrlP), s.node(c.CtrlM))
-		return RankOne{UIdx: uIdx, UVal: uVal, VIdx: vIdx, VVal: vVal, GCoef: complex(v-old, 0)}, nil
+		d.u.incidence(s.node(c.OutP), s.node(c.OutM))
+		d.v.incidence(s.node(c.CtrlP), s.node(c.CtrlM))
+		d.GCoef = complex(v-old, 0)
 
 	case *circuit.CCVS:
 		if !patched {
@@ -136,13 +171,11 @@ func (s *System) RankOneDelta(name string, v float64) (RankOne, error) {
 		}
 		ctrlBr, okBr := s.branchOf[c.CtrlVSource]
 		if !okBr {
-			return RankOne{}, fmt.Errorf("%w: CCVS %q controls through %q, which has no branch current", ErrUnsupported, name, c.CtrlVSource)
+			return fmt.Errorf("%w: CCVS %q controls through %q, which has no branch current", ErrUnsupported, name, c.CtrlVSource)
 		}
-		return RankOne{
-			UIdx: []int{s.branchOf[name]}, UVal: []complex128{1},
-			VIdx: []int{ctrlBr}, VVal: []complex128{1},
-			GCoef: complex(-(v - old), 0),
-		}, nil
+		d.u.add(s.branchOf[name], 1)
+		d.v.add(ctrlBr, 1)
+		d.GCoef = complex(-(v - old), 0)
 
 	case *circuit.CCCS:
 		if !patched {
@@ -150,27 +183,28 @@ func (s *System) RankOneDelta(name string, v float64) (RankOne, error) {
 		}
 		ctrlBr, okBr := s.branchOf[c.CtrlVSource]
 		if !okBr {
-			return RankOne{}, fmt.Errorf("%w: CCCS %q controls through %q, which has no branch current", ErrUnsupported, name, c.CtrlVSource)
+			return fmt.Errorf("%w: CCCS %q controls through %q, which has no branch current", ErrUnsupported, name, c.CtrlVSource)
 		}
-		uIdx, uVal := incidence(s.node(c.OutP), s.node(c.OutM))
-		return RankOne{UIdx: uIdx, UVal: uVal, VIdx: []int{ctrlBr}, VVal: []complex128{1}, GCoef: complex(v-old, 0)}, nil
+		d.u.incidence(s.node(c.OutP), s.node(c.OutM))
+		d.v.add(ctrlBr, 1)
+		d.GCoef = complex(v-old, 0)
 
 	case *circuit.VSource, *circuit.ISource:
-		return RankOne{}, fmt.Errorf("%w: %T %q patches the excitation vector, not the matrix", ErrNotLowRank, comp, name)
+		return fmt.Errorf("%w: %T %q patches the excitation vector, not the matrix", ErrNotLowRank, comp, name)
 
 	default:
-		return RankOne{}, fmt.Errorf("%w: cannot express %T %q as u·vᵀ", ErrNotLowRank, comp, name)
+		return fmt.Errorf("%w: cannot express %T %q as u·vᵀ", ErrNotLowRank, comp, name)
 	}
+	return nil
 }
 
 // AssembleValsInto assembles the MNA system at one frequency into
 // caller-owned storage: the M = G + jω·C values land in mv (length
 // Pattern().NNZ()) under the shared pattern, and rhs (length N())
 // receives the excitation. This is the exported face of the per-point
-// assembly the sweep loop uses, for callers that keep their own
-// per-frequency factorizations (the low-rank sweep path factors the
-// nominal matrix once per grid point and then solves every rank-1 fault
-// against it).
+// assembly the sweep loop uses, for callers that inspect or factor the
+// assembled matrix themselves (the rank-1 consistency tests check
+// RankOneDelta against the assembled patch this way).
 func (s *System) AssembleValsInto(freqHz float64, mv, rhs []complex128) error {
 	rebuilt, err := s.ensureStamps()
 	if err != nil {

@@ -59,6 +59,20 @@ func (sw *Sweeper) FlushMetrics() { sw.tally.flush() }
 // node's voltage, reusing all buffers. Errors are exactly those of
 // SolveAt (numeric.ErrSingular for singular points).
 func (sw *Sweeper) VoltageAt(freqHz float64) (complex128, error) {
+	_, x, err := sw.FactorAt(freqHz)
+	if err != nil || sw.nodeIdx < 0 {
+		return 0, err
+	}
+	return x[sw.nodeIdx], nil
+}
+
+// FactorAt is VoltageAt returning the whole solve: the factorization of
+// the assembled matrix and the full solution vector. Both alias the
+// workspace and stay valid until the next solve on it, so a caller can
+// answer further systems against the same factor (the low-rank sweep
+// solves every rank-1 fault of a configuration against it) without
+// factoring again. The solve is tallied like VoltageAt's.
+func (sw *Sweeper) FactorAt(freqHz float64) (*numeric.SparseLU, []complex128, error) {
 	timed := obs.TimingOn()
 	var t0 time.Time
 	if timed {
@@ -66,12 +80,12 @@ func (sw *Sweeper) VoltageAt(freqHz float64) (complex128, error) {
 	}
 	if err := validFreq(freqHz); err != nil {
 		sw.tally.record(err, t0, timed)
-		return 0, err
+		return nil, nil, err
 	}
 	rebuilt, err := sw.sys.ensureStamps()
 	if err != nil {
 		sw.tally.record(err, t0, timed)
-		return 0, err
+		return nil, nil, err
 	}
 	sw.tally.recordStamps(rebuilt)
 	// Bound once per system, not repaired per point: after the first call
@@ -84,25 +98,22 @@ func (sw *Sweeper) VoltageAt(freqHz float64) (complex128, error) {
 	}
 	if _, err := sw.sys.assembleVals(freqHz, sw.ws.SVals, sw.ws.RHS); err != nil {
 		sw.tally.record(err, t0, timed)
-		return 0, err
+		return nil, nil, err
 	}
 	lu, err := sw.ws.SparseFactor()
 	if err != nil {
 		sw.tally.record(err, t0, timed)
-		return 0, &SolveError{Circuit: sw.sys.ckt.Name, FreqHz: freqHz, Err: err}
+		return nil, nil, &SolveError{Circuit: sw.sys.ckt.Name, FreqHz: freqHz, Err: err}
 	}
 	if err := lu.SolveInPlace(sw.ws.RHS); err != nil {
 		sw.tally.record(err, t0, timed)
 		// Wrapped exactly like the factorization failure above, so
 		// analysis.ClassifyError and the retry policies classify a failed
 		// back-substitution identically to a failed factorization.
-		return 0, &SolveError{Circuit: sw.sys.ckt.Name, FreqHz: freqHz, Err: err}
+		return nil, nil, &SolveError{Circuit: sw.sys.ckt.Name, FreqHz: freqHz, Err: err}
 	}
 	sw.tally.record(nil, t0, timed)
-	if sw.nodeIdx < 0 {
-		return 0, nil
-	}
-	return sw.ws.RHS[sw.nodeIdx], nil
+	return lu, sw.ws.RHS, nil
 }
 
 // SweepGrid solves the system across the whole grid, invoking visit for
@@ -125,11 +136,3 @@ func (sw *Sweeper) SweepGrid(grid []float64, visit func(i int, v complex128, err
 // System returns the system the sweeper solves — the handle through which
 // engine callers patch values (SetValue/Reset) between sweeps.
 func (sw *Sweeper) System() *System { return sw.sys }
-
-// Workspace returns the sweeper's workspace so engine callers can run
-// auxiliary factorizations (the low-rank grid cache build) in the same
-// buffers instead of warming up a second workspace. The sweeper fully
-// re-stamps and re-factors on every VoltageAt, so borrowing the buffers
-// between solves is safe; borrowed factors must be detached before the
-// next VoltageAt call, which reuses the scratch.
-func (sw *Sweeper) Workspace() *numeric.Workspace { return sw.ws }

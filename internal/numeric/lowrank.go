@@ -6,7 +6,7 @@ import (
 	"math/cmplx"
 )
 
-// ErrSingularUpdate is returned by SolveRankOneSparse when the
+// ErrSingularUpdate is returned by the rank-1 solves when the
 // Sherman–Morrison denominator 1 + s·vᵀA⁻¹u is too small: the perturbed
 // matrix A + s·u·vᵀ is (numerically) singular even though the nominal A
 // factored fine.
@@ -31,8 +31,11 @@ const UpdateTolerance = 1e-8
 //	x = y − z·(s·vᵀy)/(1 + s·vᵀz),  z = A⁻¹·u
 //
 // The solver retains lu and y by reference; neither may be mutated while
-// the solver is in use. A LowRankSolver is not safe for concurrent use
-// (the scratch vector is shared across calls); give each worker its own.
+// the solver is in use. Reset rebinds it to the next factorization, so one
+// solver serves a sweep that refactors at every grid point. A
+// LowRankSolver is not safe for concurrent use (the scratch vector is
+// shared across calls); give each worker its own. The zero value is ready
+// for Reset.
 type LowRankSolver struct {
 	lu *SparseLU
 	y  []complex128 // nominal solution A⁻¹·b
@@ -42,10 +45,26 @@ type LowRankSolver struct {
 // NewLowRankSolver wraps a factorization of the nominal matrix and its
 // pre-solved right-hand side. y must have length lu.N().
 func NewLowRankSolver(lu *SparseLU, y []complex128) (*LowRankSolver, error) {
-	if len(y) != lu.N() {
-		return nil, fmt.Errorf("%w: nominal solution length %d, want %d", ErrShape, len(y), lu.N())
+	ls := &LowRankSolver{}
+	if err := ls.Reset(lu, y); err != nil {
+		return nil, err
 	}
-	return &LowRankSolver{lu: lu, y: y, z: make([]complex128, lu.N())}, nil
+	return ls, nil
+}
+
+// Reset rebinds the solver to another nominal factorization and its
+// pre-solved right-hand side, reusing the scratch when it fits. y must
+// have length lu.N().
+func (ls *LowRankSolver) Reset(lu *SparseLU, y []complex128) error {
+	n := lu.N()
+	if len(y) != n {
+		return fmt.Errorf("%w: nominal solution length %d, want %d", ErrShape, len(y), n)
+	}
+	if cap(ls.z) < n {
+		ls.z = make([]complex128, n)
+	}
+	ls.lu, ls.y, ls.z = lu, y, ls.z[:n]
+	return nil
 }
 
 // Nominal returns the cached nominal solution y = A⁻¹·b (a live reference,
@@ -64,37 +83,71 @@ func (ls *LowRankSolver) N() int { return ls.lu.N() }
 // caller must then refactor the perturbed matrix in full (or propagate
 // the point as singular).
 func (ls *LowRankSolver) SolveRankOneSparse(s complex128, uIdx []int, uVal []complex128, vIdx []int, vVal []complex128, x []complex128) error {
-	n := ls.N()
-	if len(x) != n {
-		return fmt.Errorf("%w: rank-1 solution length %d, want %d", ErrShape, len(x), n)
+	if len(x) != ls.N() {
+		return fmt.Errorf("%w: rank-1 solution length %d, want %d", ErrShape, len(x), ls.N())
 	}
-	for _, i := range uIdx {
-		if i < 0 || i >= n {
-			return fmt.Errorf("%w: u index %d outside order %d", ErrShape, i, n)
-		}
-	}
-	for _, i := range vIdx {
-		if i < 0 || i >= n {
-			return fmt.Errorf("%w: v index %d outside order %d", ErrShape, i, n)
-		}
+	c, err := ls.update(s, uIdx, uVal, vIdx, vVal)
+	if err != nil {
+		return err
 	}
 	if s == 0 {
 		copy(x, ls.y)
 		return nil
 	}
+	for i := range x {
+		x[i] = ls.y[i] - c*ls.z[i]
+	}
+	return nil
+}
+
+// SolveRankOneEntry is SolveRankOneSparse for entry k of x alone: the
+// same arithmetic, so xk carries the same bits as x[k] would, without
+// forming the other entries. It also returns the subtracted term
+// cz = c·z[k] (xk = y[k] − cz; zero when s is zero): where |cz| dwarfs
+// |xk| the subtraction cancelled, and rounding in xk is amplified by
+// their ratio.
+func (ls *LowRankSolver) SolveRankOneEntry(s complex128, uIdx []int, uVal []complex128, vIdx []int, vVal []complex128, k int) (xk, cz complex128, err error) {
+	if k < 0 || k >= ls.N() {
+		return 0, 0, fmt.Errorf("%w: entry %d outside order %d", ErrShape, k, ls.N())
+	}
+	c, err := ls.update(s, uIdx, uVal, vIdx, vVal)
+	if err != nil {
+		return 0, 0, err
+	}
+	if s == 0 {
+		return ls.y[k], 0, nil
+	}
+	cz = c * ls.z[k]
+	return ls.y[k] - cz, cz, nil
+}
+
+// update validates the sparse factors and, unless s is zero, solves
+// z = A⁻¹·u into the scratch and returns the Sherman–Morrison coefficient
+// c = s·vᵀy / (1 + s·vᵀz).
+func (ls *LowRankSolver) update(s complex128, uIdx []int, uVal []complex128, vIdx []int, vVal []complex128) (complex128, error) {
+	n := ls.N()
+	for _, i := range uIdx {
+		if i < 0 || i >= n {
+			return 0, fmt.Errorf("%w: u index %d outside order %d", ErrShape, i, n)
+		}
+	}
+	for _, i := range vIdx {
+		if i < 0 || i >= n {
+			return 0, fmt.Errorf("%w: v index %d outside order %d", ErrShape, i, n)
+		}
+	}
+	if s == 0 {
+		return 0, nil
+	}
 	ScatterSparse(uIdx, uVal, ls.z)
 	if err := ls.lu.SolveInPlace(ls.z); err != nil {
-		return err
+		return 0, err
 	}
 	vy := DotSparse(vIdx, vVal, ls.y)
 	vz := DotSparse(vIdx, vVal, ls.z)
 	den := 1 + s*vz
 	if cmplx.Abs(den) < UpdateTolerance {
-		return fmt.Errorf("%w: |1 + s·vᵀA⁻¹u| = %.3g", ErrSingularUpdate, cmplx.Abs(den))
+		return 0, fmt.Errorf("%w: |1 + s·vᵀA⁻¹u| = %.3g", ErrSingularUpdate, cmplx.Abs(den))
 	}
-	c := s * vy / den
-	for i := range x {
-		x[i] = ls.y[i] - c*ls.z[i]
-	}
-	return nil
+	return s * vy / den, nil
 }

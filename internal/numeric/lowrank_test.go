@@ -136,3 +136,47 @@ func TestSolveRankOneShapeErrors(t *testing.T) {
 		t.Fatalf("long x: err = %v, want ErrShape", err)
 	}
 }
+
+// TestSolveRankOneEntryMatchesFull checks that the single-entry solve
+// carries the bits of the full solve's entry for every k and scale, that
+// xk = y[k] − cz exactly, and that Reset rebinds a solver to another
+// factorization without reallocating its scratch.
+func TestSolveRankOneEntryMatchesFull(t *testing.T) {
+	a, b := testMatrix()
+	ls := newTestSolver(t, a, b)
+	uIdx, uVal := []int{0, 2}, []complex128{1, -1}
+	vIdx, vVal := []int{1, 2}, []complex128{1, -1}
+	x := make([]complex128, 4)
+	for _, s := range []complex128{0, 0.5, -0.3 + 2i} {
+		if err := ls.SolveRankOneSparse(s, uIdx, uVal, vIdx, vVal, x); err != nil {
+			t.Fatal(err)
+		}
+		for k := range x {
+			xk, cz, err := ls.SolveRankOneEntry(s, uIdx, uVal, vIdx, vVal, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if xk != x[k] || xk != ls.Nominal()[k]-cz {
+				t.Errorf("s=%v k=%d: entry %v (cz %v), full %v", s, k, xk, cz, x[k])
+			}
+		}
+	}
+	if _, _, err := ls.SolveRankOneEntry(1, uIdx, uVal, vIdx, vVal, 4); !errors.Is(err, ErrShape) {
+		t.Fatalf("entry past order: err = %v, want ErrShape", err)
+	}
+
+	other := newTestSolver(t, Identity(4), b)
+	scratch := &ls.z[0]
+	if err := ls.Reset(other.lu, other.y); err != nil {
+		t.Fatal(err)
+	}
+	if &ls.z[0] != scratch {
+		t.Error("Reset reallocated a scratch that fits")
+	}
+	if xk, _, err := ls.SolveRankOneEntry(0, uIdx, uVal, vIdx, vVal, 3); err != nil || xk != b[3] {
+		t.Fatalf("after Reset: x[3] = %v (err %v), want %v", xk, err, b[3])
+	}
+	if err := ls.Reset(other.lu, b[:3]); !errors.Is(err, ErrShape) {
+		t.Fatalf("short nominal solution: err = %v, want ErrShape", err)
+	}
+}

@@ -213,65 +213,6 @@ func TestSparseLUSolveShape(t *testing.T) {
 	}
 }
 
-// TestSparseLUDetach checks that a detached factor survives the scratch
-// being refactored with different values, and that arena growth leaves
-// earlier detached factors intact.
-func TestSparseLUDetach(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	dense := randSparse(rng, 8, 0.35)
-	p, vals := patternOf(t, dense)
-	scratch := NewSparseScratch(p)
-	slu, err := scratch.Factor(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ints []int32
-	var cplx []complex128
-	var pivs []int
-	kept := slu.Detach(&ints, &cplx, &pivs)
-
-	// Clobber the scratch with a different system.
-	vals2 := append([]complex128(nil), vals...)
-	for i := range vals2 {
-		vals2[i] *= 3
-	}
-	if _, err := scratch.Factor(vals2); err != nil {
-		t.Fatal(err)
-	}
-	// Grow the arenas past their caps with further detaches.
-	for i := 0; i < 8; i++ {
-		slu2, err := scratch.Factor(vals2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slu2.Detach(&ints, &cplx, &pivs)
-	}
-
-	dlu, err := FactorInPlace(dense.Clone(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]complex128, 8)
-	for i := range b {
-		b[i] = complex(float64(i)+1, -float64(i))
-	}
-	bk := append([]complex128(nil), b...)
-	if err := kept.SolveInPlace(bk); err != nil {
-		t.Fatal(err)
-	}
-	if err := dlu.SolveInPlace(b); err != nil {
-		t.Fatal(err)
-	}
-	for i := range b {
-		if !sameBits(bk[i], b[i]) {
-			t.Fatalf("detached x[%d] = %v, dense %v", i, bk[i], b[i])
-		}
-	}
-	if !sameBits(kept.Det(), dlu.Det()) {
-		t.Fatalf("detached Det = %v, dense %v", kept.Det(), dlu.Det())
-	}
-}
-
 // TestSparseScratchReuseAllocFree: after the first factorization, the
 // factor+solve cycle must not allocate — the allocation-free-after-warmup
 // contract the sweep hot path depends on.

@@ -32,11 +32,10 @@ import (
 // reference assembly agree bit-for-bit, not merely within a tolerance.
 //
 // A factor returned by Factor aliases its scratch and is valid only
-// until the scratch factors again; Detach copies one that must outlive
-// the scratch (the low-rank grid cache retains one per frequency
-// point). SolveInPlace uses a scratch buffer inside the factor, so a
-// single factor must not be solved from multiple goroutines at once —
-// the one-workspace-per-worker discipline every solve path follows.
+// until the scratch factors again. SolveInPlace uses a scratch buffer
+// inside the factor, so a single factor must not be solved from
+// multiple goroutines at once — the one-workspace-per-worker discipline
+// every solve path follows.
 type SparseLU struct {
 	n     int
 	pivot []int // row-swap sequence, same semantics as the dense LU
@@ -110,55 +109,6 @@ func (f *SparseLU) SolveInPlace(b []complex128) error {
 		b[i] = (b[i] - s) / f.diag[i]
 	}
 	return nil
-}
-
-// Detach copies the factorization into storage appended to the given
-// arenas so it outlives its scratch. Arena growth is amortized append;
-// segments already handed out keep pointing at their original backing,
-// so earlier detached factors stay valid as the arenas grow.
-func (f *SparseLU) Detach(intArena *[]int32, cplxArena *[]complex128, pivArena *[]int) *SparseLU {
-	d := &SparseLU{n: f.n, sign: f.sign}
-	ints := *intArena
-	take := func(src []int32) []int32 {
-		start := len(ints)
-		ints = append(ints, src...)
-		return ints[start:len(ints):len(ints)]
-	}
-	d.lColPtr = take(f.lColPtr)
-	d.lIdx = take(f.lIdx)
-	d.uRowPtr = take(f.uRowPtr)
-	d.uIdx = take(f.uIdx)
-	*intArena = ints
-
-	cs := *cplxArena
-	takeC := func(src []complex128) []complex128 {
-		start := len(cs)
-		cs = append(cs, src...)
-		return cs[start:len(cs):len(cs)]
-	}
-	d.lVal = takeC(f.lVal)
-	d.uVal = takeC(f.uVal)
-	d.diag = takeC(f.diag)
-	// The accumulator segment is reserved, not zeroed: SolveInPlace
-	// clears it before every use, so stale arena contents are harmless
-	// and the reservation needs no temporary.
-	start := len(cs)
-	if cap(cs)-start >= f.n {
-		cs = cs[:start+f.n]
-	} else {
-		for i := 0; i < f.n; i++ {
-			cs = append(cs, 0)
-		}
-	}
-	d.acc = cs[start:len(cs):len(cs)]
-	*cplxArena = cs
-
-	ps := *pivArena
-	start = len(ps)
-	ps = append(ps, f.pivot...)
-	d.pivot = ps[start:len(ps):len(ps)]
-	*pivArena = ps
-	return d
 }
 
 // SparseScratch is the reusable working state of the left-looking
@@ -255,7 +205,7 @@ func (s *SparseScratch) Bind(p *Pattern) {
 // Factor computes the LU factorization, with partial pivoting, of the
 // matrix whose values are vals laid out under the bound pattern. The
 // returned factor aliases the scratch and is valid until the next
-// Factor call (Detach it to keep it longer). Failures are exactly the
+// Factor call. Failures are exactly the
 // dense FactorInPlace's: ErrSingular with the same pivot magnitude and
 // column index.
 //

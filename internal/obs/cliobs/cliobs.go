@@ -92,7 +92,7 @@ func (s *SimFlags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&s.Stats, "stats", false, "print the simulation effort summary")
 	fs.BoolVar(&s.Progress, "progress", false, "report live progress on stderr")
 	fs.StringVar(&s.OnError, "onerror", "degrade", `cell error policy: "degrade", "failfast" or "retry"`)
-	fs.StringVar(&s.Engine, "engine", "incremental", `cell simulation strategy: "incremental" (patch a reusable system in place) or "lowrank" (Sherman–Morrison rank-1 solves against cached nominal factorizations); both clone and rebuild the circuit for faults they cannot express`)
+	fs.StringVar(&s.Engine, "engine", "incremental", `cell simulation strategy: "incremental" (the in-place patch's results; matrix rows answer rank-1 faults by Sherman–Morrison against one factorization per grid point and re-solve by patch the points near ε) or "lowrank" (the same rank-1 answers, unguarded); both patch, then clone and rebuild, the faults they cannot express as rank-1`)
 }
 
 // Policy maps the -onerror value onto the engine error policy.
