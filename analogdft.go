@@ -47,9 +47,6 @@ type (
 	// ErrorPolicy selects how failed cells are treated (Degrade,
 	// FailFast or Retry).
 	ErrorPolicy = detect.ErrorPolicy
-	// EngineMode selects the cell simulation strategy
-	// (EngineIncremental or EngineLowRank).
-	EngineMode = detect.EngineMode
 	// SimStats summarizes fault-simulation effort (cells, solves,
 	// singular points, retries, errors, wall time).
 	SimStats = detect.Stats
@@ -84,28 +81,6 @@ const (
 	// jittered grid before degrading.
 	Retry = detect.Retry
 )
-
-// Engine modes for Options.Engine.
-const (
-	// EngineIncremental patches faults into a reusable per-configuration
-	// system in place — no clone, no rebuild (the default). Faults that
-	// cannot be patched (opens, shorts, opamp model faults) are cloned
-	// and rebuilt cell by cell.
-	EngineIncremental = detect.EngineIncremental
-	// EngineLowRank factors the nominal system once per (configuration,
-	// frequency) grid point and solves rank-1 faults against the cached
-	// factorizations via Sherman–Morrison, falling back to the
-	// incremental path for faults that are not rank-1 updates. It matches
-	// the other modes within rounding, so cells whose |ΔT/T| sits exactly
-	// on ε at some grid point can get a different verdict.
-	EngineLowRank = detect.EngineLowRank
-)
-
-// ParseEngineMode maps an -engine flag value ("incremental" or
-// "lowrank") onto an engine mode.
-func ParseEngineMode(name string) (EngineMode, error) {
-	return detect.ParseEngineMode(name)
-}
 
 // Predefined 2nd-order cost functions.
 var (

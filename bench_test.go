@@ -401,13 +401,11 @@ func BenchmarkDetectParallelVsSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildMatrix compares the fault-simulation engines on the full
-// paper matrix (8 configurations × ~10 faults): the incremental engine
-// patches each fault into a reusable per-configuration system, the
-// low-rank engine solves each rank-1 fault via Sherman–Morrison against
-// nominal factorizations cached per (configuration, ω) grid point. The
-// sub-benchmarks are named "key=value", so benchdiff can track each
-// engine over time and cross-compare them (-dim engine=incremental:lowrank).
+// BenchmarkBuildMatrix times the full paper matrix (7 configurations × 8
+// faults, 61 points) on one worker: one row walk per configuration, each
+// rank-1 fault answered by Sherman–Morrison against the row's nominal
+// factorization at every grid point, with the guard's re-solves under the
+// patch.
 func BenchmarkBuildMatrix(b *testing.B) {
 	bench := PaperBiquad()
 	faults := DeviationFaults(bench.Circuit, 0.2)
@@ -415,20 +413,31 @@ func BenchmarkBuildMatrix(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []detect.EngineMode{detect.EngineIncremental, detect.EngineLowRank} {
-		b.Run(fmt.Sprintf("engine=%s", mode), func(b *testing.B) {
-			opts := PaperOptions()
-			opts.Points = 61
-			opts.Workers = 1
-			opts.Engine = mode
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := detect.BuildMatrix(mod, faults, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	opts := PaperOptions()
+	opts.Points = 61
+	opts.Workers = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := detect.BuildMatrix(mod, faults, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEvaluateCircuit times §2's initial row (E1, Graph 1): the
+// paper biquad's deviation faults at 10% evaluated against the unmodified
+// circuit under PaperOptions — one row walk with its cell tail.
+func BenchmarkEvaluateCircuit(b *testing.B) {
+	bench := PaperBiquad()
+	faults := DeviationFaults(bench.Circuit, 0.10)
+	opts := PaperOptions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EvaluateCircuit(bench.Circuit, faults, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -265,18 +265,22 @@ func TestServerValidationAndLookup(t *testing.T) {
 	}
 }
 
-// TestServerRejectsRetiredEngine: "naive" is no longer an engine a
-// request can name; it maps to 400 bad_request like any unknown engine.
+// TestServerRejectsRetiredEngine: the engine mode is no longer a request
+// option (one engine remains), so a submission naming one is an unknown
+// field and maps to 400 bad_request for every value it used to accept
+// and for one it never did.
 func TestServerRejectsRetiredEngine(t *testing.T) {
 	ts, _ := startServer(t, jobs.Config{Workers: 1})
-	body := map[string]any{"kind": "matrix", "bench": "paper-biquad", "options": map[string]any{"engine": "naive"}}
-	var ae apiError
-	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", body, &ae)
-	if resp.StatusCode != http.StatusBadRequest || ae.Code != "bad_request" {
-		t.Fatalf("HTTP %d code %q, want 400 bad_request", resp.StatusCode, ae.Code)
-	}
-	if !strings.Contains(ae.Message, `unknown engine mode "naive"`) {
-		t.Errorf("message %q does not name the engine", ae.Message)
+	for _, engine := range []string{"incremental", "lowrank", "naive"} {
+		body := map[string]any{"kind": "matrix", "bench": "paper-biquad", "options": map[string]any{"engine": engine}}
+		var ae apiError
+		resp := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", body, &ae)
+		if resp.StatusCode != http.StatusBadRequest || ae.Code != "bad_request" {
+			t.Fatalf("engine %q: HTTP %d code %q, want 400 bad_request", engine, resp.StatusCode, ae.Code)
+		}
+		if !strings.Contains(ae.Message, `"engine"`) {
+			t.Errorf("engine %q: message %q does not name the field", engine, ae.Message)
+		}
 	}
 }
 

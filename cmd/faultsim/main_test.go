@@ -2,7 +2,9 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -109,11 +111,23 @@ func TestRunRejectsUnknownPolicy(t *testing.T) {
 	}
 }
 
+// TestRunRejectsRetiredEngine: -engine is retired (one engine remains),
+// so `faultsim -engine x` is an undefined flag and exits 2. The test
+// binary re-runs itself with faultsim's command line after "--", where
+// this test hands it to main.
 func TestRunRejectsRetiredEngine(t *testing.T) {
-	cfg := base()
-	cfg.sim.Engine = "naive"
-	if err := run(cfg); err == nil || !strings.Contains(err.Error(), `unknown engine mode "naive"`) {
-		t.Fatalf("err = %v", err)
+	if flag.Arg(0) == "faultsim" {
+		os.Args = flag.Args()
+		main()
+		return
+	}
+	out, err := exec.Command(os.Args[0], "-test.run=^TestRunRejectsRetiredEngine$", "--", "faultsim", "-engine", "x").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("faultsim -engine x: err = %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "flag provided but not defined: -engine") {
+		t.Errorf("faultsim -engine x printed %q, want the undefined-flag message", out)
 	}
 }
 

@@ -417,15 +417,10 @@ type DeviationProfile struct {
 // expressed as a fraction of the nominal peak (e.g. 1e-4 ≈ −80 dB). Points
 // where both responses are below the floor contribute zero deviation: a
 // tester cannot resolve changes under its measurement floor. Pass 0 to
-// disable the floor.
+// disable the floor. Each point is scored by PointDeviation.
 func RelativeDeviation(nominal, faulty *Response, measFloor float64) (*DeviationProfile, error) {
-	if nominal.Len() != faulty.Len() {
-		return nil, fmt.Errorf("%w: grids differ (%d vs %d points)", ErrBadSweep, nominal.Len(), faulty.Len())
-	}
-	for i := range nominal.Freqs {
-		if nominal.Freqs[i] != faulty.Freqs[i] {
-			return nil, fmt.Errorf("%w: grids differ at point %d", ErrBadSweep, i)
-		}
+	if err := SameGrid(nominal, faulty); err != nil {
+		return nil, err
 	}
 	floorAbs := FloorAbs(nominal, measFloor)
 	p := &DeviationProfile{
@@ -433,31 +428,52 @@ func RelativeDeviation(nominal, faulty *Response, measFloor float64) (*Deviation
 		Rel:   make([]float64, nominal.Len()),
 	}
 	for i := range nominal.Freqs {
-		nOK, fOK := nominal.Valid[i], faulty.Valid[i]
-		switch {
-		case !nOK && !fOK:
-			p.Rel[i] = 0
-		case nOK != fOK:
-			p.Rel[i] = math.Inf(1)
-		default:
-			mn := cmplx.Abs(nominal.H[i])
-			mf := cmplx.Abs(faulty.H[i])
-			if mn <= floorAbs && mf <= floorAbs {
-				p.Rel[i] = 0
-				continue
-			}
-			den := mn
-			if den < floorAbs {
-				den = floorAbs
-			}
-			if den == 0 {
-				p.Rel[i] = math.Inf(1)
-				continue
-			}
-			p.Rel[i] = math.Abs(mf-mn) / den
-		}
+		p.Rel[i], _, _ = PointDeviation(nominal.H[i], faulty.H[i], nominal.Valid[i], faulty.Valid[i], floorAbs)
 	}
 	return p, nil
+}
+
+// SameGrid returns an ErrBadSweep error unless a and b sample the same
+// frequency grid, the precondition of every deviation between them.
+func SameGrid(a, b *Response) error {
+	if a.Len() != b.Len() {
+		return fmt.Errorf("%w: grids differ (%d vs %d points)", ErrBadSweep, a.Len(), b.Len())
+	}
+	for i := range a.Freqs {
+		if a.Freqs[i] != b.Freqs[i] {
+			return fmt.Errorf("%w: grids differ at point %d", ErrBadSweep, i)
+		}
+	}
+	return nil
+}
+
+// PointDeviation is Definition 1's rule at one grid point: the relative
+// deviation rel = ||Hf| − |Hn|| / den of a faulty response value hf from
+// the nominal hn, with den = max(|Hn|, floorAbs) (floorAbs as FloorAbs
+// returns it). rel is 0 where both responses are unmeasurable or both
+// magnitudes sit at or below the floor, and +Inf where exactly one
+// response is unmeasurable (nOK, fOK report validity) or den is 0. It
+// also returns |Hf| and den, the scale of any error in rel; both are NaN
+// where either response is unmeasurable.
+func PointDeviation(hn, hf complex128, nOK, fOK bool, floorAbs float64) (rel, mf, den float64) {
+	if !nOK || !fOK {
+		if nOK != fOK {
+			rel = math.Inf(1)
+		}
+		return rel, math.NaN(), math.NaN()
+	}
+	mn := cmplx.Abs(hn)
+	mf = cmplx.Abs(hf)
+	den = max(mn, floorAbs)
+	switch {
+	case mn <= floorAbs && mf <= floorAbs:
+		rel = 0
+	case den == 0:
+		rel = math.Inf(1)
+	default:
+		rel = math.Abs(mf-mn) / den
+	}
+	return rel, mf, den
 }
 
 // FloorAbs returns the absolute measurement floor RelativeDeviation

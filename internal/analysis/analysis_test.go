@@ -311,6 +311,40 @@ func TestRelativeDeviationValidityRules(t *testing.T) {
 	}
 }
 
+// TestPointDeviationScale pins the error scale PointDeviation returns
+// beside rel: |Hf| and den = max(|Hn|, floor) at a measurable point, NaN
+// wherever either response is unmeasurable, so no band built on them can
+// settle such a point.
+func TestPointDeviationScale(t *testing.T) {
+	cases := []struct {
+		hn, hf        complex128
+		nOK, fOK      bool
+		floor         float64
+		rel, mf, den  float64
+		nanMf, infRel bool
+	}{
+		{hn: 3 + 4i, hf: 6 + 8i, nOK: true, fOK: true, floor: 1, rel: 1, mf: 10, den: 5},
+		{hn: 0.5, hf: 2, nOK: true, fOK: true, floor: 1, rel: 1.5, mf: 2, den: 1},
+		{hn: 0.5, hf: 0.75, nOK: true, fOK: true, floor: 1, rel: 0, mf: 0.75, den: 1},
+		{hn: 0, hf: 1, nOK: true, fOK: true, floor: 0, mf: 1, den: 0, infRel: true},
+		{hn: 1, hf: 1, nOK: true, fOK: false, nanMf: true, infRel: true},
+		{hn: 1, hf: 1, nOK: false, fOK: false, rel: 0, nanMf: true},
+	}
+	for k, c := range cases {
+		rel, mf, den := PointDeviation(c.hn, c.hf, c.nOK, c.fOK, c.floor)
+		if c.infRel != math.IsInf(rel, 1) || !c.infRel && rel != c.rel {
+			t.Errorf("case %d: rel = %g", k, rel)
+		}
+		if c.nanMf {
+			if !math.IsNaN(mf) || !math.IsNaN(den) {
+				t.Errorf("case %d: unmeasurable point has mf %g, den %g; want NaN", k, mf, den)
+			}
+		} else if mf != c.mf || den != c.den {
+			t.Errorf("case %d: mf %g, den %g; want %g, %g", k, mf, den, c.mf, c.den)
+		}
+	}
+}
+
 func TestMeasurementFloorSuppressesStopband(t *testing.T) {
 	// A fault that only changes the deep stopband must be invisible when
 	// the deviation falls under the measurement floor.

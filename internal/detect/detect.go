@@ -10,21 +10,21 @@
 // factorization (Sherman–Morrison), then re-solves under an in-place
 // patch only the points that identity could not answer or whose verdict
 // it could not settle; faults it cannot express climb the patch → clone
-// ladder. Results land in fixed matrix positions. The engine is
-// race-clean (each row writes only its own slots; shared accounting goes
-// through a mutex-guarded reducer) and error-transparent: a cell whose
-// simulation fails is never
-// silently recorded as "undetectable" — it is reported as a structured
-// CellError, escalated (FailFast) or re-solved on a jittered grid (Retry)
-// according to Options.OnError. Matrices and error sets are identical for
-// any Workers value.
+// ladder. A single-circuit evaluation (EvaluateCircuit) is the one-row
+// case of the same walk. Results land in fixed matrix positions. The
+// engine is race-clean (each row writes only its own slots; shared
+// accounting goes through a mutex-guarded reducer) and error-transparent:
+// a cell whose simulation fails is never silently recorded as
+// "undetectable" — it is reported as a structured CellError, escalated
+// (FailFast) or re-solved on a jittered grid (Retry) according to
+// Options.OnError. Matrices, rows and error sets are identical for any
+// Workers value.
 package detect
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"strconv"
 	"sync"
@@ -74,76 +74,6 @@ func (p ErrorPolicy) String() string {
 		return "retry"
 	default:
 		return fmt.Sprintf("ErrorPolicy(%d)", int(p))
-	}
-}
-
-// EngineMode selects the first rung of the engine ladder every cell
-// climbs down to produce its faulty response. Whatever the mode, a fault
-// the first rung cannot express falls to the next one, ending at
-// clone-and-rebuild, so every mode evaluates every cell.
-type EngineMode int
-
-// Engine modes.
-const (
-	// EngineIncremental (the default) gives every cell the verdict of an
-	// in-place stamp patch of the fault into the configuration's reusable
-	// engine — no circuit clone, no system rebuild. A matrix row gets it
-	// at the cost of one factorization per grid point: each rank-1 fault
-	// is answered against the nominal factorization by Sherman–Morrison,
-	// and the points where that answer could decide differently from the
-	// patch — the identity could not answer, or the answer lies within
-	// guardBand of ε or of the measurement floor — are re-solved under
-	// the patch, so Det, Omega, CellErrors and Stats carry the patch
-	// rung's bits. Faults that are not rank-1 are patched cell by cell;
-	// faults the patcher cannot express (opens, shorts, opamp model
-	// faults) are cloned and rebuilt, counted in engine_fallback_total.
-	// EvaluateCircuit, which also reports MaxDev, patches every cell.
-	EngineIncremental EngineMode = iota
-	// EngineLowRank answers every rank-1 fault by Sherman–Morrison
-	// against the nominal factorization of each (configuration, ω) grid
-	// point, re-solving under a patch only the points the identity cannot
-	// answer (a singular nominal point or update denominator, counted in
-	// engine_lowrank_refactor_total). Faults whose stamp delta is not a
-	// single outer product (opens, shorts, opamp model faults, source
-	// amplitudes) fall to the patch rung cell by cell, counted in
-	// engine_fallback_total. Without the default engine's guard, a cell
-	// whose |ΔT/T| equals ε (within rounding) at some grid point can get a
-	// different verdict than under EngineIncremental (see Options.Engine).
-	EngineLowRank
-
-	// enginePatch starts every cell at the in-place patch rung, and
-	// engineClone at the clone-and-rebuild rung: the references the
-	// equivalence tests hold the other modes to. No flag, request field
-	// or ParseEngineMode name selects either.
-	enginePatch
-	engineClone
-)
-
-// String implements fmt.Stringer.
-func (m EngineMode) String() string {
-	switch m {
-	case EngineIncremental:
-		return "incremental"
-	case EngineLowRank:
-		return "lowrank"
-	case enginePatch:
-		return "patch"
-	case engineClone:
-		return "clone"
-	default:
-		return fmt.Sprintf("EngineMode(%d)", int(m))
-	}
-}
-
-// ParseEngineMode maps an -engine flag value onto an engine mode.
-func ParseEngineMode(name string) (EngineMode, error) {
-	switch name {
-	case "", "incremental":
-		return EngineIncremental, nil
-	case "lowrank":
-		return EngineLowRank, nil
-	default:
-		return EngineIncremental, fmt.Errorf("detect: unknown engine mode %q (want incremental or lowrank)", name)
 	}
 }
 
@@ -209,7 +139,9 @@ type Options struct {
 	// Probe is the wide exploratory sweep used to derive the region
 	// (default analysis.DefaultProbe).
 	Probe analysis.SweepSpec
-	// Workers bounds the fault-simulation parallelism (default GOMAXPROCS).
+	// Workers bounds the fault-simulation parallelism (default GOMAXPROCS):
+	// a matrix runs its configuration rows in parallel, while the single
+	// row of EvaluateCircuit is one task.
 	Workers int
 	// IncludeTransparent keeps the transparent configuration in the matrix
 	// (default false, as in the paper's passive-fault study).
@@ -229,17 +161,6 @@ type Options struct {
 	// OnError selects the error policy for failed cells: Degrade
 	// (default), FailFast or Retry.
 	OnError ErrorPolicy
-	// Engine selects the cell simulation strategy: EngineIncremental
-	// (default) or EngineLowRank. EngineIncremental gives every cell the
-	// bits of an in-place patch, whichever solve produced them. Both
-	// produce the Det matrices and Omega values of cloning and rebuilding
-	// every faulty circuit, within floating-point noise, except on cells
-	// whose |ΔT/T| equals ε (within rounding) at some grid point: there
-	// the verdict r > ε is decided by rounding, and EngineLowRank, whose
-	// Sherman–Morrison answers carry no guard, can flip it. The paper
-	// biquad at 10% faults has two such cells, (C1, fR3) and (C3, fR3),
-	// where R3×1.1 scales the response by exactly 1.1.
-	Engine EngineMode
 	// MaxRetries bounds the per-point jitter attempts of the Retry
 	// policy (default 3, clamped to analysis.MaxSingularRetries).
 	MaxRetries int
@@ -256,6 +177,12 @@ type Options struct {
 	// 2ⁿ rows collapse to O(n^k). The functional configuration is always
 	// included.
 	MaxFollowers int
+
+	// first, when set, starts every cell at that rung of the engine ladder
+	// (rungPatch or rungClone) instead of at the row walk's rank-1 answers:
+	// the references the row walk is held to in tests. It is unexported,
+	// so no flag, request field or caller outside this package selects it.
+	first rung
 }
 
 // Normalize returns the options with every unset field replaced by its
@@ -383,11 +310,11 @@ func EvaluateCircuit(ckt *circuit.Circuit, faults fault.List, opts Options) (*Ro
 }
 
 // EvaluateCircuitContext is EvaluateCircuit with cancellation: ctx is
-// checked between cells (and at every grid point of a row sweep), so an
+// checked at every grid point of the row's walk and between cells, so an
 // in-flight evaluation stops within one cell boundary of ctx being
-// cancelled and returns ctx's error. The default engine patches every
-// cell, fanned out over the workers, so MaxDev is the patch rung's;
-// EngineLowRank runs the matrix's row sweep on the one row.
+// cancelled and returns ctx's error. The row is the one-row case of the
+// matrix's row walk; its tail also re-solves under the patch every point
+// that could hold a cell's peak deviation, so MaxDev is the patch rung's.
 func EvaluateCircuitContext(ctx context.Context, ckt *circuit.Circuit, faults fault.List, opts Options) (*Row, error) {
 	opts = opts.Normalize()
 	start := obs.Now()
@@ -408,24 +335,11 @@ func EvaluateCircuitContext(ctx context.Context, ckt *circuit.Circuit, faults fa
 	if err := opts.checkProfile(len(grid)); err != nil {
 		return nil, err
 	}
-	what := func() string { return strconv.Quote(ckt.Name) }
-	var evals []FaultEval
-	var tr *tracker
-	if opts.Engine == EngineLowRank {
-		// The one-row case of the matrix's row sweep.
-		rr := newRowRunner(1, faults, opts, func(int) (rowSpec, error) {
-			return rowSpec{ckt: ckt, grid: grid, label: ckt.Name, what: what}, nil
-		})
-		evals, tr, err = rr.run(sctx)
-	} else {
-		cr := &cellRunner{opts: opts, faults: faults, ckt: ckt, grid: grid, engines: make([]*analysis.Engine, opts.Workers)}
-		_, nomSpan := obs.Start(sctx, "detect.nominal")
-		err = cr.nominalPhase(what)
-		nomSpan.End()
-		if err == nil {
-			evals, tr, err = cr.run(sctx)
-		}
-	}
+	rr := newRowRunner(1, faults, opts, func(int) (rowSpec, error) {
+		what := func() string { return strconv.Quote(ckt.Name) }
+		return rowSpec{ckt: ckt, grid: grid, label: ckt.Name, what: what, maxDev: true}, nil
+	})
+	evals, tr, err := rr.run(sctx)
 	if err != nil {
 		return nil, err
 	}
@@ -443,17 +357,6 @@ func EvaluateCircuitContext(ctx context.Context, ckt *circuit.Circuit, faults fa
 		dlog.Warn("row evaluation degraded", "circuit", ckt.Name, "errors", row.Stats.Errors, "cells", row.Stats.Cells)
 	}
 	return row, nil
-}
-
-// cancelContext returns the scheduling context for the configured error
-// policy: FailFast gets a cancellable child of ctx (so the first failing
-// cell stops the fan-out), every other policy schedules directly on the
-// caller's ctx and runs to completion unless the caller cancels.
-func cancelContext(ctx context.Context, opts Options) (context.Context, context.CancelFunc) {
-	if opts.OnError != FailFast {
-		return ctx, nil
-	}
-	return context.WithCancel(ctx)
 }
 
 // resolveRegion returns opts.Region if set, else derives Ω_reference.
@@ -526,29 +429,6 @@ func retryNominal(eng *analysis.Engine, nominal *analysis.Response, opts Options
 	return st, nil
 }
 
-// scoreCell fills eval's verdict — Definition 1 detectability, the
-// ω-detectability percentage and the peak deviation — from a faulty
-// response measured against the nominal baseline.
-func scoreCell(eval *FaultEval, nominal, resp *analysis.Response, grid []float64, opts Options) error {
-	prof, err := analysis.RelativeDeviation(nominal, resp, opts.MeasFloor)
-	if err != nil {
-		return err
-	}
-	nDetected := 0
-	for i, r := range prof.Rel {
-		if r > opts.thresholdAt(i) {
-			nDetected++
-		}
-	}
-	eval.Detectable = nDetected > 0
-	eval.OmegaDet = 100 * float64(nDetected) / float64(len(grid))
-	eval.MaxDev = prof.MaxRel()
-	if math.IsInf(eval.MaxDev, 1) {
-		eval.MaxDev = math.MaxFloat64
-	}
-	return nil
-}
-
 // needsRetry reports whether the Retry policy re-solves resp's singular
 // points.
 func needsRetry(resp *analysis.Response, opts Options) bool {
@@ -582,135 +462,6 @@ func retrySpan(ctx context.Context, f fault.Fault, points int) *obs.Span {
 func endRetrySpan(s *obs.Span, recovered int) {
 	s.SetTag("recovered", strconv.Itoa(recovered))
 	s.End()
-}
-
-// cellRunner evaluates one circuit's cells, each starting at the patch
-// rung (the clone rung for the clone reference), fanned out over the
-// workers: the default EvaluateCircuit row, which reports MaxDev and so
-// keeps the patch rung's own responses. Engines are not safe for
-// concurrent use: worker 0 takes the nominal phase's engine, every other
-// worker builds its own on first use, and only worker w touches
-// engines[w].
-type cellRunner struct {
-	opts    Options
-	faults  fault.List
-	ckt     *circuit.Circuit
-	grid    []float64
-	nominal *analysis.Response
-	base    cellStats // the nominal phase's effort
-	engines []*analysis.Engine
-}
-
-// nominalPhase builds the circuit's engine and sweeps (and, under Retry,
-// repairs) the nominal response every cell compares against. what names
-// the circuit in errors; it is called only on failure.
-func (cr *cellRunner) nominalPhase(what func() string) error {
-	eng, err := analysis.NewEngine(cr.ckt)
-	if err != nil {
-		return fmt.Errorf("detect: nominal sweep of %s: %w", what(), err)
-	}
-	nominal, err := eng.SweepGrid(cr.grid)
-	if err != nil {
-		return fmt.Errorf("detect: nominal sweep of %s: %w", what(), err)
-	}
-	if cr.base, err = retryNominal(eng, nominal, cr.opts); err != nil {
-		return fmt.Errorf("detect: nominal retry of %s: %w", what(), err)
-	}
-	cr.nominal = nominal
-	cr.engines[0] = eng
-	return nil
-}
-
-// engine returns worker w's engine, building it on first use.
-func (cr *cellRunner) engine(w int) (*analysis.Engine, error) {
-	if cr.engines[w] == nil {
-		eng, err := analysis.NewEngine(cr.ckt)
-		if err != nil {
-			return nil, err
-		}
-		cr.engines[w] = eng
-	}
-	return cr.engines[w], nil
-}
-
-// run fans every cell out over the workers under one detect.cells span
-// and returns the evaluations in fault order, with the tracker holding
-// their merged effort. Each cell writes only its own slot and the tracker
-// reduces stats behind a mutex in cell order, so the fan-out is clean
-// under -race and deterministic for any worker count. Under FailFast the
-// first failing cell stops scheduling; cells in flight finish and cells
-// never started keep a zero evaluation. A cancelled ctx returns ctx's
-// error.
-func (cr *cellRunner) run(ctx context.Context) ([]FaultEval, *tracker, error) {
-	n := len(cr.faults)
-	evals := make([]FaultEval, n)
-	tr := newTracker(1, n, cr.opts.Progress)
-	tr.nominal(0, cr.base)
-	cellsCtx, cellSpan := obs.Start(ctx, "detect.cells")
-	cellSpan.SetTag("cells", fmt.Sprint(n))
-	cellCtx, cancel := cancelContext(cellsCtx, cr.opts)
-	runParallel(cellCtx, n, cr.opts.Workers, func(cctx context.Context, w, k int) {
-		timed := obs.TimingOn()
-		var t0 time.Time
-		if timed {
-			t0 = obs.Now()
-		}
-		eval, st, r := cr.evaluateCell(cctx, w, cr.faults[k])
-		if timed {
-			observeCell(cctx, obs.Since(t0).Seconds(), r)
-		}
-		evals[k] = eval
-		if eval.Err != nil && cancel != nil {
-			cancel()
-		}
-		tr.complete(k, st)
-	})
-	cellSpan.End()
-	if cancel != nil {
-		cancel()
-	}
-	if err := ctx.Err(); err != nil {
-		dCancelled.Inc()
-		return nil, nil, err
-	}
-	return evals, tr, nil
-}
-
-// evaluateCell is the cell pipeline, response → retry → score, for fault
-// f on worker w, returning the rung that produced the response.
-func (cr *cellRunner) evaluateCell(ctx context.Context, w int, f fault.Fault) (FaultEval, cellStats, rung) {
-	eval := FaultEval{Fault: f}
-	var st cellStats
-	r := rungPatch
-	err := func() error {
-		if cr.nominal.ValidCount() == 0 {
-			return allInvalid(cr.ckt)
-		}
-		var eng *analysis.Engine
-		if cr.opts.Engine != engineClone {
-			var err error
-			if eng, err = cr.engine(w); err != nil {
-				// The nominal phase already built an engine for this exact
-				// circuit, so a failure here is exceptional; degrade to the
-				// clone rung rather than invent a new error channel.
-				fallback(ctx, f, "pool")
-			}
-		}
-		eng, resp, rg, err := ladder(ctx, eng, cr.ckt, f, cr.grid)
-		r = rg
-		if eng != nil {
-			defer eng.Reset()
-		}
-		if err != nil {
-			return err
-		}
-		return finish(ctx, eng, f, cr.nominal, resp, cr.grid, cr.opts, &eval, &st)
-	}()
-	if err != nil {
-		eval.Err = err
-		st.err = true
-	}
-	return eval, st, r
 }
 
 // ladder is the patch → clone part of the engine ladder: it produces the
@@ -748,29 +499,6 @@ func ladder(ctx context.Context, eng *analysis.Engine, ckt *circuit.Circuit, f f
 	}
 	resp, err := eng.SweepGrid(grid)
 	return eng, resp, rungClone, err
-}
-
-// finish is the tail of the cell pipeline, retry → score: eng holds f's
-// faulty state and resp its response over grid. It accounts the cell's
-// solves — the whole grid, whichever rung and however many factorizations
-// produced resp, plus any retries.
-func finish(ctx context.Context, eng *analysis.Engine, f fault.Fault, nominal, resp *analysis.Response, grid []float64, opts Options, eval *FaultEval, st *cellStats) error {
-	st.solves += len(grid)
-	if needsRetry(resp, opts) {
-		// The engine holds the faulty state, so the jittered re-solves run
-		// on the faulty system whichever rung produced resp.
-		rs := retrySpan(ctx, f, resp.InvalidCount())
-		recovered, solves, err := eng.RetrySingularPoints(resp, opts.MaxRetries)
-		endRetrySpan(rs, recovered)
-		st.retries += solves
-		st.solves += solves
-		st.recovered += recovered
-		if err != nil {
-			return err
-		}
-	}
-	st.singular += resp.InvalidCount()
-	return scoreCell(eval, nominal, resp, grid, opts)
 }
 
 // CellError is a structured record of one failed matrix cell: which
@@ -1021,14 +749,12 @@ func (t *tracker) finish(elapsed time.Duration) Stats {
 	return t.stats
 }
 
-// runParallel executes fn(ctx, worker, 0..n-1) over at most workers
-// goroutines using a chunked scheduler: indices are claimed in fixed-size
-// contiguous chunks off an atomic cursor. The worker index (0..workers-1)
-// lets fn keep per-worker state — the cell runner's engines — without
-// locking; fn must write only to index-distinct state beyond that
+// runParallel executes fn(ctx, 0..n-1) over at most workers goroutines
+// using a chunked scheduler: indices are claimed in fixed-size contiguous
+// chunks off an atomic cursor. fn must write only to index-distinct state
 // (shared accounting goes through the tracker's mutex), which keeps the
 // engine race-clean and its results independent of worker count.
-// Cancelling ctx stops workers from starting new cells; cells already in
+// Cancelling ctx stops workers from starting new tasks; tasks already in
 // flight finish.
 //
 // When obs timing is on the scheduler also reports its own health: chunk
@@ -1038,7 +764,7 @@ func (t *tracker) finish(elapsed time.Duration) Stats {
 // schedule-dependent by nature — which chunks exist depends on the worker
 // count and the race for the cursor — so none of it is collected with
 // timing off, keeping traces and registry snapshots deterministic.
-func runParallel(ctx context.Context, n, workers int, fn func(ctx context.Context, worker, i int)) {
+func runParallel(ctx context.Context, n, workers int, fn func(ctx context.Context, i int)) {
 	if workers > n {
 		workers = n
 	}
@@ -1064,7 +790,7 @@ func runParallel(ctx context.Context, n, workers int, fn func(ctx context.Contex
 			if ctx != nil && ctx.Err() != nil {
 				return
 			}
-			fn(cctx, 0, i)
+			fn(cctx, i)
 		}
 		return
 	}
@@ -1118,7 +844,7 @@ func runParallel(ctx context.Context, n, workers int, fn func(ctx context.Contex
 						cs.End()
 						return
 					}
-					fn(cctx, worker, i)
+					fn(cctx, i)
 				}
 				if timed {
 					cs.End()

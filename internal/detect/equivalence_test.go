@@ -12,20 +12,20 @@ import (
 	"analogdft/internal/netgen"
 )
 
-// omegaTol bounds the allowed |Δω-det| between engine modes. Both modes
-// count threshold crossings on the same grid, so any drift beyond
-// floating-point noise is an engine bug, not measurement noise.
+// omegaTol bounds the allowed |Δω-det| between the row walk and the clone
+// reference. Both count threshold crossings on the same grid, so any
+// drift beyond floating-point noise is an engine bug, not measurement
+// noise.
 const omegaTol = 1e-12
 
-// requireEquivalent builds the matrix in every engine mode, across worker
-// counts, against the clone reference — every cell cloned and rebuilt,
-// Workers=1 — and fails on any difference: Det must be bit-identical,
-// Omega within omegaTol, and the cell error sets must agree position by
-// position.
+// requireEquivalent builds the matrix across worker counts against the
+// clone reference — every cell cloned and rebuilt, Workers=1 — and fails
+// on any difference: Det must be bit-identical, Omega within omegaTol,
+// and the cell error sets must agree position by position.
 func requireEquivalent(t *testing.T, m *dft.Modified, faults fault.List, opts Options) {
 	t.Helper()
 	clone := opts
-	clone.Engine = engineClone
+	clone.first = rungClone
 	clone.Workers = 1
 	ref, err := BuildMatrix(m, faults, clone)
 	if err != nil {
@@ -54,23 +54,20 @@ func requireEquivalent(t *testing.T, m *dft.Modified, faults fault.List, opts Op
 			t.Errorf("%s: %d cell errors, clone %d", label, len(got.CellErrors), len(ref.CellErrors))
 		}
 	}
-	for _, mode := range []EngineMode{EngineIncremental, EngineLowRank} {
-		for _, workers := range []int{1, 4} {
-			fast := opts
-			fast.Engine = mode
-			fast.Workers = workers
-			label := fmt.Sprintf("%s/workers=%d", mode, workers)
-			got, err := BuildMatrix(m, faults, fast)
-			if err != nil {
-				t.Fatalf("%s build: %v", label, err)
-			}
-			check(label, got)
+	for _, workers := range []int{1, 4} {
+		fast := opts
+		fast.Workers = workers
+		label := fmt.Sprintf("workers=%d", workers)
+		got, err := BuildMatrix(m, faults, fast)
+		if err != nil {
+			t.Fatalf("%s build: %v", label, err)
 		}
+		check(label, got)
 	}
 }
 
 // TestEngineEquivalenceBiquad checks the paper's own circuit: the full
-// 8-configuration matrix with the calibrated region, in both engine modes.
+// matrix with the calibrated region.
 func TestEngineEquivalenceBiquad(t *testing.T) {
 	bench := circuits.PaperBiquad()
 	m, err := dft.Apply(bench.Circuit, bench.Chain)
@@ -88,7 +85,7 @@ func TestEngineEquivalenceBiquad(t *testing.T) {
 }
 
 // TestEngineEquivalenceFallback mixes catastrophic faults (which the
-// incremental engine cannot patch) into the universe: every such cell
+// patch rung cannot express) into the universe: every such cell
 // must fall back to the clone rung and still agree exactly.
 func TestEngineEquivalenceFallback(t *testing.T) {
 	bench := circuits.PaperBiquad()
@@ -111,8 +108,8 @@ func TestEngineEquivalenceFallback(t *testing.T) {
 }
 
 // TestEngineEquivalenceGenerated fuzzes the equivalence over 20 random
-// stable active-RC circuits: for every generated netlist the incremental
-// engine and the clone reference must produce bit-identical Det matrices and Omega
+// stable active-RC circuits: for every generated netlist the row walk
+// and the clone reference must produce bit-identical Det matrices and Omega
 // values within omegaTol, for multiple worker counts.
 func TestEngineEquivalenceGenerated(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {

@@ -2,7 +2,6 @@ package detect
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"testing"
 
@@ -44,7 +43,7 @@ func fallbackTags(t *testing.T, m *dft.Modified, f fault.Fault, opts Options) (*
 }
 
 // TestFallbackLadderPinned pins the cell pipeline's fallback ladder on the
-// paper biquad: for each engine mode and fault kind, the number of
+// paper biquad: for each fault kind, the number of
 // fallbacks, the ordered rungs they fell from (one span per rung left, per
 // cell, in cell order at Workers=1) and the resulting matrix column. The
 // column is pinned as the per-configuration count of detecting grid
@@ -79,25 +78,19 @@ func TestFallbackLadderPinned(t *testing.T) {
 	full := []int{31, 0, 31, 0, 31, 0, 31}
 	none := []int{0, 0, 0, 0, 0, 0, 0}
 	cases := []struct {
-		engine EngineMode
 		fault  string
 		tags   []string
 		counts []int
 		errs   int
 	}{
-		{EngineIncremental, "deviation", nil, []int{0, 0, 27, 0, 0, 0, 0}, 0},
-		{EngineIncremental, "open", rows("incremental"), full, 0},
-		{EngineIncremental, "short", rows("incremental"), full, 0},
-		{EngineIncremental, "opamp", rows("incremental"), none, 7},
-		{EngineLowRank, "deviation", nil, []int{0, 0, 27, 0, 0, 0, 0}, 0},
-		{EngineLowRank, "open", rows("lowrank", "incremental"), full, 0},
-		{EngineLowRank, "short", rows("lowrank", "incremental"), full, 0},
-		{EngineLowRank, "opamp", rows("lowrank", "incremental"), none, 7},
+		{"deviation", nil, []int{0, 0, 27, 0, 0, 0, 0}, 0},
+		{"open", rows("incremental"), full, 0},
+		{"short", rows("incremental"), full, 0},
+		{"opamp", rows("incremental"), none, 7},
 	}
 	for _, c := range cases {
-		label := fmt.Sprintf("%s/%s", c.engine, c.fault)
+		label := c.fault
 		opts := base
-		opts.Engine = c.engine
 		mx, tags, delta := fallbackTags(t, m, faults[c.fault], opts)
 		if !slices.Equal(tags, c.tags) {
 			t.Errorf("%s: fallback tags %q, want %q", label, tags, c.tags)

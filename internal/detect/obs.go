@@ -31,10 +31,9 @@ var (
 		"evaluations aborted by the FailFast policy")
 	dCancelled = obs.Reg().Counter("detect_cancelled_total",
 		"evaluations abandoned because the caller's context was cancelled")
-	// dEngineFallback counts rungs left: under EngineLowRank a cell that
-	// falls from the rank-1 rung to the clone rung counts twice. Under
-	// EngineIncremental the rank-1 answer stands in for the patch, so only
-	// patch → clone steps count.
+	// dEngineFallback counts patch → clone steps: the rank-1 answer stands
+	// in for the patch, so a fault that is not rank-1 starts at the patch
+	// rung without counting.
 	dEngineFallback = obs.Reg().Counter("engine_fallback_total",
 		"steps from one rung of the cell engine ladder to the next (rank-1, in-place patch, clone-and-rebuild)")
 
@@ -47,7 +46,7 @@ var (
 	dLowRankRefactors = obs.Reg().Counter("engine_lowrank_refactor_total",
 		"rank-1 grid points re-solved under a patch because the identity could not answer them (singular nominal point or singular rank-1 update)")
 	dGuardResolves = obs.Reg().Counter("detect_guard_resolves_total",
-		"rank-1 grid points re-solved under a patch because the answer lay within the guard band of ε or of the measurement floor")
+		"rank-1 grid points re-solved under a patch because the answer lay within the guard band of ε or of the measurement floor, or (rows that report MaxDev) could hold the cell's peak deviation")
 
 	dCellSeconds = obs.Reg().HistogramVec("detect_cell_seconds",
 		"per-cell solve latency by the engine-ladder rung that answered: rank1, patch or clone (timing on only)", "rung", obs.TimeBuckets)
@@ -57,7 +56,7 @@ var (
 	dChunkSeconds = obs.Reg().Histogram("detect_chunk_seconds",
 		"scheduler chunk latency in seconds (timing on only)", obs.TimeBuckets)
 	dChunkCells = obs.Reg().Histogram("detect_chunk_cells",
-		"tasks per scheduler chunk: cells of a row evaluation, configuration rows of a matrix (timing on only)", obs.CountBuckets)
+		"tasks (configuration rows) per scheduler chunk (timing on only)", obs.CountBuckets)
 	dWorkerBusy = obs.Reg().Histogram("detect_worker_busy_ratio",
 		"per-worker busy fraction of the fan-out wall time (timing on only)", obs.RatioBuckets)
 )

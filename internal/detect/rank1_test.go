@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"analogdft/internal/analysis"
+	"analogdft/internal/circuit"
 	"analogdft/internal/circuits"
 	"analogdft/internal/dft"
 	"analogdft/internal/fault"
@@ -45,19 +46,27 @@ func requireSameMatrix(t *testing.T, label string, got, want *Matrix) {
 }
 
 // raceEnabled is set by race_test.go in -race builds, where the bitwise
-// sweep runs a smaller subset.
+// sweeps run a smaller subset.
 var raceEnabled bool
 
-// TestRank1MatchesPatchBitwise is the default engine's contract: the row
-// sweep — rank-1 answers against one factorization per (configuration,
-// ω), re-solved under a patch wherever they could decide differently —
-// builds the matrix the patch-first ladder builds, bit for bit. It covers
-// the library benches and a six-opamp chain; the deviation universe at
-// fault sizes 0.10–0.30 and the bipolar one at 0.10/0.20/0.30 on 61
-// points; the deviation universe at 0.10, where the paper flow's ε ties
-// sit, on 241 points; and the catastrophic universe. -short keeps two
-// benches and three sweeps on 61 points, -race the paper biquad alone.
-func TestRank1MatchesPatchBitwise(t *testing.T) {
+// rank1Case is one (bench, fault universe, grid) point of the bitwise
+// sweeps.
+type rank1Case struct {
+	label  string
+	ckt    *circuit.Circuit // the bench circuit before DFT
+	m      *dft.Modified
+	faults fault.List
+	opts   Options
+}
+
+// rank1Sweep lists the bitwise sweeps' cases: the library benches and a
+// six-opamp chain; the deviation universe at fault sizes 0.10–0.30 and the
+// bipolar one at 0.10/0.20/0.30 on 61 points; the deviation universe at
+// 0.10, where the paper flow's ε ties sit, on 241 points; and the
+// catastrophic universe. -short keeps two benches and three sweeps on 61
+// points, -race the paper biquad alone.
+func rank1Sweep(t *testing.T) []rank1Case {
+	t.Helper()
 	benches := circuits.Library()
 	ms6, err := circuits.MultiStageLowpass(6, 10e3)
 	if err != nil {
@@ -91,16 +100,7 @@ func TestRank1MatchesPatchBitwise(t *testing.T) {
 		// TestRank1RowsRace already runs the rows concurrently.
 		names = []string{"paper-biquad"}
 	}
-	universe := func(b *circuits.Bench, sw sweep) fault.List {
-		switch sw.universe {
-		case "deviation":
-			return fault.DeviationUniverse(b.Circuit, sw.frac)
-		case "bipolar":
-			return fault.BipolarDeviationUniverse(b.Circuit, sw.frac)
-		}
-		return fault.CatastrophicUniverse(b.Circuit)
-	}
-	before := obs.Reg().Snapshot()["detect_guard_resolves_total"].Value
+	var cases []rank1Case
 	for _, name := range names {
 		b := benches[name]
 		m, err := dft.Apply(b.Circuit, b.Chain)
@@ -108,24 +108,142 @@ func TestRank1MatchesPatchBitwise(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sw := range sweeps {
-			label := fmt.Sprintf("%s/%s/%.2f/%d", name, sw.universe, sw.frac, sw.points)
-			faults := universe(b, sw)
-			opts := Options{Points: sw.points}
-			patch := opts
-			patch.Engine = enginePatch
-			want, err := BuildMatrix(m, faults, patch)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+			var faults fault.List
+			switch sw.universe {
+			case "deviation":
+				faults = fault.DeviationUniverse(b.Circuit, sw.frac)
+			case "bipolar":
+				faults = fault.BipolarDeviationUniverse(b.Circuit, sw.frac)
+			default:
+				faults = fault.CatastrophicUniverse(b.Circuit)
 			}
-			got, err := BuildMatrix(m, faults, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			requireSameMatrix(t, label, got, want)
+			cases = append(cases, rank1Case{
+				label:  fmt.Sprintf("%s/%s/%.2f/%d", name, sw.universe, sw.frac, sw.points),
+				ckt:    b.Circuit,
+				m:      m,
+				faults: faults,
+				opts:   Options{Points: sw.points},
+			})
 		}
 	}
-	if obs.Reg().Snapshot()["detect_guard_resolves_total"].Value == before {
+	return cases
+}
+
+// guardResolves reads detect_guard_resolves_total.
+func guardResolves() float64 { return obs.Reg().Snapshot()["detect_guard_resolves_total"].Value }
+
+// TestRank1MatchesPatchBitwise is the row walk's contract: rank-1 answers
+// against one factorization per (configuration, ω), re-solved under a
+// patch wherever they could decide differently, build the matrix the
+// patch-first ladder builds, bit for bit, over rank1Sweep.
+func TestRank1MatchesPatchBitwise(t *testing.T) {
+	before := guardResolves()
+	for _, c := range rank1Sweep(t) {
+		patch := c.opts
+		patch.first = rungPatch
+		want, err := BuildMatrix(c.m, c.faults, patch)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		got, err := BuildMatrix(c.m, c.faults, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		requireSameMatrix(t, c.label, got, want)
+	}
+	if guardResolves() == before {
 		t.Error("no point needed the guard: the sweep never exercised it")
+	}
+}
+
+// TestRank1RowsMatchPatchBitwise is EvaluateCircuit's contract: the
+// one-row walk, whose tail also re-solves the points that could hold a
+// cell's peak, returns the rows the patch-first ladder returns, MaxDev
+// included, bit for bit. Per rank1Sweep case it evaluates the bench
+// circuit on the region EvaluateCircuit derives for it (§2's initial
+// row), and the configurations with at most one follower as circuits of
+// their own on the functional configuration's region. The peak guard must
+// re-solve points beyond those the ε/floor guard re-solves on the same
+// rows.
+func TestRank1RowsMatchPatchBitwise(t *testing.T) {
+	var peak, matrix float64
+	cells, points := 0, 0
+	check := func(label string, ckt *circuit.Circuit, faults fault.List, opts Options) {
+		t.Helper()
+		patch := opts
+		patch.first = rungPatch
+		want, err := EvaluateCircuit(ckt, faults, patch)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		before := guardResolves()
+		got, err := EvaluateCircuit(ckt, faults, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		peak += guardResolves() - before
+		cells += len(got.Evals)
+		points += len(got.Evals) * opts.Points
+		requireSameRow(t, label, got, want)
+		// The same row without the peak guard, as a matrix builds it.
+		grid := got.Region.Spec(opts.Points).Grid()
+		before = guardResolves()
+		rr := newRowRunner(1, faults, opts, func(int) (rowSpec, error) {
+			return rowSpec{ckt: ckt, grid: grid, label: label, what: func() string { return label }}, nil
+		})
+		if _, _, err := rr.run(context.Background()); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		matrix += guardResolves() - before
+	}
+	for _, c := range rank1Sweep(t) {
+		opts := c.opts.Normalize()
+		check(c.label, c.ckt, c.faults, opts)
+		functional, err := c.m.Configure(dft.Configuration{Index: 0, N: c.m.N()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts.Region, err = resolveRegion(functional, opts); err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		opts.MaxFollowers = 1
+		for _, cfg := range matrixConfigs(c.m, opts) {
+			ckt, err := c.m.Configure(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(c.label+"/"+cfg.Label(), ckt, c.faults, opts)
+		}
+	}
+	t.Logf("%d cells, %d points: %v guard re-solves, %v without the peak guard", cells, points, peak, matrix)
+	if peak <= matrix {
+		t.Errorf("rows re-solved %v guard points, the same rows without MaxDev %v: the peak guard never fired", peak, matrix)
+	}
+}
+
+// requireSameRow fails unless got carries want's bits: per cell
+// Detectable, OmegaDet and MaxDev (bitwise) and the error text, the
+// region, and Stats but Elapsed.
+func requireSameRow(t *testing.T, label string, got, want *Row) {
+	t.Helper()
+	if len(got.Evals) != len(want.Evals) || got.Region != want.Region {
+		t.Fatalf("%s: %d cells on %v, patch %d on %v", label, len(got.Evals), got.Region, len(want.Evals), want.Region)
+	}
+	for j, w := range want.Evals {
+		g := got.Evals[j]
+		if g.Detectable != w.Detectable || math.Float64bits(g.OmegaDet) != math.Float64bits(w.OmegaDet) ||
+			math.Float64bits(g.MaxDev) != math.Float64bits(w.MaxDev) {
+			t.Errorf("%s: %s = (%t, %v, %v), patch (%t, %v, %v)", label, w.Fault.ID,
+				g.Detectable, g.OmegaDet, g.MaxDev, w.Detectable, w.OmegaDet, w.MaxDev)
+		}
+		if (g.Err == nil) != (w.Err == nil) || g.Err != nil && g.Err.Error() != w.Err.Error() {
+			t.Errorf("%s: %s error %v, patch %v", label, w.Fault.ID, g.Err, w.Err)
+		}
+	}
+	gs, ws := got.Stats, want.Stats
+	gs.Elapsed, ws.Elapsed = 0, 0
+	if gs != ws {
+		t.Errorf("%s: stats %+v, patch %+v", label, gs, ws)
 	}
 }
 
@@ -156,7 +274,7 @@ func TestRank1GuardSettlesPaperTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	patch := opts
-	patch.Engine = enginePatch
+	patch.first = rungPatch
 	want, err := BuildMatrix(m, faults, patch)
 	if err != nil {
 		t.Fatal(err)
@@ -238,23 +356,12 @@ func TestRank1RowsRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []EngineMode{EngineIncremental, EngineLowRank} {
-		o := opts
-		o.Workers = 4
-		o.Engine = mode
-		got, err := BuildMatrix(m, faults, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := want
-		if mode == EngineLowRank {
-			o.Workers = 1
-			if ref, err = BuildMatrix(m, faults, o); err != nil {
-				t.Fatal(err)
-			}
-		}
-		requireSameMatrix(t, mode.String(), got, ref)
+	opts.Workers = 4
+	got, err := BuildMatrix(m, faults, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	requireSameMatrix(t, "workers=4", got, want)
 }
 
 // TestRowErrorPrecedence pins the row runner's error order: whatever the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/cmplx"
 	"sync/atomic"
 	"time"
 
@@ -15,7 +14,7 @@ import (
 )
 
 // guardBand is τ, the relative band around each decision boundary inside
-// which the default engine does not trust a Sherman–Morrison answer. A
+// which the row walk does not trust a Sherman–Morrison answer. A
 // grid point's verdict turns on rel > thr and, below the measurement
 // floor, on |H| ≤ floor; the rank-1 answer and the patch's refactorization
 // agree only within rounding, so where rel lies within τ·(|H| + |c·z|)/den
@@ -24,7 +23,9 @@ import (
 // and a six-opamp chain, deviation and bipolar universes at fault sizes
 // 0.10–0.30, 241 points) the two solves differed by at most 1.28e-10·ε
 // in rel and 2.5e-12 relative in |H|, never in validity, so τ leaves four
-// orders of margin while re-solving 0.28% of points.
+// orders of margin while re-solving 0.28% of points. The same band bounds
+// how far any settled point's rel can move under the patch, which is what
+// the MaxDev guard relies on (tail.resolve).
 const guardBand = 1e-6
 
 // rowSpec is one configuration row of an evaluation: the circuit, its
@@ -35,6 +36,10 @@ type rowSpec struct {
 	label string
 	// what names the row in nominal errors; it is called only on failure.
 	what func() string
+	// maxDev marks a row that reports MaxDev: its tail also re-solves
+	// under the patch every point that could hold a cell's peak deviation
+	// (tail.resolve). Matrix rows discard MaxDev and skip that guard.
+	maxDev bool
 }
 
 // rowRunner evaluates the cells of one or more configuration rows, one
@@ -87,7 +92,7 @@ func newRowRunner(rows int, faults fault.List, opts Options, spec func(i int) (r
 func (rr *rowRunner) run(ctx context.Context) ([]FaultEval, *tracker, error) {
 	cellsCtx, cellSpan := obs.Start(ctx, "detect.cells")
 	cellSpan.SetTag("cells", fmt.Sprint(len(rr.evals)))
-	runParallel(cellsCtx, len(rr.errs), rr.opts.Workers, func(cctx context.Context, _, i int) {
+	runParallel(cellsCtx, len(rr.errs), rr.opts.Workers, func(cctx context.Context, i int) {
 		if int64(i) > rr.lowest.Load() {
 			return
 		}
@@ -133,8 +138,7 @@ func (rr *rowRunner) row(ctx context.Context, i int) error {
 	// not rank-1. After a FailFast stop the walk is the nominal alone.
 	var lfs []analysis.LowRankFault
 	var slot []int
-	rank1First := rr.opts.Engine == EngineIncremental || rr.opts.Engine == EngineLowRank
-	if rank1First && !rr.stop.Load() {
+	if rr.opts.first == "" && !rr.stop.Load() {
 		lfs = make([]analysis.LowRankFault, nf)
 		slot = make([]int, nf)
 		n := 0
@@ -174,7 +178,6 @@ func (rr *rowRunner) row(ctx context.Context, i int) error {
 		sp:       sp,
 		nominal:  nominal,
 		floorAbs: analysis.FloorAbs(nominal, rr.opts.MeasFloor),
-		guard:    rr.opts.Engine == EngineIncremental,
 	}
 	np := len(sp.grid)
 	for j, f := range rr.faults {
@@ -218,7 +221,6 @@ type tail struct {
 	sp       rowSpec
 	nominal  *analysis.Response
 	floorAbs float64
-	guard    bool
 	pts      []int
 	// rank1 counts cells answered on the rank-1 rung; refactors and
 	// guarded count their re-solved points by cause.
@@ -236,12 +238,12 @@ func (t *tail) flush() {
 // cell is the row tail's cell pipeline, response → retry → score, for
 // fault f. resp, when non-nil, is f's rank-1 answer from the walk (spread
 // its cancellation bounds): the points Sherman–Morrison could not answer
-// and, under the guard, those whose verdict it could not settle are
-// re-solved under an in-place patch of f, after which resp holds the
-// patch rung's response bit for bit at every point that can decide the
-// cell. Without a rank-1 answer, f climbs the patch → clone ladder.
+// and those whose verdict — or, on a MaxDev row, whose peak — it could
+// not settle are re-solved under an in-place patch of f, after which resp
+// holds the patch rung's response bit for bit at every point that can
+// decide the cell. Without a rank-1 answer, f climbs the patch → clone
+// ladder.
 func (t *tail) cell(ctx context.Context, f fault.Fault, resp *analysis.Response, spread []float64) (FaultEval, cellStats, rung) {
-	opts := t.rr.opts
 	eval := FaultEval{Fault: f}
 	var st cellStats
 	r := rungPatch
@@ -262,10 +264,7 @@ func (t *tail) cell(ctx context.Context, f fault.Fault, resp *analysis.Response,
 				return err
 			}
 		} else {
-			if opts.Engine == EngineLowRank {
-				fallback(ctx, f, "lowrank")
-			}
-			if opts.Engine == engineClone {
+			if t.rr.opts.first == rungClone {
 				eng = nil
 			}
 			var err error
@@ -277,7 +276,7 @@ func (t *tail) cell(ctx context.Context, f fault.Fault, resp *analysis.Response,
 				return err
 			}
 		}
-		return finish(ctx, eng, f, t.nominal, resp, t.sp.grid, opts, &eval, &st)
+		return t.finish(ctx, eng, f, resp, &eval, &st)
 	}()
 	if err != nil {
 		eval.Err = err
@@ -286,18 +285,96 @@ func (t *tail) cell(ctx context.Context, f fault.Fault, resp *analysis.Response,
 	return eval, st, r
 }
 
+// finish is the tail of the cell pipeline, retry → score: eng holds f's
+// faulty state and resp its response over the row's grid. It accounts the
+// cell's solves — the whole grid, whichever rung and however many
+// factorizations produced resp, plus any retries.
+func (t *tail) finish(ctx context.Context, eng *analysis.Engine, f fault.Fault, resp *analysis.Response, eval *FaultEval, st *cellStats) error {
+	opts := t.rr.opts
+	st.solves += len(t.sp.grid)
+	if needsRetry(resp, opts) {
+		// The engine holds the faulty state, so the jittered re-solves run
+		// on the faulty system whichever rung produced resp.
+		rs := retrySpan(ctx, f, resp.InvalidCount())
+		recovered, solves, err := eng.RetrySingularPoints(resp, opts.MaxRetries)
+		endRetrySpan(rs, recovered)
+		st.retries += solves
+		st.solves += solves
+		st.recovered += recovered
+		if err != nil {
+			return err
+		}
+	}
+	st.singular += resp.InvalidCount()
+	return t.score(eval, resp)
+}
+
+// score fills eval's verdict from a faulty response measured against the
+// row's nominal, point by point as RelativeDeviation measures it:
+// Definition 1 detectability, the ω-detectability percentage (the share
+// of grid points deviating beyond their threshold) and the peak deviation
+// MaxDev, with +Inf reported as math.MaxFloat64.
+func (t *tail) score(eval *FaultEval, resp *analysis.Response) error {
+	if err := analysis.SameGrid(t.nominal, resp); err != nil {
+		return err
+	}
+	n, peak := 0, 0.0
+	for i, h := range resp.H {
+		rel, _, _ := analysis.PointDeviation(t.nominal.H[i], h, t.nominal.Valid[i], resp.Valid[i], t.floorAbs)
+		if rel > t.rr.opts.thresholdAt(i) {
+			n++
+		}
+		if rel > peak {
+			peak = rel
+		}
+	}
+	eval.Detectable = n > 0
+	eval.OmegaDet = 100 * float64(n) / float64(len(t.sp.grid))
+	eval.MaxDev = peak
+	if math.IsInf(peak, 1) {
+		eval.MaxDev = math.MaxFloat64
+	}
+	return nil
+}
+
 // resolve re-solves, with f patched into the row's engine, the points of
 // f's rank-1 response the tail cannot take as answered, leaving the patch
-// in place when there were any.
+// in place when there were any. A first pass lists the points the
+// identity could not answer and those the ε/floor guard cannot settle
+// (settle). On a MaxDev row a second pass adds every other point whose
+// rel, plus its band, reaches the cut: the largest rel − band over the
+// settled points. The patch's peak is at least the cut, and a point left
+// out lies below it even under the patch, so the peak is at a re-solved
+// point and MaxDev carries the patch rung's bits.
 func (t *tail) resolve(f fault.Fault, resp *analysis.Response, spread []float64) error {
 	t.pts = t.pts[:0]
+	cut := math.Inf(-1)
 	for i, ok := range resp.Valid {
 		if !ok {
 			t.pts = append(t.pts, i)
 			t.refactors++
-		} else if t.guard && t.unsettled(i, resp.H[i], spread[i]) {
+			continue
+		}
+		rel, band, unsettled := t.settle(i, resp.H[i], spread[i])
+		if unsettled {
 			t.pts = append(t.pts, i)
 			t.guarded++
+		} else if rel-band > cut {
+			cut = rel - band
+		}
+	}
+	if t.sp.maxDev {
+		// pts is ascending, so next walks it alongside the grid.
+		listed, next := len(t.pts), 0
+		for i := range resp.Valid {
+			if next < listed && t.pts[next] == i {
+				next++
+				continue
+			}
+			if rel, band, _ := t.settle(i, resp.H[i], spread[i]); rel+band >= cut {
+				t.pts = append(t.pts, i)
+				t.guarded++
+			}
 		}
 	}
 	if len(t.pts) == 0 {
@@ -309,23 +386,25 @@ func (t *tail) resolve(f fault.Fault, resp *analysis.Response, spread []float64)
 	return t.eng.ResolvePoints(resp, t.pts)
 }
 
-// unsettled reports whether rounding could decide grid point i of a
-// rank-1 answer h differently from the patch: scored as RelativeDeviation
-// scores it, h lies within guardBand of the threshold or of the
-// measurement floor (see guardBand). Non-finite answers are unsettled.
-func (t *tail) unsettled(i int, h complex128, spread float64) bool {
-	mn, mf := cmplx.Abs(t.nominal.H[i]), cmplx.Abs(h)
-	band := guardBand * (mf + spread)
-	if mn <= t.floorAbs {
-		// Both magnitudes at or below the floor read as no deviation.
-		if !(math.Abs(mf-t.floorAbs) > band) {
-			return true
+// settle scores grid point i of a valid rank-1 answer h as
+// RelativeDeviation scores it and returns its rel, the band within which
+// the patch's rel lies (see guardBand), and whether rounding could decide
+// the point differently from the patch: h lies within guardBand of the
+// threshold or of the measurement floor. Non-finite answers are
+// unsettled.
+func (t *tail) settle(i int, h complex128, spread float64) (rel, band float64, unsettled bool) {
+	rel, mf, den := analysis.PointDeviation(t.nominal.H[i], h, t.nominal.Valid[i], true, t.floorAbs)
+	abs := guardBand * (mf + spread)
+	band = abs / den
+	if den == t.floorAbs {
+		// The nominal is at or below the floor (den = max(|Hn|, floor)),
+		// and both magnitudes there read as no deviation.
+		if !(math.Abs(mf-t.floorAbs) > abs) {
+			return rel, band, true
 		}
 		if mf <= t.floorAbs {
-			return false
+			return rel, band, false
 		}
 	}
-	den := max(mn, t.floorAbs)
-	rel := math.Abs(mf-mn) / den
-	return !(math.Abs(rel-t.rr.opts.thresholdAt(i)) > band/den)
+	return rel, band, !(math.Abs(rel-t.rr.opts.thresholdAt(i)) > band)
 }

@@ -49,9 +49,8 @@ func TestStatsStringIsProgressSuffix(t *testing.T) {
 }
 
 // snapshotAfterRun resets the default registry, builds the matrix with the
-// given worker count and engine mode (timing off), and returns the full
-// registry snapshot.
-func snapshotAfterRun(t *testing.T, workers int, mode EngineMode) map[string]obs.MetricSnap {
+// given worker count (timing off), and returns the full registry snapshot.
+func snapshotAfterRun(t *testing.T, workers int) map[string]obs.MetricSnap {
 	t.Helper()
 	ckt := cascade3()
 	m, err := dft.ApplyAll(ckt)
@@ -62,7 +61,6 @@ func snapshotAfterRun(t *testing.T, workers int, mode EngineMode) map[string]obs
 	opts := fastOpts()
 	opts.Region = analysis.Region{LoHz: 10, HiHz: 1e5}
 	opts.Workers = workers
-	opts.Engine = mode
 	obs.Reg().Reset()
 	if _, err := BuildMatrix(m, faults, opts); err != nil {
 		t.Fatal(err)
@@ -73,38 +71,38 @@ func snapshotAfterRun(t *testing.T, workers int, mode EngineMode) map[string]obs
 // TestMetricSnapshotDeterministicAcrossWorkers is the ISSUE 2 determinism
 // gate: with timing off, the complete registry snapshot after a matrix
 // build must be byte-identical for any worker count and scheduling order
-// (runs under -race in CI), for every engine mode. Timing-gated metrics
-// (chunk latencies, worker utilization) are the only schedule-dependent
-// instruments, and they must stay silent here.
+// (runs under -race in CI). Timing-gated metrics (chunk latencies, worker
+// utilization) are the only schedule-dependent instruments, and they must
+// stay silent here.
 func TestMetricSnapshotDeterministicAcrossWorkers(t *testing.T) {
 	if obs.TimingOn() {
 		t.Fatal("timing unexpectedly enabled; determinism holds only with timing off")
 	}
-	for _, mode := range []EngineMode{EngineIncremental, EngineLowRank} {
-		t.Run(mode.String(), func(t *testing.T) {
-			base := snapshotAfterRun(t, 1, mode)
-			if base["detect_cells_total"].Value == 0 || base["mna_solves_total"].Value == 0 {
-				t.Fatalf("instrumentation silent: %+v", base)
-			}
-			if base["detect_chunk_seconds"].Count != 0 || base["detect_workers"].Value != 0 {
-				t.Fatalf("timing-gated metrics fired with timing off: %+v", base)
-			}
-			if base["engine_lowrank_solve_total"].Value == 0 || base["detect_rank1_cells_total"].Value == 0 {
-				t.Fatalf("%s mode performed no Sherman–Morrison solves: %+v", mode, base)
-			}
-			for _, workers := range []int{2, 3, 8} {
-				got := snapshotAfterRun(t, workers, mode)
-				if !reflect.DeepEqual(base, got) {
-					for name := range base {
-						if !reflect.DeepEqual(base[name], got[name]) {
-							t.Errorf("metric %q: workers=1 %+v, workers=%d %+v", name, base[name], workers, got[name])
-						}
+	// The single remaining engine is the incremental one; the subtest keeps
+	// its name so the gate reads the same in test output as before.
+	t.Run("incremental", func(t *testing.T) {
+		base := snapshotAfterRun(t, 1)
+		if base["detect_cells_total"].Value == 0 || base["mna_solves_total"].Value == 0 {
+			t.Fatalf("instrumentation silent: %+v", base)
+		}
+		if base["detect_chunk_seconds"].Count != 0 || base["detect_workers"].Value != 0 {
+			t.Fatalf("timing-gated metrics fired with timing off: %+v", base)
+		}
+		if base["engine_lowrank_solve_total"].Value == 0 || base["detect_rank1_cells_total"].Value == 0 {
+			t.Fatalf("the row walk performed no Sherman–Morrison solves: %+v", base)
+		}
+		for _, workers := range []int{2, 3, 8} {
+			got := snapshotAfterRun(t, workers)
+			if !reflect.DeepEqual(base, got) {
+				for name := range base {
+					if !reflect.DeepEqual(base[name], got[name]) {
+						t.Errorf("metric %q: workers=1 %+v, workers=%d %+v", name, base[name], workers, got[name])
 					}
-					t.Fatalf("snapshot differs at workers=%d", workers)
 				}
+				t.Fatalf("snapshot differs at workers=%d", workers)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestTimingMetricsFireWhenEnabled checks the other side of the gate: with
@@ -113,7 +111,7 @@ func TestTimingMetricsFireWhenEnabled(t *testing.T) {
 	rt := obs.Default()
 	rt.SetTiming(true)
 	defer rt.SetTiming(false)
-	snap := snapshotAfterRun(t, 2, EngineIncremental)
+	snap := snapshotAfterRun(t, 2)
 	if snap["detect_chunk_seconds"].Count == 0 {
 		t.Fatalf("chunk latency histogram silent with timing on: %+v", snap["detect_chunk_seconds"])
 	}

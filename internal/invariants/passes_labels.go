@@ -17,7 +17,7 @@ import (
 //
 //   - a constant (including conversions of typed constants);
 //   - a value of a named enum type: a named type whose own package
-//     declares constants of that type (job State, detect Engine);
+//     declares constants of that type (job State, detect rung);
 //   - a String() call on such an enum type (the stringer of a closed set);
 //   - fmt.Sprintf with a constant format whose arguments are themselves
 //     bounded or numeric/bool (the "%dxx" status-class idiom — numeric
@@ -69,7 +69,7 @@ func (p *pass) boundedLabel(stack []ast.Node, expr ast.Expr, seen map[types.Obje
 			return p.boundedLabel(stack, e.Args[0], seen)
 		}
 		obj := calleeObj(p.pkg.Info, e)
-		// Stringer of a closed enum: Engine.String() etc.
+		// Stringer of a closed enum: ErrorPolicy.String() etc.
 		if obj != nil && obj.Name() == "String" {
 			if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
 				if s, ok := p.pkg.Info.Selections[sel]; ok {

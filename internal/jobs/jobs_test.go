@@ -321,14 +321,13 @@ func TestManagerBadRequest(t *testing.T) {
 		{Kind: "frobnicate"},                 // unknown kind
 		{Kind: KindMatrix},                   // neither bench nor deck
 		{Kind: KindMatrix, Bench: "no-such"}, // unknown bench
-		{Kind: KindMatrix, Bench: "paper-biquad", Deck: "x"},                                  // both
-		{Kind: KindMatrix, Bench: "paper-biquad", Faults: FaultSpec{Universe: "weird"}},       // bad universe
-		{Kind: KindMatrix, Bench: "paper-biquad", Faults: FaultSpec{Frac: 1.5}},               // bad frac
-		{Kind: KindMatrix, Bench: "paper-biquad", Options: OptionSpec{LoHz: 10}},              // half a region
-		{Kind: KindMatrix, Bench: "paper-biquad", Options: OptionSpec{Engine: "antigravity"}}, // bad engine
-		{Kind: KindMatrix, Bench: "paper-biquad", Options: OptionSpec{OnError: "explode"}},    // bad policy
-		{Kind: KindOptimize, Bench: "paper-biquad", Cost: "karma"},                            // bad cost
-		{Kind: KindMatrix, Deck: "R1 a b 1k\n.input a\n.output b\n.end"},                      // no chain
+		{Kind: KindMatrix, Bench: "paper-biquad", Deck: "x"},                               // both
+		{Kind: KindMatrix, Bench: "paper-biquad", Faults: FaultSpec{Universe: "weird"}},    // bad universe
+		{Kind: KindMatrix, Bench: "paper-biquad", Faults: FaultSpec{Frac: 1.5}},            // bad frac
+		{Kind: KindMatrix, Bench: "paper-biquad", Options: OptionSpec{LoHz: 10}},           // half a region
+		{Kind: KindMatrix, Bench: "paper-biquad", Options: OptionSpec{OnError: "explode"}}, // bad policy
+		{Kind: KindOptimize, Bench: "paper-biquad", Cost: "karma"},                         // bad cost
+		{Kind: KindMatrix, Deck: "R1 a b 1k\n.input a\n.output b\n.end"},                   // no chain
 	}
 	for i, req := range cases {
 		if _, err := m.Submit(req); !errors.Is(err, ErrBadRequest) {

@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -93,9 +92,8 @@ func TestCacheKeyOptionDefaultsInvariance(t *testing.T) {
 			{Eps: 0.10},
 			{Points: 241},
 			{MeasFloor: 1e-4},
-			{Engine: "incremental"},
 			{OnError: "degrade"},
-			{Eps: 0.10, Points: 241, MeasFloor: 1e-4, Engine: "incremental", OnError: "degrade"},
+			{Eps: 0.10, Points: 241, MeasFloor: 1e-4, OnError: "degrade"},
 			// Workers never enters the key: same matrix at any parallelism.
 			{Workers: 7},
 		}
@@ -128,8 +126,8 @@ func TestCacheKeyValueSpelling(t *testing.T) {
 }
 
 // TestCacheKeySensitivity: anything that can change the result must
-// change the key — component values, job kind, engine mode, fault
-// universe, thresholds and optimize cost.
+// change the key — component values, job kind, fault universe,
+// thresholds and optimize cost.
 func TestCacheKeySensitivity(t *testing.T) {
 	deckBytes, err := os.ReadFile("../../testdata/biquad.cir")
 	if err != nil {
@@ -146,7 +144,6 @@ func TestCacheKeySensitivity(t *testing.T) {
 	variants := map[string]Request{
 		"component value": {Kind: KindMatrix, Deck: perturbed},
 		"job kind":        {Kind: KindEvaluate, Deck: deck},
-		"engine mode":     {Kind: KindMatrix, Deck: deck, Options: OptionSpec{Engine: "lowrank"}},
 		"eps":             {Kind: KindMatrix, Deck: deck, Options: OptionSpec{Eps: 0.25}},
 		"points":          {Kind: KindMatrix, Deck: deck, Options: OptionSpec{Points: 101}},
 		"region":          {Kind: KindMatrix, Deck: deck, Options: OptionSpec{LoHz: 100, HiHz: 1e5}},
@@ -187,31 +184,19 @@ func TestCacheKeyStable(t *testing.T) {
 	}
 }
 
-// TestCacheKeyGolden pins the exact content addresses of the biquad matrix
-// request under the default and the lowrank engine. Keys already held in
-// a shared store stay valid only while these strings do: the key hashes
-// the engine by name, so renumbering EngineMode must not move them.
+// TestCacheKeyGolden pins the exact content address of the default biquad
+// matrix request. Keys already held in a shared store stay valid only
+// while this string does: the preamble keeps the literal engine=incremental
+// and layout=auto tokens every default key carried while both were
+// request fields.
 func TestCacheKeyGolden(t *testing.T) {
 	deckBytes, err := os.ReadFile("../../testdata/biquad.cir")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for engine, want := range map[string]string{
-		"":        "sha256:d613228667cc60f9cc80334129024e4c702a576a80956b3607c5a6567e5976a5",
-		"lowrank": "sha256:6a0de4defa2a6fdfec6bf8c5fa56aa21f5a90fcaaff0eef1ca7c5f0e717596db",
-	} {
-		req := Request{Kind: KindMatrix, Deck: string(deckBytes), Options: OptionSpec{Engine: engine}}
-		if got := resolveKey(t, req); got != want {
-			t.Errorf("engine %q: key %s, want %s", engine, got, want)
-		}
-	}
-}
-
-// TestResolveRejectsRetiredEngine: "naive" names no engine, so a request
-// spelling it is a bad request rather than a distinct cache key.
-func TestResolveRejectsRetiredEngine(t *testing.T) {
-	req := Request{Kind: KindMatrix, Bench: "paper-biquad", Options: OptionSpec{Engine: "naive"}}
-	if _, err := req.Resolve(); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("Resolve: err = %v, want ErrBadRequest", err)
+	const want = "sha256:d613228667cc60f9cc80334129024e4c702a576a80956b3607c5a6567e5976a5"
+	req := Request{Kind: KindMatrix, Deck: string(deckBytes)}
+	if got := resolveKey(t, req); got != want {
+		t.Errorf("key %s, want %s", got, want)
 	}
 }

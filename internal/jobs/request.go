@@ -77,13 +77,8 @@ type OptionSpec struct {
 	IncludeTransparent bool      `json:"include_transparent,omitempty"`
 	PerConfigRegion    bool      `json:"per_config_region,omitempty"`
 	OnError            string    `json:"on_error,omitempty"`
-	// Engine names the cell simulation strategy ("incremental" default or
-	// "lowrank"); any other name is a bad request. It enters the cache key
-	// by name: the modes agree on Det except on cells sitting exactly on ε,
-	// and Omega values can differ within floating-point noise.
-	Engine       string `json:"engine,omitempty"`
-	MaxRetries   int    `json:"max_retries,omitempty"`
-	MaxFollowers int    `json:"max_followers,omitempty"`
+	MaxRetries         int       `json:"max_retries,omitempty"`
+	MaxFollowers       int       `json:"max_followers,omitempty"`
 	// Workers bounds the per-job simulation parallelism. It never enters
 	// the cache key: matrices are identical for any worker count.
 	Workers int `json:"workers,omitempty"`
@@ -108,11 +103,6 @@ func (o OptionSpec) build() (analogdft.Options, error) {
 		return opts, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	opts.OnError = policy
-	engine, err := analogdft.ParseEngineMode(o.Engine)
-	if err != nil {
-		return opts, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	opts.Engine = engine
 	switch {
 	case o.LoHz == 0 && o.HiHz == 0:
 		// Region derived from the circuit.

@@ -74,9 +74,6 @@ type SimFlags struct {
 	Progress bool
 	// OnError names the cell error policy (degrade, failfast, retry).
 	OnError string
-	// Engine names the cell simulation strategy (incremental, lowrank);
-	// either falls back to clone-and-rebuild for faults it cannot express.
-	Engine string
 }
 
 // RegisterSim installs the shared simulation flags on fs.
@@ -92,14 +89,10 @@ func (s *SimFlags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&s.Stats, "stats", false, "print the simulation effort summary")
 	fs.BoolVar(&s.Progress, "progress", false, "report live progress on stderr")
 	fs.StringVar(&s.OnError, "onerror", "degrade", `cell error policy: "degrade", "failfast" or "retry"`)
-	fs.StringVar(&s.Engine, "engine", "incremental", `cell simulation strategy: "incremental" (the in-place patch's results; matrix rows answer rank-1 faults by Sherman–Morrison against one factorization per grid point and re-solve by patch the points near ε) or "lowrank" (the same rank-1 answers, unguarded); both patch, then clone and rebuild, the faults they cannot express as rank-1`)
 }
 
 // Policy maps the -onerror value onto the engine error policy.
 func (s *SimFlags) Policy() (detect.ErrorPolicy, error) { return ParsePolicy(s.OnError) }
-
-// EngineMode maps the -engine value onto the cell simulation strategy.
-func (s *SimFlags) EngineMode() (detect.EngineMode, error) { return detect.ParseEngineMode(s.Engine) }
 
 // ParsePolicy maps an -onerror flag value onto the engine error policy.
 func ParsePolicy(name string) (detect.ErrorPolicy, error) {
@@ -116,20 +109,15 @@ func ParsePolicy(name string) (detect.ErrorPolicy, error) {
 }
 
 // Apply copies the parsed simulation flags onto engine options: worker
-// count, error policy, engine mode and (when -progress is set) a live
-// progress reporter writing to w.
+// count, error policy and (when -progress is set) a live progress
+// reporter writing to w.
 func (s *SimFlags) Apply(o *detect.Options, w io.Writer) error {
 	policy, err := s.Policy()
 	if err != nil {
 		return err
 	}
-	mode, err := s.EngineMode()
-	if err != nil {
-		return err
-	}
 	o.Workers = s.Workers
 	o.OnError = policy
-	o.Engine = mode
 	if s.Progress {
 		o.Progress = ProgressReporter(w)
 	}
