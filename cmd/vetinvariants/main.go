@@ -5,21 +5,20 @@
 //	vetinvariants [flags] [repo-root]
 //
 // Every pass has a stable VIxxx code (run `vetinvariants -list` for the
-// catalog): the five original syntactic rules — single clock source, no
-// stray prints, clone-free detect fan-out, cancellable job layer,
-// in-place factorization — ported onto resolved go/types objects so
-// import aliases and bound function values cannot evade them, plus the
-// type-aware passes the string matcher could not express: TimingOn
-// guards on clock-derived observations (VI006), context threading below
-// the edge (VI007), bounded metric label sets (VI008), no locks held
-// across blocking operations (VI009) and goroutine join tracking
-// (VI010).
+// catalog): three of the original syntactic rules — single clock source
+// (VI001), no stray prints (VI002), cancellable job layer (VI004) —
+// ported onto resolved go/types objects so import aliases and bound
+// function values cannot evade them, plus the type-aware passes the
+// string matcher could not express: TimingOn guards on clock-derived
+// observations (VI006), context threading below the edge (VI007),
+// bounded metric label sets (VI008), no locks held across blocking
+// operations (VI009), goroutine join tracking (VI010) and store-confined
+// file I/O in the job layer (VI012). The retired codes VI003, VI005 and
+// VI011 are unknown codes.
 //
-// Output is deterministic text (file:line:col) or JSON (-json). A
-// committed baseline file (-baseline) grandfathers pre-existing findings
-// so a new pass can land enforcing; stale baseline entries are reported
-// for burn-down. Exit status: 0 clean, 1 findings, 2 usage or load
-// error — the same contract as netlint.
+// Output is deterministic text (file:line:col) or JSON (-json). Exit
+// status: 0 clean, 1 findings, 2 usage or load error — the same contract
+// as netlint.
 package main
 
 import (
@@ -41,8 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	asJSON := fs.Bool("json", false, "emit the report as JSON instead of text")
 	codes := fs.String("codes", "", "comma-separated VIxxx codes to run (default: all passes)")
-	baselinePath := fs.String("baseline", "", "baseline JSON allowlist; matching findings are suppressed")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit 0")
 	out := fs.String("o", "", "write the report to this file instead of stdout")
 	list := fs.Bool("list", false, "print the pass catalog and exit")
 	if err := fs.Parse(args); err != nil {
@@ -78,15 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			opts.Codes = append(opts.Codes, c)
 		}
 	}
-	if *baselinePath != "" {
-		b, err := invariants.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "vetinvariants:", err)
-			return 2
-		}
-		opts.Baseline = b
-	}
-
 	loader := invariants.NewLoader()
 	pkgs, err := loader.LoadRepo(root)
 	if err != nil {
@@ -97,16 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "vetinvariants:", err)
 		return 2
-	}
-
-	if *writeBaseline != "" {
-		b := invariants.FromFindings(rep.Diagnostics, "grandfathered by -write-baseline; burn down")
-		if err := b.WriteFile(*writeBaseline); err != nil {
-			fmt.Fprintln(stderr, "vetinvariants:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "vetinvariants: wrote %d baseline entr(ies) to %s\n", len(b.Entries), *writeBaseline)
-		return 0
 	}
 
 	dst := stdout

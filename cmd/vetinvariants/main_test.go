@@ -42,21 +42,29 @@ func TestListCatalog(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, want 0", code)
 	}
-	for _, want := range []string{"VI001", "VI005", "VI006", "VI010", "single-clock-source", "joined-goroutines"} {
+	for _, want := range []string{"VI001", "VI006", "VI010", "VI012", "single-clock-source", "joined-goroutines"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-list output missing %q", want)
+		}
+	}
+	for _, retired := range []string{"VI003", "VI005", "VI011"} {
+		if strings.Contains(out, retired) {
+			t.Errorf("-list output names retired pass %s", retired)
 		}
 	}
 }
 
 func TestUnknownCodeRejectedBeforeLoad(t *testing.T) {
 	// The bogus root would fail to load; the code check must fire first.
-	code, _, stderr := runCLI(t, "-codes", "VI999", "/nonexistent")
-	if code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "VI999") {
-		t.Errorf("stderr does not name the unknown code: %q", stderr)
+	// Retired codes are unknown codes.
+	for _, bad := range []string{"VI999", "VI003", "VI005", "VI011"} {
+		code, _, stderr := runCLI(t, "-codes", bad, "/nonexistent")
+		if code != 2 {
+			t.Errorf("-codes %s: exit %d, want 2", bad, code)
+		}
+		if !strings.Contains(stderr, bad) {
+			t.Errorf("-codes %s: stderr does not name the unknown code: %q", bad, stderr)
+		}
 	}
 }
 
@@ -134,53 +142,17 @@ func TestJSONReportToFile(t *testing.T) {
 	}
 }
 
-func TestBaselineGrandfathersFindings(t *testing.T) {
-	root := tempRepo(t)
-	baseline := filepath.Join(t.TempDir(), "baseline.json")
-
-	code, _, stderr := runCLI(t, "-write-baseline", baseline, root)
-	if code != 0 {
-		t.Fatalf("-write-baseline exit %d, want 0 (stderr %q)", code, stderr)
-	}
-	if _, err := os.Stat(baseline); err != nil {
-		t.Fatal(err)
-	}
-
-	code, out, _ := runCLI(t, "-baseline", baseline, root)
-	if code != 0 {
-		t.Fatalf("baselined run exit %d, want 0 (stdout %q)", code, out)
-	}
-	if !strings.Contains(out, "suppressed by baseline") {
-		t.Errorf("verdict does not mention suppression: %q", out)
-	}
-
-	// Fix the violation: the line-pinned baseline entry goes stale and is
-	// reported for burn-down, still exiting 0.
-	fixed := `package x
-
-import "time"
-
-func Stamp() time.Time { return time.Time{} }
-`
-	if err := os.WriteFile(filepath.Join(root, "internal", "x", "x.go"), []byte(fixed), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, out, _ = runCLI(t, "-baseline", baseline, root)
-	if code != 0 {
-		t.Fatalf("stale-baseline run exit %d, want 0", code)
-	}
-	if !strings.Contains(out, "stale baseline entry") {
-		t.Errorf("stale entry not reported: %q", out)
-	}
-}
-
-func TestBadBaselineExitsTwo(t *testing.T) {
+// TestRetiredBaselineFlagsExitTwo: the baseline allowlist is gone, so
+// -baseline and -write-baseline are undefined flags (usage error).
+func TestRetiredBaselineFlagsExitTwo(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, []byte(`{"entries":[{"code":"VI999","file":"x.go"}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr := runCLI(t, "-baseline", path, tempRepo(t))
-	if code != 2 {
-		t.Fatalf("exit %d, want 2 (stderr %q)", code, stderr)
+	for _, flag := range []string{"-baseline", "-write-baseline"} {
+		code, _, stderr := runCLI(t, flag, path, tempRepo(t))
+		if code != 2 {
+			t.Errorf("%s: exit %d, want 2", flag, code)
+		}
+		if !strings.Contains(stderr, "flag provided but not defined: "+flag) {
+			t.Errorf("%s: stderr %q does not name the undefined flag", flag, stderr)
+		}
 	}
 }

@@ -132,6 +132,44 @@ func TestSweepLowRankFactorsOncePerPoint(t *testing.T) {
 	}
 }
 
+// TestSweepAllocsFlatInGrid pins the allocation-flat sweep design: the
+// number of objects SweepGrid and SweepLowRank allocate does not grow
+// with the grid. Per-point work reuses the sweeper's workspace, so only
+// the response buffers are allocated, once per sweep.
+func TestSweepAllocsFlatInGrid(t *testing.T) {
+	e, err := NewEngine(lrLadder())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lfs := lowRank(t, e,
+		fault.Fault{ID: "fR1", Component: "R1", Kind: fault.Deviation, Factor: 1.3},
+		fault.Fault{ID: "fC1", Component: "C1", Kind: fault.Deviation, Factor: 0.7},
+	)
+	allocs := func(points int) (grid, lowRank float64) {
+		g := SweepSpec{StartHz: 10, StopHz: 1e6, Points: points}.Grid()
+		grid = testing.AllocsPerRun(5, func() {
+			if _, err := e.SweepGrid(g); err != nil {
+				t.Fatal(err)
+			}
+		})
+		lowRank = testing.AllocsPerRun(5, func() {
+			if _, err := e.SweepLowRank(context.Background(), g, lfs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return grid, lowRank
+	}
+	grid61, lr61 := allocs(61)
+	grid241, lr241 := allocs(241)
+	if grid61 != grid241 {
+		t.Errorf("SweepGrid allocates %v objects at 61 points, %v at 241", grid61, grid241)
+	}
+	if lr61 != lr241 {
+		t.Errorf("SweepLowRank allocates %v objects at 61 points, %v at 241", lr61, lr241)
+	}
+	t.Logf("allocs per sweep: SweepGrid %v, SweepLowRank %v", grid61, lr61)
+}
+
 // TestPrepareLowRankFallbackTriggers covers the refusals callers use to
 // pick the fallback path: unpatchable fault kinds propagate
 // fault.ErrNotPatchable (→ clone path), patchable faults whose delta is

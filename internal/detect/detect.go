@@ -435,16 +435,17 @@ func needsRetry(resp *analysis.Response, opts Options) bool {
 	return opts.OnError == Retry && resp.InvalidCount() > 0
 }
 
-// fallback records a cell leaving rung from of the engine ladder: it is
-// counted in engine_fallback_total and marked by a detect.fallback span.
+// fallback records a cell leaving the patch rung for the clone rung: it
+// is counted in engine_fallback_total and marked by a detect.fallback
+// span tagged from=patch.
 // Which cells fall back is a property of the circuit and fault list — not
 // of the schedule — so these spans are always recorded and the exported
 // tree shape stays deterministic.
-func fallback(ctx context.Context, f fault.Fault, from string) {
+func fallback(ctx context.Context, f fault.Fault) {
 	dEngineFallback.Inc()
 	_, s := obs.Start(ctx, "detect.fallback")
 	s.SetTag("fault", f.String())
-	s.SetTag("from", from)
+	s.SetTag("from", string(rungPatch))
 	s.End()
 }
 
@@ -485,7 +486,7 @@ func ladder(ctx context.Context, eng *analysis.Engine, ckt *circuit.Circuit, f f
 			resp, err := eng.SweepGrid(grid)
 			return eng, resp, rungPatch, err
 		}
-		fallback(ctx, f, "incremental")
+		fallback(ctx, f)
 	}
 	faulty, err := f.Apply(ckt)
 	if err != nil {

@@ -84,9 +84,9 @@ func TestFallbackLadderPinned(t *testing.T) {
 		errs   int
 	}{
 		{"deviation", nil, []int{0, 0, 27, 0, 0, 0, 0}, 0},
-		{"open", rows("incremental"), full, 0},
-		{"short", rows("incremental"), full, 0},
-		{"opamp", rows("incremental"), none, 7},
+		{"open", rows("patch"), full, 0},
+		{"short", rows("patch"), full, 0},
+		{"opamp", rows("patch"), none, 7},
 	}
 	for _, c := range cases {
 		label := c.fault

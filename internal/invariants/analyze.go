@@ -9,10 +9,6 @@ import (
 type Options struct {
 	// Codes restricts the run to these VIxxx passes; empty means all.
 	Codes []string
-	// Baseline suppresses findings matching a committed allowlist, so a
-	// new pass can land with pre-existing findings grandfathered and
-	// burned down over time.
-	Baseline *Baseline
 }
 
 // Analyze runs every selected pass over every applicable package and
@@ -41,9 +37,6 @@ func Analyze(root string, pkgs []*Package, opts Options) (*Report, error) {
 	}
 	sort.Strings(rep.Packages)
 	sortDiagnostics(all)
-	if opts.Baseline != nil {
-		all, rep.Suppressed, rep.StaleBaseline = opts.Baseline.Filter(all)
-	}
 	if all == nil {
 		// A clean run serializes as an empty list, not JSON null.
 		all = []Diagnostic{}

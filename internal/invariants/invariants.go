@@ -1,7 +1,7 @@
 // Package invariants is a type-aware multi-pass analyzer for the
 // repository's own source tree. It enforces the load-bearing conventions
 // the compiler cannot see — the single clock source behind the timing
-// gates, the clone-free engine fan-out, context threading through the job
+// gates, cancellable job entry points, context threading through the job
 // layer, bounded metric label sets, lock/channel discipline — the way
 // netlint enforces deck structure: every pass has a stable VIxxx code, a
 // one-line summary, a position-carrying diagnostic and a golden fixture
@@ -22,9 +22,13 @@ import (
 	"strings"
 )
 
-// Diagnostic codes. Codes are stable across releases: CI gates, baselines
-// and tests key on them, so new passes append new codes and retired
-// passes leave holes.
+// Diagnostic codes. Codes are stable across releases: CI gates and tests
+// key on them, so new passes append new codes and retired passes leave
+// holes. VI003 (clone-free-fanout), VI005 (in-place-factorization) and
+// VI011 (slab-backed-matrices) are retired: they banned call spellings
+// that nothing made, and tests pin the behaviour they stood in for
+// (detect's solve accounting and fallback ladder, the analysis sweeps'
+// flat allocation counts).
 const (
 	// CodeClockSource: an internal package reads the wall clock directly
 	// (time.Now / time.Since) instead of going through obs.Now/obs.Since.
@@ -32,15 +36,9 @@ const (
 	// CodeStrayPrint: an internal package prints to stdout via
 	// fmt.Print/Printf/Println.
 	CodeStrayPrint = "VI002"
-	// CodeDetectClone: internal/detect clones a circuit or builds an MNA
-	// system inside the cell fan-out.
-	CodeDetectClone = "VI003"
 	// CodeBlockingJob: the job layer references a blocking simulation
 	// entry point instead of its ...Context variant.
 	CodeBlockingJob = "VI004"
-	// CodeCloningFactor: internal/analysis references the matrix-cloning
-	// numeric.Factor instead of factoring in place.
-	CodeCloningFactor = "VI005"
 	// CodeUngatedObservation: a clock-derived histogram observation is
 	// not guarded by the obs TimingOn gate.
 	CodeUngatedObservation = "VI006"
@@ -57,10 +55,6 @@ const (
 	// CodeUntrackedGoroutine: a goroutine is launched without a visible
 	// WaitGroup or done-channel join.
 	CodeUntrackedGoroutine = "VI010"
-	// CodeDenseHotAlloc: the analysis or detect layer allocates a whole
-	// dense matrix (numeric.NewMatrix/Identity/FromRows) instead of using
-	// a slab-backed view or a reused workspace.
-	CodeDenseHotAlloc = "VI011"
 	// CodeDirectStoreIO: internal/jobs touches the filesystem (os, io/fs)
 	// outside the fsstore files; persistence must go through the Store
 	// interface.
@@ -109,28 +103,12 @@ var passTable = []passEntry{
 		run:     runStrayPrint,
 	},
 	{
-		PassInfo: PassInfo{Code: CodeDetectClone, Name: "clone-free-fanout",
-			Summary:   "internal/detect must not clone circuits or build MNA systems; cells go through the pooled analysis.Engine",
-			Rationale: "the hot cell fan-out stays allocation-flat only while system construction is owned by the per-worker engine pool",
-			Scope:     "internal/detect"},
-		applies: func(r Roles) bool { return r.Detect },
-		run:     runDetectClone,
-	},
-	{
 		PassInfo: PassInfo{Code: CodeBlockingJob, Name: "cancellable-job-layer",
 			Summary:   "the job layer must use the ...Context simulation entry points, never the blocking variants",
 			Rationale: "every job the server runs must be cancellable mid-simulation for drain, deadline and client-abort paths to work",
 			Scope:     "internal/jobs, cmd/dftserved"},
 		applies: func(r Roles) bool { return r.Jobs || r.Served },
 		run:     runBlockingJob,
-	},
-	{
-		PassInfo: PassInfo{Code: CodeCloningFactor, Name: "in-place-factorization",
-			Summary:   "internal/analysis must factor in place (numeric.FactorInPlace or the sweeper's sparse Workspace), never via the cloning numeric.Factor",
-			Rationale: "sweeps stay allocation-flat: every factorization, rank-1 sweeps included, reuses the sweeper's workspace",
-			Scope:     "internal/analysis"},
-		applies: func(r Roles) bool { return r.Analysis },
-		run:     runCloningFactor,
 	},
 	{
 		PassInfo: PassInfo{Code: CodeUngatedObservation, Name: "gated-clock-observation",
@@ -171,14 +149,6 @@ var passTable = []passEntry{
 			Scope:     "internal/jobs, internal/detect"},
 		applies: func(r Roles) bool { return r.Jobs || r.Detect },
 		run:     runUntrackedGoroutine,
-	},
-	{
-		PassInfo: PassInfo{Code: CodeDenseHotAlloc, Name: "slab-backed-matrices",
-			Summary:   "the analysis and detect layers must not allocate dense matrices (numeric.NewMatrix/Identity/FromRows); per-point matrices are slab views or workspace-held",
-			Rationale: "an O(n²) allocation per grid point or per cell undoes the allocation-flat engine design; dense matrices are views into one slab, sparse factors live in the sweeper's workspace",
-			Scope:     "internal/analysis, internal/detect"},
-		applies: func(r Roles) bool { return r.Analysis || r.Detect },
-		run:     runDenseHotAlloc,
 	},
 	{
 		PassInfo: PassInfo{Code: CodeDirectStoreIO, Name: "store-confined-io",
@@ -251,11 +221,6 @@ type Report struct {
 	// Diagnostics holds every finding, sorted by file, line, column and
 	// code.
 	Diagnostics []Diagnostic `json:"diagnostics"`
-	// Suppressed counts findings swallowed by the baseline allowlist.
-	Suppressed int `json:"suppressed,omitempty"`
-	// StaleBaseline lists baseline entries that matched nothing — fixed
-	// findings whose allowlist rows should be burned down.
-	StaleBaseline []BaselineEntry `json:"stale_baseline,omitempty"`
 }
 
 // Clean reports whether the analysis produced no diagnostics.
@@ -281,19 +246,10 @@ func (r *Report) WriteText(w io.Writer) error {
 			}
 		}
 	}
-	for _, e := range r.StaleBaseline {
-		if _, err := fmt.Fprintf(w, "stale baseline entry (finding fixed; remove it): %s %s\n", e.Code, e.File); err != nil {
-			return err
-		}
-	}
 	var err error
-	switch {
-	case len(r.Diagnostics) == 0 && r.Suppressed == 0:
+	if r.Clean() {
 		_, err = fmt.Fprintf(w, "clean: %d package(s), %d pass(es)\n", len(r.Packages), len(r.Codes))
-	case len(r.Diagnostics) == 0:
-		_, err = fmt.Fprintf(w, "clean: %d package(s), %d pass(es), %d finding(s) suppressed by baseline\n",
-			len(r.Packages), len(r.Codes), r.Suppressed)
-	default:
+	} else {
 		_, err = fmt.Fprintf(w, "%d invariant violation(s) across %d package(s)\n", len(r.Diagnostics), len(r.Packages))
 	}
 	return err

@@ -102,7 +102,7 @@ func BenchmarkSubmit(b *testing.B) {
 	}
 	b.Run("path=hit", func(b *testing.B) {
 		_, payload := benchResolved(b)
-		m := New(WithWorkers(1), stubRunner(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
+		m := New(WithConfig(Config{Workers: 1}), stubRunner(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
 			return payload, nil
 		}))
 		closeWith(b, m)
@@ -121,7 +121,7 @@ func BenchmarkSubmit(b *testing.B) {
 	})
 	b.Run("path=miss-stub", func(b *testing.B) {
 		ran := make(chan struct{})
-		m := New(WithWorkers(1), WithStore(missStore{}), stubRunner(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
+		m := New(WithConfig(Config{Workers: 1}), WithStore(missStore{}), stubRunner(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
 			ran <- struct{}{}
 			return json.RawMessage(`{}`), nil
 		}))

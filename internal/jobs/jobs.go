@@ -144,15 +144,15 @@ func (j *job) exportTrace(state State, tracer *obs.Tracer) *JobTrace {
 	return jt
 }
 
-// Manager owns the job table and composes the three seams of the job
-// layer: a Store for finished payloads, a Scheduler for admission and
-// dispatch, and a Runner for execution. All methods are safe for
-// concurrent use. The job table holds live jobs only; finished ones
-// retire into a ring bounded by Config.TraceEntries.
+// Manager owns the job table and composes the job layer: a Store for
+// finished payloads, a bounded worker pool for admission and dispatch,
+// and a Runner for execution. All methods are safe for concurrent use.
+// The job table holds live jobs only; finished ones retire into a ring
+// bounded by Config.TraceEntries.
 type Manager struct {
 	cfg    Config
 	store  Store
-	sched  Scheduler
+	sched  *poolScheduler
 	runner Runner
 	traces *jobRing // retired jobs; lock order m.mu, then traces.mu
 
@@ -172,8 +172,9 @@ type Manager struct {
 }
 
 // New starts a manager assembled from opts: unset seams default to the
-// in-memory store, the bounded worker-pool scheduler and runResolved,
-// which executes every job kind through the context-aware Session API.
+// in-memory store and runResolved, which executes every job kind through
+// the context-aware Session API. Jobs run on a bounded worker pool sized
+// by the Config.
 func New(opts ...Option) *Manager {
 	var o options
 	for _, opt := range opts {
@@ -183,16 +184,13 @@ func New(opts ...Option) *Manager {
 	if o.store == nil {
 		o.store = NewMemStore(o.cfg.CacheEntries)
 	}
-	if o.sched == nil {
-		o.sched = NewPoolScheduler(o.cfg.Workers, o.cfg.QueueDepth)
-	}
 	if o.runner == nil {
 		o.runner = RunnerFunc(runResolved)
 	}
 	m := &Manager{
 		cfg:     o.cfg,
 		store:   o.store,
-		sched:   o.sched,
+		sched:   newPoolScheduler(o.cfg.Workers, o.cfg.QueueDepth),
 		runner:  o.runner,
 		traces:  newJobRing(o.cfg.TraceEntries),
 		jobs:    make(map[string]*job),
@@ -374,7 +372,7 @@ func seqOf(id string) int {
 	return n
 }
 
-// runJob is the Task the scheduler executes: it runs one queued job to a
+// runJob is the task the scheduler executes: it runs one queued job to a
 // terminal state. schedCtx is the scheduler's base context, canceled
 // when Close force-cancels the pool.
 func (m *Manager) runJob(schedCtx context.Context, j *job) {

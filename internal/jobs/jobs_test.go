@@ -262,7 +262,7 @@ func TestManagerFailedJob(t *testing.T) {
 
 func TestManagerCloseDrains(t *testing.T) {
 	slow := make(chan struct{})
-	m := New(WithWorkers(1), stubRunner(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
+	m := New(WithConfig(Config{Workers: 1}), stubRunner(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
 		<-slow
 		if err := ctx.Err(); err != nil {
 			return nil, err // a forced shutdown would cancel us
@@ -294,7 +294,7 @@ func TestManagerCloseDrains(t *testing.T) {
 }
 
 func TestManagerCloseDeadlineForcesCancel(t *testing.T) {
-	m := New(WithWorkers(1), stubRunner(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
+	m := New(WithConfig(Config{Workers: 1}), stubRunner(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
 		<-ctx.Done() // never finishes voluntarily
 		return nil, ctx.Err()
 	}))

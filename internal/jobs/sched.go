@@ -5,39 +5,18 @@ import (
 	"sync"
 )
 
-// Task is one unit of schedulable work. The context it receives is the
+// task is one unit of schedulable work. The context it receives is the
 // scheduler's base context: canceled when Close force-cancels, otherwise
 // alive for the task's whole run. Cancellation of an individual job is
 // layered on top by the manager (the task derives its own sub-context),
-// so a Scheduler needs no per-task handle.
-type Task func(ctx context.Context)
+// so the scheduler needs no per-task handle.
+type task func(ctx context.Context)
 
-// Scheduler is the admission-and-dispatch seam of the job layer: it
-// decides whether work is accepted (backpressure), holds it while every
-// executor is busy, and runs it. The default poolScheduler is a bounded
-// queue in front of a fixed worker pool — the shape the HTTP layer's 429
-// mapping assumes — but the interface leaves room for priority queues or
-// remote dispatch. Implementations must be safe for concurrent use.
-type Scheduler interface {
-	// Enqueue admits t for execution. ErrQueueFull signals backpressure
-	// (the caller may retry later); ErrClosed that Close has begun.
-	// Enqueue never blocks.
-	Enqueue(t Task) error
-	// Depth returns the number of admitted-but-not-started tasks and
-	// the queue capacity, for backpressure responses and health
-	// snapshots.
-	Depth() (depth, capacity int)
-	// Close stops intake and drains: admitted tasks finish normally and
-	// Close returns nil when the pool is idle. If ctx expires first the
-	// base context every task received is canceled, Close waits for the
-	// executors to acknowledge, and returns ctx's error.
-	Close(ctx context.Context) error
-}
-
-// poolScheduler is the default Scheduler: a bounded channel queue
-// drained by a fixed pool of goroutine workers.
+// poolScheduler is the job layer's admission and dispatch: a bounded
+// channel queue drained by a fixed pool of goroutine workers — the shape
+// the HTTP layer's 429 mapping assumes. It is safe for concurrent use.
 type poolScheduler struct {
-	queue      chan Task
+	queue      chan task
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
@@ -46,9 +25,9 @@ type poolScheduler struct {
 	closed bool
 }
 
-// NewPoolScheduler starts a scheduler with workers goroutines draining a
+// newPoolScheduler starts a scheduler with workers goroutines draining a
 // queue of the given depth (minimums 1).
-func NewPoolScheduler(workers, depth int) Scheduler {
+func newPoolScheduler(workers, depth int) *poolScheduler {
 	if workers < 1 {
 		workers = 1
 	}
@@ -57,7 +36,7 @@ func NewPoolScheduler(workers, depth int) Scheduler {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &poolScheduler{
-		queue:      make(chan Task, depth),
+		queue:      make(chan task, depth),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
@@ -68,7 +47,10 @@ func NewPoolScheduler(workers, depth int) Scheduler {
 	return s
 }
 
-func (s *poolScheduler) Enqueue(t Task) error {
+// Enqueue admits t for execution. ErrQueueFull signals backpressure
+// (the caller may retry later); ErrClosed that Close has begun. Enqueue
+// never blocks.
+func (s *poolScheduler) Enqueue(t task) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -83,7 +65,9 @@ func (s *poolScheduler) Enqueue(t Task) error {
 	return nil
 }
 
-func (s *poolScheduler) Depth() (int, int) {
+// Depth returns the number of admitted-but-not-started tasks and the
+// queue capacity, for backpressure responses and health snapshots.
+func (s *poolScheduler) Depth() (depth, capacity int) {
 	return len(s.queue), cap(s.queue)
 }
 
@@ -96,6 +80,10 @@ func (s *poolScheduler) worker() {
 	}
 }
 
+// Close stops intake and drains: admitted tasks finish normally and
+// Close returns nil when the pool is idle. If ctx expires first the base
+// context every task received is canceled, Close waits for the workers
+// to acknowledge, and returns ctx's error.
 func (s *poolScheduler) Close(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.closed {

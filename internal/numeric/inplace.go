@@ -5,12 +5,12 @@ import (
 	"math/cmplx"
 )
 
-// FactorInPlace computes the LU factorization overwriting a's storage —
-// the allocation-free variant of Factor for hot sweep loops. The LU is
-// returned by value so it never escapes to the heap; it aliases a, and a
-// must not be used afterwards except through the LU. A nil pivot slice is
-// allocated; a non-nil one is reused in place — resliced within its
-// capacity when its length drifted from n, so the returned LU always
+// FactorInPlace computes the LU factorization overwriting a's storage,
+// with no allocation when pivot is supplied; Factor is this on a copy.
+// The LU is returned by value so it never escapes to the heap; it aliases
+// a, and a must not be used afterwards except through the LU. A nil pivot
+// slice is allocated; a non-nil one is reused in place — resliced within
+// its capacity when its length drifted from n, so the returned LU always
 // aliases the caller's recycled buffer — and a buffer too small to hold n
 // pivots is an ErrShape error, never a silent fresh allocation that would
 // orphan the caller's buffer.

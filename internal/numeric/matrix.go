@@ -1,8 +1,7 @@
 // Package numeric provides the complex linear algebra used by the MNA
 // (Modified Nodal Analysis) engine: dense matrices over complex128 with LU
-// factorization, linear solves, determinants, norms and a cheap condition
-// estimate; and the CSR layer (Pattern, SparseLU, Workspace) the engine
-// actually solves with.
+// factorization, linear solves and determinants; and the CSR layer
+// (Pattern, SparseLU, Workspace) the engine actually solves with.
 //
 // The matrices arising from small-signal analysis of RC-opamp networks
 // are small (tens of unknowns) but mostly empty, so the engine assembles
@@ -14,7 +13,6 @@ package numeric
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/cmplx"
 	"strings"
 )
@@ -45,17 +43,6 @@ func NewMatrix(r, c int) *Matrix {
 		panic(fmt.Sprintf("numeric: negative dimension %dx%d", r, c))
 	}
 	return &Matrix{Rows: r, Cols: c, Data: make([]complex128, r*c)}
-}
-
-// MatrixView wraps caller-owned storage as an n×n matrix without
-// allocating: data must have exactly n·n elements. Slab-backed factor
-// caches (one backing array for a whole frequency grid) use views so
-// building the cache costs one allocation, not one per grid point.
-func MatrixView(n int, data []complex128) *Matrix {
-	if len(data) != n*n {
-		panic(fmt.Sprintf("numeric: view over %d values for %dx%d", len(data), n, n))
-	}
-	return &Matrix{Rows: n, Cols: n, Data: data}
 }
 
 // Identity returns the n×n identity matrix.
@@ -170,38 +157,12 @@ func (m *Matrix) MulVec(x []complex128) ([]complex128, error) {
 	return out, nil
 }
 
-// Transpose returns the (non-conjugated) transpose.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
 // MaxAbs returns the largest element magnitude.
 func (m *Matrix) MaxAbs() float64 {
 	max := 0.0
 	for _, v := range m.Data {
 		if a := cmplx.Abs(v); a > max {
 			max = a
-		}
-	}
-	return max
-}
-
-// NormInf returns the infinity norm (max absolute row sum).
-func (m *Matrix) NormInf() float64 {
-	max := 0.0
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		for _, v := range m.Row(i) {
-			s += cmplx.Abs(v)
-		}
-		if s > max {
-			max = s
 		}
 	}
 	return max
@@ -245,85 +206,27 @@ type LU struct {
 }
 
 // Factor computes the LU factorization of a square matrix A. A is not
-// modified. Returns ErrSingular when a pivot below PivotTolerance is met,
-// wrapped with the offending column for diagnosis.
+// modified: Factor is FactorInPlace on a copy. Returns ErrSingular when a
+// pivot below PivotTolerance is met, wrapped with the offending column
+// for diagnosis.
 func Factor(a *Matrix) (*LU, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("%w: cannot factor %dx%d", ErrShape, a.Rows, a.Cols)
+	lu, err := FactorInPlace(a.Clone(), nil)
+	if err != nil {
+		return nil, err
 	}
-	n := a.Rows
-	lu := a.Clone()
-	pivot := make([]int, n)
-	sign := 1
-	for k := 0; k < n; k++ {
-		// Find pivot: largest magnitude in column k at or below the diagonal.
-		p, best := k, cmplx.Abs(lu.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if a := cmplx.Abs(lu.At(i, k)); a > best {
-				p, best = i, a
-			}
-		}
-		if best < PivotTolerance {
-			return nil, fmt.Errorf("%w: pivot %.3g at column %d", ErrSingular, best, k)
-		}
-		pivot[k] = p
-		if p != k {
-			rp, rk := lu.Row(p), lu.Row(k)
-			for j := 0; j < n; j++ {
-				rp[j], rk[j] = rk[j], rp[j]
-			}
-			sign = -sign
-		}
-		d := lu.At(k, k)
-		for i := k + 1; i < n; i++ {
-			l := lu.At(i, k) / d
-			lu.Set(i, k, l)
-			if l == 0 {
-				continue
-			}
-			ri, rk := lu.Row(i), lu.Row(k)
-			for j := k + 1; j < n; j++ {
-				ri[j] -= l * rk[j]
-			}
-		}
-	}
-	return &LU{lu: lu, pivot: pivot, sign: sign}, nil
+	return &lu, nil
 }
 
 // N returns the dimension of the factored system.
 func (f *LU) N() int { return f.lu.Rows }
 
-// Solve solves A·x = b for one right-hand side. b is not modified.
+// Solve solves A·x = b for one right-hand side. b is not modified:
+// Solve is SolveInPlace on a copy.
 func (f *LU) Solve(b []complex128) ([]complex128, error) {
-	n := f.N()
-	if len(b) != n {
-		return nil, fmt.Errorf("%w: rhs length %d, want %d", ErrShape, len(b), n)
-	}
-	x := make([]complex128, n)
+	x := make([]complex128, len(b))
 	copy(x, b)
-	// Apply permutation.
-	for k := 0; k < n; k++ {
-		if p := f.pivot[k]; p != k {
-			x[k], x[p] = x[p], x[k]
-		}
-	}
-	// Forward substitution (L has unit diagonal).
-	for i := 1; i < n; i++ {
-		row := f.lu.Row(i)
-		var s complex128
-		for j := 0; j < i; j++ {
-			s += row[j] * x[j]
-		}
-		x[i] -= s
-	}
-	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
-		row := f.lu.Row(i)
-		var s complex128
-		for j := i + 1; j < n; j++ {
-			s += row[j] * x[j]
-		}
-		x[i] = (x[i] - s) / row[i]
+	if err := f.SolveInPlace(x); err != nil {
+		return nil, err
 	}
 	return x, nil
 }
@@ -344,59 +247,4 @@ func Solve(a *Matrix, b []complex128) ([]complex128, error) {
 		return nil, err
 	}
 	return f.Solve(b)
-}
-
-// Inverse returns A⁻¹ (column-by-column solve); intended for tests and
-// small diagnostics, not the hot path.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	n := f.N()
-	inv := NewMatrix(n, n)
-	e := make([]complex128, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
-}
-
-// ConditionEstimate returns a cheap lower-bound estimate of the infinity-norm
-// condition number κ∞(A) ≈ ‖A‖∞·‖A⁻¹‖∞, computed via the explicit inverse.
-// Used by diagnostics to flag nearly-singular test configurations.
-func ConditionEstimate(a *Matrix) (float64, error) {
-	inv, err := Inverse(a)
-	if err != nil {
-		return math.Inf(1), err
-	}
-	return a.NormInf() * inv.NormInf(), nil
-}
-
-// Residual returns ‖A·x − b‖∞, a direct accuracy check for solves.
-func Residual(a *Matrix, x, b []complex128) (float64, error) {
-	ax, err := a.MulVec(x)
-	if err != nil {
-		return 0, err
-	}
-	if len(b) != len(ax) {
-		return 0, fmt.Errorf("%w: rhs length %d, want %d", ErrShape, len(b), len(ax))
-	}
-	max := 0.0
-	for i := range ax {
-		if r := cmplx.Abs(ax[i] - b[i]); r > max {
-			max = r
-		}
-	}
-	return max, nil
 }

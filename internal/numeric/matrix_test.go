@@ -110,14 +110,6 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	a, _ := FromRows([][]complex128{{1, 2, 3}, {4, 5, 6}})
-	tr := a.Transpose()
-	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
-		t.Fatalf("bad transpose: %v", tr)
-	}
-}
-
 func TestSolveKnownSystem(t *testing.T) {
 	// 2x + y = 5 ; x + 3y = 10  =>  x = 1, y = 3
 	a, _ := FromRows([][]complex128{{2, 1}, {1, 3}})
@@ -142,11 +134,7 @@ func TestSolveComplexSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Residual(b, x, []complex128{1 + 1i, 2i})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r > 1e-12 {
+	if r := residual(t, b, x, []complex128{1 + 1i, 2i}); r > 1e-12 {
 		t.Fatalf("residual %g too large", r)
 	}
 }
@@ -205,37 +193,6 @@ func TestDetPermutationParity(t *testing.T) {
 	}
 }
 
-func TestInverse(t *testing.T) {
-	a, _ := FromRows([][]complex128{{2, 1}, {1, 3}})
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _ := a.Mul(inv)
-	if !p.Equalish(Identity(2), 1e-12) {
-		t.Fatalf("A·A⁻¹ != I: %v", p)
-	}
-}
-
-func TestConditionEstimate(t *testing.T) {
-	k, err := ConditionEstimate(Identity(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(k-1) > 1e-12 {
-		t.Fatalf("κ(I) = %g, want 1", k)
-	}
-	// Nearly-singular matrix must report a large condition number.
-	a, _ := FromRows([][]complex128{{1, 1}, {1, 1 + 1e-9}})
-	k, err = ConditionEstimate(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k < 1e6 {
-		t.Fatalf("κ = %g, want large", k)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a := Identity(2)
 	b := a.Clone()
@@ -258,9 +215,20 @@ func TestNorms(t *testing.T) {
 	if got := a.MaxAbs(); got != 4 {
 		t.Fatalf("MaxAbs = %g, want 4", got)
 	}
-	if got := a.NormInf(); got != 7 {
-		t.Fatalf("NormInf = %g, want 7", got)
+}
+
+// residual returns ‖A·x − b‖∞, a direct accuracy check for solves.
+func residual(t *testing.T, a *Matrix, x, b []complex128) float64 {
+	t.Helper()
+	ax, err := a.MulVec(x)
+	if err != nil {
+		t.Fatal(err)
 	}
+	max := 0.0
+	for i := range ax {
+		max = math.Max(max, cmplx.Abs(ax[i]-b[i]))
+	}
+	return max
 }
 
 // randomWellConditioned builds a diagonally dominant random matrix, which is
@@ -298,11 +266,7 @@ func TestSolveResidualProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Residual(a, x, b)
-		if err != nil {
-			return false
-		}
-		return res < 1e-9
+		return residual(t, a, x, b) < 1e-9
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
@@ -338,28 +302,6 @@ func TestDetMultiplicativeProperty(t *testing.T) {
 	}
 }
 
-// Property: (Aᵀ)ᵀ == A.
-func TestTransposeInvolutionProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		rows, cols := int(seed%5)+1, int(seed%3)+1
-		if rows < 1 {
-			rows = 1
-		}
-		if cols < 1 {
-			cols = 1
-		}
-		m := NewMatrix(rows, cols)
-		for i := range m.Data {
-			m.Data[i] = complex(r.Float64(), r.Float64())
-		}
-		return m.Transpose().Transpose().Equalish(m, 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFactorDoesNotModifyInput(t *testing.T) {
 	a, _ := FromRows([][]complex128{{2, 1}, {1, 3}})
 	orig := a.Clone()
@@ -368,13 +310,6 @@ func TestFactorDoesNotModifyInput(t *testing.T) {
 	}
 	if !a.Equalish(orig, 0) {
 		t.Fatal("Factor modified its input")
-	}
-}
-
-func TestResidualShapes(t *testing.T) {
-	a := Identity(2)
-	if _, err := Residual(a, []complex128{1, 2}, []complex128{1}); !errors.Is(err, ErrShape) {
-		t.Fatalf("err = %v, want ErrShape", err)
 	}
 }
 

@@ -3,8 +3,6 @@ package numeric
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
-	"sort"
 )
 
 // LogSpace returns n logarithmically spaced values from lo to hi inclusive.
@@ -55,91 +53,10 @@ func Decades(lo, hi float64) float64 {
 	return math.Log10(hi / lo)
 }
 
-// AbsVec returns element-wise magnitudes.
-func AbsVec(v []complex128) []float64 {
-	out := make([]float64, len(v))
-	for i, c := range v {
-		out[i] = cmplx.Abs(c)
-	}
-	return out
-}
-
-// MaxFloat returns the maximum of a non-empty slice.
-func MaxFloat(v []float64) float64 {
-	if len(v) == 0 {
-		panic("numeric: MaxFloat of empty slice")
-	}
-	max := v[0]
-	for _, x := range v[1:] {
-		if x > max {
-			max = x
-		}
-	}
-	return max
-}
-
-// MinFloat returns the minimum of a non-empty slice.
-func MinFloat(v []float64) float64 {
-	if len(v) == 0 {
-		panic("numeric: MinFloat of empty slice")
-	}
-	min := v[0]
-	for _, x := range v[1:] {
-		if x < min {
-			min = x
-		}
-	}
-	return min
-}
-
-// Mean returns the arithmetic mean of a slice (0 for empty input).
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
-}
-
-// Median returns the median of a slice (0 for empty input). The input is
-// not modified.
-func Median(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), v...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
-}
-
 // Db converts a magnitude ratio to decibels (20·log10). Zero maps to -Inf.
 func Db(mag float64) float64 {
 	if mag <= 0 {
 		return math.Inf(-1)
 	}
 	return 20 * math.Log10(mag)
-}
-
-// FromDb converts decibels back to a magnitude ratio.
-func FromDb(db float64) float64 { return math.Pow(10, db/20) }
-
-// CloseRel reports whether a and b agree to within relative tolerance rel
-// (falling back to absolute comparison near zero).
-func CloseRel(a, b, rel float64) bool {
-	d := math.Abs(a - b)
-	m := math.Max(math.Abs(a), math.Abs(b))
-	if m < 1e-300 {
-		return true
-	}
-	if m < 1 {
-		return d <= rel
-	}
-	return d/m <= rel
 }
