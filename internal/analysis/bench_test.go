@@ -1,0 +1,53 @@
+package analysis
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"analogdft/internal/circuits"
+	"analogdft/internal/fault"
+	"analogdft/internal/numeric"
+)
+
+// BenchmarkSweepLowRank is the row-walk rung: one configuration (the
+// functional circuit) walked over a 61-point grid with every fault of
+// its 10% deviation universe answered by Sherman–Morrison — one
+// factorization per point, one incidence solve per distinct incidence
+// and point, one answer per fault and point.
+func BenchmarkSweepLowRank(b *testing.B) {
+	benches := []struct {
+		name  string
+		bench func() (*circuits.Bench, error)
+	}{
+		{"paper-biquad", func() (*circuits.Bench, error) { return circuits.PaperBiquad(), nil }},
+		{"multistage-lp-6", func() (*circuits.Bench, error) { return circuits.MultiStageLowpass(6, 10e3) }},
+	}
+	grid := numeric.LogSpace(100, 1e5, 61)
+	for _, bc := range benches {
+		bench, err := bc.bench()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("circuit=%s", bc.name), func(b *testing.B) {
+			e, err := NewEngine(bench.Circuit)
+			if err != nil {
+				b.Fatal(err)
+			}
+			faults := fault.DeviationUniverse(bench.Circuit, 0.10)
+			lfs := make([]LowRankFault, len(faults))
+			for j, f := range faults {
+				if err := e.PrepareLowRank(f, &lfs[j]); err != nil {
+					b.Fatalf("%s: %v", f.ID, err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.SweepLowRank(context.Background(), grid, lfs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"analogdft/internal/fault"
 	"analogdft/internal/mna"
@@ -16,6 +18,12 @@ import (
 // against the nominal factorization via Sherman–Morrison.
 type LowRankFault struct {
 	delta mna.RankOne
+
+	// SweepLowRank's working state: lead is the index in its lfs of the
+	// first fault with this fault's incidence (u, v), and a lead's inc is
+	// that incidence solved at the current point.
+	lead int
+	inc  numeric.Incidence
 }
 
 // PrepareLowRank lowers the fault to its rank-1 delta into lf, without
@@ -53,11 +61,16 @@ type LowRankRow struct {
 // SweepLowRank walks the grid once with the engine nominal. At every
 // point it factors the nominal matrix once, records the nominal response
 // — the same solve, and so the same bits, as SweepGrid — and answers
-// every fault of lfs against that factorization by Sherman–Morrison,
-// computing only the observed entry (numeric SolveRankOneEntry): O(n²)
-// per fault instead of the refactorization a patch pays. No factor
-// outlives its point. ctx is checked once per point; a cancelled walk
-// returns ctx's error. The engine is nominal when this returns.
+// every fault of lfs against that factorization by Sherman–Morrison.
+// Faults whose deltas share an incidence (u, v) — parallel elements
+// across one node pair — differ only in scale, so each point solves one
+// z = A⁻¹u per incidence (numeric SolveIncidence), working out only the
+// entries of z the observed entry and vᵀz read, and answers each fault
+// from it in a few operations (Incidence.Entry), with the bits of the
+// full Sherman–Morrison solve. No factor outlives its point. lfs is the
+// walk's working storage: it groups the faults in place. ctx is checked
+// once per point; a cancelled walk returns ctx's error. The engine is
+// nominal when this returns.
 func (e *Engine) SweepLowRank(ctx context.Context, grid []float64, lfs []LowRankFault) (*LowRankRow, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("%w: empty grid", ErrBadSweep)
@@ -76,8 +89,20 @@ func (e *Engine) SweepLowRank(ctx context.Context, grid []float64, lfs []LowRank
 		seg := j * np
 		row.Faulty[j] = Response{Freqs: grid, H: hs[seg : seg+np : seg+np], Valid: valid[seg : seg+np : seg+np]}
 	}
-	var solves int64
-	defer func() { eLowRankSolves.Add(solves) }()
+	for j := range lfs {
+		lfs[j].lead = j
+		for l := range j {
+			if lfs[l].lead == l && sameIncidence(&lfs[l].delta, &lfs[j].delta) {
+				lfs[j].lead = l
+				break
+			}
+		}
+	}
+	var solves, incidences int64
+	defer func() {
+		eLowRankSolves.Add(solves)
+		eLowRankIncidences.Add(incidences)
+	}()
 	defer e.sw.FlushMetrics()
 	// A ground output reads 0 at every valid point, as in SweepGrid; the
 	// update still runs so its singularity verdict holds.
@@ -104,14 +129,18 @@ func (e *Engine) SweepLowRank(ctx context.Context, grid []float64, lfs []LowRank
 			return nil, err
 		}
 		for j := range lfs {
-			d := &lfs[j].delta
-			solves++
-			h, cz, err := e.rank1.SolveRankOneEntry(d.ScaleAt(f), d.UIdx, d.UVal, d.VIdx, d.VVal, k)
-			if err != nil {
-				if errors.Is(err, numeric.ErrSingularUpdate) {
-					continue
+			lf := &lfs[j]
+			d := &lf.delta
+			if lf.lead == j {
+				incidences++
+				if lf.inc, err = e.rank1.SolveIncidence(d.UIdx, d.UVal, d.VIdx, d.VVal, k); err != nil {
+					return nil, err
 				}
-				return nil, err
+			}
+			solves++
+			h, cz, err := lfs[lf.lead].inc.Entry(d.ScaleAt(f))
+			if err != nil {
+				continue // numeric.ErrSingularUpdate: left for the tail
 			}
 			if e.nodeIdx < 0 {
 				h, cz = 0, 0
@@ -122,6 +151,21 @@ func (e *Engine) SweepLowRank(ctx context.Context, grid []float64, lfs []LowRank
 		}
 	}
 	return row, nil
+}
+
+// sameIncidence reports whether two deltas have the same factors u and
+// v, index for index and bit for bit, so that one z = A⁻¹u serves both.
+func sameIncidence(a, b *mna.RankOne) bool {
+	return slices.Equal(a.UIdx, b.UIdx) && slices.Equal(a.VIdx, b.VIdx) &&
+		sameBits(a.UVal, b.UVal) && sameBits(a.VVal, b.VVal)
+}
+
+// sameBits reports whether two vectors hold the same bits entry by entry.
+func sameBits(a, b []complex128) bool {
+	return slices.EqualFunc(a, b, func(x, y complex128) bool {
+		return math.Float64bits(real(x)) == math.Float64bits(real(y)) &&
+			math.Float64bits(imag(x)) == math.Float64bits(imag(y))
+	})
 }
 
 // abs1 is |re| + |im|: within √2 of the modulus, without the hypot.

@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"errors"
+	"math"
 	"math/cmplx"
 	"testing"
 
@@ -129,6 +130,56 @@ func TestSweepLowRankFactorsOncePerPoint(t *testing.T) {
 	}
 	if d := counter("engine_lowrank_solve_total") - rank10; d != float64(len(grid)*len(lfs)) {
 		t.Errorf("walk did %g rank-1 solves, want %d", d, len(grid)*len(lfs))
+	}
+}
+
+// TestSweepLowRankSharesIncidence checks that faults on one incidence
+// — a resistor, the capacitor across the same node pair, and the
+// resistor again at another value — share one z solve per point, and
+// that every answer, Spread included, keeps the bits of a walk that
+// answers the fault alone.
+func TestSweepLowRankSharesIncidence(t *testing.T) {
+	c := circuit.New("rpar")
+	c.R("R1", "in", "out", 1e3)
+	c.R("R2", "out", "0", 2e3)
+	c.Cap("C1", "out", "0", 100e-9)
+	c.Input, c.Output = "in", "out"
+	e, err := NewEngine(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := SweepSpec{StartHz: 10, StopHz: 1e6, Points: 21}.Grid()
+	faults := []fault.Fault{
+		{ID: "fR2+", Component: "R2", Kind: fault.Deviation, Factor: 1.3},
+		{ID: "fR1", Component: "R1", Kind: fault.Deviation, Factor: 0.8},
+		{ID: "fC1", Component: "C1", Kind: fault.Deviation, Factor: 0.7},
+		{ID: "fR2-", Component: "R2", Kind: fault.Deviation, Factor: 0.7},
+	}
+	counter := func(name string) float64 { return obs.Reg().Snapshot()[name].Value }
+	inc0, rank10 := counter("engine_lowrank_incidence_total"), counter("engine_lowrank_solve_total")
+	row, err := e.SweepLowRank(context.Background(), grid, lowRank(t, e, faults...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := counter("engine_lowrank_incidence_total") - inc0; d != float64(2*len(grid)) {
+		t.Errorf("walk did %g incidence solves, want %d (two incidences × %d points)", d, 2*len(grid), len(grid))
+	}
+	if d := counter("engine_lowrank_solve_total") - rank10; d != float64(len(faults)*len(grid)) {
+		t.Errorf("walk answered %g fault-points, want %d", d, len(faults)*len(grid))
+	}
+	for j, f := range faults {
+		alone, err := e.SweepLowRank(context.Background(), grid, lowRank(t, e, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := &row.Faulty[j], &alone.Faulty[0]
+		for i := range grid {
+			if got.Valid[i] != want.Valid[i] || !sameBits(got.H[i:i+1], want.H[i:i+1]) ||
+				math.Float64bits(row.Spread[j*len(grid)+i]) != math.Float64bits(alone.Spread[i]) {
+				t.Fatalf("%s point %d: grouped %v (spread %g), alone %v (spread %g)",
+					f.ID, i, got.H[i], row.Spread[j*len(grid)+i], want.H[i], alone.Spread[i])
+			}
+		}
 	}
 }
 

@@ -293,7 +293,10 @@ func TestRank1GuardSettlesPaperTies(t *testing.T) {
 // nominal factorization per (configuration, ω)) plus the points re-solved
 // under a patch — by the guard or because the identity could not answer —
 // plus a full sweep per cell that is not rank-1, while Stats.Solves still
-// accounts every cell's whole grid.
+// accounts every cell's whole grid. The rank-1 answers are one per
+// rank-1 cell and point, from one z = A⁻¹u solve per incidence and
+// point: the eight deviation faults sit on seven incidences, because R2
+// and C1 span the same node pair.
 func TestRank1SolveAccounting(t *testing.T) {
 	bench := circuits.PaperBiquad()
 	m, err := dft.Apply(bench.Circuit, bench.Chain)
@@ -310,7 +313,8 @@ func TestRank1SolveAccounting(t *testing.T) {
 		snap := obs.Reg().Snapshot()
 		out := map[string]float64{}
 		for _, name := range []string{"mna_solves_total", "detect_guard_resolves_total",
-			"engine_lowrank_refactor_total", "detect_rank1_cells_total", "engine_lowrank_solve_total"} {
+			"engine_lowrank_refactor_total", "detect_rank1_cells_total", "engine_lowrank_solve_total",
+			"engine_lowrank_incidence_total"} {
 			out[name] = snap[name].Value
 		}
 		return out
@@ -329,6 +333,9 @@ func TestRank1SolveAccounting(t *testing.T) {
 	}
 	if got := d("engine_lowrank_solve_total"); got != rank1*points {
 		t.Errorf("Sherman–Morrison solves = %d, want %d", got, rank1*points)
+	}
+	if got := d("engine_lowrank_incidence_total"); got != configs*points*7 {
+		t.Errorf("incidence solves = %d, want %d = %d configs × %d points × 7 incidences", got, configs*points*7, configs, points)
 	}
 	want := configs*points + d("detect_guard_resolves_total") + d("engine_lowrank_refactor_total") + (cells-rank1)*points
 	if got := d("mna_solves_total"); got != want {

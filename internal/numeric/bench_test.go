@@ -96,36 +96,52 @@ func BenchmarkSparseLU(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveRankOneSparse times one Sherman–Morrison solve of a
+// BenchmarkSolveRankOneSparse times one Sherman–Morrison answer for a
 // two-terminal element change (a resistor between nodes 0 and 1)
-// against a nominal factor, per order.
+// against a nominal factor, per order: path=full forms the whole
+// solution (SolveRankOneSparse, the oracle), path=entry solves the
+// incidence for entry n−1 and answers from it (SolveIncidence + Entry,
+// what the row walk runs). `benchdiff -dim path=full:entry` pairs them.
 func BenchmarkSolveRankOneSparse(b *testing.B) {
 	for _, n := range benchOrders {
 		p, vals := chainBand(b, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			f, err := NewSparseScratch(p).Factor(vals)
-			if err != nil {
-				b.Fatal(err)
-			}
-			y := make([]complex128, n)
-			y[0] = 1
-			if err := f.SolveInPlace(y); err != nil {
-				b.Fatal(err)
-			}
-			ls, err := NewLowRankSolver(f, y)
-			if err != nil {
-				b.Fatal(err)
-			}
-			idx, val := []int{0, 1}, []complex128{1, -1}
+		f, err := NewSparseScratch(p).Factor(vals)
+		if err != nil {
+			b.Fatal(err)
+		}
+		y := make([]complex128, n)
+		y[0] = 1
+		if err := f.SolveInPlace(y); err != nil {
+			b.Fatal(err)
+		}
+		ls, err := NewLowRankSolver(f, y)
+		if err != nil {
+			b.Fatal(err)
+		}
+		idx, val := []int{0, 1}, []complex128{1, -1}
+		b.Run(fmt.Sprintf("n=%d/path=full", n), func(b *testing.B) {
 			x := make([]complex128, n)
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := ls.SolveRankOneSparse(1e-5, idx, val, idx, val, x); err != nil {
 					b.Fatal(err)
 				}
 			}
-			benchSink = x[0]
+			benchSink = x[n-1]
+		})
+		b.Run(fmt.Sprintf("n=%d/path=entry", n), func(b *testing.B) {
+			var xk complex128
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				in, err := ls.SolveIncidence(idx, val, idx, val, n-1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if xk, _, err = in.Entry(1e-5); err != nil {
+					b.Fatal(err)
+				}
+			}
+			benchSink = xk
 		})
 	}
 }

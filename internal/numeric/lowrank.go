@@ -24,8 +24,8 @@ const UpdateTolerance = 1e-8
 
 // LowRankSolver couples one sparse LU factorization of a nominal matrix
 // A with its solution y = A⁻¹·b and a scratch vector, so that rank-1
-// perturbed systems (A + s·u·vᵀ)·x = b solve in O(n²) — two triangular
-// solves and two sparse dot products — instead of refactoring the
+// perturbed systems (A + s·u·vᵀ)·x = b solve by at most a triangular
+// solve pair and two sparse dot products instead of refactoring the
 // perturbed matrix. This is the Sherman–Morrison identity:
 //
 //	x = y − z·(s·vᵀy)/(1 + s·vᵀz),  z = A⁻¹·u
@@ -100,25 +100,48 @@ func (ls *LowRankSolver) SolveRankOneSparse(s complex128, uIdx []int, uVal []com
 	return nil
 }
 
-// SolveRankOneEntry is SolveRankOneSparse for entry k of x alone: the
-// same arithmetic, so xk carries the same bits as x[k] would, without
-// forming the other entries. It also returns the subtracted term
-// cz = c·z[k] (xk = y[k] − cz; zero when s is zero): where |cz| dwarfs
-// |xk| the subtraction cancelled, and rounding in xk is amplified by
-// their ratio.
-func (ls *LowRankSolver) SolveRankOneEntry(s complex128, uIdx []int, uVal []complex128, vIdx []int, vVal []complex128, k int) (xk, cz complex128, err error) {
-	if k < 0 || k >= ls.N() {
-		return 0, 0, fmt.Errorf("%w: entry %d outside order %d", ErrShape, k, ls.N())
+// Incidence is what Sherman–Morrison needs from one rank-1 incidence
+// (u, v) at one nominal factorization, read at entry k: y[k], z[k],
+// vᵀy and vᵀz with z = A⁻¹·u. None of it depends on the scale s, so
+// every update s·u·vᵀ with that incidence — parallel elements across
+// one node pair, or one element at several values — is answered from
+// one solve by Entry.
+type Incidence struct {
+	yk, zk, vy, vz complex128
+}
+
+// SolveIncidence solves z = A⁻¹·u for the incidence (u, v) and reads
+// what Entry needs at entry k. It works out only the entries of z that
+// z[k] and vᵀz read (SparseLU.SolveSparse), with the bits of
+// SolveRankOneSparse's full solve.
+func (ls *LowRankSolver) SolveIncidence(uIdx []int, uVal []complex128, vIdx []int, vVal []complex128, k int) (Incidence, error) {
+	if err := ls.lu.SolveSparse(uIdx, uVal, k, vIdx, ls.z); err != nil {
+		return Incidence{}, err
 	}
-	c, err := ls.update(s, uIdx, uVal, vIdx, vVal)
+	return Incidence{
+		yk: ls.y[k],
+		zk: ls.z[k],
+		vy: DotSparse(vIdx, vVal, ls.y),
+		vz: DotSparse(vIdx, vVal, ls.z),
+	}, nil
+}
+
+// Entry answers the update of scale s: entry k of (A + s·u·vᵀ)⁻¹·b,
+// with the bits SolveRankOneSparse gives x[k]. It also returns the
+// subtracted term cz = c·z[k] (xk = y[k] − cz; zero when s is zero):
+// where |cz| dwarfs |xk| the subtraction cancelled, and rounding in xk
+// is amplified by their ratio. The error is ErrSingularUpdate, as
+// SolveRankOneSparse reports it.
+func (in *Incidence) Entry(s complex128) (xk, cz complex128, err error) {
+	if s == 0 {
+		return in.yk, 0, nil
+	}
+	c, err := coefficient(s, in.vy, in.vz)
 	if err != nil {
 		return 0, 0, err
 	}
-	if s == 0 {
-		return ls.y[k], 0, nil
-	}
-	cz = c * ls.z[k]
-	return ls.y[k] - cz, cz, nil
+	cz = c * in.zk
+	return in.yk - cz, cz, nil
 }
 
 // update validates the sparse factors and, unless s is zero, solves
@@ -126,15 +149,11 @@ func (ls *LowRankSolver) SolveRankOneEntry(s complex128, uIdx []int, uVal []comp
 // c = s·vᵀy / (1 + s·vᵀz).
 func (ls *LowRankSolver) update(s complex128, uIdx []int, uVal []complex128, vIdx []int, vVal []complex128) (complex128, error) {
 	n := ls.N()
-	for _, i := range uIdx {
-		if i < 0 || i >= n {
-			return 0, fmt.Errorf("%w: u index %d outside order %d", ErrShape, i, n)
-		}
+	if err := checkIndices("u", uIdx, n); err != nil {
+		return 0, err
 	}
-	for _, i := range vIdx {
-		if i < 0 || i >= n {
-			return 0, fmt.Errorf("%w: v index %d outside order %d", ErrShape, i, n)
-		}
+	if err := checkIndices("v", vIdx, n); err != nil {
+		return 0, err
 	}
 	if s == 0 {
 		return 0, nil
@@ -143,11 +162,30 @@ func (ls *LowRankSolver) update(s complex128, uIdx []int, uVal []complex128, vId
 	if err := ls.lu.SolveInPlace(ls.z); err != nil {
 		return 0, err
 	}
-	vy := DotSparse(vIdx, vVal, ls.y)
-	vz := DotSparse(vIdx, vVal, ls.z)
+	return coefficient(s, DotSparse(vIdx, vVal, ls.y), DotSparse(vIdx, vVal, ls.z))
+}
+
+// coefficient returns the Sherman–Morrison coefficient
+// c = s·vᵀy / (1 + s·vᵀz), or ErrSingularUpdate when the denominator is
+// below UpdateTolerance in magnitude.
+func coefficient(s, vy, vz complex128) (complex128, error) {
 	den := 1 + s*vz
-	if cmplx.Abs(den) < UpdateTolerance {
+	if singularDen(den) {
 		return 0, fmt.Errorf("%w: |1 + s·vᵀA⁻¹u| = %.3g", ErrSingularUpdate, cmplx.Abs(den))
 	}
 	return s * vy / den, nil
+}
+
+// updateTolSq is UpdateTolerance squared, for the screen below.
+const updateTolSq = UpdateTolerance * UpdateTolerance
+
+// singularDen reports |den| < UpdateTolerance, cmplx.Abs's verdict. Like
+// the pivot search it compares squares and calls cmplx.Abs only when
+// they cannot decide (sqCmp): near the tolerance, out of the squares'
+// range, or NaN.
+func singularDen(den complex128) bool {
+	if c := sqCmp(sqAbs(den), updateTolSq); c != 0 {
+		return c < 0
+	}
+	return cmplx.Abs(den) < UpdateTolerance
 }

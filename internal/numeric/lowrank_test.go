@@ -2,6 +2,7 @@ package numeric
 
 import (
 	"errors"
+	"math"
 	"math/cmplx"
 	"testing"
 )
@@ -137,32 +138,42 @@ func TestSolveRankOneShapeErrors(t *testing.T) {
 	}
 }
 
-// TestSolveRankOneEntryMatchesFull checks that the single-entry solve
-// carries the bits of the full solve's entry for every k and scale, that
-// xk = y[k] − cz exactly, and that Reset rebinds a solver to another
-// factorization without reallocating its scratch.
-func TestSolveRankOneEntryMatchesFull(t *testing.T) {
+// TestSolveIncidenceMatchesFull checks that one incidence solve answers
+// every scale with the bits of the full solve's entry, for every k,
+// that xk = y[k] − cz exactly, and that Reset rebinds a solver to
+// another factorization without reallocating its scratch.
+func TestSolveIncidenceMatchesFull(t *testing.T) {
 	a, b := testMatrix()
 	ls := newTestSolver(t, a, b)
 	uIdx, uVal := []int{0, 2}, []complex128{1, -1}
 	vIdx, vVal := []int{1, 2}, []complex128{1, -1}
 	x := make([]complex128, 4)
-	for _, s := range []complex128{0, 0.5, -0.3 + 2i} {
-		if err := ls.SolveRankOneSparse(s, uIdx, uVal, vIdx, vVal, x); err != nil {
+	for k := range x {
+		in, err := ls.SolveIncidence(uIdx, uVal, vIdx, vVal, k)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for k := range x {
-			xk, cz, err := ls.SolveRankOneEntry(s, uIdx, uVal, vIdx, vVal, k)
+		for _, s := range []complex128{0, 0.5, -0.3 + 2i} {
+			if err := ls.SolveRankOneSparse(s, uIdx, uVal, vIdx, vVal, x); err != nil {
+				t.Fatal(err)
+			}
+			xk, cz, err := in.Entry(s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if xk != x[k] || xk != ls.Nominal()[k]-cz {
+			if !sameBits(xk, x[k]) || !sameBits(xk, ls.Nominal()[k]-cz) {
 				t.Errorf("s=%v k=%d: entry %v (cz %v), full %v", s, k, xk, cz, x[k])
 			}
 		}
 	}
-	if _, _, err := ls.SolveRankOneEntry(1, uIdx, uVal, vIdx, vVal, 4); !errors.Is(err, ErrShape) {
+	if _, err := ls.SolveIncidence(uIdx, uVal, vIdx, vVal, 4); !errors.Is(err, ErrShape) {
 		t.Fatalf("entry past order: err = %v, want ErrShape", err)
+	}
+	if _, err := ls.SolveIncidence(uIdx, uVal, []int{-1}, vVal[:1], 0); !errors.Is(err, ErrShape) {
+		t.Fatalf("negative v index: err = %v, want ErrShape", err)
+	}
+	if _, err := ls.SolveIncidence([]int{4}, uVal[:1], vIdx, vVal, 0); !errors.Is(err, ErrShape) {
+		t.Fatalf("u index past order: err = %v, want ErrShape", err)
 	}
 
 	other := newTestSolver(t, Identity(4), b)
@@ -173,10 +184,47 @@ func TestSolveRankOneEntryMatchesFull(t *testing.T) {
 	if &ls.z[0] != scratch {
 		t.Error("Reset reallocated a scratch that fits")
 	}
-	if xk, _, err := ls.SolveRankOneEntry(0, uIdx, uVal, vIdx, vVal, 3); err != nil || xk != b[3] {
+	in, err := ls.SolveIncidence(uIdx, uVal, vIdx, vVal, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if xk, _, err := in.Entry(0); err != nil || xk != b[3] {
 		t.Fatalf("after Reset: x[3] = %v (err %v), want %v", xk, err, b[3])
 	}
 	if err := ls.Reset(other.lu, b[:3]); !errors.Is(err, ErrShape) {
 		t.Fatalf("short nominal solution: err = %v, want ErrShape", err)
+	}
+}
+
+// TestSingularDenMatchesAbs holds the squared |den| screen to
+// cmplx.Abs's verdict where the squares are closest to deciding wrong:
+// one part in 1e15 either side of UpdateTolerance, in either component
+// or both, at subnormal and underflowing magnitudes, at zero, at
+// infinities and at NaN. It also checks that the squares decide
+// ordinary denominators on their own.
+func TestSingularDenMatchesAbs(t *testing.T) {
+	const tol = UpdateTolerance
+	var dens []complex128
+	for _, r := range []float64{1 - 1e-15, 1 - 2e-16, 1, 1 + 2e-16, 1 + 1e-15} {
+		m := tol * r
+		dens = append(dens, complex(m, 0), complex(0, -m), cmplx.Rect(m, 0.7), cmplx.Rect(m, -2.1),
+			complex(math.Nextafter(m, 0), 0), complex(math.Nextafter(m, 1), 0))
+	}
+	for _, v := range []float64{5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 1e-150} {
+		dens = append(dens, complex(v, 0), complex(0, v), complex(v, -v))
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	dens = append(dens, 0, complex(math.Copysign(0, -1), 0),
+		complex(nan, 0), complex(0, nan), complex(nan, nan), complex(inf, 0), complex(inf, nan), complex(nan, -inf),
+		1, 1e-4, 1e-12, 1e200, complex(1e-9, 1e-9))
+	for _, den := range dens {
+		if got, want := singularDen(den), cmplx.Abs(den) < tol; got != want {
+			t.Errorf("singularDen(%v) = %v, cmplx.Abs says %v", den, got, want)
+		}
+	}
+	for _, den := range []complex128{1, 1e-4, 1e-12, complex(1e-9, 1e-9)} {
+		if sqCmp(sqAbs(den), updateTolSq) == 0 {
+			t.Errorf("the squares leave |%v| against the tolerance to cmplx.Abs", den)
+		}
 	}
 }

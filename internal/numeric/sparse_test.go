@@ -151,7 +151,7 @@ func TestSparseLUMatchesDenseExact(t *testing.T) {
 		n := 1 + rng.Intn(14)
 		density := 0.1 + 0.8*rng.Float64()
 		c := denseCase(randSparse(rng, n, density))
-		if !checkAgainstDense(t, fmt.Sprintf("trial %d", trial), c, rng, t.Fatalf) {
+		if !checkAgainstDense(t, fmt.Sprintf("trial %d", trial), c, rng, t.Fatalf).factored {
 			t.Fatalf("trial %d: diagonally dominant system reported singular", trial)
 		}
 	}
@@ -169,7 +169,7 @@ func TestSparseLUPivoting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !checkAgainstDense(t, "anti-diagonal", denseCase(dense), rand.New(rand.NewSource(1)), t.Fatalf) {
+	if !checkAgainstDense(t, "anti-diagonal", denseCase(dense), rand.New(rand.NewSource(1)), t.Fatalf).factored {
 		t.Fatal("anti-diagonal system reported singular")
 	}
 }
@@ -186,7 +186,7 @@ func TestSparseLUSingularMatchesDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := denseCase(dense)
-	if checkAgainstDense(t, "rank-deficient", c, rand.New(rand.NewSource(1)), t.Fatalf) {
+	if checkAgainstDense(t, "rank-deficient", c, rand.New(rand.NewSource(1)), t.Fatalf).factored {
 		t.Fatal("rank-deficient system factored")
 	}
 	p, vals := c.pattern(t)

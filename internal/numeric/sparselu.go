@@ -33,9 +33,9 @@ import (
 //
 // A factor returned by Factor aliases its scratch and is valid only
 // until the scratch factors again. SolveInPlace uses a scratch buffer
-// inside the factor, so a single factor must not be solved from
-// multiple goroutines at once — the one-workspace-per-worker discipline
-// every solve path follows.
+// inside the factor (SolveSparse also its marks), so a single factor
+// must not be solved from multiple goroutines at once — the
+// one-workspace-per-worker discipline every solve path follows.
 type SparseLU struct {
 	n     int
 	pivot []int // row-swap sequence, same semantics as the dense LU
@@ -54,7 +54,9 @@ type SparseLU struct {
 	uVal    []complex128
 	diag    []complex128
 
-	acc []complex128 // forward-substitution accumulator, length n
+	acc   []complex128 // forward-substitution accumulator, length n
+	posOf []int32      // original row → final position
+	marks bitmap       // SolveSparse's row marks, clear between calls
 }
 
 // N returns the dimension of the factored system.
@@ -85,30 +87,135 @@ func (f *SparseLU) SolveInPlace(b []complex128) error {
 			b[k], b[p] = b[p], b[k]
 		}
 	}
-	// Forward substitution with L column-oriented and a deferred-subtract
-	// accumulator: acc[i] collects Σ_{j<i} L[i][j]·b[j]. Walking columns
-	// ascending adds each row's products in ascending j — the dense row
-	// loop's accumulation order — and each row subtracts its sum exactly
-	// once, when it finalizes.
+	f.forward(b, 0)
+	for i := n - 1; i >= 0; i-- {
+		f.backRow(b, i)
+	}
+	return nil
+}
+
+// SolveSparse solves A·z = u for a u given by its entries (idx, val) —
+// a rank-1 patch's incidence vector holds at most two — and works out
+// only the entries it is asked for: z[k] and z[i] for every i in at
+// carry the bits SolveInPlace gives them on ScatterSparse's u, and
+// every other entry of z is left unspecified. It costs the arithmetic
+// those entries need, not the order:
+//
+//   - u goes straight to its pivoted positions, with no swap loop;
+//   - forward substitution starts at u's first position and skips
+//     every column whose value is exactly ±0;
+//   - back substitution runs only on the rows the wanted entries read,
+//     in SolveInPlace's order and with its operations.
+//
+// The bits hold for the reasons the SparseLU contract gives: the
+// skipped forward work only adds ±0 products to accumulators that start
+// at +0 and so never become −0 (given a finite factor), and a row left
+// out of the back substitution is never read by one that is kept.
+func (f *SparseLU) SolveSparse(idx []int, val []complex128, k int, at []int, z []complex128) error {
+	n := f.n
+	if len(z) != n {
+		return fmt.Errorf("%w: rhs length %d for order %d", ErrShape, len(z), n)
+	}
+	if err := checkIndices("u", idx, n); err != nil {
+		return err
+	}
+	if k < 0 || k >= n {
+		return fmt.Errorf("%w: entry %d outside order %d", ErrShape, k, n)
+	}
+	if err := checkIndices("entry", at, n); err != nil {
+		return err
+	}
+	f.forward(z, f.scatter(idx, val, z))
+	f.markReads(k, at)
+	f.backMarked(z)
+	return nil
+}
+
+// checkIndices reports the first index outside [0, n) as ErrShape.
+func checkIndices(what string, idx []int, n int) error {
+	for _, i := range idx {
+		if i < 0 || i >= n {
+			return fmt.Errorf("%w: %s index %d outside order %d", ErrShape, what, i, n)
+		}
+	}
+	return nil
+}
+
+// scatter writes u's entries over a zeroed b at the positions the row
+// swaps carry them to — where SolveInPlace's swap loop would move
+// ScatterSparse's vector — and returns the first position written (n
+// for an empty u).
+func (f *SparseLU) scatter(idx []int, val, b []complex128) int {
+	clear(b)
+	first := f.n
+	for t, i := range idx {
+		q := int(f.posOf[i])
+		b[q] = val[t]
+		first = min(first, q)
+	}
+	return first
+}
+
+// forward runs the forward substitution over b from position from on;
+// b[:from] must be +0, as the full substitution would leave it. L is
+// column-oriented with a deferred-subtract accumulator: acc[i] collects
+// Σ_{j<i} L[i][j]·b[j]. Walking columns ascending adds each row's
+// products in ascending j — the dense row loop's accumulation order —
+// and each row subtracts its sum exactly once, when it finalizes. A
+// column whose value is exactly ±0 is skipped: its products are ±0, and
+// adding ±0 to a finite accumulator that starts at +0 (and so is never
+// −0) leaves its bits unchanged.
+func (f *SparseLU) forward(b []complex128, from int) {
 	acc := f.acc
-	clear(acc)
-	for j := 0; j < n; j++ {
+	clear(acc[from:])
+	for j := from; j < f.n; j++ {
 		bj := b[j] - acc[j]
 		b[j] = bj
+		if bj == 0 {
+			continue
+		}
 		for t := f.lColPtr[j]; t < f.lColPtr[j+1]; t++ {
 			acc[f.lIdx[t]] += f.lVal[t] * bj
 		}
 	}
-	// Back substitution, U row-oriented: ascending-column accumulation,
-	// one subtract, then the divide — the dense loop verbatim.
-	for i := n - 1; i >= 0; i-- {
-		var s complex128
-		for t := f.uRowPtr[i]; t < f.uRowPtr[i+1]; t++ {
-			s += f.uVal[t] * b[f.uIdx[t]]
-		}
-		b[i] = (b[i] - s) / f.diag[i]
+}
+
+// backRow finalizes row i of the back substitution, U row-oriented:
+// ascending-column accumulation, one subtract, then the divide — the
+// dense loop verbatim.
+func (f *SparseLU) backRow(b []complex128, i int) {
+	var s complex128
+	for t := f.uRowPtr[i]; t < f.uRowPtr[i+1]; t++ {
+		s += f.uVal[t] * b[f.uIdx[t]]
 	}
-	return nil
+	b[i] = (b[i] - s) / f.diag[i]
+}
+
+// markReads marks row k, the rows in at, and every row their back
+// substitution reads: the closure of those seeds over U's row pattern.
+// Row i of U holds only columns above i, so one ascending walk meets
+// every row it marks.
+func (f *SparseLU) markReads(k int, at []int) {
+	m := f.marks
+	m.set(int32(k))
+	for _, i := range at {
+		m.set(int32(i))
+	}
+	for i := m.next(0); i < f.n; i = m.next(i + 1) {
+		for t := f.uRowPtr[i]; t < f.uRowPtr[i+1]; t++ {
+			m.set(f.uIdx[t])
+		}
+	}
+}
+
+// backMarked back-substitutes the marked rows, descending as
+// SolveInPlace does, then clears the marks.
+func (f *SparseLU) backMarked(b []complex128) {
+	m := f.marks
+	for i := m.prev(f.n - 1); i >= 0; i = m.prev(i - 1) {
+		f.backRow(b, i)
+	}
+	clear(m)
 }
 
 // SparseScratch is the reusable working state of the left-looking
@@ -125,7 +232,7 @@ type SparseScratch struct {
 	rowAt []int32      // position → original row, tracking dense row swaps
 	posOf []int32      // original row → position
 	cnt   []int32      // counting-sort scratch (n)
-	marks []int32      // reach bitmap over elimination positions, ⌈n/32⌉ words
+	marks bitmap       // reach bitmap over elimination positions, ⌈n/32⌉ words
 
 	lColPtr []int32 // n+1: during factor, start of column j's L run
 	uColPtr []int32 // n+1: during factor, start of column j's U run
@@ -243,7 +350,7 @@ func (s *SparseScratch) Factor(vals []complex128) (*SparseLU, error) {
 		for t := p.ColPtr[j]; t < p.ColPtr[j+1]; t++ {
 			r := p.RowInd[t]
 			s.x[r] = vals[p.CSlot[t]]
-			s.mark(s.posOf[r])
+			s.marks.set(s.posOf[r])
 		}
 		// Left-looking update: apply prior L columns in ascending
 		// elimination order. u[k][j] is read after columns < k have
@@ -254,7 +361,7 @@ func (s *SparseScratch) Factor(vals []complex128) (*SparseLU, error) {
 		// at positions > k, so the ascending walk over marks meets every
 		// position an earlier step marked; unmarked positions hold +0.
 		s.uColPtr[j] = int32(len(s.cIdx))
-		for k := s.nextMark(0); k < j; k = s.nextMark(k + 1) {
+		for k := s.marks.next(0); k < j; k = s.marks.next(k + 1) {
 			rk := s.rowAt[k]
 			ukj := s.x[rk]
 			s.x[rk] = 0
@@ -269,7 +376,7 @@ func (s *SparseScratch) Factor(vals []complex128) (*SparseLU, error) {
 			for t := s.lColPtr[k]; t < s.uColPtr[k+1]; t++ {
 				r := s.cIdx[t]
 				s.x[r] -= s.cVal[t] * ukj
-				s.mark(s.posOf[r])
+				s.marks.set(s.posOf[r])
 			}
 		}
 		s.lColPtr[j] = int32(len(s.cIdx))
@@ -279,7 +386,7 @@ func (s *SparseScratch) Factor(vals []complex128) (*SparseLU, error) {
 		// only marked nonzeros are compared.
 		pp, bv := j, s.x[s.rowAt[j]]
 		bsq := sqAbs(bv)
-		for q := s.nextMark(j + 1); q < n; q = s.nextMark(q + 1) {
+		for q := s.marks.next(j + 1); q < n; q = s.marks.next(q + 1) {
 			v := s.x[s.rowAt[q]]
 			if v == 0 {
 				continue
@@ -313,7 +420,7 @@ func (s *SparseScratch) Factor(vals []complex128) (*SparseLU, error) {
 		// there is visited too. Explicit zeros are dropped — the dense
 		// loop stores them but skips their updates, and their solve
 		// products are signed zeros.
-		for q := s.nextMark(j + 1); q < n; q = s.nextMark(q + 1) {
+		for q := s.marks.next(j + 1); q < n; q = s.marks.next(q + 1) {
 			r := s.rowAt[q]
 			if xv := s.x[r]; xv != 0 {
 				s.cIdx = append(s.cIdx, r)
@@ -331,27 +438,47 @@ func (s *SparseScratch) Factor(vals []complex128) (*SparseLU, error) {
 	return out, nil
 }
 
-// mark records elimination position q in the column's reach bitmap.
-func (s *SparseScratch) mark(q int32) {
-	s.marks[q>>5] |= 1 << (q & 31)
+// bitmap is a set of positions below n, one bit each, in ⌈n/32⌉ words.
+type bitmap []int32
+
+// set adds position q.
+func (m bitmap) set(q int32) {
+	m[q>>5] |= 1 << (q & 31)
 }
 
-// nextMark returns the least marked position ≥ q, or a value ≥ n when
+// next returns the least position ≥ q in the set, or a value ≥ n when
 // there is none. Bits set above the current word while a caller walks
-// the marks are seen, because each call rereads the words.
-func (s *SparseScratch) nextMark(q int) int {
+// the set are seen, because each call rereads the words.
+func (m bitmap) next(q int) int {
 	w := q >> 5
-	if w >= len(s.marks) {
+	if w >= len(m) {
 		return q
 	}
-	m := uint32(s.marks[w]) &^ (1<<(q&31) - 1)
-	for m == 0 {
-		if w++; w == len(s.marks) {
+	b := uint32(m[w]) &^ (1<<(q&31) - 1)
+	for b == 0 {
+		if w++; w == len(m) {
 			return w << 5
 		}
-		m = uint32(s.marks[w])
+		b = uint32(m[w])
 	}
-	return w<<5 + bits.TrailingZeros32(m)
+	return w<<5 + bits.TrailingZeros32(b)
+}
+
+// prev returns the greatest position ≤ q in the set, or -1 when there
+// is none.
+func (m bitmap) prev(q int) int {
+	if q < 0 {
+		return -1
+	}
+	w := q >> 5
+	b := uint32(m[w]) & (2<<(q&31) - 1)
+	for b == 0 {
+		if w--; w < 0 {
+			return -1
+		}
+		b = uint32(m[w])
+	}
+	return w<<5 + bits.Len32(b) - 1
 }
 
 // The pivot search compares squared magnitudes instead of calling
@@ -456,4 +583,6 @@ func (s *SparseScratch) finalize(out *SparseLU, sign int) {
 	out.uVal = s.uVal
 	out.diag = s.diag
 	out.acc = s.acc
+	out.posOf = s.posOf
+	out.marks = s.marks
 }

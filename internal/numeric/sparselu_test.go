@@ -3,6 +3,7 @@ package numeric
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -149,13 +150,24 @@ func allFinite(v []complex128) bool {
 	return true
 }
 
+// luCheck is what checkAgainstDense saw: whether the system factored,
+// and how much work the entry solves it compared left out.
+type luCheck struct {
+	factored bool
+	// skipped counts L columns with entries whose forward products an
+	// entry solve did not form; unmarked counts the rows it did not
+	// back-substitute.
+	skipped, unmarked int
+}
+
 // checkAgainstDense factors c both ways and compares verdicts, error
-// texts, pivot sequences, Det bits and solution bits. It reports
-// whether the system factored. The contract covers finite eliminations
-// only; a case whose dense factor or dense solution is not finite is
-// reported through outside (t.Fatalf where the generator is meant to
-// stay inside the contract, t.Skipf for fuzz inputs).
-func checkAgainstDense(t *testing.T, label string, c luCase, rng *rand.Rand, outside func(string, ...any)) bool {
+// texts, pivot sequences, Det bits and solution bits, then holds the
+// entry solve to the full one (checkEntrySolves). The contract covers
+// finite eliminations only; a case whose dense factor or dense solution
+// is not finite is reported through outside (t.Fatalf where the
+// generator is meant to stay inside the contract, t.Skipf for fuzz
+// inputs).
+func checkAgainstDense(t *testing.T, label string, c luCase, rng *rand.Rand, outside func(string, ...any)) luCheck {
 	t.Helper()
 	n := c.dense.Rows
 	p, vals := c.pattern(t)
@@ -169,11 +181,11 @@ func checkAgainstDense(t *testing.T, label string, c luCase, rng *rand.Rand, out
 		if serr.Error() != derr.Error() {
 			t.Fatalf("%s: error text diverges:\nsparse: %v\ndense:  %v", label, serr, derr)
 		}
-		return false
+		return luCheck{}
 	}
 	if !allFinite(work.Data) {
 		outside("%s: dense elimination is not finite; the case is outside the contract", label)
-		return true
+		return luCheck{factored: true}
 	}
 	for k, dp := range dlu.Pivot() {
 		if slu.Pivot()[k] != dp {
@@ -201,14 +213,103 @@ func checkAgainstDense(t *testing.T, label string, c luCase, rng *rand.Rand, out
 	}
 	if !allFinite(bd) {
 		outside("%s: dense solution is not finite; the case is outside the contract", label)
-		return true
+		return luCheck{factored: true}
 	}
 	for i := range b {
 		if !sameBits(b[i], bd[i]) {
 			t.Fatalf("%s: x[%d] = %v, dense %v", label, i, b[i], bd[i])
 		}
 	}
-	return true
+	// The draws get their own stream, seeded from x, so the caller's
+	// generator runs exactly as it would without them.
+	drng := rand.New(rand.NewSource(int64(math.Float64bits(real(x[0])))))
+	chk := checkEntrySolves(t, label, slu, drng)
+	chk.factored = true
+	return chk
+}
+
+// checkEntrySolves draws rank-1 incidences — u and v of one or two
+// entries each, u often on a row the pivoting moved, and an entry k —
+// and requires SolveSparse's z[k], z at v's indices and vᵀz to carry the
+// bits of ScatterSparse + SolveInPlace. Draws whose full z is not
+// finite are outside the contract and skipped.
+func checkEntrySolves(t *testing.T, label string, slu *SparseLU, rng *rand.Rand) luCheck {
+	t.Helper()
+	n := slu.N()
+	var moved []int
+	for r, q := range slu.posOf {
+		if int(q) != r {
+			moved = append(moved, r)
+		}
+	}
+	value := func() complex128 {
+		if rng.Intn(2) == 0 {
+			return complex(float64(1-2*rng.Intn(2)), 0)
+		}
+		return complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	incidence := func(first int) ([]int, []complex128) {
+		idx := []int{first}
+		if n > 1 && rng.Intn(3) > 0 {
+			second := rng.Intn(n - 1)
+			if second >= first {
+				second++
+			}
+			idx = append(idx, second)
+		}
+		val := make([]complex128, len(idx))
+		for i := range val {
+			val[i] = value()
+		}
+		return idx, val
+	}
+	var chk luCheck
+	zf, ze, w := make([]complex128, n), make([]complex128, n), make([]complex128, n)
+	for draw := 0; draw < 4; draw++ {
+		u0 := rng.Intn(n)
+		if len(moved) > 0 && draw%2 == 0 {
+			u0 = moved[rng.Intn(len(moved))]
+		}
+		uIdx, uVal := incidence(u0)
+		vIdx, vVal := incidence(rng.Intn(n))
+		k := rng.Intn(n)
+		ScatterSparse(uIdx, uVal, zf)
+		if err := slu.SolveInPlace(zf); err != nil {
+			t.Fatal(err)
+		}
+		if !allFinite(zf) {
+			continue
+		}
+		for i := range ze {
+			ze[i] = complex(math.NaN(), 1)
+		}
+		if err := slu.SolveSparse(uIdx, uVal, k, vIdx, ze); err != nil {
+			t.Fatalf("%s: entry solve: %v", label, err)
+		}
+		for _, i := range append([]int{k}, vIdx...) {
+			if !sameBits(ze[i], zf[i]) {
+				t.Fatalf("%s: u %v%v: entry solve z[%d] = %v, full %v", label, uIdx, uVal, i, ze[i], zf[i])
+			}
+		}
+		if e, f := DotSparse(vIdx, vVal, ze), DotSparse(vIdx, vVal, zf); !sameBits(e, f) {
+			t.Fatalf("%s: u %v%v v %v%v: entry solve vᵀz = %v, full %v", label, uIdx, uVal, vIdx, vVal, e, f)
+		}
+		// Count the work the entry solve left out, step by step.
+		first := slu.scatter(uIdx, uVal, w)
+		slu.forward(w, first)
+		for j := 0; j < n; j++ {
+			if slu.lColPtr[j+1] > slu.lColPtr[j] && (j < first || w[j] == 0) {
+				chk.skipped++
+			}
+		}
+		slu.markReads(k, vIdx)
+		for _, word := range slu.marks {
+			chk.unmarked -= bits.OnesCount32(uint32(word))
+		}
+		chk.unmarked += n
+		clear(slu.marks)
+	}
+	return chk
 }
 
 // TestSparseLUNonDominantMatchesDense drives every generator mode over
@@ -222,6 +323,7 @@ func TestSparseLUNonDominantMatchesDense(t *testing.T) {
 		trials = 100
 	}
 	factored := make([]int, numModes)
+	var skipped, unmarked int
 	for trial := 0; trial < trials; trial++ {
 		n := 1 + rng.Intn(100)
 		if trial < len(sizes)*numModes {
@@ -233,9 +335,18 @@ func TestSparseLUNonDominantMatchesDense(t *testing.T) {
 			density = 0.2 + 0.6*rng.Float64()
 		}
 		c := randNonDominant(rng, n, density, mode)
-		if checkAgainstDense(t, fmt.Sprintf("trial %d (n=%d, mode %d)", trial, n, mode), c, rng, t.Fatalf) {
+		chk := checkAgainstDense(t, fmt.Sprintf("trial %d (n=%d, mode %d)", trial, n, mode), c, rng, t.Fatalf)
+		if chk.factored {
 			factored[mode]++
 		}
+		skipped += chk.skipped
+		unmarked += chk.unmarked
+	}
+	// The entry solves must actually have left work out, or their
+	// comparison shows nothing.
+	t.Logf("entry solves skipped %d L columns and left %d rows unmarked", skipped, unmarked)
+	if skipped == 0 || unmarked == 0 {
+		t.Errorf("entry solves skipped %d L columns and left %d rows unmarked; want both > 0", skipped, unmarked)
 	}
 	// Tiny scales and tie-heavy patterns fail the factor on purpose
 	// (the error text is compared), but every mode must also reach the
@@ -336,8 +447,12 @@ func TestChainBandMatchesDense(t *testing.T) {
 		}
 		c := denseCase(m)
 		label := fmt.Sprintf("n=%d", n)
-		if !checkAgainstDense(t, label, c, rand.New(rand.NewSource(3)), t.Fatalf) {
+		chk := checkAgainstDense(t, label, c, rand.New(rand.NewSource(3)), t.Fatalf)
+		if !chk.factored {
 			t.Fatalf("%s: benchmark system is singular", label)
+		}
+		if chk.skipped == 0 || chk.unmarked == 0 {
+			t.Errorf("%s: entry solves skipped %d L columns and left %d rows unmarked; want both > 0", label, chk.skipped, chk.unmarked)
 		}
 		slu, err := NewSparseScratch(p).Factor(vals)
 		if err != nil {
