@@ -56,7 +56,7 @@ func NewEngine(ckt *circuit.Circuit) (*Engine, error) {
 // SweepGrid samples the transfer function over an explicit grid in the
 // engine's current state (nominal, or faulty while a patch is applied).
 // Singular points are recorded as invalid rather than failing the sweep;
-// solve metrics are flushed by the underlying Sweeper.SweepGrid.
+// the sweep's solve metrics are flushed on return.
 func (e *Engine) SweepGrid(grid []float64) (*Response, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("%w: empty grid", ErrBadSweep)
@@ -66,19 +66,17 @@ func (e *Engine) SweepGrid(grid []float64) (*Response, error) {
 		H:     make([]complex128, len(grid)),
 		Valid: make([]bool, len(grid)),
 	}
-	err := e.sw.SweepGrid(grid, func(i int, v complex128, verr error) error {
-		if verr != nil {
-			if errors.Is(verr, numeric.ErrSingular) {
-				return nil // leave point invalid
+	defer e.sw.FlushMetrics()
+	for i, f := range grid {
+		v, err := e.sw.VoltageAt(f)
+		if err != nil {
+			if errors.Is(err, numeric.ErrSingular) {
+				continue // leave point invalid
 			}
-			return verr
+			return nil, err
 		}
 		resp.H[i] = v
 		resp.Valid[i] = true
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return resp, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"analogdft/internal/fault"
+	"analogdft/internal/obs"
 )
 
 func TestEngineSweepGridMatchesSweep(t *testing.T) {
@@ -29,6 +30,34 @@ func TestEngineSweepGridMatchesSweep(t *testing.T) {
 	}
 	if _, err := e.SweepGrid(nil); !errors.Is(err, ErrBadSweep) {
 		t.Fatalf("empty grid err = %v", err)
+	}
+}
+
+// TestEngineSweepGridFlushesMetrics checks that a sweep's solve counts
+// reach the registry when SweepGrid returns, on success and when a
+// failed point aborts the sweep.
+func TestEngineSweepGridFlushesMetrics(t *testing.T) {
+	e, err := NewEngine(rcLowpass())
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := func(name string) float64 { return obs.Reg().Snapshot()[name].Value }
+	solves0 := counter("mna_solves_total")
+	if _, err := e.SweepGrid([]float64{100, 1e3, 1e4}); err != nil {
+		t.Fatal(err)
+	}
+	if d := counter("mna_solves_total") - solves0; d != 3 {
+		t.Fatalf("sweep of 3 points flushed %g solves", d)
+	}
+	solves0, errs0 := counter("mna_solves_total"), counter("mna_solve_error_total")
+	if _, err := e.SweepGrid([]float64{100, -1, 1e4}); err == nil {
+		t.Fatal("negative frequency: err = nil")
+	}
+	if d := counter("mna_solves_total") - solves0; d != 2 {
+		t.Fatalf("aborted sweep flushed %g solves, want 2", d)
+	}
+	if d := counter("mna_solve_error_total") - errs0; d != 1 {
+		t.Fatalf("aborted sweep flushed %g errors, want 1", d)
 	}
 }
 

@@ -959,7 +959,7 @@ func (m *Matrix) AvgBestOmega(rows []int) float64 {
 	return s / float64(len(best))
 }
 
-// Row extracts one configuration's evaluations as a Row, including any
+// RowOf extracts one configuration's evaluations as a Row, including any
 // per-cell errors recorded for that configuration.
 func (m *Matrix) RowOf(i int) (*Row, error) {
 	if i < 0 || i >= m.NumConfigs() {

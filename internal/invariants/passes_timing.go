@@ -23,7 +23,7 @@ const obsPath = "analogdft/internal/obs"
 //     TimingOn and whose body terminates (`if !obs.TimingOn() { return }`);
 //   - a bool parameter of the enclosing function used in the guard
 //     condition, which delegates the proof to every caller (the
-//     accountSolve(err, start, timed) idiom in internal/mna).
+//     solveTally.record(err, start, timed) idiom in internal/mna).
 func runUngatedObservation(p *pass) {
 	for _, f := range p.pkg.Files {
 		walkStack(f, func(stack []ast.Node, n ast.Node) bool {

@@ -24,7 +24,7 @@ var ErrNotLowRank = errors.New("mna: patch is not a rank-1 stamp update")
 // with u and v sparse (a handful of node/branch entries). GCoef carries
 // the frequency-independent part of the delta (conductances, controlled
 // source gains), CCoef the part proportional to jω (capacitances,
-// inductor branch equations); exactly one of the two is nonzero for every
+// inductor branch equations); at most one of the two is nonzero for every
 // supported component. The factors address the same unknown ordering as
 // System.N()/NodeNames.
 type RankOne struct {
@@ -42,6 +42,12 @@ type RankOne struct {
 	// factors hold at most two entries each, so a RankOne that lives in
 	// a reused slot is lowered without allocating.
 	u, v incidenceVec
+	// onC names the array the stamp lives in — C rather than G — even
+	// when the delta is zero.
+	onC bool
+	// admittance marks the two-terminal admittance stamp v = u of R and
+	// C, which addTo writes diagonal first.
+	admittance bool
 }
 
 // ScaleAt returns the frequency-dependent scalar s(ω) = GCoef + jω·CCoef,
@@ -74,28 +80,20 @@ func (f *incidenceVec) incidence(a, b int) {
 	}
 }
 
-// RankOneDelta expresses "component name patched to value v" as a rank-1
-// update of the assembled matrix, without touching the system: unlike
-// SetValue nothing is stamped, so the cached G/C split and any live LU
-// factorization of the nominal matrix stay valid. The delta is computed
-// against the component's current effective value — the patched value if
-// SetValue is live on it, the nominal otherwise — mirroring SetValue's
-// composition rule.
+// RankOneDeltaInto expresses "component name patched to value v" as a
+// rank-1 update of the assembled matrix, written into d, whose slices
+// then alias d's own storage: lowering into a reused slot allocates
+// nothing. Unlike SetValue nothing is stamped, so the cached G/C split
+// and any live LU factorization of the nominal matrix stay valid. The
+// delta is computed against the component's current effective value —
+// the patched value if SetValue is live on it, the nominal otherwise —
+// mirroring SetValue's composition rule.
 //
-// Supported are the components whose patch touches matrix entries in a
-// single outer-product pattern: R, C, L and the four controlled sources.
-// Opamps (per-point constraint rows) and independent sources (excitation
-// patches) return ErrNotLowRank; a resistor patched from or to exactly
-// zero returns ErrUnsupported, exactly as SetValue would.
-func (s *System) RankOneDelta(name string, v float64) (RankOne, error) {
-	var d RankOne
-	err := s.RankOneDeltaInto(name, v, &d)
-	return d, err
-}
-
-// RankOneDeltaInto is RankOneDelta writing into d, whose slices then
-// alias d's own storage: lowering into a reused slot allocates nothing.
-// On error d is left zero.
+// Supported are the components with a value stamp (valueStamp): R, C,
+// L and the four controlled sources. Opamps (per-point constraint rows)
+// and independent sources (excitation patches) return ErrNotLowRank; a
+// resistor patched from or to exactly zero returns ErrUnsupported,
+// exactly as SetValue would. On error d is left zero.
 func (s *System) RankOneDeltaInto(name string, v float64, d *RankOne) error {
 	*d = RankOne{}
 	if err := s.rankOne(name, v, d); err != nil {
@@ -109,93 +107,57 @@ func (s *System) RankOneDeltaInto(name string, v float64, d *RankOne) error {
 
 // rankOne fills d's coefficients and factor storage.
 func (s *System) rankOne(name string, v float64, d *RankOne) error {
+	comp, err := s.component(name)
+	if err != nil {
+		return err
+	}
+	if _, err := s.valueDelta(comp, v, d); err != errNoValueStamp {
+		return err
+	}
+	switch comp.(type) {
+	case *circuit.VSource, *circuit.ISource:
+		return fmt.Errorf("%w: %T %q patches the excitation vector, not the matrix", ErrNotLowRank, comp, name)
+	}
+	return fmt.Errorf("%w: cannot express %T %q as u·vᵀ", ErrNotLowRank, comp, name)
+}
+
+// valueDelta fills d with the change of comp's value stamp when its
+// value moves from the current effective one — the live patch if
+// SetValue holds one, the nominal otherwise — to v, and returns the
+// coefficient scale(v) − scale(old), also set as d's GCoef or CCoef.
+func (s *System) valueDelta(comp circuit.Component, v float64, d *RankOne) (float64, error) {
+	scale, old, err := s.valueStamp(comp, d)
+	if err != nil {
+		return 0, err
+	}
+	if p, ok := s.patchedVals[comp.Name()]; ok {
+		old = p
+	}
+	if scale == scaleInv && (old == 0 || v == 0) {
+		return 0, fmt.Errorf("%w: resistor %q patched to zero resistance", ErrUnsupported, comp.Name())
+	}
+	coef := scale.of(v) - scale.of(old)
+	if d.onC {
+		d.CCoef = complex(coef, 0)
+	} else {
+		d.GCoef = complex(coef, 0)
+	}
+	return coef, nil
+}
+
+// component builds the stamps if need be and looks name up.
+func (s *System) component(name string) (circuit.Component, error) {
 	if !s.stampsBuilt {
 		if err := s.buildStamps(); err != nil {
-			return err
+			return nil, err
 		}
 		accountStamps(true)
 	}
 	comp, ok := s.ckt.Component(name)
 	if !ok {
-		return fmt.Errorf("mna: unknown component %q", name)
+		return nil, fmt.Errorf("mna: unknown component %q", name)
 	}
-	old, patched := s.patchedVals[name]
-
-	switch c := comp.(type) {
-	case *circuit.Resistor:
-		if !patched {
-			old = c.Ohms
-		}
-		if old == 0 || v == 0 {
-			return fmt.Errorf("%w: resistor %q patched to zero resistance", ErrUnsupported, name)
-		}
-		d.u.incidence(s.node(c.A), s.node(c.B))
-		d.v = d.u
-		d.GCoef = complex(1/v-1/old, 0)
-
-	case *circuit.Capacitor:
-		if !patched {
-			old = c.Farads
-		}
-		d.u.incidence(s.node(c.A), s.node(c.B))
-		d.v = d.u
-		d.CCoef = complex(v-old, 0)
-
-	case *circuit.Inductor:
-		if !patched {
-			old = c.Henries
-		}
-		d.u.add(s.branchOf[name], 1)
-		d.v = d.u
-		d.CCoef = -complex(v-old, 0)
-
-	case *circuit.VCVS:
-		if !patched {
-			old = c.Gain
-		}
-		d.u.add(s.branchOf[name], 1)
-		d.v.incidence(s.node(c.CtrlM), s.node(c.CtrlP)) // −gain on CtrlP, +gain on CtrlM
-		d.GCoef = complex(v-old, 0)
-
-	case *circuit.VCCS:
-		if !patched {
-			old = c.Gm
-		}
-		d.u.incidence(s.node(c.OutP), s.node(c.OutM))
-		d.v.incidence(s.node(c.CtrlP), s.node(c.CtrlM))
-		d.GCoef = complex(v-old, 0)
-
-	case *circuit.CCVS:
-		if !patched {
-			old = c.Rt
-		}
-		ctrlBr, okBr := s.branchOf[c.CtrlVSource]
-		if !okBr {
-			return fmt.Errorf("%w: CCVS %q controls through %q, which has no branch current", ErrUnsupported, name, c.CtrlVSource)
-		}
-		d.u.add(s.branchOf[name], 1)
-		d.v.add(ctrlBr, 1)
-		d.GCoef = complex(-(v - old), 0)
-
-	case *circuit.CCCS:
-		if !patched {
-			old = c.Gain
-		}
-		ctrlBr, okBr := s.branchOf[c.CtrlVSource]
-		if !okBr {
-			return fmt.Errorf("%w: CCCS %q controls through %q, which has no branch current", ErrUnsupported, name, c.CtrlVSource)
-		}
-		d.u.incidence(s.node(c.OutP), s.node(c.OutM))
-		d.v.add(ctrlBr, 1)
-		d.GCoef = complex(v-old, 0)
-
-	case *circuit.VSource, *circuit.ISource:
-		return fmt.Errorf("%w: %T %q patches the excitation vector, not the matrix", ErrNotLowRank, comp, name)
-
-	default:
-		return fmt.Errorf("%w: cannot express %T %q as u·vᵀ", ErrNotLowRank, comp, name)
-	}
-	return nil
+	return comp, nil
 }
 
 // AssembleValsInto assembles the MNA system at one frequency into
@@ -204,7 +166,7 @@ func (s *System) rankOne(name string, v float64, d *RankOne) error {
 // receives the excitation. This is the exported face of the per-point
 // assembly the sweep loop uses, for callers that inspect or factor the
 // assembled matrix themselves (the rank-1 consistency tests check
-// RankOneDelta against the assembled patch this way).
+// RankOneDeltaInto against the assembled patch this way).
 func (s *System) AssembleValsInto(freqHz float64, mv, rhs []complex128) error {
 	rebuilt, err := s.ensureStamps()
 	if err != nil {

@@ -74,9 +74,9 @@ func TestRankOneDeltaMatchesSetValue(t *testing.T) {
 			}
 			nom, nomRHS := assembleAt(t, sys, freq)
 
-			d, err := sys.RankOneDelta(c.comp, c.value)
-			if err != nil {
-				t.Fatalf("RankOneDelta(%s): %v", c.comp, err)
+			var d RankOne
+			if err := sys.RankOneDeltaInto(c.comp, c.value, &d); err != nil {
+				t.Fatalf("RankOneDeltaInto(%s): %v", c.comp, err)
 			}
 			if d.GCoef != 0 && d.CCoef != 0 {
 				t.Fatalf("delta mixes G and C parts: %+v", d)
@@ -123,8 +123,8 @@ func TestRankOneDeltaComposesWithLivePatch(t *testing.T) {
 	if err := sys.SetValue("R1", 2e3); err != nil {
 		t.Fatal(err)
 	}
-	d, err := sys.RankOneDelta("R1", 4e3)
-	if err != nil {
+	var d RankOne
+	if err := sys.RankOneDeltaInto("R1", 4e3, &d); err != nil {
 		t.Fatal(err)
 	}
 	want := complex(1/4e3-1/2e3, 0)
@@ -144,38 +144,40 @@ func TestRankOneDeltaNotLowRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var d RankOne
 	for _, name := range []string{"V1", "I1", "OP1"} {
-		if _, err := sys.RankOneDelta(name, 2); !errors.Is(err, ErrNotLowRank) {
-			t.Errorf("RankOneDelta(%s): err = %v, want ErrNotLowRank", name, err)
+		if err := sys.RankOneDeltaInto(name, 2, &d); !errors.Is(err, ErrNotLowRank) {
+			t.Errorf("RankOneDeltaInto(%s): err = %v, want ErrNotLowRank", name, err)
 		}
 	}
-	if _, err := sys.RankOneDelta("R1", 0); !errors.Is(err, ErrUnsupported) {
+	if err := sys.RankOneDeltaInto("R1", 0, &d); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("zero resistance: err = %v, want ErrUnsupported", err)
 	}
-	if _, err := sys.RankOneDelta("nope", 1); err == nil {
+	if err := sys.RankOneDeltaInto("nope", 1, &d); err == nil {
 		t.Error("unknown component: err = nil")
 	}
 }
 
-// TestRankOneDeltaLeavesSystemUntouched checks RankOneDelta never stamps:
-// the assembled matrix is bit-identical before and after.
+// TestRankOneDeltaLeavesSystemUntouched checks RankOneDeltaInto never
+// stamps: the assembled matrix is bit-identical before and after.
 func TestRankOneDeltaLeavesSystemUntouched(t *testing.T) {
 	sys, err := NewSystem(lowRankCircuit())
 	if err != nil {
 		t.Fatal(err)
 	}
 	before, _ := assembleAt(t, sys, 777)
-	if _, err := sys.RankOneDelta("C1", 33e-9); err != nil {
+	var d RankOne
+	if err := sys.RankOneDeltaInto("C1", 33e-9, &d); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := assembleAt(t, sys, 777)
 	for i := range before.Data {
 		if before.Data[i] != after.Data[i] {
-			t.Fatalf("RankOneDelta mutated the stamps at %d: %v -> %v", i, before.Data[i], after.Data[i])
+			t.Fatalf("RankOneDeltaInto mutated the stamps at %d: %v -> %v", i, before.Data[i], after.Data[i])
 		}
 	}
 	if sys.Patched() {
-		t.Fatal("RankOneDelta left a live patch")
+		t.Fatal("RankOneDeltaInto left a live patch")
 	}
 }
 

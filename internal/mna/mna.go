@@ -20,11 +20,9 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"time"
 
 	"analogdft/internal/circuit"
 	"analogdft/internal/numeric"
-	"analogdft/internal/obs"
 )
 
 // ErrUnsupported is returned when the circuit contains a component the
@@ -90,10 +88,12 @@ type System struct {
 	mBox     numeric.CSRValues
 
 	// Patch state (SetValue/Reset): first-seen snapshots of every stamp
-	// slot a patch has touched, plus the current patched value per
-	// component so repeated patches compose.
-	snapG, snapC, snapRHS map[int]complex128
-	patchedVals           map[string]float64
+	// slot and excitation entry a patch has touched, plus the current
+	// patched value per component so repeated patches compose. patchG
+	// and patchC are fields so passing them as adders never boxes.
+	patchG, patchC patchTarget
+	snapRHS        map[int]complex128
+	patchedVals    map[string]float64
 }
 
 // NewSystem validates and indexes a circuit for analysis. The circuit is
@@ -182,37 +182,17 @@ func (sol *Solution) Current(component string) (complex128, error) {
 	return i, nil
 }
 
-// SolveAt assembles and solves the MNA system at frequency f (Hz).
+// SolveAt assembles and solves the MNA system at frequency f (Hz). It
+// runs the sweep path — a one-point Sweeper observing no node, whose
+// tally it flushes — so the two cannot differ in bits, accounting or
+// error wrapping.
 func (s *System) SolveAt(freqHz float64) (*Solution, error) {
-	timed := obs.TimingOn()
-	var t0 time.Time
-	if timed {
-		t0 = obs.Now()
-	}
-	if err := validFreq(freqHz); err != nil {
-		accountSolve(err, t0, timed)
-		return nil, err
-	}
-	rebuilt, err := s.ensureStamps()
+	sw := &Sweeper{sys: s, ws: &numeric.Workspace{}, nodeIdx: -1}
+	_, x, err := sw.FactorAt(freqHz)
+	sw.FlushMetrics()
 	if err != nil {
-		accountSolve(err, t0, timed)
 		return nil, err
 	}
-	accountStamps(rebuilt)
-
-	ws := &numeric.Workspace{}
-	ws.EnsureSparse(s.pat)
-	if _, err := s.assembleVals(freqHz, ws.SVals, ws.RHS); err != nil {
-		accountSolve(err, t0, timed)
-		return nil, err
-	}
-	if err := ws.SparseFactorSolve(); err != nil {
-		accountSolve(err, t0, timed)
-		return nil, &SolveError{Circuit: s.ckt.Name, FreqHz: freqHz, Err: err}
-	}
-	x := ws.RHS
-	accountSolve(nil, t0, timed)
-
 	sol := &Solution{
 		FreqHz:   freqHz,
 		voltages: make(map[string]complex128, len(s.nodeNames)),

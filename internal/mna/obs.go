@@ -50,25 +50,6 @@ func accountStamps(rebuilt bool) {
 	}
 }
 
-// accountSolve classifies one finished solve into the mna metric set.
-func accountSolve(err error, start time.Time, timed bool) {
-	mSolves.Inc()
-	if timed {
-		mSolveLatency.Observe(obs.Since(start).Seconds())
-	}
-	if err == nil {
-		return
-	}
-	switch {
-	case errors.Is(err, numeric.ErrSingular):
-		mSingular.Inc()
-	case errors.Is(err, ErrUnsupported):
-		mUnsupported.Inc()
-	default:
-		mOtherErr.Inc()
-	}
-}
-
 // solveTally is the Sweeper's local, unsynchronized view of the solve
 // counters. The detectability engine runs one Sweeper per worker with a
 // solve every few microseconds; a shared atomic would make those workers

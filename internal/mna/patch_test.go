@@ -190,68 +190,3 @@ func TestSetValueUnsupported(t *testing.T) {
 		t.Fatal("Patched() = true after only failed patches")
 	}
 }
-
-func TestSweepGridFlushesAndVisits(t *testing.T) {
-	c := circuit.New("rc")
-	c.V("V1", "in", "0", 1)
-	c.R("R1", "in", "out", 1e3)
-	c.Cap("C1", "out", "0", 100e-9)
-	sys, err := NewSystem(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := sys.NewSweeper("out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid := []float64{100, 1e3, 1e4}
-	var visited int
-	err = sw.SweepGrid(grid, func(i int, v complex128, err error) error {
-		if err != nil {
-			return err
-		}
-		if cmplx.Abs(v) <= 0 || cmplx.Abs(v) > 1 {
-			t.Errorf("point %d: |H| = %g out of (0, 1]", i, cmplx.Abs(v))
-		}
-		visited++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if visited != len(grid) {
-		t.Fatalf("visited %d points, want %d", visited, len(grid))
-	}
-	if sw.tally.solves != 0 {
-		t.Fatalf("SweepGrid left %d unflushed solves in the tally", sw.tally.solves)
-	}
-
-	// A visit error aborts the sweep and is returned.
-	sentinel := errors.New("stop")
-	err = sw.SweepGrid(grid, func(i int, v complex128, err error) error {
-		if i == 1 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("SweepGrid abort: err = %v, want sentinel", err)
-	}
-	if sw.tally.solves != 0 {
-		t.Fatal("SweepGrid did not flush the tally on abort")
-	}
-}
-
-func TestSweeperSystemHandle(t *testing.T) {
-	sys, err := NewSystem(patchBench())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := sys.NewSweeper("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw.System() != sys {
-		t.Fatal("Sweeper.System() does not return the owning system")
-	}
-}

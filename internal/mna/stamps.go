@@ -1,6 +1,7 @@
 package mna
 
 import (
+	"errors"
 	"fmt"
 
 	"analogdft/internal/circuit"
@@ -82,8 +83,9 @@ func (s *System) buildStamps() error {
 // receives the frequency-independent stamps, cm the jω-proportional
 // ones, rhs0 the excitation. A nil rhs0 skips the excitation writes — the
 // symbolic collector pass only needs coordinates and runs before the RHS
-// buffer exists. It returns the single-pole opamps needing per-point
-// rows.
+// buffer exists. Each component writes its structural entries (the ±1
+// branch incidences, opamp rows, excitation) first and then its value
+// stamp. It returns the single-pole opamps needing per-point rows.
 func (s *System) stampAll(g, cm adder, rhs0 []complex128) ([]*circuit.Opamp, error) {
 	var dynamic []*circuit.Opamp
 	for _, comp := range s.ckt.Components() {
@@ -92,35 +94,16 @@ func (s *System) stampAll(g, cm adder, rhs0 []complex128) ([]*circuit.Opamp, err
 			if c.Ohms == 0 {
 				return nil, fmt.Errorf("%w: resistor %q has zero resistance", ErrUnsupported, c.Name())
 			}
-			stampConductance(g, s.node(c.A), s.node(c.B), complex(1/c.Ohms, 0))
 
-		case *circuit.Capacitor:
-			// Scaled by jω at assembly time.
-			stampConductance(cm, s.node(c.A), s.node(c.B), complex(c.Farads, 0))
+		case *circuit.Capacitor, *circuit.VCCS, *circuit.CCCS:
+			// Value stamp only.
 
 		case *circuit.Inductor:
-			// Branch equation: V(a) − V(b) − jωL·I = 0; KCL: I out of a, into b.
-			a, b, br := s.node(c.A), s.node(c.B), s.branchOf[c.Name()]
-			if a >= 0 {
-				g.Add(a, br, 1)
-				g.Add(br, a, 1)
-			}
-			if b >= 0 {
-				g.Add(b, br, -1)
-				g.Add(br, b, -1)
-			}
-			cm.Add(br, br, -complex(c.Henries, 0))
+			stampBranch(g, s.node(c.A), s.node(c.B), s.branchOf[c.Name()])
 
 		case *circuit.VSource:
-			p, q, br := s.node(c.Plus), s.node(c.Minus), s.branchOf[c.Name()]
-			if p >= 0 {
-				g.Add(p, br, 1)
-				g.Add(br, p, 1)
-			}
-			if q >= 0 {
-				g.Add(q, br, -1)
-				g.Add(br, q, -1)
-			}
+			br := s.branchOf[c.Name()]
+			stampBranch(g, s.node(c.Plus), s.node(c.Minus), br)
 			if rhs0 != nil {
 				rhs0[br] = complex(c.Amplitude, 0)
 			}
@@ -138,77 +121,10 @@ func (s *System) stampAll(g, cm adder, rhs0 []complex128) ([]*circuit.Opamp, err
 			}
 
 		case *circuit.VCVS:
-			op, om := s.node(c.OutP), s.node(c.OutM)
-			cp, cq := s.node(c.CtrlP), s.node(c.CtrlM)
-			br := s.branchOf[c.Name()]
-			if op >= 0 {
-				g.Add(op, br, 1)
-				g.Add(br, op, 1)
-			}
-			if om >= 0 {
-				g.Add(om, br, -1)
-				g.Add(br, om, -1)
-			}
-			gain := complex(c.Gain, 0)
-			if cp >= 0 {
-				g.Add(br, cp, -gain)
-			}
-			if cq >= 0 {
-				g.Add(br, cq, gain)
-			}
-
-		case *circuit.VCCS:
-			op, om := s.node(c.OutP), s.node(c.OutM)
-			cp, cq := s.node(c.CtrlP), s.node(c.CtrlM)
-			gm := complex(c.Gm, 0)
-			for _, t := range []struct {
-				row int
-				sgn complex128
-			}{{op, 1}, {om, -1}} {
-				if t.row < 0 {
-					continue
-				}
-				if cp >= 0 {
-					g.Add(t.row, cp, t.sgn*gm)
-				}
-				if cq >= 0 {
-					g.Add(t.row, cq, -t.sgn*gm)
-				}
-			}
+			stampBranch(g, s.node(c.OutP), s.node(c.OutM), s.branchOf[c.Name()])
 
 		case *circuit.CCVS:
-			// V(op) − V(om) − Rt·I(ctrl) = 0 with its own branch current.
-			ctrlBr, ok := s.branchOf[c.CtrlVSource]
-			if !ok {
-				return nil, fmt.Errorf("%w: CCVS %q controls through %q, which has no branch current", ErrUnsupported, c.Name(), c.CtrlVSource)
-			}
-			op, om := s.node(c.OutP), s.node(c.OutM)
-			br := s.branchOf[c.Name()]
-			if op >= 0 {
-				g.Add(op, br, 1)
-				g.Add(br, op, 1)
-			}
-			if om >= 0 {
-				g.Add(om, br, -1)
-				g.Add(br, om, -1)
-			}
-			g.Add(br, ctrlBr, complex(-c.Rt, 0))
-
-		case *circuit.CCCS:
-			// I(op→om) = Gain·I(ctrl): current injections proportional to
-			// the control branch current.
-			ctrlBr, ok := s.branchOf[c.CtrlVSource]
-			if !ok {
-				return nil, fmt.Errorf("%w: CCCS %q controls through %q, which has no branch current", ErrUnsupported, c.Name(), c.CtrlVSource)
-			}
-			op, om := s.node(c.OutP), s.node(c.OutM)
-			gain := complex(c.Gain, 0)
-			if op >= 0 {
-				g.Add(op, ctrlBr, gain)
-			}
-			if om >= 0 {
-				g.Add(om, ctrlBr, -gain)
-			}
+			stampBranch(g, s.node(c.OutP), s.node(c.OutM), s.branchOf[c.Name()])
 
 		case *circuit.Opamp:
 			if err := s.buildOpampStamp(g, c); err != nil {
@@ -221,21 +137,150 @@ func (s *System) stampAll(g, cm adder, rhs0 []complex128) ([]*circuit.Opamp, err
 		default:
 			return nil, fmt.Errorf("%w: %T", ErrUnsupported, comp)
 		}
+
+		var d RankOne
+		scale, x, err := s.valueStamp(comp, &d)
+		switch {
+		case err == errNoValueStamp:
+			// Sources and opamps: structural entries only.
+		case err != nil:
+			return nil, err
+		case d.onC:
+			d.addTo(cm, scale.of(x))
+		default:
+			d.addTo(g, scale.of(x))
+		}
 	}
 	return dynamic, nil
 }
 
-// stampConductance adds admittance y between nodes a and b.
-func stampConductance(m adder, a, b int, y complex128) {
-	if a >= 0 {
-		m.Add(a, a, y)
+// stampBranch writes the ±1 incidences of branch current br between
+// nodes p and q (either may be −1 for ground): KCL carries the current
+// out of p and into q, and the branch row reads V(p) − V(q).
+func stampBranch(g adder, p, q, br int) {
+	if p >= 0 {
+		g.Add(p, br, 1)
+		g.Add(br, p, 1)
 	}
-	if b >= 0 {
-		m.Add(b, b, y)
+	if q >= 0 {
+		g.Add(q, br, -1)
+		g.Add(br, q, -1)
 	}
-	if a >= 0 && b >= 0 {
-		m.Add(a, b, -y)
-		m.Add(b, a, -y)
+}
+
+// errNoValueStamp is valueStamp's answer for a component without a value
+// stamp (an independent source or an opamp). It is a sentinel rather
+// than a formatted error so the build's walk over those components
+// allocates nothing; rankOne and SetValue word it for their callers.
+var errNoValueStamp = errors.New("mna: no value stamp")
+
+// valueScale is how a component's primary value x becomes the
+// coefficient of its value stamp.
+type valueScale uint8
+
+const (
+	scaleX    valueScale = iota // x: C, VCVS, VCCS, CCCS
+	scaleInv                    // 1/x: a resistor's conductance
+	scaleNegX                   // −x: the L and CCVS branch equations
+)
+
+// of returns the stamp coefficient of value x.
+func (k valueScale) of(x float64) float64 {
+	switch k {
+	case scaleInv:
+		return 1 / x
+	case scaleNegX:
+		return -x
+	}
+	return x
+}
+
+// valueStamp is the one statement of the matrix entries a component's
+// value decides: comp adds scale(x)·u·vᵀ to G, or to C (scaled by jω at
+// assembly) when it sets d.onC, where x is its nominal primary value.
+// It fills d's u, v and flags and returns the scale and x. The build
+// (stampAll), the in-place patch (SetValue) and the rank-1 lowering
+// (rankOne) all read it, so the three cannot disagree. Every u and v
+// entry is ±1, so each stamped product is exactly ±coefficient.
+func (s *System) valueStamp(comp circuit.Component, d *RankOne) (valueScale, float64, error) {
+	switch c := comp.(type) {
+	case *circuit.Resistor:
+		d.u.incidence(s.node(c.A), s.node(c.B))
+		d.v, d.admittance = d.u, true
+		return scaleInv, c.Ohms, nil
+
+	case *circuit.Capacitor:
+		d.u.incidence(s.node(c.A), s.node(c.B))
+		d.v, d.admittance, d.onC = d.u, true, true
+		return scaleX, c.Farads, nil
+
+	case *circuit.Inductor:
+		// Branch equation: V(a) − V(b) − jωL·I = 0.
+		d.u.add(s.branchOf[c.Name()], 1)
+		d.v, d.onC = d.u, true
+		return scaleNegX, c.Henries, nil
+
+	case *circuit.VCVS:
+		// Branch equation: V(op) − V(om) − gain·(V(cp) − V(cq)) = 0.
+		d.u.add(s.branchOf[c.Name()], 1)
+		if cp := s.node(c.CtrlP); cp >= 0 {
+			d.v.add(cp, -1)
+		}
+		if cq := s.node(c.CtrlM); cq >= 0 {
+			d.v.add(cq, 1)
+		}
+		return scaleX, c.Gain, nil
+
+	case *circuit.VCCS:
+		d.u.incidence(s.node(c.OutP), s.node(c.OutM))
+		d.v.incidence(s.node(c.CtrlP), s.node(c.CtrlM))
+		return scaleX, c.Gm, nil
+
+	case *circuit.CCVS:
+		// Branch equation: V(op) − V(om) − Rt·I(ctrl) = 0.
+		ctrlBr, ok := s.branchOf[c.CtrlVSource]
+		if !ok {
+			return 0, 0, fmt.Errorf("%w: CCVS %q controls through %q, which has no branch current", ErrUnsupported, c.Name(), c.CtrlVSource)
+		}
+		d.u.add(s.branchOf[c.Name()], 1)
+		d.v.add(ctrlBr, 1)
+		return scaleNegX, c.Rt, nil
+
+	case *circuit.CCCS:
+		// I(op→om) = gain·I(ctrl): injections proportional to the
+		// control branch current.
+		ctrlBr, ok := s.branchOf[c.CtrlVSource]
+		if !ok {
+			return 0, 0, fmt.Errorf("%w: CCCS %q controls through %q, which has no branch current", ErrUnsupported, c.Name(), c.CtrlVSource)
+		}
+		d.u.incidence(s.node(c.OutP), s.node(c.OutM))
+		d.v.add(ctrlBr, 1)
+		return scaleX, c.Gain, nil
+	}
+	return 0, 0, errNoValueStamp
+}
+
+// addTo adds coef·u·vᵀ through m. An admittance stamp (v = u) adds its
+// diagonal entries before its cross terms; every other stamp goes row
+// by row. Where a component's entries share a slot — a self-loop R or C,
+// a shorted controlled source — those orders fix the bits of the sum.
+func (d *RankOne) addTo(m adder, coef float64) {
+	u, v := &d.u, &d.v
+	add := func(i, j int) {
+		m.Add(u.idx[i], v.idx[j], complex(coef*real(u.val[i])*real(v.val[j]), 0))
+	}
+	if d.admittance {
+		for off := 0; off < u.n; off++ {
+			for i := 0; i < u.n; i++ {
+				add(i, (i+off)%u.n)
+			}
+		}
+		return
+	}
+	for i := 0; i < u.n; i++ {
+		for j := 0; j < v.n; j++ {
+			add(i, j)
+		}
 	}
 }
 

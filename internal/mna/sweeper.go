@@ -1,18 +1,17 @@
 package mna
 
 import (
-	"fmt"
 	"time"
 
-	"analogdft/internal/circuit"
 	"analogdft/internal/numeric"
 	"analogdft/internal/obs"
 )
 
-// Sweeper is the allocation-free fast path for frequency sweeps that only
-// observe a single node (the detectability engine's hot loop): one
-// numeric.Workspace (CSR values + rhs + sparse LU scratch) is handed down
-// and reused across points, and the factorization happens in place.
+// Sweeper is the package's one solve path: one numeric.Workspace (CSR
+// values + rhs + sparse LU scratch) is reused across points and the
+// factorization happens in place, so a sweep that observes a single node
+// (the detectability engine's hot loop) allocates nothing per point.
+// System.SolveAt runs a one-point Sweeper.
 type Sweeper struct {
 	sys     *System
 	ws      *numeric.Workspace
@@ -23,36 +22,19 @@ type Sweeper struct {
 // NewSweeper prepares a sweeper observing the given node, with its own
 // workspace.
 func (s *System) NewSweeper(node string) (*Sweeper, error) {
-	return s.NewSweeperWS(node, nil)
-}
-
-// NewSweeperWS is NewSweeper reusing a caller-owned workspace (resized to
-// fit); pass nil to allocate a fresh one.
-func (s *System) NewSweeperWS(node string, ws *numeric.Workspace) (*Sweeper, error) {
-	idx := -1
-	if !circuit.IsGroundName(node) {
-		i, ok := s.nodeIndex[circuit.CanonicalNode(node)]
-		if !ok {
-			return nil, fmt.Errorf("mna: unknown node %q", node)
-		}
-		idx = i
+	idx, err := s.NodeIndex(node)
+	if err != nil {
+		return nil, err
 	}
-	if ws == nil {
-		// The pattern is built lazily with the stamps, and VoltageAt
-		// binds the workspace to it on first use.
-		ws = &numeric.Workspace{}
-	}
-	return &Sweeper{
-		sys:     s,
-		ws:      ws,
-		nodeIdx: idx,
-	}, nil
+	// The pattern is built lazily with the stamps, and FactorAt binds
+	// the workspace to it on first use.
+	return &Sweeper{sys: s, ws: &numeric.Workspace{}, nodeIdx: idx}, nil
 }
 
 // FlushMetrics publishes the sweep's locally tallied solve counters to the
 // global registry. Callers that loop over VoltageAt themselves should
 // flush once the sweep is done (counts are invisible to metric snapshots
-// until then); SweepGrid flushes automatically.
+// until then).
 func (sw *Sweeper) FlushMetrics() { sw.tally.flush() }
 
 // VoltageAt solves the system at one frequency and returns the observed
@@ -88,11 +70,9 @@ func (sw *Sweeper) FactorAt(freqHz float64) (*numeric.SparseLU, []complex128, er
 		return nil, nil, err
 	}
 	sw.tally.recordStamps(rebuilt)
-	// Bound once per system, not repaired per point: after the first call
-	// the buffers fit (a workspace shared with another system's sweeper is
-	// rebound when it comes back), and a caller-corrupted workspace
-	// surfaces as a wrapped solve error below instead of being silently
-	// mended.
+	// Bound once, not repaired per point: after the first call the
+	// buffers fit, and a corrupted workspace surfaces as a wrapped solve
+	// error below instead of being silently mended.
 	if !sw.ws.BoundTo(sw.sys.pat) {
 		sw.ws.EnsureSparse(sw.sys.pat)
 	}
@@ -115,24 +95,3 @@ func (sw *Sweeper) FactorAt(freqHz float64) (*numeric.SparseLU, []complex128, er
 	sw.tally.record(nil, t0, timed)
 	return lu, sw.ws.RHS, nil
 }
-
-// SweepGrid solves the system across the whole grid, invoking visit for
-// every point with the point index, the observed voltage and the solve
-// error (nil on success); returning a non-nil error from visit aborts the
-// sweep and is returned. The solve counters tallied during the sweep are
-// flushed on return — callers cannot forget the FlushMetrics contract the
-// way hand-rolled VoltageAt loops could.
-func (sw *Sweeper) SweepGrid(grid []float64, visit func(i int, v complex128, err error) error) error {
-	defer sw.FlushMetrics()
-	for i, f := range grid {
-		v, err := sw.VoltageAt(f)
-		if err := visit(i, v, err); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// System returns the system the sweeper solves — the handle through which
-// engine callers patch values (SetValue/Reset) between sweeps.
-func (sw *Sweeper) System() *System { return sw.sys }

@@ -43,15 +43,3 @@ func (w *Workspace) BoundTo(p *Pattern) bool { return w.scratch.pat == p }
 func (w *Workspace) SparseFactor() (*SparseLU, error) {
 	return w.scratch.Factor(w.SVals)
 }
-
-// SparseFactorSolve factors SVals and solves for w.RHS in place,
-// allocation-free after warmup, with results bit-identical to scattering
-// the same values into a dense matrix and calling FactorInPlace plus
-// SolveInPlace.
-func (w *Workspace) SparseFactorSolve() error {
-	lu, err := w.scratch.Factor(w.SVals)
-	if err != nil {
-		return err
-	}
-	return lu.SolveInPlace(w.RHS)
-}

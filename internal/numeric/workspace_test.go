@@ -6,8 +6,18 @@ import (
 	"testing"
 )
 
+// factorSolve factors the workspace's values and solves for its RHS in
+// place.
+func factorSolve(w *Workspace) error {
+	lu, err := w.SparseFactor()
+	if err != nil {
+		return err
+	}
+	return lu.SolveInPlace(w.RHS)
+}
+
 // TestWorkspaceFactorSolve solves a known 2×2 system through the
-// workspace's sparse factor/solve.
+// workspace's sparse factor and an in-place solve.
 func TestWorkspaceFactorSolve(t *testing.T) {
 	w := &Workspace{}
 	p := densePattern(t, 2)
@@ -18,7 +28,7 @@ func TestWorkspaceFactorSolve(t *testing.T) {
 	w.SVals[p.SlotOf(1, 0)] = 1
 	w.SVals[p.SlotOf(1, 1)] = 3
 	w.RHS[0], w.RHS[1] = 5, 10
-	if err := w.SparseFactorSolve(); err != nil {
+	if err := factorSolve(w); err != nil {
 		t.Fatal(err)
 	}
 	if d := w.RHS[0] - 1; real(d)*real(d)+imag(d)*imag(d) > 1e-24 {
@@ -33,13 +43,13 @@ func TestWorkspaceFactorSolveSingular(t *testing.T) {
 	w := &Workspace{}
 	p := densePattern(t, 2)
 	w.EnsureSparse(p)
-	// Rank-1 matrix must surface ErrSingular through SparseFactorSolve.
+	// Rank-1 matrix must surface ErrSingular through SparseFactor.
 	for i := range w.SVals {
 		w.SVals[i] = 1
 	}
 	w.RHS[0], w.RHS[1] = 1, 2
-	if err := w.SparseFactorSolve(); !errors.Is(err, ErrSingular) {
-		t.Fatalf("SparseFactorSolve on singular matrix: err = %v, want ErrSingular", err)
+	if err := factorSolve(w); !errors.Is(err, ErrSingular) {
+		t.Fatalf("SparseFactor on singular matrix: err = %v, want ErrSingular", err)
 	}
 }
 
@@ -148,7 +158,7 @@ func TestWorkspaceSparseFactorSolveAllocFree(t *testing.T) {
 		w.EnsureSparse(p)
 		copy(w.SVals, vals)
 		copy(w.RHS, rhs)
-		if err := w.SparseFactorSolve(); err != nil {
+		if err := factorSolve(w); err != nil {
 			t.Fatal(err)
 		}
 	}
