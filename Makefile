@@ -41,13 +41,16 @@ bench-test:
 verify: vet fmt invariants lint build race bench-test
 
 # bench runs the full benchmark suite three times with allocation stats
-# and commits the aggregated result into the BENCH_<date>.json perf
-# trajectory (see cmd/benchjson). -cpu=1 pins GOMAXPROCS so snapshots
-# from machines with different core counts stay comparable: the names
-# carry no -N suffix, as in the committed snapshots.
+# and commits the aggregated result into the perf trajectory (see
+# cmd/benchjson) as BENCH_<date>T<hhmmss>Z.json, stamped in UTC, so two
+# snapshots of one day both stay and sort in the order they were taken,
+# after a bare BENCH_<date>.json of that day ('T' sorts after '.').
+# -cpu=1 pins GOMAXPROCS so snapshots from machines with different core
+# counts stay comparable: the names carry no -N suffix, as in the
+# committed snapshots.
 bench:
 	$(GO) test -bench=. -benchmem -count=3 -cpu=1 -run=^$$ -timeout 60m ./... \
-		| $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json
+		| $(GO) run ./cmd/benchjson -o BENCH_$$(date -u +%Y-%m-%dT%H%M%SZ).json
 
 # bench-smoke is the cheap CI variant: every benchmark runs exactly once.
 bench-smoke:

@@ -47,6 +47,37 @@ func TestDirWithTooFewSnapshotsExitsZero(t *testing.T) {
 	}
 }
 
+// TestDirOrdersTimestampedSnapshots pins the snapshot naming `make bench`
+// relies on: a snapshot stamped with its UTC time, BENCH_<date>T<hhmmss>Z,
+// sorts after a bare-date one of the same day ('T' sorts after '.') and
+// before any later day's, so two snapshots taken on one day both stay in
+// the trajectory in the order they were taken.
+func TestDirOrdersTimestampedSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"BENCH_2026-10-20.json", "BENCH_2026-10-19T171000Z.json",
+		"BENCH_2026-10-19.json", "BENCH_2026-10-19T093000Z.json", "BENCH_2026-10-18.json"} {
+		writeSnapshot(t, dir, name, "BenchmarkX-8 100 100 ns/op\n")
+	}
+	for _, c := range []struct{ drop, old, new string }{
+		{"", "BENCH_2026-10-19T171000Z.json", "BENCH_2026-10-20.json"},
+		{"BENCH_2026-10-20.json", "BENCH_2026-10-19T093000Z.json", "BENCH_2026-10-19T171000Z.json"},
+		{"BENCH_2026-10-19T171000Z.json", "BENCH_2026-10-19.json", "BENCH_2026-10-19T093000Z.json"},
+	} {
+		if c.drop != "" {
+			if err := os.Remove(filepath.Join(dir, c.drop)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		old, new, err := resolvePair(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if filepath.Base(old) != c.old || filepath.Base(new) != c.new {
+			t.Errorf("after dropping %q: pair (%s, %s), want (%s, %s)", c.drop, filepath.Base(old), filepath.Base(new), c.old, c.new)
+		}
+	}
+}
+
 func TestDirComparesFreshestPair(t *testing.T) {
 	dir := t.TempDir()
 	// Three snapshots: the diff must pick the last two, so the regression

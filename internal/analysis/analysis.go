@@ -456,13 +456,23 @@ func SameGrid(a, b *Response) error {
 // also returns |Hf| and den, the scale of any error in rel; both are NaN
 // where either response is unmeasurable.
 func PointDeviation(hn, hf complex128, nOK, fOK bool, floorAbs float64) (rel, mf, den float64) {
+	var mn float64
+	if nOK && fOK {
+		mn = cmplx.Abs(hn)
+	}
+	return MagDeviation(mn, hf, nOK, fOK, floorAbs)
+}
+
+// MagDeviation is PointDeviation given the nominal's magnitude mn = |hn|
+// rather than hn, for a caller that scores many answers against one
+// nominal; mn is read only where both responses are measurable.
+func MagDeviation(mn float64, hf complex128, nOK, fOK bool, floorAbs float64) (rel, mf, den float64) {
 	if !nOK || !fOK {
 		if nOK != fOK {
 			rel = math.Inf(1)
 		}
 		return rel, math.NaN(), math.NaN()
 	}
-	mn := cmplx.Abs(hn)
 	mf = cmplx.Abs(hf)
 	den = max(mn, floorAbs)
 	switch {

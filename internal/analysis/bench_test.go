@@ -44,7 +44,7 @@ func BenchmarkSweepLowRank(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.SweepLowRank(context.Background(), grid, lfs); err != nil {
+				if _, err := e.SweepLowRank(context.Background(), grid, lfs, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

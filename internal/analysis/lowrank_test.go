@@ -75,7 +75,7 @@ func TestSweepLowRankMatchesSweepFault(t *testing.T) {
 		{ID: "fL1", Component: "L1", Kind: fault.Deviation, Factor: 1.5},
 		{ID: "fE1", Component: "E1", Kind: fault.Deviation, Factor: 0.5},
 	}
-	row, err := e.SweepLowRank(context.Background(), grid, lowRank(t, e, faults...))
+	row, err := e.SweepLowRank(context.Background(), grid, lowRank(t, e, faults...), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestSweepLowRankFactorsOncePerPoint(t *testing.T) {
 	)
 	counter := func(name string) float64 { return obs.Reg().Snapshot()[name].Value }
 	solves0, rank10 := counter("mna_solves_total"), counter("engine_lowrank_solve_total")
-	if _, err := e.SweepLowRank(context.Background(), grid, lfs); err != nil {
+	if _, err := e.SweepLowRank(context.Background(), grid, lfs, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := counter("mna_solves_total") - solves0; d != float64(len(grid)) {
@@ -157,7 +157,7 @@ func TestSweepLowRankSharesIncidence(t *testing.T) {
 	}
 	counter := func(name string) float64 { return obs.Reg().Snapshot()[name].Value }
 	inc0, rank10 := counter("engine_lowrank_incidence_total"), counter("engine_lowrank_solve_total")
-	row, err := e.SweepLowRank(context.Background(), grid, lowRank(t, e, faults...))
+	row, err := e.SweepLowRank(context.Background(), grid, lowRank(t, e, faults...), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestSweepLowRankSharesIncidence(t *testing.T) {
 		t.Errorf("walk answered %g fault-points, want %d", d, len(faults)*len(grid))
 	}
 	for j, f := range faults {
-		alone, err := e.SweepLowRank(context.Background(), grid, lowRank(t, e, f))
+		alone, err := e.SweepLowRank(context.Background(), grid, lowRank(t, e, f), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestSweepAllocsFlatInGrid(t *testing.T) {
 			}
 		})
 		lowRank = testing.AllocsPerRun(5, func() {
-			if _, err := e.SweepLowRank(context.Background(), g, lfs); err != nil {
+			if _, err := e.SweepLowRank(context.Background(), g, lfs, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -244,7 +244,7 @@ func TestPrepareLowRankFallbackTriggers(t *testing.T) {
 	}
 	// The refusals must leave the engine fully usable on the fast path.
 	lfs := lowRank(t, e, fault.Fault{ID: "r", Component: "R1", Kind: fault.Deviation, Factor: 1.5})
-	row, err := e.SweepLowRank(context.Background(), []float64{100, 1e4}, lfs)
+	row, err := e.SweepLowRank(context.Background(), []float64{100, 1e4}, lfs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestSweepLowRankSingularUpdateFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := []float64{100, 1e3, 1e4}
-	row, err := e.SweepLowRank(context.Background(), grid, lfs)
+	row, err := e.SweepLowRank(context.Background(), grid, lfs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestSweepLowRankSingularNominalPoint(t *testing.T) {
 	}
 	f := fault.Fault{ID: "fR1", Component: "R1", Kind: fault.Deviation, Factor: 1.3}
 	grid := []float64{0, rcCorner, 1e5}
-	row, err := e.SweepLowRank(context.Background(), grid, lowRank(t, e, f))
+	row, err := e.SweepLowRank(context.Background(), grid, lowRank(t, e, f), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,19 +357,19 @@ func TestSweepLowRankRejectsBadState(t *testing.T) {
 	}
 	lfs := lowRank(t, e, fault.Fault{ID: "f", Component: "R1", Kind: fault.Deviation, Factor: 2})
 	ctx := context.Background()
-	if _, err := e.SweepLowRank(ctx, nil, lfs); !errors.Is(err, ErrBadSweep) {
+	if _, err := e.SweepLowRank(ctx, nil, lfs, nil, nil); !errors.Is(err, ErrBadSweep) {
 		t.Fatalf("empty grid: err = %v, want ErrBadSweep", err)
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := e.SweepLowRank(cancelled, []float64{100}, lfs); !errors.Is(err, context.Canceled) {
+	if _, err := e.SweepLowRank(cancelled, []float64{100}, lfs, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled walk: err = %v, want context.Canceled", err)
 	}
 	if err := e.ApplyFault(fault.Fault{ID: "g", Component: "C1", Kind: fault.Deviation, Factor: 2}); err != nil {
 		t.Fatal(err)
 	}
 	defer e.Reset()
-	if _, err := e.SweepLowRank(ctx, []float64{100}, lfs); !errors.Is(err, ErrBadSweep) {
+	if _, err := e.SweepLowRank(ctx, []float64{100}, lfs, nil, nil); !errors.Is(err, ErrBadSweep) {
 		t.Fatalf("patched system: err = %v, want ErrBadSweep", err)
 	}
 }

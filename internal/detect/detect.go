@@ -339,6 +339,9 @@ func EvaluateCircuitContext(ctx context.Context, ckt *circuit.Circuit, faults fa
 		what := func() string { return strconv.Quote(ckt.Name) }
 		return rowSpec{ckt: ckt, grid: grid, label: ckt.Name, what: what, maxDev: true}, nil
 	})
+	if opts.first == "" {
+		rr.basis = newBasis(sctx, ckt, nil, grid, faults, opts.Workers)
+	}
 	evals, tr, err := rr.run(sctx)
 	if err != nil {
 		return nil, err
@@ -617,7 +620,9 @@ func BuildMatrixContext(ctx context.Context, m *dft.Modified, faults fault.List,
 	}
 
 	// One task per configuration row. With PerConfigRegion each row gets
-	// its own grid; otherwise all rows share the functional region's grid.
+	// its own grid and factors its own matrix at every point; otherwise
+	// all rows share the functional region's grid and read one basis of
+	// the functional matrix, factored once per point.
 	rr := newRowRunner(len(configs), faults, opts, func(i int) (rowSpec, error) {
 		cfg := configs[i]
 		ckt, err := m.Configure(cfg)
@@ -630,8 +635,17 @@ func BuildMatrixContext(ctx context.Context, m *dft.Modified, faults fault.List,
 				rowGrid = rowRegion.Spec(opts.Points).Grid()
 			}
 		}
-		return rowSpec{ckt: ckt, grid: rowGrid, label: cfg.Label(), what: cfg.String}, nil
+		var followers []int
+		for a := range m.Chain {
+			if cfg.Follower(a) {
+				followers = append(followers, a)
+			}
+		}
+		return rowSpec{ckt: ckt, grid: rowGrid, followers: followers, label: cfg.Label(), what: cfg.String}, nil
 	})
+	if !opts.PerConfigRegion && opts.first == "" {
+		rr.basis = newBasis(sctx, functional, m.Chain, grid, faults, opts.Workers)
+	}
 	evals, tr, err := rr.run(sctx)
 	if err != nil {
 		return nil, err

@@ -45,6 +45,12 @@ var (
 		"cells answered on the rank-1 rung: Sherman–Morrison against the row's nominal factorization at each grid point")
 	dLowRankRefactors = obs.Reg().Counter("engine_lowrank_refactor_total",
 		"rank-1 grid points re-solved under a patch because the identity could not answer them (singular nominal point or singular rank-1 update)")
+	// dConfigRefactors counts the factorizations of a row's own
+	// configuration matrix: at the points the basis cannot answer, at the
+	// corrected nominal points the guard or the floor's peak needs exact,
+	// and at every point of a row walked without a basis.
+	dConfigRefactors = obs.Reg().Counter("detect_config_refactor_total",
+		"factorizations of a row's own configuration matrix: points the shared basis could not answer (singular functional matrix, capacitance screen), corrected nominal points re-solved exactly for the guard or the floor's peak, and every point of a row walked without a basis")
 	dGuardResolves = obs.Reg().Counter("detect_guard_resolves_total",
 		"rank-1 grid points re-solved under a patch because the answer lay within the guard band of ε or of the measurement floor, or (rows that report MaxDev) could hold the cell's peak deviation")
 

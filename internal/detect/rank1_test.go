@@ -288,15 +288,20 @@ func TestRank1GuardSettlesPaperTies(t *testing.T) {
 	}
 }
 
-// TestRank1SolveAccounting is the factorization gate of the row sweep: on
-// the paper matrix, mna_solves_total equals configurations × points (one
-// nominal factorization per (configuration, ω)) plus the points re-solved
-// under a patch — by the guard or because the identity could not answer —
-// plus a full sweep per cell that is not rank-1, while Stats.Solves still
-// accounts every cell's whole grid. The rank-1 answers are one per
-// rank-1 cell and point, from one z = A⁻¹u solve per incidence and
-// point: the eight deviation faults sit on seven incidences, because R2
-// and C1 span the same node pair.
+// TestRank1SolveAccounting is the factorization gate of the row walk: on
+// the paper matrix, mna_solves_total equals the points (one factorization
+// of the functional matrix per ω, the basis every row reads) plus the
+// row-own factorizations (detect_config_refactor_total) plus the points
+// re-solved under a patch — by the guard or because the identity could
+// not answer — plus a full sweep per cell that is not rank-1, while
+// Stats.Solves still accounts every cell's whole grid. The row-own
+// factorizations are pinned: here they are exactly the guard's points,
+// the fR3 ties of C1 and C3 (see TestRank1GuardSettlesPaperTies), whose
+// corrected nominals the guard needs exact. The rank-1 answers are one
+// per rank-1 cell and point, from one z = A⁻¹u solve per incidence and
+// point, shared by every row: the eight deviation faults sit on seven
+// incidences, because R2 and C1 span the same node pair. Without a basis
+// (the patch oracle) every row factors its own matrix at every point.
 func TestRank1SolveAccounting(t *testing.T) {
 	bench := circuits.PaperBiquad()
 	m, err := dft.Apply(bench.Circuit, bench.Chain)
@@ -314,7 +319,7 @@ func TestRank1SolveAccounting(t *testing.T) {
 		out := map[string]float64{}
 		for _, name := range []string{"mna_solves_total", "detect_guard_resolves_total",
 			"engine_lowrank_refactor_total", "detect_rank1_cells_total", "engine_lowrank_solve_total",
-			"engine_lowrank_incidence_total"} {
+			"engine_lowrank_incidence_total", "detect_config_refactor_total"} {
 			out[name] = snap[name].Value
 		}
 		return out
@@ -334,16 +339,31 @@ func TestRank1SolveAccounting(t *testing.T) {
 	if got := d("engine_lowrank_solve_total"); got != rank1*points {
 		t.Errorf("Sherman–Morrison solves = %d, want %d", got, rank1*points)
 	}
-	if got := d("engine_lowrank_incidence_total"); got != configs*points*7 {
-		t.Errorf("incidence solves = %d, want %d = %d configs × %d points × 7 incidences", got, configs*points*7, configs, points)
+	if got := d("engine_lowrank_incidence_total"); got != points*7 {
+		t.Errorf("incidence solves = %d, want %d = %d points × 7 incidences", got, points*7, points)
 	}
-	want := configs*points + d("detect_guard_resolves_total") + d("engine_lowrank_refactor_total") + (cells-rank1)*points
+	guard, own := d("detect_guard_resolves_total"), d("detect_config_refactor_total")
+	if guard != 2*points || own != 2*points {
+		t.Errorf("guard re-solves %d and row-own factorizations %d, want %d each (fR3 in C1 and C3)", guard, own, 2*points)
+	}
+	want := points + own + guard + d("engine_lowrank_refactor_total") + (cells-rank1)*points
 	if got := d("mna_solves_total"); got != want {
-		t.Errorf("mna_solves_total grew by %d, want %d = %d configs × %d points + %d guard + %d refactor + %d non-rank-1 cells × %d points",
-			got, want, configs, points, d("detect_guard_resolves_total"), d("engine_lowrank_refactor_total"), cells-rank1, points)
+		t.Errorf("mna_solves_total grew by %d, want %d = %d points + %d row-own + %d guard + %d refactor + %d non-rank-1 cells × %d points",
+			got, want, points, own, guard, d("engine_lowrank_refactor_total"), cells-rank1, points)
 	}
 	if mx.Stats.Solves != (configs+cells)*points {
 		t.Errorf("Stats.Solves = %d, want %d (nominal and every cell over the whole grid)", mx.Stats.Solves, (configs+cells)*points)
+	}
+
+	patch := opts
+	patch.first = rungPatch
+	before = counters()
+	if _, err := BuildMatrix(m, faults, patch); err != nil {
+		t.Fatal(err)
+	}
+	after = counters()
+	if got := d("detect_config_refactor_total"); got != configs*points {
+		t.Errorf("patch oracle: row-own factorizations = %d, want %d = %d configs × %d points", got, configs*points, configs, points)
 	}
 }
 

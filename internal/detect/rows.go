@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/cmplx"
 	"sync/atomic"
 	"time"
 
@@ -31,9 +32,13 @@ const guardBand = 1e-6
 // rowSpec is one configuration row of an evaluation: the circuit, its
 // grid, and how spans and errors name it.
 type rowSpec struct {
-	ckt   *circuit.Circuit
-	grid  []float64
-	label string
+	ckt  *circuit.Circuit
+	grid []float64
+	// followers lists the chain opamps the row puts in follower mode, as
+	// indices into the basis chain (rowRunner.basis); empty for the basis
+	// circuit itself.
+	followers []int
+	label     string
 	// what names the row in nominal errors; it is called only on failure.
 	what func() string
 	// maxDev marks a row that reports MaxDev: its tail also re-solves
@@ -44,22 +49,25 @@ type rowSpec struct {
 
 // rowRunner evaluates the cells of one or more configuration rows, one
 // row per task. The worker that claims row i builds one engine and walks
-// the grid once (analysis.Engine.SweepLowRank): at each point it factors
-// the nominal matrix, takes the nominal response from that solve and
-// answers every rank-1 fault of the row against the same factorization.
-// The row's cell tail then settles each cell in fault order (cell), so a
-// row writes only its own evaluation slots and needs no locking beyond
-// the tracker's. Rows are claimed in ascending order; a row whose nominal
-// phase fails stops every row above it from starting, and rows below it
-// still finish theirs, so the error reported is always the lowest failing
-// row's.
+// the grid once (analysis.Engine.SweepLowRank): at each point it takes
+// the row's nominal and answers every rank-1 fault of the row, from the
+// shared basis through a Woodbury correction when there is one, else
+// against its own factorization. The row's cell tail then settles each
+// cell in fault order (cell), so a row writes only its own evaluation
+// slots and needs no locking beyond the tracker's. Rows are claimed in
+// ascending order; a row whose nominal phase fails stops every row above
+// it from starting, and rows below it still finish theirs, so the error
+// reported is always the lowest failing row's.
 type rowRunner struct {
 	opts   Options
 	faults fault.List
 	spec   func(i int) (rowSpec, error)
-	evals  []FaultEval
-	errs   []error
-	tr     *tracker
+	// basis, when non-nil, is the per-ω basis every row reads (newBasis),
+	// built over the rows' shared grid for the same fault list.
+	basis *analysis.Basis
+	evals []FaultEval
+	errs  []error
+	tr    *tracker
 	// lowest is the lowest row index whose nominal phase has failed so far
 	// (the row count while none has).
 	lowest atomic.Int64
@@ -82,6 +90,33 @@ func newRowRunner(rows int, faults fault.List, opts Options, spec func(i int) (r
 	}
 	rr.lowest.Store(int64(rows))
 	return rr
+}
+
+// newBasis builds and fills the basis of ckt — A₀, with the configurable
+// opamps of chain — over grid for the fault list, one ω chunk per worker,
+// under one detect.basis span. It returns nil when the basis cannot be
+// built or ctx is cancelled: the rows then factor their own matrices, and
+// report whatever failed, as they would without one.
+func newBasis(ctx context.Context, ckt *circuit.Circuit, chain []string, grid []float64, faults fault.List, workers int) *analysis.Basis {
+	ctx, span := obs.Start(ctx, "detect.basis")
+	defer span.End()
+	b, err := analysis.NewBasis(ckt, chain, grid, faults)
+	if err != nil {
+		return nil
+	}
+	// One chunk fills in place; more run over the worker pool. A failure
+	// clears Filled.
+	if chunks := min(workers, len(grid)); chunks == 1 {
+		_ = b.Fill(ctx, 0, 1)
+	} else {
+		runParallel(ctx, chunks, workers, func(cctx context.Context, c int) {
+			_ = b.Fill(cctx, c, chunks)
+		})
+	}
+	if ctx.Err() != nil || !b.Filled() {
+		return nil
+	}
+	return b
 }
 
 // run evaluates every row under one detect.cells span and returns the
@@ -129,16 +164,26 @@ func (rr *rowRunner) row(ctx context.Context, i int) error {
 	ctx, span := obs.Start(ctx, "detect.config")
 	span.SetTag("config", sp.label)
 	defer span.End()
-	eng, err := analysis.NewEngine(sp.ckt)
-	if err != nil {
-		return fmt.Errorf("detect: nominal sweep of %s: %w", sp.what(), err)
+	b := rr.basis
+	var eng *analysis.Engine
+	if b != nil && len(sp.followers) == 0 {
+		eng = b.TakeEngine()
+	}
+	if eng == nil {
+		if eng, err = analysis.NewEngine(sp.ckt); err != nil {
+			return fmt.Errorf("detect: nominal sweep of %s: %w", sp.what(), err)
+		}
 	}
 	nf := len(rr.faults)
 	// slot[j] is fault j's index in lfs, or -1 where its first rung is
 	// not rank-1. After a FailFast stop the walk is the nominal alone.
 	var lfs []analysis.LowRankFault
 	var slot []int
-	if rr.opts.first == "" && !rr.stop.Load() {
+	switch {
+	case rr.stop.Load():
+	case b != nil:
+		lfs, slot = b.LowRankFaults(), b.Slots()
+	case rr.opts.first == "":
 		lfs = make([]analysis.LowRankFault, nf)
 		slot = make([]int, nf)
 		n := 0
@@ -156,7 +201,7 @@ func (rr *rowRunner) row(ctx context.Context, i int) error {
 	if timed {
 		t0 = obs.Now()
 	}
-	walk, err := eng.SweepLowRank(ctx, sp.grid, lfs)
+	walk, err := eng.SweepLowRank(ctx, sp.grid, lfs, b, sp.followers)
 	if err != nil {
 		return fmt.Errorf("detect: nominal sweep of %s: %w", sp.what(), err)
 	}
@@ -172,14 +217,26 @@ func (rr *rowRunner) row(ctx context.Context, i int) error {
 	}
 	rr.tr.nominal(i, st)
 
-	t := tail{
-		rr:       rr,
-		eng:      eng,
-		sp:       sp,
-		nominal:  nominal,
-		floorAbs: analysis.FloorAbs(nominal, rr.opts.MeasFloor),
-	}
 	np := len(sp.grid)
+	t := tail{
+		rr:      rr,
+		eng:     eng,
+		sp:      sp,
+		nominal: nominal,
+		mag:     make([]float64, np),
+		approx:  walk.Approx,
+		nspread: walk.NominalSpread,
+		pts:     make([]int, 0, np),
+		own:     int64(walk.Factored),
+	}
+	for i, ok := range nominal.Valid {
+		if ok {
+			t.mag[i] = cmplx.Abs(nominal.H[i])
+		}
+	}
+	if t.floorAbs, err = t.exactFloor(); err != nil {
+		return fmt.Errorf("detect: nominal sweep of %s: %w", sp.what(), err)
+	}
 	for j, f := range rr.faults {
 		if rr.stop.Load() || ctx.Err() != nil {
 			break
@@ -214,17 +271,26 @@ func (rr *rowRunner) row(ctx context.Context, i int) error {
 }
 
 // tail is one row's cell tail: the row's engine and nominal, the reused
-// re-solve list and the row's re-solve tallies.
+// re-solve lists and the row's re-solve tallies.
 type tail struct {
-	rr       *rowRunner
-	eng      *analysis.Engine
-	sp       rowSpec
-	nominal  *analysis.Response
+	rr      *rowRunner
+	eng     *analysis.Engine
+	sp      rowSpec
+	nominal *analysis.Response
+	// mag[i] is |nominal.H[i]| at every valid point.
+	mag      []float64
 	floorAbs float64
-	pts      []int
+	// approx[i] marks a nominal point a Woodbury correction formed, whose
+	// rounding nspread[i] bounds (analysis.LowRankRow); exact clears the
+	// mark. Both are nil for a row whose nominal is its own solve.
+	approx  []bool
+	nspread []float64
+	pts     []int
+	npts    []int
 	// rank1 counts cells answered on the rank-1 rung; refactors and
-	// guarded count their re-solved points by cause.
-	rank1, refactors, guarded int64
+	// guarded count their re-solved points by cause; own counts the
+	// factorizations of the row's own matrix.
+	rank1, refactors, guarded, own int64
 }
 
 // flush publishes the row's rank-1 tallies: properties of the cell set,
@@ -233,6 +299,86 @@ func (t *tail) flush() {
 	dRank1Cells.Add(t.rank1)
 	dLowRankRefactors.Add(t.refactors)
 	dGuardResolves.Add(t.guarded)
+	dConfigRefactors.Add(t.own)
+}
+
+// nomErr bounds how far the rounding of a Woodbury correction can have
+// moved |Hn| at point i: guardBand·(|Hn| + its spread), zero where the
+// nominal is the row's own solve.
+func (t *tail) nomErr(i int) float64 {
+	if t.approx == nil || !t.approx[i] {
+		return 0
+	}
+	return guardBand * (t.mag[i] + t.nspread[i])
+}
+
+// exact makes the nominal at each listed point that a Woodbury correction
+// formed the row's own solve — one factorization of the row's matrix on
+// the row's engine, which must be nominal — validity included.
+func (t *tail) exact(pts []int) error {
+	t.npts = t.npts[:0]
+	for _, i := range pts {
+		if t.approx != nil && t.approx[i] {
+			t.approx[i] = false
+			t.npts = append(t.npts, i)
+		}
+	}
+	if len(t.npts) == 0 {
+		return nil
+	}
+	t.own += int64(len(t.npts))
+	if err := t.eng.ResolvePoints(t.nominal, t.npts); err != nil {
+		return err
+	}
+	for _, i := range t.npts {
+		t.mag[i] = cmplx.Abs(t.nominal.H[i])
+	}
+	return nil
+}
+
+// exactFloor returns the absolute measurement floor: MeasFloor times
+// the nominal's peak. Where corrected points could hold the peak, the
+// floor read off the corrected nominal may be off by MeasFloor times
+// their largest band. That matters only if some nominal point could lie
+// at or below the exact floor — elsewhere den = |Hn| and the floor
+// decides no point — so only then are the corrected points that could
+// hold the peak — those whose |Hn|, within its band, reaches the largest
+// lower bound of any point's |Hn| — re-solved exactly, putting the peak
+// at an exact point.
+func (t *tail) exactFloor() (float64, error) {
+	mf := t.rr.opts.MeasFloor
+	floor := analysis.FloorAbs(t.nominal, mf)
+	if t.approx == nil || mf <= 0 {
+		return floor, nil
+	}
+	lo, off := math.Inf(-1), 0.0
+	for i, ok := range t.nominal.Valid {
+		if ok {
+			e := t.nomErr(i)
+			lo, off = max(lo, t.mag[i]-e), max(off, e)
+		}
+	}
+	off *= mf
+	clear := true
+	for i, ok := range t.nominal.Valid {
+		if ok && !(t.mag[i]-t.nomErr(i) > floor+off) {
+			clear = false
+			break
+		}
+	}
+	if clear {
+		return floor, nil
+	}
+	t.pts = t.pts[:0]
+	for i, ok := range t.nominal.Valid {
+		if ok && t.approx[i] && t.mag[i]+t.nomErr(i) >= lo {
+			t.pts = append(t.pts, i)
+		}
+	}
+	if err := t.exact(t.pts); err != nil {
+		return 0, err
+	}
+	return analysis.FloorAbs(t.nominal, mf), nil
 }
 
 // cell is the row tail's cell pipeline, response → retry → score, for
@@ -242,7 +388,8 @@ func (t *tail) flush() {
 // not settle are re-solved under an in-place patch of f, after which resp
 // holds the patch rung's response bit for bit at every point that can
 // decide the cell. Without a rank-1 answer, f climbs the patch → clone
-// ladder.
+// ladder. Either way, a corrected nominal point the answer's verdict
+// could turn on is first made exact.
 func (t *tail) cell(ctx context.Context, f fault.Fault, resp *analysis.Response, spread []float64) (FaultEval, cellStats, rung) {
 	eval := FaultEval{Fault: f}
 	var st cellStats
@@ -276,7 +423,7 @@ func (t *tail) cell(ctx context.Context, f fault.Fault, resp *analysis.Response,
 				return err
 			}
 		}
-		return t.finish(ctx, eng, f, resp, &eval, &st)
+		return t.finish(ctx, eng, f, resp, r != rungRank1, &eval, &st)
 	}()
 	if err != nil {
 		eval.Err = err
@@ -286,10 +433,11 @@ func (t *tail) cell(ctx context.Context, f fault.Fault, resp *analysis.Response,
 }
 
 // finish is the tail of the cell pipeline, retry → score: eng holds f's
-// faulty state and resp its response over the row's grid. It accounts the
+// faulty state and resp its response over the row's grid, exact at every
+// point when solved says so (a ladder rung answered it). It accounts the
 // cell's solves — the whole grid, whichever rung and however many
 // factorizations produced resp, plus any retries.
-func (t *tail) finish(ctx context.Context, eng *analysis.Engine, f fault.Fault, resp *analysis.Response, eval *FaultEval, st *cellStats) error {
+func (t *tail) finish(ctx context.Context, eng *analysis.Engine, f fault.Fault, resp *analysis.Response, solved bool, eval *FaultEval, st *cellStats) error {
 	opts := t.rr.opts
 	st.solves += len(t.sp.grid)
 	if needsRetry(resp, opts) {
@@ -306,6 +454,24 @@ func (t *tail) finish(ctx context.Context, eng *analysis.Engine, f fault.Fault, 
 		}
 	}
 	st.singular += resp.InvalidCount()
+	if solved && t.approx != nil {
+		// Only the nominal's rounding can decide a point now.
+		t.pts = t.pts[:0]
+		for i, ok := range resp.Valid {
+			if ok && t.approx[i] {
+				if _, _, unsettled := t.settle(i, resp.H[i], 0, false); unsettled {
+					t.pts = append(t.pts, i)
+				}
+			}
+		}
+		if len(t.pts) > 0 {
+			// The faulty state is no longer needed.
+			t.eng.Reset()
+			if err := t.exact(t.pts); err != nil {
+				return err
+			}
+		}
+	}
 	return t.score(eval, resp)
 }
 
@@ -320,7 +486,7 @@ func (t *tail) score(eval *FaultEval, resp *analysis.Response) error {
 	}
 	n, peak := 0, 0.0
 	for i, h := range resp.H {
-		rel, _, _ := analysis.PointDeviation(t.nominal.H[i], h, t.nominal.Valid[i], resp.Valid[i], t.floorAbs)
+		rel, _, _ := analysis.MagDeviation(t.mag[i], h, t.nominal.Valid[i], resp.Valid[i], t.floorAbs)
 		if rel > t.rr.opts.thresholdAt(i) {
 			n++
 		}
@@ -345,7 +511,8 @@ func (t *tail) score(eval *FaultEval, resp *analysis.Response) error {
 // rel, plus its band, reaches the cut: the largest rel − band over the
 // settled points. The patch's peak is at least the cut, and a point left
 // out lies below it even under the patch, so the peak is at a re-solved
-// point and MaxDev carries the patch rung's bits.
+// point and MaxDev carries the patch rung's bits. A corrected nominal at
+// a listed point is made exact first.
 func (t *tail) resolve(f fault.Fault, resp *analysis.Response, spread []float64) error {
 	t.pts = t.pts[:0]
 	cut := math.Inf(-1)
@@ -355,7 +522,7 @@ func (t *tail) resolve(f fault.Fault, resp *analysis.Response, spread []float64)
 			t.refactors++
 			continue
 		}
-		rel, band, unsettled := t.settle(i, resp.H[i], spread[i])
+		rel, band, unsettled := t.settle(i, resp.H[i], spread[i], true)
 		if unsettled {
 			t.pts = append(t.pts, i)
 			t.guarded++
@@ -371,7 +538,7 @@ func (t *tail) resolve(f fault.Fault, resp *analysis.Response, spread []float64)
 				next++
 				continue
 			}
-			if rel, band, _ := t.settle(i, resp.H[i], spread[i]); rel+band >= cut {
+			if rel, band, _ := t.settle(i, resp.H[i], spread[i], true); rel+band >= cut {
 				t.pts = append(t.pts, i)
 				t.guarded++
 			}
@@ -380,22 +547,37 @@ func (t *tail) resolve(f fault.Fault, resp *analysis.Response, spread []float64)
 	if len(t.pts) == 0 {
 		return nil
 	}
+	if err := t.exact(t.pts); err != nil {
+		return err
+	}
 	if err := t.eng.ApplyFault(f); err != nil {
 		return err
 	}
 	return t.eng.ResolvePoints(resp, t.pts)
 }
 
-// settle scores grid point i of a valid rank-1 answer h as
-// RelativeDeviation scores it and returns its rel, the band within which
-// the patch's rel lies (see guardBand), and whether rounding could decide
-// the point differently from the patch: h lies within guardBand of the
-// threshold or of the measurement floor. Non-finite answers are
-// unsettled.
-func (t *tail) settle(i int, h complex128, spread float64) (rel, band float64, unsettled bool) {
-	rel, mf, den := analysis.PointDeviation(t.nominal.H[i], h, t.nominal.Valid[i], true, t.floorAbs)
-	abs := guardBand * (mf + spread)
+// settle scores grid point i of a valid answer h as RelativeDeviation
+// scores it and returns its rel, the band within which the exact rel
+// lies (see guardBand), and whether rounding could decide the point
+// differently from the exact solves: h lies within the band of the
+// threshold or of the measurement floor. A rank-1 answer's own rounding
+// is bounded by guardBand·(|h| + spread); a re-solved answer has none. A
+// corrected nominal adds its own bound (nomErr), through the numerator
+// and the denominator of rel, and must also lie clear of the floor.
+// Non-finite answers are unsettled.
+func (t *tail) settle(i int, h complex128, spread float64, rank1 bool) (rel, band float64, unsettled bool) {
+	rel, mf, den := analysis.MagDeviation(t.mag[i], h, t.nominal.Valid[i], true, t.floorAbs)
+	var abs float64
+	if rank1 {
+		abs = guardBand * (mf + spread)
+	}
 	band = abs / den
+	if an := t.nomErr(i); an > 0 {
+		band = (abs + an*(1+rel)) / den
+		if !(math.Abs(t.mag[i]-t.floorAbs) > an) {
+			return rel, band, true
+		}
+	}
 	if den == t.floorAbs {
 		// The nominal is at or below the floor (den = max(|Hn|, floor)),
 		// and both magnitudes there read as no deviation.

@@ -52,7 +52,7 @@ type RankOne struct {
 
 // ScaleAt returns the frequency-dependent scalar s(ω) = GCoef + jω·CCoef,
 // so that ΔM = s·u·vᵀ at the given frequency.
-func (d RankOne) ScaleAt(freqHz float64) complex128 {
+func (d *RankOne) ScaleAt(freqHz float64) complex128 {
 	return d.GCoef + complex(0, 2*math.Pi*freqHz)*d.CCoef
 }
 
@@ -175,7 +175,7 @@ func (s *System) AssembleValsInto(freqHz float64, mv, rhs []complex128) error {
 	if len(mv) != s.pat.NNZ() || len(rhs) != s.n {
 		return fmt.Errorf("%w: assemble into %d values/rhs %d, want %d/%d", numeric.ErrShape, len(mv), len(rhs), s.pat.NNZ(), s.n)
 	}
-	if _, err := s.assembleVals(freqHz, mv, rhs); err != nil {
+	if _, err := s.assembleVals(freqHz, mv, rhs, &s.mBox); err != nil {
 		return err
 	}
 	accountStamps(rebuilt)
@@ -192,4 +192,63 @@ func (s *System) NodeIndex(node string) (int, error) {
 		return 0, fmt.Errorf("mna: unknown node %q", node)
 	}
 	return i, nil
+}
+
+// RowDelta is the change of one configurable opamp's constraint row when
+// it switches from normal to follower mode: the configured matrix is the
+// normal one plus e_Row·wᵀ, with w's entries in Idx/Val. An index the
+// two rows share appears once, with the sum of its changes (zero where
+// they cancel), so the index set depends on the wiring alone, not on the
+// frequency.
+type RowDelta struct {
+	Row int
+	Idx []int
+	Val []complex128
+
+	// idx and val back Idx and Val: the two rows hold at most five
+	// entries between them.
+	idx [5]int
+	val [5]complex128
+	n   int
+}
+
+// merge adds v at index i, appending i when it is new.
+func (d *RowDelta) merge(i int, v complex128) {
+	for t := range d.n {
+		if d.idx[t] == i {
+			d.val[t] += v
+			return
+		}
+	}
+	d.idx[d.n], d.val[d.n] = i, v
+	d.n++
+}
+
+// FollowerDeltaInto writes into d the delta w of opamp name's constraint
+// row at freqHz: its follower row minus its normal row (opampRow), in
+// whatever mode the system holds it. The opamp must be configurable with
+// a test input. Lowering into a reused d allocates nothing.
+func (s *System) FollowerDeltaInto(name string, freqHz float64, d *RowDelta) error {
+	comp, err := s.component(name)
+	if err != nil {
+		return err
+	}
+	op, ok := comp.(*circuit.Opamp)
+	if !ok || !op.Configurable || op.TestIn == "" {
+		return fmt.Errorf("%w: %q is not a configurable opamp with a test input", ErrUnsupported, name)
+	}
+	if err := validFreq(freqHz); err != nil {
+		return err
+	}
+	jw := complex(0, 2*math.Pi*freqHz)
+	*d = RowDelta{Row: s.branchOf[name]}
+	fr, nr := s.opampRow(op, circuit.ModeFollower, jw), s.opampRow(op, circuit.ModeNormal, jw)
+	for t := range fr.n {
+		d.merge(fr.col[t], fr.val[t])
+	}
+	for t := range nr.n {
+		d.merge(nr.col[t], -nr.val[t])
+	}
+	d.Idx, d.Val = d.idx[:d.n], d.val[:d.n]
+	return nil
 }

@@ -2,7 +2,9 @@ package mna
 
 import (
 	"errors"
+	"fmt"
 	"math/cmplx"
+	"slices"
 	"testing"
 
 	"analogdft/internal/circuit"
@@ -265,5 +267,112 @@ func TestVoltageAtWrapsBackSubstitutionError(t *testing.T) {
 	}
 	if !errors.Is(err, numeric.ErrShape) {
 		t.Fatalf("err does not unwrap to the cause: %v", err)
+	}
+}
+
+// TestSelfLoopDeltaScattersZero: a resistor with both terminals on one
+// node stamps nothing, and its rank-1 delta u = v = e_a − e_a must scatter
+// as the zero vector, so the walk's z solve is zero and the answer is the
+// nominal's.
+func TestSelfLoopDeltaScattersZero(t *testing.T) {
+	ckt := patchBench()
+	ckt.R("RS", "a", "a", 1.1)
+	sys, err := NewSystem(ckt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d RankOne
+	if err := sys.RankOneDeltaInto("RS", 0.3, &d); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.UIdx) != 2 || d.UIdx[0] != d.UIdx[1] {
+		t.Fatalf("self-loop u = %v, want one node twice", d.UIdx)
+	}
+	u := make([]complex128, sys.N())
+	for i := range u {
+		u[i] = 7
+	}
+	numeric.ScatterSparse(d.UIdx, d.UVal, u)
+	for i, v := range u {
+		if v != 0 {
+			t.Fatalf("self-loop u scatters %v at %d, want the zero vector", v, i)
+		}
+	}
+}
+
+// TestFollowerDeltaMatchesConfiguredSolve: the follower delta w of a
+// chain opamp, added to its normal constraint row, must give the matrix
+// the follower configuration assembles itself, so A + e_r·wᵀ solves as the
+// configured circuit does. The opamp buffers with its inverting input on
+// its output, and in one case its test input is its non-inverting input,
+// so the normal and follower rows share indices, which w must hold once
+// with the summed change — for the ideal model w(out) = 2.
+func TestFollowerDeltaMatchesConfiguredSolve(t *testing.T) {
+	for _, model := range []circuit.OpampModel{circuit.ModelIdeal, circuit.ModelSinglePole} {
+		for _, testIn := range []string{"t", "x"} {
+			build := func(mode circuit.OpampMode) *circuit.Circuit {
+				c := circuit.New("buf")
+				c.V("V1", "in", "0", 1)
+				c.R("R1", "in", "x", 1e3)
+				c.R("R2", "x", "0", 2.2e3)
+				c.R("R3", "in", "t", 4.7e3)
+				c.Cap("C1", "t", "0", 10e-9)
+				op := c.OA("OP1", "x", "o", "o")
+				if model == circuit.ModelSinglePole {
+					op.Model, op.A0, op.PoleHz = model, 2e5, 8
+				}
+				op.Configurable, op.TestIn, op.Mode = true, testIn, mode
+				c.R("RL", "o", "0", 1e3)
+				return c
+			}
+			normal, err := NewSystem(build(circuit.ModeNormal))
+			if err != nil {
+				t.Fatal(err)
+			}
+			follower, err := NewSystem(build(circuit.ModeFollower))
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%v/test input %s", model, testIn)
+			for _, f := range []float64{10, 3.3e3, 2e5} {
+				var d RowDelta
+				if err := normal.FollowerDeltaInto("OP1", f, &d); err != nil {
+					t.Fatal(err)
+				}
+				if seen := map[int]bool{}; true {
+					for _, i := range d.Idx {
+						if seen[i] {
+							t.Fatalf("%s: w repeats index %d: %v", label, i, d.Idx)
+						}
+						seen[i] = true
+					}
+				}
+				out, _ := normal.NodeIndex("o")
+				if o := slices.Index(d.Idx, out); model == circuit.ModelIdeal && (o < 0 || d.Val[o] != 2) {
+					t.Errorf("%s: w = %v at %v, want 2 at the output %d", label, d.Val, d.Idx, out)
+				}
+				m, rhs := assembleAt(t, normal, f)
+				for k, j := range d.Idx {
+					m.Set(d.Row, j, m.At(d.Row, j)+d.Val[k])
+				}
+				x, err := numeric.Solve(m, rhs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sol, err := follower.SolveAt(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, node := range []string{"o", "x", "t"} {
+					i, _ := normal.NodeIndex(node)
+					want, _ := sol.Voltage(node)
+					// A single-pole row's entries cancel terms of size A(jω)
+					// in A + e_r·wᵀ, so they agree to rounding of that size.
+					if cmplx.Abs(x[i]-want) > 1e-9*max(1, cmplx.Abs(want)) {
+						t.Errorf("%s at %g Hz: V(%s) = %v from A + e_r·wᵀ, %v configured", label, f, node, x[i], want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -79,9 +79,10 @@ type System struct {
 	// Build storage embedded in the (already heap-allocated) System so
 	// the build allocates no separate structs: patStore backs pat, and
 	// the CSRValues adapters are fields because passing a field pointer
-	// as the adder interface never boxes. mBox is mutated per assembly
-	// point — one more reason a System must not be assembled from two
-	// goroutines at once (ensureStamps already isn't safe for that).
+	// as the adder interface never boxes. mBox is AssembleValsInto's
+	// per-point adapter; a Sweeper has its own, so Sweepers of one
+	// System may assemble it concurrently once its stamps are built and
+	// while no patch is live (ensureStamps and SetValue write it).
 	patStore numeric.Pattern
 	gBox     numeric.CSRValues
 	cBox     numeric.CSRValues
@@ -237,7 +238,7 @@ func (s *System) ensureStamps() (rebuilt bool, err error) {
 // scale-add — the same bits a dense assembly leaves outside its stamps —
 // which is what keeps the CSR factorization bit-identical to the dense
 // LU the tests compare it against.
-func (s *System) assembleVals(freqHz float64, mv, rhs []complex128) (rebuilt bool, err error) {
+func (s *System) assembleVals(freqHz float64, mv, rhs []complex128, box *numeric.CSRValues) (rebuilt bool, err error) {
 	if err := validFreq(freqHz); err != nil {
 		return false, err
 	}
@@ -253,9 +254,9 @@ func (s *System) assembleVals(freqHz float64, mv, rhs []complex128) (rebuilt boo
 	}
 	copy(rhs, s.rhs0)
 	if len(s.dynamic) > 0 {
-		s.mBox.P, s.mBox.Vals = s.pat, mv
+		box.P, box.Vals = s.pat, mv
 		for _, op := range s.dynamic {
-			s.stampOpampRow(&s.mBox, op, jw)
+			s.stampOpampRow(box, op, jw)
 		}
 	}
 	return rebuilt, nil

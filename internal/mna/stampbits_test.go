@@ -6,6 +6,8 @@ import (
 	"hash/fnv"
 	"math"
 	"testing"
+
+	"analogdft/internal/circuit"
 )
 
 // stampBitsHash folds the exact bits of the G and C value arrays and the
@@ -89,4 +91,76 @@ func TestStampBitsPinned(t *testing.T) {
 	}
 	sys.Reset()
 	check("reset")
+	t.Run("opamps", testStampBitsOpamps)
+}
+
+// assembledBitsHash folds the exact bits of the matrix and excitation
+// assembled at freqHz — where single-pole opamp rows are stamped — into
+// one FNV-64a digest.
+func assembledBitsHash(t *testing.T, s *System, freqHz float64) string {
+	t.Helper()
+	pat, err := s.Pattern()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv, rhs := make([]complex128, pat.NNZ()), make([]complex128, s.N())
+	if err := s.AssembleValsInto(freqHz, mv, rhs); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var b [8]byte
+	for _, vals := range [][]complex128{mv, rhs} {
+		for _, v := range vals {
+			for _, f := range []float64{real(v), imag(v)} {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+				h.Write(b[:])
+			}
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// testStampBitsOpamps, TestStampBitsPinned's opamp half, pins the constraint rows of both
+// opamp models in both modes: the ideal rows live in the G cache, the
+// single-pole rows are stamped per point, so the digest covers the build
+// and one assembled point. Besides ordinary wirings, one opamp of each
+// model has every terminal on one node and one follower buffers its own
+// output, so a row's entries share a slot and their add order shows.
+func testStampBitsOpamps(t *testing.T) {
+	ckt := patchBench()
+	follower := func(op *circuit.Opamp, testIn string) {
+		op.Configurable, op.TestIn, op.Mode = true, testIn, circuit.ModeFollower
+	}
+	ckt.OA("OI1", "a", "p", "p")
+	ckt.R("RP", "p", "0", 2e3)
+	follower(ckt.OA("OI2", "b", "q", "q"), "a")
+	ckt.R("RQ", "q", "0", 3e3)
+	follower(ckt.OA("OI3", "b", "r", "r"), "r")
+	ckt.R("RR", "r", "0", 1.5e3)
+	ckt.OASinglePole("OS1", "e", "s", "s", 2e5, 7)
+	ckt.R("RS1", "s", "0", 1.2e3)
+	follower(ckt.OASinglePole("OS2", "g", "u", "u", 1.3e5, 11), "e")
+	ckt.R("RU", "u", "0", 2.7e3)
+	ckt.OASinglePole("OS3", "w", "w", "w", 3.1e5, 13)
+	ckt.R("RW", "w", "0", 1.8e3)
+	follower(ckt.OASinglePole("OS4", "h", "x", "x", 0, 0), "x")
+	ckt.R("RX", "x", "0", 1e3)
+	sys, err := NewSystem(ckt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.ensureStamps(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stampBitsHash(sys), "a7f6cc6075645ddb"; got != want {
+		t.Errorf("build: stamp bits %s, want %s", got, want)
+	}
+	for _, p := range []struct {
+		freqHz float64
+		want   string
+	}{{0, "1efd39c4cfc46ec9"}, {1.7e3, "729a2c2cab202031"}, {2.9e5, "ae9cadd6f4f0ce4f"}} {
+		if got := assembledBitsHash(t, sys, p.freqHz); got != p.want {
+			t.Errorf("assembled at %g Hz: bits %s, want %s", p.freqHz, got, p.want)
+		}
+	}
 }

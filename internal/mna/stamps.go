@@ -285,55 +285,31 @@ func (d *RankOne) addTo(m adder, coef float64) {
 }
 
 // buildOpampStamp validates an opamp and writes its frequency-independent
-// part: the output branch-current injection always, and the full
-// constraint row for ideal models. Single-pole constraint rows stay empty
-// here — stampOpampRow fills them per frequency point, and nothing else
-// ever writes into an opamp's own branch row.
+// part: the output branch-current injection always, and the constraint
+// row for ideal models. Single-pole constraint rows stay empty here —
+// stampOpampRow fills them per frequency point, and nothing else ever
+// writes into an opamp's own branch row.
 func (s *System) buildOpampStamp(g adder, c *circuit.Opamp) error {
-	out := s.node(c.Out)
-	br := s.branchOf[c.Name()]
-	if out >= 0 {
-		g.Add(out, br, 1)
-	}
-
 	switch c.Mode {
 	case circuit.ModeNormal:
-		switch c.Model {
-		case circuit.ModelIdeal:
-			// Nullor: V(+) − V(−) = 0.
-			if p := s.node(c.InP); p >= 0 {
-				g.Add(br, p, 1)
-			}
-			if q := s.node(c.InN); q >= 0 {
-				g.Add(br, q, -1)
-			}
-		case circuit.ModelSinglePole:
-			// Dynamic: stamped per point.
-		default:
-			return fmt.Errorf("%w: opamp %q model %v", ErrUnsupported, c.Name(), c.Model)
-		}
-
 	case circuit.ModeFollower:
 		if !c.Configurable || c.TestIn == "" {
 			return fmt.Errorf("%w: opamp %q in follower mode without test input", ErrUnsupported, c.Name())
 		}
-		switch c.Model {
-		case circuit.ModelIdeal:
-			// V(out) − V(test) = 0.
-			if out >= 0 {
-				g.Add(br, out, 1)
-			}
-			if tin := s.node(c.TestIn); tin >= 0 {
-				g.Add(br, tin, -1)
-			}
-		case circuit.ModelSinglePole:
-			// Dynamic: stamped per point.
-		default:
-			return fmt.Errorf("%w: opamp %q model %v", ErrUnsupported, c.Name(), c.Model)
-		}
-
 	default:
 		return fmt.Errorf("%w: opamp %q mode %v", ErrUnsupported, c.Name(), c.Mode)
+	}
+	br := s.branchOf[c.Name()]
+	if out := s.node(c.Out); out >= 0 {
+		g.Add(out, br, 1)
+	}
+	switch c.Model {
+	case circuit.ModelIdeal:
+		s.opampRow(c, c.Mode, 0).addTo(g, br)
+	case circuit.ModelSinglePole:
+		// Dynamic: stamped per point.
+	default:
+		return fmt.Errorf("%w: opamp %q model %v", ErrUnsupported, c.Name(), c.Model)
 	}
 	return nil
 }
@@ -342,35 +318,64 @@ func (s *System) buildOpampStamp(g adder, c *circuit.Opamp) error {
 // single-pole opamp into the assembled matrix. The row arrives all-zero
 // from the fused scale-add — the split stamps never touch it, and its
 // slots are part of the pattern with zero cached values — so plain adds
-// reproduce exactly what the one-shot stamping used to write. Modes and models were
-// validated by buildStamps.
+// reproduce exactly what the one-shot stamping used to write. Modes and
+// models were validated by buildStamps.
 func (s *System) stampOpampRow(m adder, c *circuit.Opamp, jw complex128) {
-	out := s.node(c.Out)
-	br := s.branchOf[c.Name()]
+	s.opampRow(c, c.Mode, jw).addTo(m, s.branchOf[c.Name()])
+}
 
-	switch c.Mode {
-	case circuit.ModeNormal:
-		// V(out) − A(jω)·(V(+) − V(−)) = 0.
-		a := openLoopGain(c, jw)
-		if out >= 0 {
-			m.Add(br, out, 1)
-		}
-		if p := s.node(c.InP); p >= 0 {
-			m.Add(br, p, -a)
-		}
-		if q := s.node(c.InN); q >= 0 {
-			m.Add(br, q, a)
-		}
+// opRow is one opamp constraint row: at most three entries, in the
+// order they are added.
+type opRow struct {
+	col [3]int
+	val [3]complex128
+	n   int
+}
 
-	case circuit.ModeFollower:
-		// Unity-feedback buffer: V(out) = A/(1+A) · V(test).
-		a := openLoopGain(c, jw)
-		buf := a / (1 + a)
-		if out >= 0 {
-			m.Add(br, out, 1)
-		}
-		if tin := s.node(c.TestIn); tin >= 0 {
-			m.Add(br, tin, -buf)
-		}
+// add appends entry (j, v) unless j is ground.
+func (r *opRow) add(j int, v complex128) {
+	if j >= 0 {
+		r.col[r.n], r.val[r.n] = j, v
+		r.n++
 	}
+}
+
+// addTo adds the row's entries into row br of m, in order.
+func (r opRow) addTo(m adder, br int) {
+	for i := range r.n {
+		m.Add(br, r.col[i], r.val[i])
+	}
+}
+
+// opampRow is the one statement of an opamp's constraint row — the
+// entries of its branch row — in the given mode, at jw for the
+// single-pole model (the ideal rows do not depend on it). The build, the
+// per-point stamp and the follower delta (FollowerDeltaInto) all read
+// it. The follower row reads the test input, so mode may be
+// ModeFollower only for a configurable opamp with one.
+func (s *System) opampRow(c *circuit.Opamp, mode circuit.OpampMode, jw complex128) opRow {
+	var r opRow
+	if c.Model == circuit.ModelIdeal {
+		if mode == circuit.ModeFollower {
+			// V(out) − V(test) = 0.
+			r.add(s.node(c.Out), 1)
+			r.add(s.node(c.TestIn), -1)
+		} else {
+			// Nullor: V(+) − V(−) = 0.
+			r.add(s.node(c.InP), 1)
+			r.add(s.node(c.InN), -1)
+		}
+		return r
+	}
+	a := openLoopGain(c, jw)
+	r.add(s.node(c.Out), 1)
+	if mode == circuit.ModeFollower {
+		// Unity-feedback buffer: V(out) = A/(1+A) · V(test).
+		r.add(s.node(c.TestIn), -(a / (1 + a)))
+	} else {
+		// V(out) − A(jω)·(V(+) − V(−)) = 0.
+		r.add(s.node(c.InP), -a)
+		r.add(s.node(c.InN), a)
+	}
+	return r
 }

@@ -17,10 +17,13 @@ type Sweeper struct {
 	ws      *numeric.Workspace
 	nodeIdx int // -1 for ground
 	tally   solveTally
+	// box writes the single-pole opamp rows of each assembly.
+	box numeric.CSRValues
 }
 
 // NewSweeper prepares a sweeper observing the given node, with its own
-// workspace.
+// workspace. Sweepers of one System may solve concurrently once its
+// stamps are built, while no patch is live.
 func (s *System) NewSweeper(node string) (*Sweeper, error) {
 	idx, err := s.NodeIndex(node)
 	if err != nil {
@@ -76,7 +79,7 @@ func (sw *Sweeper) FactorAt(freqHz float64) (*numeric.SparseLU, []complex128, er
 	if !sw.ws.BoundTo(sw.sys.pat) {
 		sw.ws.EnsureSparse(sw.sys.pat)
 	}
-	if _, err := sw.sys.assembleVals(freqHz, sw.ws.SVals, sw.ws.RHS); err != nil {
+	if _, err := sw.sys.assembleVals(freqHz, sw.ws.SVals, sw.ws.RHS, &sw.box); err != nil {
 		sw.tally.record(err, t0, timed)
 		return nil, nil, err
 	}

@@ -181,10 +181,17 @@ func DotSparse(idx []int, val, dense []complex128) complex128 {
 
 // ScatterSparse writes the stored entries into a zeroed dense vector —
 // the sparse scatter (axpy with an implicit zero target) used to expand
-// a rank-1 factor for a triangular solve.
+// a rank-1 factor for a triangular solve. An index's first entry is
+// assigned, so a vector without repeats keeps its bits, signed zeros
+// included; a repeated index adds (a self-loop's u = e_a − e_a scatters
+// as zero).
 func ScatterSparse(idx []int, val, dense []complex128) {
 	clear(dense)
 	for k, i := range idx {
-		dense[i] = val[k]
+		if slices.Contains(idx[:k], i) {
+			dense[i] += val[k]
+		} else {
+			dense[i] = val[k]
+		}
 	}
 }

@@ -3,6 +3,7 @@ package numeric
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/cmplx"
 )
 
@@ -108,14 +109,31 @@ func (ls *LowRankSolver) SolveRankOneSparse(s complex128, uIdx []int, uVal []com
 // one solve by Entry.
 type Incidence struct {
 	yk, zk, vy, vz complex128
+	// my, mz, mvy and mvz are, for an incidence that a Woodbury
+	// correction formed (Woodbury.IncidenceInto), the magnitudes of the sums
+	// behind yk, zk, vy and vz — |basis value| + Σ|correction term| —
+	// which bound how far their rounding can move them. All four are
+	// zero for an incidence solved against its own factorization.
+	my, mz, mvy, mvz float64
 }
+
+// Parts returns the incidence's entries y[k], z[k], vᵀy and vᵀz.
+func (in *Incidence) Parts() (yk, zk, vy, vz complex128) { return in.yk, in.zk, in.vy, in.vz }
 
 // SolveIncidence solves z = A⁻¹·u for the incidence (u, v) and reads
 // what Entry needs at entry k. It works out only the entries of z that
 // z[k] and vᵀz read (SparseLU.SolveSparse), with the bits of
 // SolveRankOneSparse's full solve.
 func (ls *LowRankSolver) SolveIncidence(uIdx []int, uVal []complex128, vIdx []int, vVal []complex128, k int) (Incidence, error) {
-	if err := ls.lu.SolveSparse(uIdx, uVal, k, vIdx, ls.z); err != nil {
+	return ls.SolveIncidenceAt(uIdx, uVal, vIdx, vVal, k, vIdx)
+}
+
+// SolveIncidenceAt is SolveIncidence that also works out z at every
+// index of at, which must include v's: until the next solve, Z holds
+// z[k] and z at those indices with SolveInPlace's bits. The incidence
+// carries the same bits as SolveIncidence's.
+func (ls *LowRankSolver) SolveIncidenceAt(uIdx []int, uVal []complex128, vIdx []int, vVal []complex128, k int, at []int) (Incidence, error) {
+	if err := ls.lu.SolveSparse(uIdx, uVal, k, at, ls.z); err != nil {
 		return Incidence{}, err
 	}
 	return Incidence{
@@ -124,6 +142,34 @@ func (ls *LowRankSolver) SolveIncidence(uIdx []int, uVal []complex128, vIdx []in
 		vy: DotSparse(vIdx, vVal, ls.y),
 		vz: DotSparse(vIdx, vVal, ls.z),
 	}, nil
+}
+
+// Z returns the scratch z of the last incidence solve (a live
+// reference): only the entries that solve was asked for are defined.
+func (ls *LowRankSolver) Z() []complex128 { return ls.z }
+
+// Rounding bounds, as a magnitude, how far the rounding of a Woodbury
+// correction can move Entry(s)'s answer xk = y[k] − c·z[k],
+// c = s·vᵀy/(1 + s·vᵀz): each of y[k], z[k], vᵀy and vᵀz may be off by a
+// few ulp of its sum's magnitude, and those errors reach xk with the
+// weights 1, |c|, |s·z[k]/den| and |c·z[k]·s/den|, each taken here by
+// |re| + |im| (within a factor √2). It is zero for an incidence solved
+// against its own factorization.
+func (in *Incidence) Rounding(s complex128) float64 {
+	if in.my == 0 && in.mz == 0 && in.mvy == 0 && in.mvz == 0 {
+		return 0
+	}
+	if s == 0 {
+		return in.my
+	}
+	sd := Abs1(s) / Abs1(1+s*in.vz)
+	c, zk := sd*Abs1(in.vy), Abs1(in.zk)
+	return in.my + c*in.mz + sd*zk*(in.mvy+c*in.mvz)
+}
+
+// Abs1 is |re| + |im|: within √2 of the modulus, without the hypot.
+func Abs1(z complex128) float64 {
+	return math.Abs(real(z)) + math.Abs(imag(z))
 }
 
 // Entry answers the update of scale s: entry k of (A + s·u·vᵀ)⁻¹·b,

@@ -228,3 +228,56 @@ func TestSingularDenMatchesAbs(t *testing.T) {
 		}
 	}
 }
+
+// TestScatterRepeatedIndex pins the scatter rule both scatters share: an
+// index's first entry is assigned — a lone −0 keeps its sign — and a
+// repeated index adds, so u = e_a − e_a (a self-loop's incidence)
+// scatters as zero and its z solve is zero. SolveSparse's entries equal
+// SolveInPlace's on ScatterSparse's vector, bit for bit, repeats or not.
+func TestScatterRepeatedIndex(t *testing.T) {
+	dense := []complex128{9, 9, 9, 9}
+	ScatterSparse([]int{2, 2}, []complex128{1, -1}, dense)
+	for i, v := range dense {
+		if !sameBits(v, 0) {
+			t.Fatalf("self-loop scatter = %v, want the +0 vector (entry %d)", dense, i)
+		}
+	}
+	negZero := complex(math.Copysign(0, -1), math.Copysign(0, -1))
+	ScatterSparse([]int{1}, []complex128{negZero}, dense)
+	if !sameBits(dense[1], negZero) {
+		t.Fatalf("lone −0 scattered as %v", dense[1])
+	}
+	a, b := testMatrix()
+	ls := newTestSolver(t, a, b)
+	all := []int{0, 1, 2, 3}
+	for _, u := range []struct {
+		idx []int
+		val []complex128
+	}{
+		{[]int{2, 2}, []complex128{1, -1}},
+		{[]int{1, 3, 1}, []complex128{0.5, -2, 1.25i}},
+		{[]int{0}, []complex128{negZero}},
+	} {
+		want := make([]complex128, 4)
+		ScatterSparse(u.idx, u.val, want)
+		if err := ls.lu.SolveInPlace(want); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]complex128, 4)
+		if err := ls.lu.SolveSparse(u.idx, u.val, 0, all, got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if !sameBits(got[i], want[i]) {
+				t.Errorf("u %v: z[%d] = %v, full solve %v", u.idx, i, got[i], want[i])
+			}
+		}
+	}
+	in, err := ls.SolveIncidence([]int{2, 2}, []complex128{1, -1}, []int{2, 2}, []complex128{1, -1}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if yk, zk, vy, vz := in.Parts(); !sameBits(zk, 0) || !sameBits(vz, 0) || !sameBits(vy, 0) || yk != ls.Nominal()[3] {
+		t.Errorf("self-loop incidence = (%v, %v, %v, %v), want (y[3], 0, 0, 0)", yk, zk, vy, vz)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/cmplx"
+	"slices"
 )
 
 // SparseLU is the LU factorization of a sparse complex matrix with
@@ -143,14 +144,18 @@ func checkIndices(what string, idx []int, n int) error {
 
 // scatter writes u's entries over a zeroed b at the positions the row
 // swaps carry them to — where SolveInPlace's swap loop would move
-// ScatterSparse's vector — and returns the first position written (n
-// for an empty u).
+// ScatterSparse's vector, with its rule for a repeated index — and
+// returns the first position written (n for an empty u).
 func (f *SparseLU) scatter(idx []int, val, b []complex128) int {
 	clear(b)
 	first := f.n
 	for t, i := range idx {
 		q := int(f.posOf[i])
-		b[q] = val[t]
+		if slices.Contains(idx[:t], i) {
+			b[q] += val[t]
+		} else {
+			b[q] = val[t]
+		}
 		first = min(first, q)
 	}
 	return first
