@@ -33,13 +33,13 @@ type Basis struct {
 	ckt   *circuit.Circuit
 	chain []string
 	grid  []float64
-	// eng lowered the faults; it fills chunk 0 and is then handed to the
-	// row whose matrix is A₀ (TakeEngine).
-	eng    atomic.Pointer[Engine]
-	failed atomic.Bool
-	k      int
+	// eng lowered the faults; it fills chunk 0, with the solver ls, and is
+	// then handed to the row whose matrix is A₀ (TakeEngine).
+	eng atomic.Pointer[Engine]
+	ls  numeric.LowRankSolver
+	k   int
 
-	lfs   []LowRankFault
+	lfs   []lowRankFault
 	slot  []int
 	leads []int // lfs index of each incidence's first fault
 	brs   []int // r_a, the constraint row of chain opamp a
@@ -60,9 +60,10 @@ type Basis struct {
 
 // NewBasis prepares the basis of ckt over grid for the configurable
 // opamps named in chain (those a row may put in follower mode, in chain
-// order) and the rank-1 faults of faults: it builds one engine, lowers
-// every fault that is rank-1 once (PrepareLowRank; a fault is rank-1 or
-// not whatever the opamp modes) and groups them by incidence.
+// order; none for a basis that is a row's own matrix) and the rank-1
+// faults of faults: it builds one engine, lowers every fault that is
+// rank-1 once (prepareLowRank; a fault is rank-1 or not whatever the
+// opamp modes) and groups them by incidence.
 func NewBasis(ckt *circuit.Circuit, chain []string, grid []float64, faults fault.List) (*Basis, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("%w: empty grid", ErrBadSweep)
@@ -76,7 +77,7 @@ func NewBasis(ckt *circuit.Circuit, chain []string, grid []float64, faults fault
 		return nil, err
 	}
 	nf, nc := len(faults), len(chain)
-	b := &Basis{ckt: ckt, chain: chain, grid: grid, k: max(e.nodeIdx, 0), nc: nc, lfs: make([]LowRankFault, nf)}
+	b := &Basis{ckt: ckt, chain: chain, grid: grid, k: max(e.nodeIdx, 0), nc: nc, lfs: make([]lowRankFault, nf)}
 	b.eng.Store(e)
 	// One slab for every index list: the slots, the leads, the rows, the
 	// w indices (at most five per opamp), the read sets' ends, and the
@@ -92,7 +93,7 @@ func NewBasis(ckt *circuit.Circuit, chain []string, grid []float64, faults fault
 	n := 0
 	for j, f := range faults {
 		b.slot[j] = -1
-		if e.PrepareLowRank(f, &b.lfs[n]) == nil {
+		if e.prepareLowRank(f, &b.lfs[n]) == nil {
 			b.slot[j] = n
 			n++
 		}
@@ -142,7 +143,7 @@ func NewBasis(ckt *circuit.Circuit, chain []string, grid []float64, faults fault
 // groupIncidences sets every fault's lead — the first fault of lfs with
 // the same incidence (u, v) — and incidence number q, in place, and
 // returns the number of incidences.
-func groupIncidences(lfs []LowRankFault) int {
+func groupIncidences(lfs []lowRankFault) int {
 	ni := 0
 	for j := range lfs {
 		lf := &lfs[j]
@@ -161,14 +162,10 @@ func groupIncidences(lfs []LowRankFault) int {
 	return ni
 }
 
-// LowRankFaults returns the basis's rank-1 faults, grouped, for the row
-// walks (SweepLowRank). The slice is the basis's own: read it, do not
-// modify it.
-func (b *Basis) LowRankFaults() []LowRankFault { return b.lfs }
-
 // Slots returns, per fault of the list the basis was built for, its
-// index among LowRankFaults, or -1 when it is not rank-1. The slice is
-// the basis's own: read it, do not modify it.
+// index among the basis's rank-1 faults (LowRankRow.Faulty), or -1 when
+// it is not rank-1. The slice is the basis's own: read it, do not modify
+// it.
 func (b *Basis) Slots() []int { return b.slot }
 
 // TakeEngine hands the basis's own engine, nominal and built on the basis
@@ -177,30 +174,22 @@ func (b *Basis) Slots() []int { return b.slot }
 // another.
 func (b *Basis) TakeEngine() *Engine { return b.eng.Swap(nil) }
 
-// Filled reports whether every Fill so far succeeded.
-func (b *Basis) Filled() bool { return !b.failed.Load() }
-
 // Fill computes chunk c of chunks: the grid points from c·n/chunks up to
 // (c+1)·n/chunks. Chunk 0 runs on the basis's engine, every other on a
 // sweeper of its own over the same system, so distinct chunks may fill
-// concurrently. A point
-// where A₀ is singular stays unanswered (every row with followers factors
-// its own matrix there). ctx is checked once per point. A failed Fill
-// also clears Filled.
-func (b *Basis) Fill(ctx context.Context, c, chunks int) (err error) {
-	defer func() {
-		if err != nil {
-			b.failed.Store(true)
-		}
-	}()
+// concurrently. A point where A₀ is singular stays unanswered (a row
+// with followers solves its own nominal there). ctx is checked once per
+// point.
+func (b *Basis) Fill(ctx context.Context, c, chunks int) error {
 	np := len(b.grid)
 	lo, hi := c*np/chunks, (c+1)*np/chunks
 	// Every chunk assembles the basis engine's system, whose stamps
 	// NewBasis built; chunks past the first bring their own sweeper and
 	// solver.
 	e := b.eng.Load()
-	sw, ls := e.sw, &e.rank1
+	sw, ls := e.sw, &b.ls
 	if c > 0 {
+		var err error
 		if sw, err = e.sys.NewSweeper(circuit.CanonicalNode(e.driven.Output)); err != nil {
 			return err
 		}

@@ -11,10 +11,11 @@ import (
 )
 
 // BenchmarkSweepLowRank is the row-walk rung: one configuration (the
-// functional circuit) walked over a 61-point grid with every fault of
-// its 10% deviation universe answered by Sherman–Morrison — one
-// factorization per point, one incidence solve per distinct incidence
-// and point, one answer per fault and point.
+// functional circuit) over a 61-point grid with every fault of its 10%
+// deviation universe answered by Sherman–Morrison — a chain-less basis
+// fill, one factorization per point and one incidence solve per distinct
+// incidence and point, then a walk of that basis on another engine, one
+// answer per fault and point.
 func BenchmarkSweepLowRank(b *testing.B) {
 	benches := []struct {
 		name  string
@@ -34,17 +35,18 @@ func BenchmarkSweepLowRank(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			faults := fault.DeviationUniverse(bench.Circuit, 0.10)
-			lfs := make([]LowRankFault, len(faults))
-			for j, f := range faults {
-				if err := e.PrepareLowRank(f, &lfs[j]); err != nil {
-					b.Fatalf("%s: %v", f.ID, err)
-				}
+			// Fill runs on the basis's own engine, so the walk has another.
+			basis, err := NewBasis(bench.Circuit, nil, grid, fault.DeviationUniverse(bench.Circuit, 0.10))
+			if err != nil {
+				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.SweepLowRank(context.Background(), grid, lfs, nil, nil); err != nil {
+				if err := basis.Fill(context.Background(), 0, 1); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := e.SweepLowRank(context.Background(), basis, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

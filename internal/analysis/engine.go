@@ -24,11 +24,9 @@ type Engine struct {
 	sw      *mna.Sweeper
 	nodeIdx int // observed node's unknown index, -1 for ground
 
-	// rank1 answers rank-1 faults against the factorization SweepLowRank
-	// holds at each grid point, rebound point by point; wb corrects a
-	// basis point to the engine's configuration.
-	rank1 numeric.LowRankSolver
-	wb    numeric.Woodbury
+	// wb corrects a basis point to the engine's configuration
+	// (SweepLowRank).
+	wb numeric.Woodbury
 }
 
 // NewEngine prepares an engine for the (undriven) circuit: the input is

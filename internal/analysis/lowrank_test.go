@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/cmplx"
+	"slices"
 	"testing"
 
 	"analogdft/internal/circuit"
@@ -28,16 +29,22 @@ func lrLadder() *circuit.Circuit {
 	return c
 }
 
-// lowRank lowers faults for one SweepLowRank walk.
-func lowRank(t *testing.T, e *Engine, faults ...fault.Fault) []LowRankFault {
+// filledBasis builds the chain-less basis of ckt over grid for faults,
+// every one of which must be rank-1, and fills it in one chunk: the basis
+// a row of ckt's own matrix reads.
+func filledBasis(t *testing.T, ckt *circuit.Circuit, grid []float64, faults ...fault.Fault) *Basis {
 	t.Helper()
-	lfs := make([]LowRankFault, len(faults))
-	for j, f := range faults {
-		if err := e.PrepareLowRank(f, &lfs[j]); err != nil {
-			t.Fatalf("%s: %v", f.ID, err)
-		}
+	b, err := NewBasis(ckt, nil, grid, faults)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return lfs
+	if j := slices.Index(b.Slots(), -1); j >= 0 {
+		t.Fatalf("%s is not rank-1", faults[j].ID)
+	}
+	if err := b.Fill(context.Background(), 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // requireClose compares a rank-1 response with a patched one: same
@@ -56,9 +63,9 @@ func requireClose(t *testing.T, got, want *Response) {
 
 // TestSweepLowRankMatchesSweepFault checks the Sherman–Morrison path
 // against the in-place patch path on every rank-1-patchable component
-// kind the ladder offers, all answered in one walk; that the walk's
-// nominal carries the bits of SweepGrid's; and that the engine stays
-// exactly nominal.
+// kind the ladder offers, all answered in one walk of the circuit's own
+// basis; that the walk's nominal carries the bits of SweepGrid's; and
+// that the engine stays exactly nominal.
 func TestSweepLowRankMatchesSweepFault(t *testing.T) {
 	grid := SweepSpec{StartHz: 10, StopHz: 1e6, Points: 41}.Grid()
 	e, err := NewEngine(lrLadder())
@@ -75,7 +82,7 @@ func TestSweepLowRankMatchesSweepFault(t *testing.T) {
 		{ID: "fL1", Component: "L1", Kind: fault.Deviation, Factor: 1.5},
 		{ID: "fE1", Component: "E1", Kind: fault.Deviation, Factor: 0.5},
 	}
-	row, err := e.SweepLowRank(context.Background(), grid, lowRank(t, e, faults...), nil, nil)
+	row, err := e.SweepLowRank(context.Background(), filledBasis(t, lrLadder(), grid, faults...), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,36 +113,43 @@ func TestSweepLowRankMatchesSweepFault(t *testing.T) {
 	}
 }
 
-// TestSweepLowRankFactorsOncePerPoint pins the walk's cost: however many
-// faults it answers, it factors once per grid point (mna_solves_total
-// grows by the grid length) and performs one Sherman–Morrison solve per
-// (fault, point).
+// TestSweepLowRankFactorsOncePerPoint pins the cost of a row of the
+// basis matrix: however many faults it answers, the basis factors once
+// per grid point (mna_solves_total grows by the grid length), the walk
+// factors nothing and performs one Sherman–Morrison solve per (fault,
+// point).
 func TestSweepLowRankFactorsOncePerPoint(t *testing.T) {
 	e, err := NewEngine(rcLowpass())
 	if err != nil {
 		t.Fatal(err)
 	}
 	grid := []float64{100, rcCorner, 1e5}
-	lfs := lowRank(t, e,
-		fault.Fault{ID: "fR1", Component: "R1", Kind: fault.Deviation, Factor: 2},
-		fault.Fault{ID: "fC1", Component: "C1", Kind: fault.Deviation, Factor: 0.5},
-	)
+	faults := []fault.Fault{
+		{ID: "fR1", Component: "R1", Kind: fault.Deviation, Factor: 2},
+		{ID: "fC1", Component: "C1", Kind: fault.Deviation, Factor: 0.5},
+	}
 	counter := func(name string) float64 { return obs.Reg().Snapshot()[name].Value }
+	solves0 := counter("mna_solves_total")
+	b := filledBasis(t, rcLowpass(), grid, faults...)
+	if d := counter("mna_solves_total") - solves0; d != float64(len(grid)) {
+		t.Errorf("basis did %g factorizations, want %d", d, len(grid))
+	}
 	solves0, rank10 := counter("mna_solves_total"), counter("engine_lowrank_solve_total")
-	if _, err := e.SweepLowRank(context.Background(), grid, lfs, nil, nil); err != nil {
+	if _, err := e.SweepLowRank(context.Background(), b, nil); err != nil {
 		t.Fatal(err)
 	}
-	if d := counter("mna_solves_total") - solves0; d != float64(len(grid)) {
-		t.Errorf("walk did %g factorizations, want %d", d, len(grid))
+	if d := counter("mna_solves_total") - solves0; d != 0 {
+		t.Errorf("walk did %g factorizations, want 0", d)
 	}
-	if d := counter("engine_lowrank_solve_total") - rank10; d != float64(len(grid)*len(lfs)) {
-		t.Errorf("walk did %g rank-1 solves, want %d", d, len(grid)*len(lfs))
+	if d := counter("engine_lowrank_solve_total") - rank10; d != float64(len(grid)*len(faults)) {
+		t.Errorf("walk did %g rank-1 solves, want %d", d, len(grid)*len(faults))
 	}
 }
 
 // TestSweepLowRankSharesIncidence checks that faults on one incidence
 // — a resistor, the capacitor across the same node pair, and the
-// resistor again at another value — share one z solve per point, and
+// resistor again at another value — share one z solve of the basis per
+// point, and
 // that every answer, Spread included, keeps the bits of a walk that
 // answers the fault alone.
 func TestSweepLowRankSharesIncidence(t *testing.T) {
@@ -157,18 +171,18 @@ func TestSweepLowRankSharesIncidence(t *testing.T) {
 	}
 	counter := func(name string) float64 { return obs.Reg().Snapshot()[name].Value }
 	inc0, rank10 := counter("engine_lowrank_incidence_total"), counter("engine_lowrank_solve_total")
-	row, err := e.SweepLowRank(context.Background(), grid, lowRank(t, e, faults...), nil, nil)
+	row, err := e.SweepLowRank(context.Background(), filledBasis(t, c, grid, faults...), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := counter("engine_lowrank_incidence_total") - inc0; d != float64(2*len(grid)) {
-		t.Errorf("walk did %g incidence solves, want %d (two incidences × %d points)", d, 2*len(grid), len(grid))
+		t.Errorf("basis did %g incidence solves, want %d (two incidences × %d points)", d, 2*len(grid), len(grid))
 	}
 	if d := counter("engine_lowrank_solve_total") - rank10; d != float64(len(faults)*len(grid)) {
 		t.Errorf("walk answered %g fault-points, want %d", d, len(faults)*len(grid))
 	}
 	for j, f := range faults {
-		alone, err := e.SweepLowRank(context.Background(), grid, lowRank(t, e, f), nil, nil)
+		alone, err := e.SweepLowRank(context.Background(), filledBasis(t, c, grid, f), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,18 +198,19 @@ func TestSweepLowRankSharesIncidence(t *testing.T) {
 }
 
 // TestSweepAllocsFlatInGrid pins the allocation-flat sweep design: the
-// number of objects SweepGrid and SweepLowRank allocate does not grow
-// with the grid. Per-point work reuses the sweeper's workspace, so only
-// the response buffers are allocated, once per sweep.
+// number of objects SweepGrid and SweepLowRank (over a filled basis)
+// allocate does not grow with the grid. Per-point work reuses the
+// sweeper's workspace and the walk's scratch, so only the response
+// buffers are allocated, once per sweep.
 func TestSweepAllocsFlatInGrid(t *testing.T) {
 	e, err := NewEngine(lrLadder())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lfs := lowRank(t, e,
-		fault.Fault{ID: "fR1", Component: "R1", Kind: fault.Deviation, Factor: 1.3},
-		fault.Fault{ID: "fC1", Component: "C1", Kind: fault.Deviation, Factor: 0.7},
-	)
+	faults := []fault.Fault{
+		{ID: "fR1", Component: "R1", Kind: fault.Deviation, Factor: 1.3},
+		{ID: "fC1", Component: "C1", Kind: fault.Deviation, Factor: 0.7},
+	}
 	allocs := func(points int) (grid, lowRank float64) {
 		g := SweepSpec{StartHz: 10, StopHz: 1e6, Points: points}.Grid()
 		grid = testing.AllocsPerRun(5, func() {
@@ -203,8 +218,9 @@ func TestSweepAllocsFlatInGrid(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		b := filledBasis(t, lrLadder(), g, faults...)
 		lowRank = testing.AllocsPerRun(5, func() {
-			if _, err := e.SweepLowRank(context.Background(), g, lfs, nil, nil); err != nil {
+			if _, err := e.SweepLowRank(context.Background(), b, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -235,16 +251,28 @@ func TestPrepareLowRankFallbackTriggers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lf LowRankFault
-	if err := e.PrepareLowRank(fault.Fault{ID: "o", Component: "R1", Kind: fault.Open}, &lf); !errors.Is(err, fault.ErrNotPatchable) {
+	open := fault.Fault{ID: "o", Component: "R1", Kind: fault.Open}
+	source := fault.Fault{ID: "i", Component: "I1", Kind: fault.Deviation, Factor: 2}
+	var lf lowRankFault
+	if err := e.prepareLowRank(open, &lf); !errors.Is(err, fault.ErrNotPatchable) {
 		t.Errorf("open fault: err = %v, want ErrNotPatchable", err)
 	}
-	if err := e.PrepareLowRank(fault.Fault{ID: "i", Component: "I1", Kind: fault.Deviation, Factor: 2}, &lf); !errors.Is(err, mna.ErrNotLowRank) {
+	if err := e.prepareLowRank(source, &lf); !errors.Is(err, mna.ErrNotLowRank) {
 		t.Errorf("current-source fault: err = %v, want ErrNotLowRank", err)
 	}
-	// The refusals must leave the engine fully usable on the fast path.
-	lfs := lowRank(t, e, fault.Fault{ID: "r", Component: "R1", Kind: fault.Deviation, Factor: 1.5})
-	row, err := e.SweepLowRank(context.Background(), []float64{100, 1e4}, lfs, nil, nil)
+	// A basis leaves the refused faults out, and the refusals must leave
+	// the engine fully usable on the fast path.
+	b, err := NewBasis(c, nil, []float64{100, 1e4}, fault.List{open, source, {ID: "r", Component: "R1", Kind: fault.Deviation, Factor: 1.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Slots(); !slices.Equal(got, []int{-1, -1, 0}) {
+		t.Fatalf("slots = %v, want [-1 -1 0]", got)
+	}
+	if err := b.Fill(context.Background(), 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	row, err := e.SweepLowRank(context.Background(), b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,12 +298,19 @@ func TestSweepLowRankSingularUpdateFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lfs := make([]LowRankFault, 1)
-	if err := e.sys.RankOneDeltaInto("R2", -1e3, &lfs[0].delta); err != nil {
+	grid := []float64{100, 1e3, 1e4}
+	b, err := NewBasis(c, nil, grid, fault.List{{ID: "fR2", Component: "R2", Kind: fault.Deviation, Factor: 2}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	grid := []float64{100, 1e3, 1e4}
-	row, err := e.SweepLowRank(context.Background(), grid, lfs, nil, nil)
+	// The same incidence at −1kΩ.
+	if err := e.sys.RankOneDeltaInto("R2", -1e3, &b.lfs[0].delta); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Fill(context.Background(), 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	row, err := e.SweepLowRank(context.Background(), b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +346,7 @@ func TestSweepLowRankSingularUpdateFallback(t *testing.T) {
 
 // TestSweepLowRankSingularNominalPoint exercises the unanswerable
 // nominal point: at 0 Hz the capacitive divider hanging off the output
-// has a floating internal node (an all-zero row), so the nominal
+// has a floating internal node (an all-zero row), so the basis
 // factorization fails at that one grid point while the rest of the grid
 // is fine. The walk must leave that point to the patched re-solve, and
 // the two together must agree with SweepFault on validity and values.
@@ -325,7 +360,7 @@ func TestSweepLowRankSingularNominalPoint(t *testing.T) {
 	}
 	f := fault.Fault{ID: "fR1", Component: "R1", Kind: fault.Deviation, Factor: 1.3}
 	grid := []float64{0, rcCorner, 1e5}
-	row, err := e.SweepLowRank(context.Background(), grid, lowRank(t, e, f), nil, nil)
+	row, err := e.SweepLowRank(context.Background(), filledBasis(t, c, grid, f), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,29 +382,33 @@ func TestSweepLowRankSingularNominalPoint(t *testing.T) {
 	requireClose(t, got, want)
 }
 
-// TestSweepLowRankRejectsBadState pins the guard rails: an empty grid and
-// a patched system are ErrBadSweep, and a cancelled context stops the
-// walk with its error.
+// TestSweepLowRankRejectsBadState pins the guard rails: a basis over an
+// empty grid and a walk on a patched system are ErrBadSweep, and a
+// cancelled context stops the fill and the walk with its error.
 func TestSweepLowRankRejectsBadState(t *testing.T) {
 	e, err := NewEngine(rcLowpass())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lfs := lowRank(t, e, fault.Fault{ID: "f", Component: "R1", Kind: fault.Deviation, Factor: 2})
+	f := fault.Fault{ID: "f", Component: "R1", Kind: fault.Deviation, Factor: 2}
 	ctx := context.Background()
-	if _, err := e.SweepLowRank(ctx, nil, lfs, nil, nil); !errors.Is(err, ErrBadSweep) {
+	if _, err := NewBasis(rcLowpass(), nil, nil, fault.List{f}); !errors.Is(err, ErrBadSweep) {
 		t.Fatalf("empty grid: err = %v, want ErrBadSweep", err)
 	}
+	b := filledBasis(t, rcLowpass(), []float64{100}, f)
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := e.SweepLowRank(cancelled, []float64{100}, lfs, nil, nil); !errors.Is(err, context.Canceled) {
+	if err := b.Fill(cancelled, 0, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled fill: err = %v, want context.Canceled", err)
+	}
+	if _, err := e.SweepLowRank(cancelled, b, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled walk: err = %v, want context.Canceled", err)
 	}
 	if err := e.ApplyFault(fault.Fault{ID: "g", Component: "C1", Kind: fault.Deviation, Factor: 2}); err != nil {
 		t.Fatal(err)
 	}
 	defer e.Reset()
-	if _, err := e.SweepLowRank(ctx, []float64{100}, lfs, nil, nil); !errors.Is(err, ErrBadSweep) {
+	if _, err := e.SweepLowRank(ctx, b, nil); !errors.Is(err, ErrBadSweep) {
 		t.Fatalf("patched system: err = %v, want ErrBadSweep", err)
 	}
 }

@@ -3,13 +3,16 @@
 // (Definition 2) and the fault detectability matrix across the test
 // configurations of a DFT-modified circuit (Figure 5 / Table 2).
 //
-// Fault simulation is embarrassingly parallel. A matrix is built one
-// configuration row per task over a chunked worker pool: the worker that
-// claims a row builds one engine, factors the nominal matrix once per
-// grid point and answers every rank-1 fault of the row against that
-// factorization (Sherman–Morrison), then re-solves under an in-place
-// patch only the points that identity could not answer or whose verdict
-// it could not settle; faults it cannot express climb the patch → clone
+// Fault simulation is embarrassingly parallel. A matrix is built in two
+// phases over a chunked worker pool. First a basis factors the
+// functional matrix once per grid point, in ω chunks, and solves every
+// distinct rank-1 fault incidence against it (analysis.Basis). Then each
+// configuration row is one task: the worker that claims it reads its
+// nominal and every rank-1 fault's answer from the basis, through a
+// small Woodbury correction for the opamps it puts in follower mode
+// (Sherman–Morrison), then re-solves under an in-place patch only the
+// points those answers could not give or whose verdict they could not
+// settle; faults the basis cannot express climb the patch → clone
 // ladder. A single-circuit evaluation (EvaluateCircuit) is the one-row
 // case of the same walk. Results land in fixed matrix positions. The
 // engine is race-clean (each row writes only its own slots; shared
@@ -140,8 +143,9 @@ type Options struct {
 	// (default analysis.DefaultProbe).
 	Probe analysis.SweepSpec
 	// Workers bounds the fault-simulation parallelism (default GOMAXPROCS):
-	// a matrix runs its configuration rows in parallel, while the single
-	// row of EvaluateCircuit is one task.
+	// a basis fills in up to Workers ω chunks, then a matrix runs its
+	// configuration rows in parallel, while the single row of
+	// EvaluateCircuit is one task.
 	Workers int
 	// IncludeTransparent keeps the transparent configuration in the matrix
 	// (default false, as in the paper's passive-fault study).
@@ -340,7 +344,8 @@ func EvaluateCircuitContext(ctx context.Context, ckt *circuit.Circuit, faults fa
 		return rowSpec{ckt: ckt, grid: grid, label: ckt.Name, what: what, maxDev: true}, nil
 	})
 	if opts.first == "" {
-		rr.basis = newBasis(sctx, ckt, nil, grid, faults, opts.Workers)
+		// On failure the row builds the basis itself and reports the error.
+		rr.basis, _ = newBasis(sctx, ckt, nil, grid, faults, opts.Workers)
 	}
 	evals, tr, err := rr.run(sctx)
 	if err != nil {
@@ -620,7 +625,7 @@ func BuildMatrixContext(ctx context.Context, m *dft.Modified, faults fault.List,
 	}
 
 	// One task per configuration row. With PerConfigRegion each row gets
-	// its own grid and factors its own matrix at every point; otherwise
+	// its own grid and reads a basis of its own matrix over it; otherwise
 	// all rows share the functional region's grid and read one basis of
 	// the functional matrix, factored once per point.
 	rr := newRowRunner(len(configs), faults, opts, func(i int) (rowSpec, error) {
@@ -644,7 +649,9 @@ func BuildMatrixContext(ctx context.Context, m *dft.Modified, faults fault.List,
 		return rowSpec{ckt: ckt, grid: rowGrid, followers: followers, label: cfg.Label(), what: cfg.String}, nil
 	})
 	if !opts.PerConfigRegion && opts.first == "" {
-		rr.basis = newBasis(sctx, functional, m.Chain, grid, faults, opts.Workers)
+		// On failure every row reads a basis of its own matrix instead and
+		// reports whatever failed.
+		rr.basis, _ = newBasis(sctx, functional, m.Chain, grid, faults, opts.Workers)
 	}
 	evals, tr, err := rr.run(sctx)
 	if err != nil {

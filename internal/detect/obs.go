@@ -42,15 +42,15 @@ var (
 	// cannot settle, are properties of the cell set: always live, like
 	// engine_lowrank_solve_total in the analysis package.
 	dRank1Cells = obs.Reg().Counter("detect_rank1_cells_total",
-		"cells answered on the rank-1 rung: Sherman–Morrison against the row's nominal factorization at each grid point")
+		"cells answered on the rank-1 rung: Sherman–Morrison against the basis the row reads at each grid point")
 	dLowRankRefactors = obs.Reg().Counter("engine_lowrank_refactor_total",
-		"rank-1 grid points re-solved under a patch because the identity could not answer them (singular nominal point or singular rank-1 update)")
-	// dConfigRefactors counts the factorizations of a row's own
-	// configuration matrix: at the points the basis cannot answer, at the
-	// corrected nominal points the guard or the floor's peak needs exact,
-	// and at every point of a row walked without a basis.
+		"rank-1 grid points re-solved under a patch because the identity could not answer them (singular nominal point, a point the basis could not answer, or singular rank-1 update)")
+	// dConfigRefactors counts the nominal solves of a row's own
+	// configuration matrix: at the points the basis cannot answer a row
+	// with followers, at the corrected nominal points the guard or the
+	// floor's peak needs exact, and at every point of an oracle row.
 	dConfigRefactors = obs.Reg().Counter("detect_config_refactor_total",
-		"factorizations of a row's own configuration matrix: points the shared basis could not answer (singular functional matrix, capacitance screen), corrected nominal points re-solved exactly for the guard or the floor's peak, and every point of a row walked without a basis")
+		"nominal solves of a row's own configuration matrix: points the shared basis could not answer (singular functional matrix, capacitance screen), corrected nominal points re-solved exactly for the guard or the floor's peak, and every point of a patch/clone oracle row")
 	dGuardResolves = obs.Reg().Counter("detect_guard_resolves_total",
 		"rank-1 grid points re-solved under a patch because the answer lay within the guard band of ε or of the measurement floor, or (rows that report MaxDev) could hold the cell's peak deviation")
 

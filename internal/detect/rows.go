@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -48,22 +49,23 @@ type rowSpec struct {
 }
 
 // rowRunner evaluates the cells of one or more configuration rows, one
-// row per task. The worker that claims row i builds one engine and walks
-// the grid once (analysis.Engine.SweepLowRank): at each point it takes
-// the row's nominal and answers every rank-1 fault of the row, from the
-// shared basis through a Woodbury correction when there is one, else
-// against its own factorization. The row's cell tail then settles each
-// cell in fault order (cell), so a row writes only its own evaluation
-// slots and needs no locking beyond the tracker's. Rows are claimed in
-// ascending order; a row whose nominal phase fails stops every row above
-// it from starting, and rows below it still finish theirs, so the error
-// reported is always the lowest failing row's.
+// row per task. The worker that claims row i walks the grid of a basis
+// once (analysis.Engine.SweepLowRank): at each point it reads the row's
+// nominal and answers every rank-1 fault of the row, from the shared
+// basis through a Woodbury correction, or from a basis of the row's own
+// matrix when there is no shared one (walk). The row's cell tail then
+// settles each cell in fault order (cell), so a row writes only its own
+// evaluation slots and needs no locking beyond the tracker's. Rows are
+// claimed in ascending order; a row whose nominal phase fails stops every
+// row above it from starting, and rows below it still finish theirs, so
+// the error reported is always the lowest failing row's.
 type rowRunner struct {
 	opts   Options
 	faults fault.List
 	spec   func(i int) (rowSpec, error)
 	// basis, when non-nil, is the per-ω basis every row reads (newBasis),
-	// built over the rows' shared grid for the same fault list.
+	// built over the rows' shared grid for the same fault list; when nil,
+	// each row builds its own.
 	basis *analysis.Basis
 	evals []FaultEval
 	errs  []error
@@ -94,29 +96,29 @@ func newRowRunner(rows int, faults fault.List, opts Options, spec func(i int) (r
 
 // newBasis builds and fills the basis of ckt — A₀, with the configurable
 // opamps of chain — over grid for the fault list, one ω chunk per worker,
-// under one detect.basis span. It returns nil when the basis cannot be
-// built or ctx is cancelled: the rows then factor their own matrices, and
-// report whatever failed, as they would without one.
-func newBasis(ctx context.Context, ckt *circuit.Circuit, chain []string, grid []float64, faults fault.List, workers int) *analysis.Basis {
+// under one detect.basis span, and returns it, or what failed: the first
+// failing chunk's error, else ctx's.
+func newBasis(ctx context.Context, ckt *circuit.Circuit, chain []string, grid []float64, faults fault.List, workers int) (*analysis.Basis, error) {
 	ctx, span := obs.Start(ctx, "detect.basis")
 	defer span.End()
 	b, err := analysis.NewBasis(ckt, chain, grid, faults)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	// One chunk fills in place; more run over the worker pool. A failure
-	// clears Filled.
+	// One chunk fills in place; more run over the worker pool.
 	if chunks := min(workers, len(grid)); chunks == 1 {
-		_ = b.Fill(ctx, 0, 1)
+		err = b.Fill(ctx, 0, 1)
 	} else {
+		errs := make([]error, chunks)
 		runParallel(ctx, chunks, workers, func(cctx context.Context, c int) {
-			_ = b.Fill(cctx, c, chunks)
+			errs[c] = b.Fill(cctx, c, chunks)
 		})
+		err = cmp.Or(errs...)
 	}
-	if ctx.Err() != nil || !b.Filled() {
-		return nil
+	if err = cmp.Or(err, ctx.Err()); err != nil {
+		return nil, err
 	}
-	return b
+	return b, nil
 }
 
 // run evaluates every row under one detect.cells span and returns the
@@ -164,52 +166,21 @@ func (rr *rowRunner) row(ctx context.Context, i int) error {
 	ctx, span := obs.Start(ctx, "detect.config")
 	span.SetTag("config", sp.label)
 	defer span.End()
-	b := rr.basis
-	var eng *analysis.Engine
-	if b != nil && len(sp.followers) == 0 {
-		eng = b.TakeEngine()
-	}
-	if eng == nil {
-		if eng, err = analysis.NewEngine(sp.ckt); err != nil {
-			return fmt.Errorf("detect: nominal sweep of %s: %w", sp.what(), err)
-		}
-	}
-	nf := len(rr.faults)
-	// slot[j] is fault j's index in lfs, or -1 where its first rung is
-	// not rank-1. After a FailFast stop the walk is the nominal alone.
-	var lfs []analysis.LowRankFault
-	var slot []int
-	switch {
-	case rr.stop.Load():
-	case b != nil:
-		lfs, slot = b.LowRankFaults(), b.Slots()
-	case rr.opts.first == "":
-		lfs = make([]analysis.LowRankFault, nf)
-		slot = make([]int, nf)
-		n := 0
-		for j, f := range rr.faults {
-			slot[j] = -1
-			if eng.PrepareLowRank(f, &lfs[n]) == nil {
-				slot[j] = n
-				n++
-			}
-		}
-		lfs = lfs[:n]
-	}
 	timed := obs.TimingOn()
 	var t0 time.Time
 	if timed {
 		t0 = obs.Now()
 	}
-	walk, err := eng.SweepLowRank(ctx, sp.grid, lfs, b, sp.followers)
+	eng, walk, slot, err := rr.walk(ctx, sp)
 	if err != nil {
 		return fmt.Errorf("detect: nominal sweep of %s: %w", sp.what(), err)
 	}
 	// A rank-1 cell's latency is its share of the walk plus its own tail.
 	var walkShare float64
-	if timed && len(lfs) > 0 {
-		walkShare = obs.Since(t0).Seconds() / float64(len(lfs))
+	if timed && len(walk.Faulty) > 0 {
+		walkShare = obs.Since(t0).Seconds() / float64(len(walk.Faulty))
 	}
+	nf := len(rr.faults)
 	nominal := walk.Nominal
 	st, err := retryNominal(eng, nominal, rr.opts)
 	if err != nil {
@@ -270,6 +241,48 @@ func (rr *rowRunner) row(ctx context.Context, i int) error {
 	return nil
 }
 
+// walk returns the engine row sp runs its tail on, the row's walk — its
+// nominal and the rank-1 answers of the basis it read — and that basis's
+// slots. A row reads the shared basis; without one (PerConfigRegion, or
+// the shared basis failed) it reads a chain-less basis of its own circuit
+// over its own grid. The row whose matrix is the basis matrix runs on the
+// basis's engine. The patch/clone oracle rows take their nominal from
+// SweepGrid and never build or read a basis, so the oracles stay
+// independent of it; their walk counts every point as factored, and
+// their slots are nil.
+func (rr *rowRunner) walk(ctx context.Context, sp rowSpec) (*analysis.Engine, *analysis.LowRankRow, []int, error) {
+	if rr.opts.first != "" {
+		eng, err := analysis.NewEngine(sp.ckt)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		nominal, err := eng.SweepGrid(sp.grid)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return eng, &analysis.LowRankRow{Nominal: nominal, Factored: len(sp.grid)}, nil, nil
+	}
+	b, s := rr.basis, sp.followers
+	var err error
+	if b == nil {
+		if b, err = newBasis(ctx, sp.ckt, nil, sp.grid, rr.faults, 1); err != nil {
+			return nil, nil, nil, err
+		}
+		s = nil
+	}
+	var eng *analysis.Engine
+	if len(s) == 0 {
+		eng = b.TakeEngine()
+	}
+	if eng == nil {
+		if eng, err = analysis.NewEngine(sp.ckt); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	walk, err := eng.SweepLowRank(ctx, b, s)
+	return eng, walk, b.Slots(), err
+}
+
 // tail is one row's cell tail: the row's engine and nominal, the reused
 // re-solve lists and the row's re-solve tallies.
 type tail struct {
@@ -289,7 +302,7 @@ type tail struct {
 	npts    []int
 	// rank1 counts cells answered on the rank-1 rung; refactors and
 	// guarded count their re-solved points by cause; own counts the
-	// factorizations of the row's own matrix.
+	// row's own nominal solves.
 	rank1, refactors, guarded, own int64
 }
 
@@ -313,8 +326,8 @@ func (t *tail) nomErr(i int) float64 {
 }
 
 // exact makes the nominal at each listed point that a Woodbury correction
-// formed the row's own solve — one factorization of the row's matrix on
-// the row's engine, which must be nominal — validity included.
+// formed the row's own solve — one solve of the row's matrix on the
+// row's engine, which must be nominal — validity included.
 func (t *tail) exact(pts []int) error {
 	t.npts = t.npts[:0]
 	for _, i := range pts {

@@ -72,7 +72,7 @@ func TestWoodburyErrorWithinBand(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			walk, err := walkEng.SweepLowRank(ctx, grid, b.LowRankFaults(), b, followers)
+			walk, err := walkEng.SweepLowRank(ctx, b, followers)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", c.label, cfg.Label(), err)
 			}
