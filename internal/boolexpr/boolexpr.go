@@ -153,24 +153,28 @@ type SOP struct {
 
 // absorb removes duplicate terms and any term that is a superset of
 // another (X + X·Y = X), returning terms sorted by popcount then value for
-// determinism.
+// determinism. It reuses terms' backing array.
 func absorb(terms []uint64) []uint64 {
 	bAbsorbIn.Add(int64(len(terms)))
+	out := minimal(terms)
+	bAbsorbOut.Add(int64(len(out)))
+	return out
+}
+
+// minimal is absorb without the counters: it sorts terms by termCompare
+// and keeps, in place, those with no kept subset. A subset sorts first, so
+// one pass over the kept prefix decides each term. No terms give nil.
+func minimal(terms []uint64) []uint64 {
+	if len(terms) == 0 {
+		return nil
+	}
 	sortTerms(terms)
-	var out []uint64
+	out := terms[:0]
 	for _, t := range terms {
-		dominated := false
-		for _, kept := range out {
-			if kept&t == kept { // kept ⊆ t ⇒ t absorbed
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
+		if !hasSubsetOf(out, t) {
 			out = append(out, t)
 		}
 	}
-	bAbsorbOut.Add(int64(len(out)))
 	return out
 }
 
@@ -274,6 +278,80 @@ func (e *Expr) PetrickContext(ctx context.Context, maxTerms int) (*SOP, error) {
 	return &SOP{N: e.N, Terms: terms}, nil
 }
 
+// PetrickMapped expands the POS with every literal i replaced by the
+// literal mask f(i) of a new literal space of width newN, and absorbs:
+// the SOP Π_clauses Σ_{i∈clause} f(i). This is the §4.3 ξ*, with f(config)
+// the configuration's follower opamps (Table 3), computed without the
+// row-space expansion: it equals mapping Petrick's terms through f and
+// absorbing (DESIGN.md §18), because both are the minimal masks m whose
+// literals {i : f(i) ⊆ m} satisfy every clause.
+//
+// Each clause is multiplied in as the minimal masks among its mapped
+// literals, and the running terms are absorbed after every clause, so
+// they stay an antichain. A clause one of whose literals maps to 0 is
+// already satisfied by every term and is skipped. A term containing one of
+// the clause's masks survives unchanged; the others expand to one product
+// per mask, and the budget (maxTerms, 0 for the default of 200 000) bounds
+// that count, as Petrick's does. ctx is polled between clauses and between
+// every petrickCancelStride expanded terms. The expansion reuses its
+// buffers, so it allocates a constant number of times per call.
+func (e *Expr) PetrickMapped(ctx context.Context, newN int, f func(i int) uint64, maxTerms int) (*SOP, error) {
+	if maxTerms <= 0 {
+		maxTerms = 200000
+	}
+	// One slab backs the running terms, the next terms and a clause's
+	// masks (at most e.N); the term buffers grow past it only on wide
+	// expansions.
+	const termCap = 32
+	slab := make([]uint64, 2*termCap+min(e.N, MaxLiterals))
+	terms := slab[:1:termCap]
+	next := slab[termCap : termCap : 2*termCap]
+	opts := slab[2*termCap : 2*termCap]
+clauses:
+	for _, clause := range e.Clauses {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		opts = opts[:0]
+		for c := clause; c != 0; c &= c - 1 {
+			m := f(bits.TrailingZeros64(c))
+			if m == 0 {
+				continue clauses
+			}
+			opts = append(opts, m)
+		}
+		opts = minimal(opts)
+		bPetrickClauses.Inc()
+		next = next[:0]
+		rest := 0
+		for _, t := range terms {
+			if hasSubsetOf(opts, t) {
+				next = append(next, t)
+			} else {
+				terms[rest] = t
+				rest++
+			}
+		}
+		expanded := len(next) + rest*len(opts)
+		bPetrickPeak.SetMax(float64(expanded))
+		if expanded > maxTerms {
+			return nil, fmt.Errorf("%w: %d intermediate terms", ErrTooLarge, expanded)
+		}
+		for ti, t := range terms[:rest] {
+			if ti%petrickCancelStride == petrickCancelStride-1 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
+			for _, o := range opts {
+				next = append(next, t|o)
+			}
+		}
+		terms, next = absorb(next), terms
+	}
+	return &SOP{N: newN, Terms: terms}, nil
+}
+
 // hasSubsetOf reports whether some term of ts is a subset of t.
 func hasSubsetOf(ts []uint64, t uint64) bool {
 	for _, s := range ts {
@@ -326,35 +404,6 @@ func (s *SOP) Minimal() []uint64 {
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
-// MapLiterals rewrites each term by replacing every literal i with the
-// literal mask f(i) in a new literal space of width newN, re-absorbing the
-// result. This is the §4.3 configuration→opamp mapping: f(config) is the
-// product of the opamps in follower mode (Table 3), and the mapped SOP is
-// ξ* whose minimal terms give the partial-DFT opamp set.
-func (s *SOP) MapLiterals(newN int, f func(i int) uint64) *SOP {
-	terms := make([]uint64, len(s.Terms))
-	for k, t := range s.Terms {
-		var m uint64
-		for _, i := range Bits(t) {
-			m |= f(i)
-		}
-		terms[k] = m
-	}
-	return &SOP{N: newN, Terms: absorb(terms)}
-}
-
-// TermsContaining returns the terms whose literal set includes all of
-// mask's literals.
-func (s *SOP) TermsContaining(mask uint64) []uint64 {
-	var out []uint64
-	for _, t := range s.Terms {
-		if t&mask == mask {
-			out = append(out, t)
-		}
-	}
 	return out
 }
 

@@ -222,33 +222,6 @@ func TestAbsorb(t *testing.T) {
 	}
 }
 
-func TestMapLiteralsPaperOpamps(t *testing.T) {
-	// Table 3 / §4.3: map configurations to follower-opamp products and
-	// check ξ* minimal = OP1·OP2.
-	opampsOf := func(cfg int) uint64 {
-		// cfg index bit i ⇒ opamp i in follower mode.
-		return uint64(cfg) & 0b111
-	}
-	sop := &SOP{N: 7, Terms: []uint64{MaskOf(1, 2), MaskOf(2, 5)}}
-	mapped := sop.MapLiterals(3, func(i int) uint64 { return opampsOf(i) })
-	// C1·C2 → OP1,OP2 (0b011); C2·C5 → OP2 | OP1,OP3 = all (0b111) absorbed.
-	if len(mapped.Terms) != 1 || mapped.Terms[0] != 0b011 {
-		t.Fatalf("ξ* = %v, want [OP1·OP2]", mapped.Terms)
-	}
-	min := mapped.Minimal()
-	if len(min) != 1 || min[0] != 0b011 {
-		t.Fatalf("minimal ξ* = %v", min)
-	}
-}
-
-func TestTermsContaining(t *testing.T) {
-	s := &SOP{N: 6, Terms: []uint64{MaskOf(1, 2), MaskOf(2, 5), MaskOf(1, 4)}}
-	got := s.TermsContaining(MaskOf(2))
-	if len(got) != 2 {
-		t.Fatalf("TermsContaining = %v", got)
-	}
-}
-
 func TestFormat(t *testing.T) {
 	s := &SOP{N: 6, Terms: []uint64{MaskOf(1, 2), MaskOf(2, 5)}}
 	if got := s.Format(cname); got != "C1·C2 + C2·C5" {

@@ -1,11 +1,13 @@
 package boolexpr
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"analogdft/internal/paperdata"
@@ -51,6 +53,56 @@ func withRequiredRef(s *SOP, required uint64) *SOP {
 		terms[i] = t | required
 	}
 	return &SOP{N: s.N, Terms: absorb(terms)}
+}
+
+// mapLiteralsRef maps every term of s into a literal space of width newN,
+// literal i becoming the mask f(i), and absorbs: ξ* from ξ's row-space
+// terms, as §4.3 derives it.
+func mapLiteralsRef(s *SOP, newN int, f func(i int) uint64) *SOP {
+	terms := make([]uint64, len(s.Terms))
+	for k, t := range s.Terms {
+		for _, i := range Bits(t) {
+			terms[k] |= f(i)
+		}
+	}
+	return &SOP{N: newN, Terms: absorb(terms)}
+}
+
+// petrickMappedRef is the clause-by-clause opamp-space expansion the
+// budget of PetrickMapped is defined on: each clause becomes the absorbed
+// masks of its literals (skipped when one is 0), a term containing one of
+// them survives, the others expand to one product per mask, and the result
+// is absorbed. It also returns the largest pre-absorption count it saw.
+func petrickMappedRef(e *Expr, newN int, f func(i int) uint64, maxTerms int) (*SOP, int, error) {
+	if maxTerms <= 0 {
+		maxTerms = 200000
+	}
+	terms, peak := []uint64{0}, 0
+	for _, clause := range e.Clauses {
+		var opts []uint64
+		for _, i := range Bits(clause) {
+			opts = append(opts, f(i))
+		}
+		if opts = minimal(opts); len(opts) > 0 && opts[0] == 0 {
+			continue
+		}
+		var next []uint64
+		for _, t := range terms {
+			if hasSubsetOf(opts, t) {
+				next = append(next, t)
+				continue
+			}
+			for _, o := range opts {
+				next = append(next, t|o)
+			}
+		}
+		peak = max(peak, len(next))
+		if len(next) > maxTerms {
+			return nil, peak, fmt.Errorf("%w: %d intermediate terms", ErrTooLarge, len(next))
+		}
+		terms = minimal(next)
+	}
+	return &SOP{N: newN, Terms: terms}, peak, nil
 }
 
 // The ξ clause masks of two 63-row wide-chain matrices (frac is the
@@ -136,6 +188,80 @@ func checkPetrick(t *testing.T, e *Expr, maxTerms int) {
 	}
 }
 
+// randomMap draws a literal map for e into an opamp space of up to 8
+// opamps, the way core builds one from a chain: opamp names drawn with
+// repeats, each name's bit that of its last chain entry, and each literal
+// the union of a random subset of the chain's bits. Some literals map to
+// 0, others duplicate an earlier literal's mask.
+func randomMap(rng *rand.Rand, e *Expr) (int, []uint64) {
+	newN := 1 + rng.Intn(8)
+	names := make([]int, newN)
+	for i := range names {
+		names[i] = rng.Intn(newN)
+	}
+	bit := make([]uint64, newN)
+	for i, name := range names {
+		for j := i; j < newN; j++ {
+			if names[j] == name {
+				bit[i] = 1 << uint(j)
+			}
+		}
+	}
+	f := make([]uint64, e.N)
+	for i := range f {
+		switch r := rng.Intn(10); {
+		case r == 0: // no followers: the fault-free row C0
+		case r == 1 && i > 0:
+			f[i] = f[rng.Intn(i)]
+		default:
+			for j, b := range bit {
+				if rng.Intn(3) == 0 || j == i%newN {
+					f[i] |= b
+				}
+			}
+		}
+	}
+	return newN, f
+}
+
+// checkPetrickMapped asserts that PetrickMapped returns the row-space
+// expansion mapped through f and absorbed (whenever Petrick fits in
+// maxTerms), the clause-by-clause opamp-space expansion's terms or
+// ErrTooLarge under maxTerms, and that on success both trip the budget
+// one term below the peak.
+func checkPetrickMapped(t *testing.T, e *Expr, newN int, f []uint64, maxTerms int) {
+	t.Helper()
+	fn := func(i int) uint64 { return f[i] }
+	want, peak, wantErr := petrickMappedRef(e, newN, fn, maxTerms)
+	got, err := e.PetrickMapped(context.Background(), newN, fn, maxTerms)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("%s under %#x: err = %v, reference %v", e.Format(cname), f, err, wantErr)
+	}
+	if err != nil {
+		if !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("%s under %#x: err = %v, want ErrTooLarge", e.Format(cname), f, err)
+		}
+		return
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s under %#x:\n got %v\nwant %v", e.Format(cname), f, got.Terms, want.Terms)
+	}
+	if sop, err := e.Petrick(maxTerms); err == nil {
+		if rows := mapLiteralsRef(sop, newN, fn); !reflect.DeepEqual(got, rows) {
+			t.Fatalf("%s under %#x:\n got %v\nmapped row-space terms %v", e.Format(cname), f, got.Terms, rows.Terms)
+		}
+	}
+	if peak <= 1 {
+		return // a budget of peak-1 would mean the default
+	}
+	if _, err := e.PetrickMapped(context.Background(), newN, fn, peak); err != nil {
+		t.Fatalf("%s under %#x: budget %d (the peak) rejected: %v", e.Format(cname), f, peak, err)
+	}
+	if _, err := e.PetrickMapped(context.Background(), newN, fn, peak-1); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("%s under %#x: budget %d (below the peak): err = %v", e.Format(cname), f, peak-1, err)
+	}
+}
+
 func TestPetrickMatchesReference(t *testing.T) {
 	checkPetrick(t, paperXi(t), 0)
 	checkPetrick(t, xiMultistageLP6, 0)
@@ -144,6 +270,53 @@ func TestPetrickMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 400; i++ {
 		checkPetrick(t, randomPOS(rng), 5000)
+	}
+}
+
+// TestPetrickMappedMatchesReference holds the opamp-space expansion to
+// the row-space one mapped and absorbed, on the two wide-chain ξ under
+// their chains' follower maps — as measured, where row C0 satisfies every
+// clause, and with C0 taken out of every clause — and on seeded random
+// expressions and maps.
+func TestPetrickMappedMatchesReference(t *testing.T) {
+	followers := make([]uint64, 63)
+	for i := range followers {
+		followers[i] = uint64(i) // configuration i: bit b ⇒ opamp b a follower
+	}
+	for _, e := range []*Expr{xiMultistageLP6, xiBiquadCascade2} {
+		checkPetrickMapped(t, e, 6, followers, 0)
+		noC0 := &Expr{N: e.N}
+		for _, c := range e.Clauses {
+			noC0.Clauses = append(noC0.Clauses, c&^1)
+		}
+		checkPetrickMapped(t, noC0, 6, followers, 0)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 400; i++ {
+		e := randomPOS(rng)
+		newN, f := randomMap(rng, e)
+		checkPetrickMapped(t, e, newN, f, 5000)
+	}
+}
+
+// TestPetrickMappedPaperOpamps expands the paper's ξ under Table 3's
+// configuration → follower-opamp map: ξ* = OP1·OP2 (§4.3).
+func TestPetrickMappedPaperOpamps(t *testing.T) {
+	f := make([]uint64, len(paperdata.ConfigLabels))
+	for i, label := range paperdata.ConfigLabels {
+		for _, op := range paperdata.OpampMapping[label] {
+			f[i] |= MaskOf(slices.Index(paperdata.OpampNames, op))
+		}
+	}
+	xiStar, err := paperXi(t).PetrickMapped(context.Background(), len(paperdata.OpampNames), func(i int) uint64 { return f[i] }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := xiStar.Format(func(i int) string { return paperdata.OpampNames[i] }); got != "OP1·OP2" {
+		t.Fatalf("ξ* = %q, want OP1·OP2", got)
+	}
+	if min := xiStar.Minimal(); len(min) != 1 || min[0] != MaskOf(0, 1) {
+		t.Fatalf("minimal ξ* = %v", min)
 	}
 }
 
@@ -227,7 +400,10 @@ func TestPetrickCountersMatchReference(t *testing.T) {
 
 // FuzzPetrick decodes arbitrary bytes into a product of sums — the first
 // byte picks the literal count, every following 8 bytes one clause mask —
-// and holds PetrickContext to the reference expansion.
+// and holds PetrickContext to the reference expansion. It also holds
+// PetrickMapped to the mapped references under a map drawn from the
+// input: the last byte picks the width of the new literal space, and
+// literal i maps to the masked byte at a position that steps with i.
 func FuzzPetrick(f *testing.F) {
 	encode := func(e *Expr) []byte {
 		out := []byte{byte(e.N - 1)}
@@ -244,12 +420,19 @@ func FuzzPetrick(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
+		raw := data
 		e := &Expr{N: 1 + int(data[0])%MaxLiterals}
 		width := ^uint64(0) >> uint(MaxLiterals-e.N)
 		for data = data[1:]; len(data) >= 8 && len(e.Clauses) < 30; data = data[8:] {
 			e.Clauses = append(e.Clauses, binary.LittleEndian.Uint64(data)&width)
 		}
 		checkPetrick(t, e, 1000)
+		newN := 1 + int(raw[len(raw)-1])%8
+		f := make([]uint64, e.N)
+		for i := range f {
+			f[i] = uint64(raw[(1+7*i)%len(raw)]) & (1<<uint(newN) - 1)
+		}
+		checkPetrickMapped(t, e, newN, f, 1000)
 	})
 }
 

@@ -2,7 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math/bits"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -64,7 +67,7 @@ func optimizeOpampsRef(mx *detect.Matrix, chain []string) (*OpampResult, error) 
 		}
 		return m
 	}
-	xiStar := base.SOP.MapLiterals(len(chain), func(row int) uint64 { return followers(mx.Configs[row]) })
+	xiStar := mapLiteralsRef(base.SOP, len(chain), func(row int) uint64 { return followers(mx.Configs[row]) })
 	minimal := xiStar.Minimal()
 	if len(minimal) == 0 {
 		return nil, ErrNoSolution
@@ -107,6 +110,39 @@ func optimizeOpampsRef(mx *detect.Matrix, chain []string) (*OpampResult, error) 
 	return res, nil
 }
 
+// mapLiteralsRef is ξ* as §4.3 derives it: every term of ξ's sum of
+// products with each row i replaced by its follower opamps f(i), then
+// absorbed (duplicates and supersets dropped) and sorted by popcount, then
+// value.
+func mapLiteralsRef(s *boolexpr.SOP, newN int, f func(row int) uint64) *boolexpr.SOP {
+	mapped := make([]uint64, len(s.Terms))
+	for k, t := range s.Terms {
+		for _, i := range boolexpr.Bits(t) {
+			mapped[k] |= f(i)
+		}
+	}
+	var terms []uint64
+	for k, m := range mapped {
+		absorbed := false
+		for j, u := range mapped {
+			if u&^m == 0 && (u != m || j < k) {
+				absorbed = true
+				break
+			}
+		}
+		if !absorbed {
+			terms = append(terms, m)
+		}
+	}
+	sort.Slice(terms, func(a, b int) bool {
+		if pa, pb := bits.OnesCount64(terms[a]), bits.OnesCount64(terms[b]); pa != pb {
+			return pa < pb
+		}
+		return terms[a] < terms[b]
+	})
+	return &boolexpr.SOP{N: newN, Terms: terms}
+}
+
 // oracleCase is one matrix the candidate oracle runs on.
 type oracleCase struct {
 	name  string
@@ -116,8 +152,10 @@ type oracleCase struct {
 
 // oracleCases simulates every library bench (leapfrog-lp5 both in full,
 // 127 rows, which only the greedy cover accepts, and limited to two
-// followers) and a five-opamp lowpass chain at a 20% deviation universe,
-// plus the paper matrix under a chain with a repeated opamp name.
+// followers) and a five-opamp lowpass chain at a 20% deviation universe
+// and 31 points, the paper matrix under a chain with a repeated opamp
+// name, and the two wide-chain matrices with the largest covers:
+// multistage-lp-6 and biquad-cascade-2 at 25% and 61 points.
 func oracleCases(t *testing.T) []oracleCase {
 	t.Helper()
 	lib := circuits.Library()
@@ -150,7 +188,30 @@ func oracleCases(t *testing.T) []oracleCase {
 			cases = append(cases, oracleCase{name, mx, bench.Chain})
 		}
 	}
+	ms6, err := circuits.MultiStageLowpass(6, 10e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bench := range []*circuits.Bench{ms6, lib["biquad-cascade-2"]} {
+		cases = append(cases, oracleCase{bench.Circuit.Name + "/frac=0.25", wideMatrix(t, bench, 0.25), bench.Chain})
+	}
 	return cases
+}
+
+// wideMatrix builds the matrix of bench under a deviation universe of
+// size frac at 61 points over the derived region, as the wide-chain
+// benchmark workload does.
+func wideMatrix(tb testing.TB, bench *circuits.Bench, frac float64) *detect.Matrix {
+	tb.Helper()
+	mod, err := dft.Apply(bench.Circuit, bench.Chain)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mx, err := detect.BuildMatrix(mod, fault.DeviationUniverse(bench.Circuit, frac), detect.Options{Points: 61})
+	if err != nil {
+		tb.Fatalf("%s: %v", bench.Circuit.Name, err)
+	}
+	return mx
 }
 
 // TestCandidatesMatchReference holds every candidate of Optimize, the
@@ -228,5 +289,108 @@ func TestEmptyCandidateMatchesReference(t *testing.T) {
 	}
 	if want := buildCandidateRef(mx, paperdata.OpampNames, nil); !reflect.DeepEqual(res.Candidates[0], want) {
 		t.Fatalf("empty candidate = %+v, want %+v", res.Candidates[0], want)
+	}
+}
+
+// TestCandidatesDoNotAlias appends to the first candidate's slices, which
+// share their backing arrays with the other candidates', and checks that
+// the second candidate is unchanged.
+func TestCandidatesDoNotAlias(t *testing.T) {
+	res, err := Optimize(paperdata.Matrix(), paperdata.OpampNames, ConfigCountCost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Candidates) < 2 {
+		t.Fatalf("%d candidates, want at least 2", len(res.Candidates))
+	}
+	second := res.Candidates[1]
+	want := Candidate{
+		Rows:   append([]int(nil), second.Rows...),
+		Labels: append([]string(nil), second.Labels...),
+		Opamps: append([]string(nil), second.Opamps...),
+	}
+	first := &res.Candidates[0]
+	first.Rows = append(first.Rows, -1)
+	first.Labels = append(first.Labels, "X")
+	first.Opamps = append(first.Opamps, "X")
+	got := res.Candidates[1]
+	if !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(got.Labels, want.Labels) || !reflect.DeepEqual(got.Opamps, want.Opamps) {
+		t.Fatalf("candidate 1 after appending to candidate 0 = %+v, want rows %v labels %v opamps %v", got, want.Rows, want.Labels, want.Opamps)
+	}
+}
+
+// syntheticMatrix returns a matrix of rows configurations of an n-opamp
+// chain (row i is configuration i) whose column j is detected by the rows
+// of det[j], every other cell false and every ω-detectability 0.
+func syntheticMatrix(n, rows int, det [][]int) (*detect.Matrix, []string) {
+	mx := &detect.Matrix{Source: "synthetic"}
+	for i := 0; i < rows; i++ {
+		mx.Configs = append(mx.Configs, dft.Configuration{Index: i, N: n})
+		mx.Det = append(mx.Det, make([]bool, len(det)))
+		mx.Omega = append(mx.Omega, make([]float64, len(det)))
+	}
+	for j, col := range det {
+		mx.Faults = append(mx.Faults, fault.Fault{ID: fmt.Sprintf("f%d", j)})
+		for _, i := range col {
+			mx.Det[i][j] = true
+		}
+	}
+	chain := make([]string, n)
+	for b := range chain {
+		chain[b] = fmt.Sprintf("OP%d", b+1)
+	}
+	return mx, chain
+}
+
+// TestOptimizeOpampsBeyondRowBudget pins where the opamp-space expansion
+// changed OptimizeOpamps' answer: 20 faults each detected by their own
+// pair of rows 1..40 of a 6-opamp chain give ξ 2^20 row-space terms, past
+// Petrick's default budget, so Optimize fails with ErrTooLarge, while ξ*
+// fits in 6 opamps and OptimizeOpamps answers with the minimal opamp
+// masks whose usable rows cover every fault (found here by trying all 64).
+// A matrix of more rows than boolexpr.MaxLiterals is still ErrTooLarge.
+func TestOptimizeOpampsBeyondRowBudget(t *testing.T) {
+	det := make([][]int, 20)
+	for j := range det {
+		det[j] = []int{2*j + 1, 2*j + 2}
+	}
+	mx, chain := syntheticMatrix(6, 41, det)
+	if _, err := Optimize(mx, chain, ConfigCountCost); !errors.Is(err, boolexpr.ErrTooLarge) {
+		t.Fatalf("Optimize err = %v, want ErrTooLarge", err)
+	}
+	res, err := OptimizeOpamps(mx, chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	covers := func(m uint64) bool {
+		for _, col := range det {
+			if !slices.ContainsFunc(col, func(i int) bool { return uint64(i)&^m == 0 }) {
+				return false
+			}
+		}
+		return true
+	}
+	var want []uint64
+	for m := uint64(0); m < 64; m++ {
+		if covers(m) && !slices.ContainsFunc(want, func(u uint64) bool { return u&^m == 0 }) {
+			want = append(want, m)
+		}
+	}
+	slices.SortFunc(want, func(a, b uint64) int {
+		if pa, pb := bits.OnesCount64(a), bits.OnesCount64(b); pa != pb {
+			return pa - pb
+		}
+		return int(a) - int(b)
+	})
+	if !reflect.DeepEqual(res.XiStar.Terms, want) {
+		t.Fatalf("ξ* = %#x, want %#x", res.XiStar.Terms, want)
+	}
+	if res.Coverage != 1 {
+		t.Fatalf("coverage = %g, want 1", res.Coverage)
+	}
+
+	mx, chain = syntheticMatrix(7, boolexpr.MaxLiterals+1, [][]int{{1}})
+	if _, err := OptimizeOpamps(mx, chain); !errors.Is(err, boolexpr.ErrTooLarge) {
+		t.Fatalf("%d rows: err = %v, want ErrTooLarge", boolexpr.MaxLiterals+1, err)
 	}
 }

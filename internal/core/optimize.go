@@ -13,6 +13,12 @@
 //     CostFunction);
 //  3. breaks remaining ties with the 3rd-order requirement: the highest
 //     average best-case ω-detectability.
+//
+// OptimizeOpamps (§4.3) needs no configuration-space expansion: it
+// expands ξ* straight from ξ in opamp space (boolexpr.PetrickMapped),
+// which gives the terms of ξ's sum of products mapped to follower opamps
+// and absorbed. So a run of both optimizations pays for one row-space
+// Petrick expansion, Optimize's.
 package core
 
 import (
@@ -20,7 +26,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
+	"strings"
 
 	"analogdft/internal/boolexpr"
 	"analogdft/internal/detect"
@@ -56,18 +64,7 @@ type Candidate struct {
 // String implements fmt.Stringer.
 func (c *Candidate) String() string {
 	return fmt.Sprintf("{%s} (cfgs=%d opamps=%d ⟨ω-det⟩=%.4g%%)",
-		joinStrings(c.Labels, ","), c.NumConfigs, c.NumOpamps, c.AvgOmegaDet)
-}
-
-func joinStrings(xs []string, sep string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += sep
-		}
-		out += x
-	}
-	return out
+		strings.Join(c.Labels, ","), c.NumConfigs, c.NumOpamps, c.AvgOmegaDet)
 }
 
 // CostFunction is a 2nd-order requirement: a user-defined cost over
@@ -198,23 +195,70 @@ func (tab *rowTable) label(r int) string {
 func buildCandidate(mx *detect.Matrix, chain []string, rows []int) Candidate {
 	sorted := append([]int(nil), rows...)
 	sort.Ints(sorted)
+	var labels []string
+	if len(sorted) > 0 {
+		labels = make([]string, len(sorted))
+	}
 	tab := newRowTable(mx, chain)
-	return tab.candidate(sorted)
+	return tab.candidate(sorted, labels, nil)
 }
 
-// candidate assembles the Candidate of the given ascending matrix rows,
-// which it keeps.
-func (tab *rowTable) candidate(rows []int) Candidate {
-	var labels []string
-	if len(rows) > 0 {
-		labels = make([]string, len(rows))
+// candidates assembles the Candidate of every term (a mask of matrix
+// rows). One pass sizes every candidate's Rows, Labels and Opamps, which
+// are then carved from one slab each, capped so that appending to one
+// candidate's slice cannot write into the next one's. The empty term keeps
+// nil Rows, Labels and Opamps, as buildCandidate has them.
+func (tab *rowTable) candidates(terms []uint64) []Candidate {
+	nRows, nOpamps := 0, 0
+	for _, t := range terms {
+		nRows += bits.OnesCount64(t)
+		nOpamps += tab.numOpamps(t)
 	}
+	rowSlab, labelSlab, opampSlab := make([]int, nRows), make([]string, nRows), make([]string, nOpamps)
+	out := make([]Candidate, len(terms))
+	for k, t := range terms {
+		var rows []int
+		var labels, opamps []string
+		if n := bits.OnesCount64(t); n > 0 {
+			rows, rowSlab = rowSlab[:n:n], rowSlab[n:]
+			labels, labelSlab = labelSlab[:n:n], labelSlab[n:]
+			for i, m := 0, t; m != 0; i, m = i+1, m&(m-1) {
+				rows[i] = bits.TrailingZeros64(m)
+			}
+		}
+		if n := tab.numOpamps(t); n > 0 {
+			opamps, opampSlab = opampSlab[:0:n], opampSlab[n:]
+		}
+		out[k] = tab.candidate(rows, labels, opamps)
+	}
+	return out
+}
+
+// numOpamps returns how many chain entries the rows of the mask put in
+// follower mode: the length of their candidate's Opamps.
+func (tab *rowTable) numOpamps(rowMask uint64) int {
+	var followers uint64
+	for m := rowMask; m != 0; m &= m - 1 {
+		followers |= tab.rows[bits.TrailingZeros64(m)].followers
+	}
+	n := 0
+	for _, b := range tab.opampBit {
+		if followers&b != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// candidate assembles the Candidate of the given ascending matrix rows. It
+// keeps rows, fills labels (one per row) and appends the follower opamps
+// to opamps.
+func (tab *rowTable) candidate(rows []int, labels, opamps []string) Candidate {
 	var followers uint64
 	for k, r := range rows {
 		labels[k] = tab.label(r)
 		followers |= tab.rows[r].followers
 	}
-	var opamps []string
 	for i, name := range tab.chain {
 		if followers&tab.opampBit[i] != 0 {
 			opamps = append(opamps, name)
@@ -288,10 +332,7 @@ func OptimizeContext(ctx context.Context, mx *detect.Matrix, chain []string, cos
 	res.MaxCoverage = mx.FaultCoverage()
 	res.CostName = cost.Name
 	tab := newRowTable(mx, chain)
-	res.Candidates = make([]Candidate, len(res.SOP.Terms))
-	for k, term := range res.SOP.Terms {
-		res.Candidates[k] = tab.candidate(boolexpr.Bits(term))
-	}
+	res.Candidates = tab.candidates(res.SOP.Terms)
 
 	// 2nd order: keep the minimum-cost candidates.
 	minCost := math.Inf(1)
@@ -386,17 +427,25 @@ type OpampResult struct {
 // set of opamps to make configurable such that some maximum-coverage
 // configuration set remains emulatable, then use every configuration that
 // set of opamps permits (the ω-detectability-maximal choice).
+//
+// ξ* is expanded straight from ξ in opamp space (boolexpr.PetrickMapped),
+// not from ξ's sum of products, so the term budget bounds the opamp-space
+// expansion: a matrix whose configuration-space cover exceeds the budget
+// (Optimize fails with boolexpr.ErrTooLarge) can still be answered here.
+// A matrix of more than boolexpr.MaxLiterals rows is still ErrTooLarge.
 func OptimizeOpamps(mx *detect.Matrix, chain []string) (*OpampResult, error) {
 	if len(chain) == 0 || len(chain) > boolexpr.MaxLiterals {
 		return nil, fmt.Errorf("core: bad chain length %d", len(chain))
 	}
-	base, err := cover(context.Background(), mx)
+	expr, _, err := boolexpr.FromMatrix(mx.Det, nil)
 	if err != nil {
 		return nil, err
 	}
 	tab := newRowTable(mx, chain)
-	// Map SOP literals (matrix rows) to opamp masks.
-	xiStar := base.SOP.MapLiterals(len(chain), func(row int) uint64 { return tab.rows[row].followers })
+	xiStar, err := expr.PetrickMapped(context.Background(), len(chain), func(row int) uint64 { return tab.rows[row].followers }, 0)
+	if err != nil {
+		return nil, err
+	}
 	minimal := xiStar.Minimal()
 	if len(minimal) == 0 {
 		return nil, ErrNoSolution

@@ -100,8 +100,10 @@ func BenchmarkSparseLU(b *testing.B) {
 // two-terminal element change (a resistor between nodes 0 and 1)
 // against a nominal factor, per order: path=full forms the whole
 // solution (SolveRankOneSparse, the oracle), path=entry solves the
-// incidence for entry n−1 and answers from it (SolveIncidence + Entry,
-// what the row walk runs). `benchdiff -dim path=full:entry` pairs them.
+// incidence for entry n−1 and answers from it (SolveIncidenceAt + Entry,
+// what a basis fill and the row walk run), reading z at the incidence's
+// v's, the read set analysis.Basis.Fill passes for a chain-less basis.
+// `benchdiff -dim path=full:entry` pairs them.
 func BenchmarkSolveRankOneSparse(b *testing.B) {
 	for _, n := range benchOrders {
 		p, vals := chainBand(b, n)
@@ -133,7 +135,7 @@ func BenchmarkSolveRankOneSparse(b *testing.B) {
 			var xk complex128
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				in, err := ls.SolveIncidence(idx, val, idx, val, n-1)
+				in, err := ls.SolveIncidenceAt(idx, val, idx, val, n-1, idx)
 				if err != nil {
 					b.Fatal(err)
 				}

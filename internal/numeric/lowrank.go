@@ -120,18 +120,11 @@ type Incidence struct {
 // Parts returns the incidence's entries y[k], z[k], vᵀy and vᵀz.
 func (in *Incidence) Parts() (yk, zk, vy, vz complex128) { return in.yk, in.zk, in.vy, in.vz }
 
-// SolveIncidence solves z = A⁻¹·u for the incidence (u, v) and reads
-// what Entry needs at entry k. It works out only the entries of z that
-// z[k] and vᵀz read (SparseLU.SolveSparse), with the bits of
-// SolveRankOneSparse's full solve.
-func (ls *LowRankSolver) SolveIncidence(uIdx []int, uVal []complex128, vIdx []int, vVal []complex128, k int) (Incidence, error) {
-	return ls.SolveIncidenceAt(uIdx, uVal, vIdx, vVal, k, vIdx)
-}
-
-// SolveIncidenceAt is SolveIncidence that also works out z at every
-// index of at, which must include v's: until the next solve, Z holds
-// z[k] and z at those indices with SolveInPlace's bits. The incidence
-// carries the same bits as SolveIncidence's.
+// SolveIncidenceAt solves z = A⁻¹·u for the incidence (u, v) and reads
+// what Entry needs at entry k. It works out only z[k] and z at every
+// index of at, which must include v's (SparseLU.SolveSparse), with the
+// bits of SolveRankOneSparse's full solve: until the next solve, Z holds
+// z[k] and z at those indices with SolveInPlace's bits.
 func (ls *LowRankSolver) SolveIncidenceAt(uIdx []int, uVal []complex128, vIdx []int, vVal []complex128, k int, at []int) (Incidence, error) {
 	if err := ls.lu.SolveSparse(uIdx, uVal, k, at, ls.z); err != nil {
 		return Incidence{}, err

@@ -149,7 +149,7 @@ func TestSolveIncidenceMatchesFull(t *testing.T) {
 	vIdx, vVal := []int{1, 2}, []complex128{1, -1}
 	x := make([]complex128, 4)
 	for k := range x {
-		in, err := ls.SolveIncidence(uIdx, uVal, vIdx, vVal, k)
+		in, err := ls.SolveIncidenceAt(uIdx, uVal, vIdx, vVal, k, vIdx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,13 +166,13 @@ func TestSolveIncidenceMatchesFull(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ls.SolveIncidence(uIdx, uVal, vIdx, vVal, 4); !errors.Is(err, ErrShape) {
+	if _, err := ls.SolveIncidenceAt(uIdx, uVal, vIdx, vVal, 4, vIdx); !errors.Is(err, ErrShape) {
 		t.Fatalf("entry past order: err = %v, want ErrShape", err)
 	}
-	if _, err := ls.SolveIncidence(uIdx, uVal, []int{-1}, vVal[:1], 0); !errors.Is(err, ErrShape) {
+	if _, err := ls.SolveIncidenceAt(uIdx, uVal, []int{-1}, vVal[:1], 0, []int{-1}); !errors.Is(err, ErrShape) {
 		t.Fatalf("negative v index: err = %v, want ErrShape", err)
 	}
-	if _, err := ls.SolveIncidence([]int{4}, uVal[:1], vIdx, vVal, 0); !errors.Is(err, ErrShape) {
+	if _, err := ls.SolveIncidenceAt([]int{4}, uVal[:1], vIdx, vVal, 0, vIdx); !errors.Is(err, ErrShape) {
 		t.Fatalf("u index past order: err = %v, want ErrShape", err)
 	}
 
@@ -184,7 +184,7 @@ func TestSolveIncidenceMatchesFull(t *testing.T) {
 	if &ls.z[0] != scratch {
 		t.Error("Reset reallocated a scratch that fits")
 	}
-	in, err := ls.SolveIncidence(uIdx, uVal, vIdx, vVal, 3)
+	in, err := ls.SolveIncidenceAt(uIdx, uVal, vIdx, vVal, 3, vIdx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestScatterRepeatedIndex(t *testing.T) {
 			}
 		}
 	}
-	in, err := ls.SolveIncidence([]int{2, 2}, []complex128{1, -1}, []int{2, 2}, []complex128{1, -1}, 3)
+	in, err := ls.SolveIncidenceAt([]int{2, 2}, []complex128{1, -1}, []int{2, 2}, []complex128{1, -1}, 3, []int{2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
