@@ -23,7 +23,7 @@
 //	POST   /v1/jobs             submit a job (201; 429 + Retry-After when the queue is full)
 //	GET    /v1/jobs             list live and retained jobs
 //	GET    /v1/jobs/{id}        job status (with a links object to its resources)
-//	GET    /v1/jobs/{id}/result result payload (202 while running; ?stream=rows for NDJSON row streaming)
+//	GET    /v1/jobs/{id}/result result payload (202 while running; ?stream=rows waits, then streams NDJSON rows read from it)
 //	GET    /v1/jobs/{id}/trace  span tree of the job (410 once evicted from the ring)
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //	GET    /v1/benches          built-in benchmark names

@@ -225,8 +225,8 @@ func (s *server) status(w http.ResponseWriter, r *http.Request) {
 // result handles GET /v1/jobs/{id}/result: 200 with the payload once the
 // job is done, 202 with the job view while it is queued or running, 409
 // when it finished without a result (failed or cancelled). With
-// ?stream=rows the response is instead a chunked NDJSON stream of matrix
-// rows as they complete (see streamRows).
+// ?stream=rows the response is instead a chunked NDJSON stream of the
+// matrix rows and the payload once the job is done (see streamRows).
 func (s *server) result(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("stream") == "rows" {
 		s.streamRows(w, r)
@@ -262,16 +262,17 @@ type streamEvent struct {
 }
 
 // streamRows handles GET /v1/jobs/{id}/result?stream=rows: a chunked
-// application/x-ndjson stream that emits one {"type":"row"} line per
-// matrix row once the build completes, then a final {"type":"result"}
-// line whose payload is byte-identical to the non-streaming result (or
-// {"type":"error"} when the job failed, was cancelled, or was evicted
-// before the result line). Cache hits and retired jobs have an empty
-// finished feed, so their rows are synthesized from the payload: the
-// protocol is the same either way.
+// application/x-ndjson stream. For a job still queued or running the
+// headers go out when the stream opens. Once the job is done it emits one
+// {"type":"row"} line per matrix row, read from the finished payload,
+// then a final {"type":"result"} line whose payload is byte-identical to
+// the non-streaming result (or {"type":"error"} when the job failed, was
+// cancelled, was evicted before the result line, or left a malformed
+// matrix payload). Live jobs, cache hits and retired jobs take the same
+// path.
 func (s *server) streamRows(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	feed, _, err := s.mgr.Stream(id)
+	done, _, err := s.mgr.Done(id)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -280,30 +281,24 @@ func (s *server) streamRows(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	w.WriteHeader(http.StatusOK)
+	select {
+	case <-done: // finished already: the headers go out with the first line
+	default:
+		if fl.Flush() != nil {
+			return
+		}
+		select {
+		case <-done:
+		case <-r.Context().Done():
+			return
+		}
+	}
 	enc := json.NewEncoder(w)
 	emit := func(ev streamEvent) bool {
 		if err := enc.Encode(ev); err != nil {
 			return false // client went away
 		}
 		return fl.Flush() == nil
-	}
-	sent := 0
-	for {
-		rows, done, wake := feed.Snapshot(sent)
-		for i := range rows {
-			if !emit(streamEvent{Type: "row", Row: &rows[i]}) {
-				return
-			}
-		}
-		sent += len(rows)
-		if done {
-			break
-		}
-		select {
-		case <-wake:
-		case <-r.Context().Done():
-			return
-		}
 	}
 	payload, v, err := s.mgr.Result(id)
 	if err != nil {
@@ -315,18 +310,38 @@ func (s *server) streamRows(w http.ResponseWriter, r *http.Request) {
 		emit(streamEvent{Type: "error", Error: &apiError{Code: "finished", Message: fmt.Sprintf("job %s %s: %s", v.ID, v.State, v.Err)}})
 		return
 	}
-	if sent == 0 && v.Kind == jobs.KindMatrix {
-		var mx jobs.MatrixResult
-		if err := json.Unmarshal(payload, &mx); err == nil {
-			for i := range mx.Configs {
-				row := jobs.RowEvent{Index: i, Config: mx.Configs[i], Det: mx.Det[i], Omega: mx.Omega[i]}
-				if !emit(streamEvent{Type: "row", Row: &row}) {
-					return
-				}
+	if v.Kind == jobs.KindMatrix {
+		rows, err := payloadRows(payload)
+		if err != nil {
+			emit(streamEvent{Type: "error", Error: &apiError{Code: "internal", Message: fmt.Sprintf("job %s: %v", v.ID, err)}})
+			return
+		}
+		for i := range rows {
+			if !emit(streamEvent{Type: "row", Row: &rows[i]}) {
+				return
 			}
 		}
 	}
 	emit(streamEvent{Type: "result", Result: payload})
+}
+
+// payloadRows reads a matrix job's row events from its payload. Stored
+// payloads are untrusted input, so one that does not decode, or whose
+// det or omega rows do not match its configurations, is an error.
+func payloadRows(payload json.RawMessage) ([]jobs.RowEvent, error) {
+	var mx jobs.MatrixResult
+	if err := json.Unmarshal(payload, &mx); err != nil {
+		return nil, fmt.Errorf("malformed matrix payload: %w", err)
+	}
+	if len(mx.Det) != len(mx.Configs) || len(mx.Omega) != len(mx.Configs) {
+		return nil, fmt.Errorf("malformed matrix payload: %d configurations, %d det rows, %d omega rows",
+			len(mx.Configs), len(mx.Det), len(mx.Omega))
+	}
+	rows := make([]jobs.RowEvent, len(mx.Configs))
+	for i, cfg := range mx.Configs {
+		rows[i] = jobs.RowEvent{Index: i, Config: cfg, Det: mx.Det[i], Omega: mx.Omega[i]}
+	}
+	return rows, nil
 }
 
 // cancel handles DELETE /v1/jobs/{id}.

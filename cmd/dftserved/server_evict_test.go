@@ -15,7 +15,7 @@ import (
 )
 
 // stubOK finishes every job at once with an empty payload.
-var stubOK = jobs.WithRunner(jobs.RunnerFunc(func(ctx context.Context, res *jobs.Resolved, feed *jobs.RowFeed) (json.RawMessage, error) {
+var stubOK = jobs.WithRunner(jobs.RunnerFunc(func(ctx context.Context, res *jobs.Resolved) (json.RawMessage, error) {
 	return json.RawMessage(`{}`), nil
 }))
 
@@ -81,7 +81,7 @@ func TestServerEvictedJob(t *testing.T) {
 }
 
 // gatedWriter is a ResponseWriter whose first Flush blocks until gate is
-// closed, freezing a stream handler right after its first event.
+// closed, freezing a stream handler right after it sends its headers.
 type gatedWriter struct {
 	*httptest.ResponseRecorder
 	entered chan struct{} // closed once the first Flush is waiting
@@ -98,15 +98,13 @@ func (w *gatedWriter) Flush() {
 }
 
 // TestServerStreamEvictedBeforeResult: a stream opened on a live job
-// whose record is evicted before the result line ends with an error
-// event carrying the `evicted` code.
+// whose record is evicted before the result is read ends with a single
+// error event carrying the `evicted` code, and no row.
 func TestServerStreamEvictedBeforeResult(t *testing.T) {
-	published, finish := make(chan struct{}), make(chan struct{})
+	finish := make(chan struct{})
 	mgr := jobs.New(jobs.WithConfig(jobs.Config{Workers: 1, TraceEntries: 1}),
-		jobs.WithRunner(jobs.RunnerFunc(func(ctx context.Context, res *jobs.Resolved, feed *jobs.RowFeed) (json.RawMessage, error) {
+		jobs.WithRunner(jobs.RunnerFunc(func(ctx context.Context, res *jobs.Resolved) (json.RawMessage, error) {
 			if res.Options.Points == 11 { // the streamed job
-				feed.Publish(jobs.RowEvent{Index: 0, Config: "(none)", Det: []bool{true}, Omega: []float64{1}})
-				close(published)
 				<-finish
 			}
 			return json.RawMessage(`{}`), nil
@@ -126,14 +124,13 @@ func TestServerStreamEvictedBeforeResult(t *testing.T) {
 	}
 
 	streamed := submit(11)
-	<-published
 	w := &gatedWriter{ResponseRecorder: httptest.NewRecorder(), entered: make(chan struct{}), gate: make(chan struct{})}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		newServer(mgr).ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+streamed.ID+"/result?stream=rows", nil))
 	}()
-	<-w.entered // the row is out; the handler waits before its next read
+	<-w.entered // the headers are out; the handler has not read the job yet
 	close(finish)
 	submit(12) // runs after the streamed job, so it retires after it
 	awaitEvicted(t, mgr, streamed.ID)
@@ -149,10 +146,10 @@ func TestServerStreamEvictedBeforeResult(t *testing.T) {
 		}
 		events = append(events, ev)
 	}
-	if len(events) != 2 || events[0].Type != "row" {
-		t.Fatalf("stream events = %+v, want one row and a terminal event", events)
+	if len(events) != 1 {
+		t.Fatalf("stream events = %+v, want one terminal event", events)
 	}
-	if last := events[1]; last.Type != "error" || last.Error == nil || last.Error.Code != "evicted" {
-		t.Fatalf("terminal event = %+v, want an error with code evicted", last)
+	if ev := events[0]; ev.Type != "error" || ev.Error == nil || ev.Error.Code != "evicted" {
+		t.Fatalf("terminal event = %+v, want an error with code evicted", ev)
 	}
 }

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"testing"
 	"time"
@@ -105,8 +107,7 @@ func TestServerStreamRows(t *testing.T) {
 	if resp := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", smallMatrixJob(), &v); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit: HTTP %d", resp.StatusCode)
 	}
-	// Open the stream while the job runs: rows arrive when the build
-	// completes.
+	// Open the stream while the job runs: rows arrive once it is done.
 	rows, result, streamErr := readStream(t, ts.URL+"/v1/jobs/"+v.ID+"/result?stream=rows")
 	if streamErr != nil {
 		t.Fatalf("stream error: %+v", streamErr)
@@ -143,9 +144,8 @@ func TestServerStreamRows(t *testing.T) {
 	}
 }
 
-// TestServerStreamCachedJob: a cache-hit job has a closed, empty feed,
-// so its rows are synthesized from the stored payload — the stream
-// protocol looks identical to a freshly computed job's.
+// TestServerStreamCachedJob: a cache-hit job streams its rows from the
+// stored payload, in order, one per configuration.
 func TestServerStreamCachedJob(t *testing.T) {
 	ts, _ := startServer(t, jobs.Config{Workers: 1})
 	var v jobs.View
@@ -175,6 +175,83 @@ func TestServerStreamCachedJob(t *testing.T) {
 		if r.Index != i || r.Config != mx.Configs[i] {
 			t.Fatalf("synthesized row %d = {%d %q}", i, r.Index, r.Config)
 		}
+	}
+}
+
+// streamBody reads a whole row stream as raw bytes.
+func streamBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream: HTTP %d", resp.StatusCode)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestServerStreamLiveMatchesCached: the stream of a freshly computed
+// matrix job and the stream of its cache hit are the same bytes, row
+// lines and result line alike.
+func TestServerStreamLiveMatchesCached(t *testing.T) {
+	ts, _ := startServer(t, jobs.Config{Workers: 1})
+	var v jobs.View
+	if resp := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", smallMatrixJob(), &v); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	live := streamBody(t, ts.URL+"/v1/jobs/"+v.ID+"/result?stream=rows")
+	var v2 jobs.View
+	if resp := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", smallMatrixJob(), &v2); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("resubmit: HTTP %d", resp.StatusCode)
+	}
+	if !v2.Cached {
+		t.Fatal("resubmit missed the cache")
+	}
+	cached := streamBody(t, ts.URL+"/v1/jobs/"+v2.ID+"/result?stream=rows")
+	if lines := bytes.Count(live, []byte("\n")); lines < 2 {
+		t.Fatalf("live stream has %d lines: %s", lines, live)
+	}
+	if !bytes.Equal(live, cached) {
+		t.Errorf("live and cached streams differ:\nlive:   %s\ncached: %s", live, cached)
+	}
+}
+
+// TestServerStreamMalformedPayload: a stored matrix payload whose rows
+// do not match its configurations, or that is not JSON at all, ends the
+// stream with an internal error event instead of a panic or a silent
+// stream without rows.
+func TestServerStreamMalformedPayload(t *testing.T) {
+	res, err := jobs.Request{Kind: jobs.KindMatrix, Bench: "paper-biquad", Options: jobs.OptionSpec{Points: 31}}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, payload := range map[string]string{
+		"short-rows":  `{"configs":["C0"]}`,
+		"short-omega": `{"configs":["C0","C1"],"det":[[true],[false]],"omega":[[1]]}`,
+		"not-json":    `{"configs":`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			store := jobs.NewMemStore(4)
+			store.Put(res.Key, json.RawMessage(payload))
+			ts, _ := startServer(t, jobs.Config{Workers: 1}, jobs.WithStore(store))
+			var v jobs.View
+			if resp := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", smallMatrixJob(), &v); resp.StatusCode != http.StatusCreated {
+				t.Fatalf("submit: HTTP %d", resp.StatusCode)
+			}
+			if !v.Cached {
+				t.Fatal("submit missed the stored payload")
+			}
+			rows, result, streamErr := readStream(t, ts.URL+"/v1/jobs/"+v.ID+"/result?stream=rows")
+			if len(rows) != 0 || result != nil || streamErr == nil || streamErr.Code != "internal" {
+				t.Fatalf("stream: rows=%d result=%v err=%+v, want one internal error", len(rows), result != nil, streamErr)
+			}
+		})
 	}
 }
 

@@ -206,6 +206,15 @@ func (d *Dictionary) signatureOfFault(f fault.Fault) (Signature, error) {
 
 // encode turns a measured response into per-band symbols against a
 // nominal response.
+//
+// Its rule is not Definition 1's analysis.PointDeviation, on purpose:
+// a dictionary symbol needs the direction of the change, not only its
+// size. Each point scores the signed (|Hf| − |Hn|)/|Hn| with den = |Hn|
+// and no measurement floor (a point with |Hn| = 0 is skipped), and a
+// point whose solvability changed scores +1e9 towards High, where
+// PointDeviation would return +Inf. Routing it through PointDeviation
+// would change the floor, the sign and that score, and so the
+// dictionary's symbols.
 func (d *Dictionary) encode(nominal, measured *analysis.Response) Signature {
 	perBand := len(d.grid) / d.Bands
 	out := make(Signature, d.Bands)

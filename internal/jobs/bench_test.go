@@ -14,7 +14,7 @@ func benchResolved(b *testing.B) (*Resolved, json.RawMessage) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	payload, err := runResolved(context.Background(), res, nil)
+	payload, err := runResolved(context.Background(), res)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -102,9 +102,9 @@ func BenchmarkSubmit(b *testing.B) {
 	}
 	b.Run("path=hit", func(b *testing.B) {
 		_, payload := benchResolved(b)
-		m := New(WithConfig(Config{Workers: 1}), stubRunner(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
+		m := New(WithConfig(Config{Workers: 1}), WithRunner(RunnerFunc(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
 			return payload, nil
-		}))
+		})))
 		closeWith(b, m)
 		first, err := m.Submit(req)
 		if err != nil {
@@ -121,10 +121,10 @@ func BenchmarkSubmit(b *testing.B) {
 	})
 	b.Run("path=miss-stub", func(b *testing.B) {
 		ran := make(chan struct{})
-		m := New(WithConfig(Config{Workers: 1}), WithStore(missStore{}), stubRunner(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
+		m := New(WithConfig(Config{Workers: 1}), WithStore(missStore{}), WithRunner(RunnerFunc(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
 			ran <- struct{}{}
 			return json.RawMessage(`{}`), nil
-		}))
+		})))
 		closeWith(b, m)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -68,7 +68,7 @@ type job struct {
 	started  time.Time
 	finished time.Time
 	cancel   context.CancelFunc
-	feed     *RowFeed // doneFeed for cache hits and once retired
+	done     chan struct{} // closed by finishLocked
 
 	// Per-job tracing. Every job runs under its own always-enabled
 	// tracer, attached to the run context as an override, so the span
@@ -257,7 +257,7 @@ func (m *Manager) SubmitCtx(ctx context.Context, req Request) (View, error) {
 		res:     res,
 		state:   StateQueued,
 		created: obs.Now(),
-		feed:    doneFeed,
+		done:    make(chan struct{}),
 		tc:      tc,
 		parent:  parent,
 		tracer:  tracer,
@@ -279,7 +279,6 @@ func (m *Manager) SubmitCtx(ctx context.Context, req Request) (View, error) {
 	if m.cfg.SimWorkers > 0 && req.Options.Workers == 0 {
 		res.Options.Workers = m.cfg.SimWorkers
 	}
-	j.feed = newRowFeed()
 	_, j.wait = tracer.Start(obs.ContextWithSpan(context.Background(), root), "jobs.enqueue_wait")
 	if err := m.sched.Enqueue(func(ctx context.Context) { m.runJob(ctx, j) }); err != nil {
 		m.seq-- // the job never existed
@@ -294,12 +293,12 @@ func (m *Manager) SubmitCtx(ctx context.Context, req Request) (View, error) {
 	return j.view(), nil
 }
 
-// finishLocked completes a job's terminal bookkeeping: the row feed is
-// closed (streaming watchers unblock) and the job is queued for
+// finishLocked completes a job's terminal bookkeeping: its done channel
+// is closed (streaming watchers unblock) and the job is queued for
 // retirement. Caller holds m.mu and has already put j in a terminal
 // state.
 func (m *Manager) finishLocked(j *job) {
-	j.feed.Close()
+	close(j.done)
 	j.wait.End()
 	j.root.SetTag("state", string(j.state))
 	j.root.End()
@@ -342,7 +341,7 @@ func (m *Manager) retireJob(j *job) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j.trace = jt
-	j.res, j.feed, j.tracer, j.root, j.wait = nil, doneFeed, nil, nil, nil
+	j.res, j.tracer, j.root, j.wait = nil, nil, nil, nil
 	m.traces.add(j)
 	delete(m.jobs, j.id)
 }
@@ -386,7 +385,6 @@ func (m *Manager) runJob(schedCtx context.Context, j *job) {
 	j.started = obs.Now()
 	j.cancel = cancel
 	res := j.res
-	feed := j.feed
 	j.wait.End() // the queue wait is over: a worker picked the job up
 	if obs.TimingOn() {
 		jEnqueueWait.Observe(obs.Since(j.created).Seconds())
@@ -401,7 +399,7 @@ func (m *Manager) runJob(schedCtx context.Context, j *job) {
 	jctx, span := obs.Start(ctx, "jobs.run")
 	span.SetTag("job", j.id)
 	span.SetTag("kind", string(res.Req.Kind))
-	payload, err := m.runner.Run(jctx, res, feed)
+	payload, err := m.runner.Run(jctx, res)
 	span.End()
 	cancel()
 	if err == nil {
@@ -429,15 +427,15 @@ func (m *Manager) runJob(schedCtx context.Context, j *job) {
 	m.mu.Unlock()
 }
 
-// find returns the job's payload and row feed alongside its snapshot.
-func (m *Manager) find(id string) (json.RawMessage, *RowFeed, View, error) {
+// find returns the job's payload and done channel alongside its snapshot.
+func (m *Manager) find(id string) (json.RawMessage, <-chan struct{}, View, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, err := m.lookupLocked(id)
 	if err != nil {
 		return nil, nil, View{}, err
 	}
-	return j.result, j.feed, j.view(), nil
+	return j.result, j.done, j.view(), nil
 }
 
 // Get returns a snapshot of the job.
@@ -453,12 +451,12 @@ func (m *Manager) Result(id string) (json.RawMessage, View, error) {
 	return payload, v, err
 }
 
-// Stream returns the job's row feed alongside its snapshot. The feed
-// delivers matrix rows as they complete and closes with the job; for
-// non-matrix jobs it simply closes without rows.
-func (m *Manager) Stream(id string) (*RowFeed, View, error) {
-	_, feed, v, err := m.find(id)
-	return feed, v, err
+// Done returns a channel that is closed once the job reaches a terminal
+// state (already closed for cache hits and retired jobs), alongside the
+// job's snapshot.
+func (m *Manager) Done(id string) (<-chan struct{}, View, error) {
+	_, done, v, err := m.find(id)
+	return done, v, err
 }
 
 // List returns snapshots of the live and retained jobs in submission order.
@@ -547,9 +545,6 @@ func (m *Manager) QueueStats() (depth, capacity int) {
 
 // StoreStats returns the result store's occupancy snapshot.
 func (m *Manager) StoreStats() StoreStats { return m.store.Stats() }
-
-// CacheLen returns the result store occupancy.
-func (m *Manager) CacheLen() int { return m.store.Stats().Entries }
 
 // Close drains the manager: no new submissions are accepted, queued and
 // running jobs finish normally, and Close returns when the pool is idle.

@@ -10,22 +10,13 @@ import (
 	"time"
 )
 
-// stubRunner adapts a feed-less stub function to the Runner seam, so
-// queue and lifecycle behaviour can be tested without simulating
-// anything.
-func stubRunner(fn func(ctx context.Context, res *Resolved) (json.RawMessage, error)) Option {
-	return WithRunner(RunnerFunc(func(ctx context.Context, res *Resolved, feed *RowFeed) (json.RawMessage, error) {
-		return fn(ctx, res)
-	}))
-}
-
 // testManager builds a manager whose runner is fn (nil keeps the real
 // session runner) and closes it with the test.
 func testManager(t *testing.T, cfg Config, fn func(ctx context.Context, res *Resolved) (json.RawMessage, error)) *Manager {
 	t.Helper()
 	opts := []Option{WithConfig(cfg)}
 	if fn != nil {
-		opts = append(opts, stubRunner(fn))
+		opts = append(opts, WithRunner(RunnerFunc(fn)))
 	}
 	m := New(opts...)
 	t.Cleanup(func() {
@@ -255,20 +246,20 @@ func TestManagerFailedJob(t *testing.T) {
 		t.Errorf("state=%s err=%q, want failed/solver exploded", done.State, done.Err)
 	}
 	// Failures must not poison the cache.
-	if m.CacheLen() != 0 {
-		t.Errorf("failed job cached: %d entries", m.CacheLen())
+	if n := m.StoreStats().Entries; n != 0 {
+		t.Errorf("failed job cached: %d entries", n)
 	}
 }
 
 func TestManagerCloseDrains(t *testing.T) {
 	slow := make(chan struct{})
-	m := New(WithConfig(Config{Workers: 1}), stubRunner(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
+	m := New(WithConfig(Config{Workers: 1}), WithRunner(RunnerFunc(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
 		<-slow
 		if err := ctx.Err(); err != nil {
 			return nil, err // a forced shutdown would cancel us
 		}
 		return json.RawMessage(`{"drained":true}`), nil
-	}))
+	})))
 	v, err := m.Submit(biquadRequest(t, 50))
 	if err != nil {
 		t.Fatal(err)
@@ -294,10 +285,10 @@ func TestManagerCloseDrains(t *testing.T) {
 }
 
 func TestManagerCloseDeadlineForcesCancel(t *testing.T) {
-	m := New(WithConfig(Config{Workers: 1}), stubRunner(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
+	m := New(WithConfig(Config{Workers: 1}), WithRunner(RunnerFunc(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
 		<-ctx.Done() // never finishes voluntarily
 		return nil, ctx.Err()
-	}))
+	})))
 	v, err := m.Submit(biquadRequest(t, 60))
 	if err != nil {
 		t.Fatal(err)

@@ -100,10 +100,8 @@ type OptimizeResult struct {
 }
 
 // runResolved is the default Runner: it executes the job through the
-// context-aware Session API and marshals the payload. Matrix rows are
-// published to feed in one batch when the build completes, so streaming
-// clients always see the complete matrix.
-func runResolved(ctx context.Context, res *Resolved, feed *RowFeed) (json.RawMessage, error) {
+// context-aware Session API and marshals the payload.
+func runResolved(ctx context.Context, res *Resolved) (json.RawMessage, error) {
 	s := analogdft.NewSession(res.Bench, res.Faults, res.Options)
 	var payload any
 	switch res.Req.Kind {
@@ -132,7 +130,6 @@ func runResolved(ctx context.Context, res *Resolved, feed *RowFeed) (json.RawMes
 		if err != nil {
 			return nil, err
 		}
-		feed.Publish(rowEvents(mx)...)
 		payload = matrixResult(mx)
 	case KindOptimize:
 		opt, err := s.Optimize(ctx, res.Cost)

@@ -38,8 +38,8 @@ func TestManagerEvictionContract(t *testing.T) {
 	if _, _, err := m.Result(old); !errors.Is(err, ErrEvicted) {
 		t.Errorf("Result(%s) err = %v, want ErrEvicted", old, err)
 	}
-	if _, _, err := m.Stream(old); !errors.Is(err, ErrEvicted) {
-		t.Errorf("Stream(%s) err = %v, want ErrEvicted", old, err)
+	if _, _, err := m.Done(old); !errors.Is(err, ErrEvicted) {
+		t.Errorf("Done(%s) err = %v, want ErrEvicted", old, err)
 	}
 	if _, err := m.Cancel(old); !errors.Is(err, ErrEvicted) {
 		t.Errorf("Cancel(%s) err = %v, want ErrEvicted", old, err)
@@ -55,8 +55,8 @@ func TestManagerEvictionContract(t *testing.T) {
 		if _, _, err := m.Result(id); !errors.Is(err, ErrNotFound) {
 			t.Errorf("Result(%s) err = %v, want ErrNotFound", id, err)
 		}
-		if _, _, err := m.Stream(id); !errors.Is(err, ErrNotFound) {
-			t.Errorf("Stream(%s) err = %v, want ErrNotFound", id, err)
+		if _, _, err := m.Done(id); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Done(%s) err = %v, want ErrNotFound", id, err)
 		}
 		if _, err := m.Cancel(id); !errors.Is(err, ErrNotFound) {
 			t.Errorf("Cancel(%s) err = %v, want ErrNotFound", id, err)
@@ -72,12 +72,14 @@ func TestManagerEvictionContract(t *testing.T) {
 		if err != nil || v.State != StateDone || string(raw) != `{"ok":true}` {
 			t.Errorf("Result(%s) = %s, %+v, %v", id, raw, v, err)
 		}
-		feed, _, err := m.Stream(id)
+		done, _, err := m.Done(id)
 		if err != nil {
-			t.Fatalf("Stream(%s): %v", id, err)
+			t.Fatalf("Done(%s): %v", id, err)
 		}
-		if rows, done, _ := feed.Snapshot(0); !done || len(rows) != 0 {
-			t.Errorf("Stream(%s) feed: %d rows, done %v; want finished and empty", id, len(rows), done)
+		select {
+		case <-done:
+		default:
+			t.Errorf("Done(%s): channel still open on a finished job", id)
 		}
 		if _, err := m.Cancel(id); !errors.Is(err, ErrFinished) {
 			t.Errorf("Cancel(%s) err = %v, want ErrFinished", id, err)
@@ -128,14 +130,14 @@ func TestManagerListMergesLiveAndRetired(t *testing.T) {
 // TestManagerTableBounded is the deterministic memory gate of the job
 // layer: however many cache hits the manager serves, it retains at most
 // the live jobs the scheduler admits plus the ring, and no retained job
-// pins its request, row feed, tracer or spans.
+// pins its request, tracer or spans.
 func TestManagerTableBounded(t *testing.T) {
 	cfg := Config{Workers: 2, QueueDepth: 3, TraceEntries: 8}
 	store := NewMemStore(4)
-	m := New(WithConfig(cfg), WithStore(store), stubRunner(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
+	m := New(WithConfig(cfg), WithStore(store), WithRunner(RunnerFunc(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
 		t.Error("a cache hit reached the runner")
 		return nil, errors.New("unexpected run")
-	}))
+	})))
 	t.Cleanup(func() {
 		if err := m.Close(context.Background()); err != nil {
 			t.Errorf("Close: %v", err)
@@ -181,9 +183,9 @@ func TestManagerTableBounded(t *testing.T) {
 		t.Errorf("ring holds %d jobs, want %d", len(retired), cfg.TraceEntries)
 	}
 	for _, j := range retired {
-		if j.res != nil || j.feed != doneFeed || j.tracer != nil || j.root != nil || j.wait != nil || j.cancel != nil {
-			t.Errorf("retired %s still holds live state: res %v feed %v tracer %v root %v wait %v cancel %v",
-				j.id, j.res != nil, j.feed != doneFeed, j.tracer != nil, j.root != nil, j.wait != nil, j.cancel != nil)
+		if j.res != nil || j.tracer != nil || j.root != nil || j.wait != nil || j.cancel != nil {
+			t.Errorf("retired %s still holds live state: res %v tracer %v root %v wait %v cancel %v",
+				j.id, j.res != nil, j.tracer != nil, j.root != nil, j.wait != nil, j.cancel != nil)
 		}
 		if j.trace == nil || string(j.result) != `{"hit":true}` {
 			t.Errorf("retired %s lost its trace or payload", j.id)

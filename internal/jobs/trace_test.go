@@ -243,10 +243,10 @@ func TestTraceRingEviction(t *testing.T) {
 // trace retired into the ring by the time Close returns, so a trace read
 // racing shutdown sees the retained export, never a gap.
 func TestCloseForceCancelDrainsTraceRetirement(t *testing.T) {
-	m := New(WithConfig(Config{Workers: 1}), stubRunner(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
+	m := New(WithConfig(Config{Workers: 1}), WithRunner(RunnerFunc(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
 		<-ctx.Done() // slow job: only the forced cancel ends it
 		return nil, ctx.Err()
-	}))
+	})))
 	v, err := m.Submit(biquadRequest(t, 360))
 	if err != nil {
 		t.Fatal(err)
@@ -339,9 +339,9 @@ func (s slowStore) Get(key string) (json.RawMessage, bool) {
 // read itself, on a miss and on a hit alike.
 func TestCacheLookupSpanCoversStoreRead(t *testing.T) {
 	const delay = 20 * time.Millisecond
-	m := New(WithConfig(Config{Workers: 1}), WithStore(slowStore{NewMemStore(4), delay}), stubRunner(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
+	m := New(WithConfig(Config{Workers: 1}), WithStore(slowStore{NewMemStore(4), delay}), WithRunner(RunnerFunc(func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
 		return json.RawMessage(`{}`), nil
-	}))
+	})))
 	t.Cleanup(func() {
 		if err := m.Close(context.Background()); err != nil {
 			t.Errorf("Close: %v", err)

@@ -8,6 +8,12 @@
 //
 // The envelope can be collapsed to a scalar ε (the paper's usage) or fed
 // to detect.Options.EpsProfile as a frequency-dependent threshold.
+//
+// Each sample is solved with analysis.SweepOnGrid on its own varied
+// clone, not through the detect row walk: every Monte Carlo sample
+// varies every component at once, so it is no rank-1 update of the
+// nominal and neither the rank-1 basis nor a single-component patch
+// applies.
 package tolerance
 
 import (
