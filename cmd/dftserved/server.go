@@ -293,12 +293,11 @@ func (s *server) streamRows(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// Every line is in hand once the job is done: one flush sends them.
+	defer fl.Flush()
 	enc := json.NewEncoder(w)
 	emit := func(ev streamEvent) bool {
-		if err := enc.Encode(ev); err != nil {
-			return false // client went away
-		}
-		return fl.Flush() == nil
+		return enc.Encode(ev) == nil // false: the client went away
 	}
 	payload, v, err := s.mgr.Result(id)
 	if err != nil {

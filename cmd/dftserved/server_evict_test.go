@@ -19,8 +19,8 @@ var stubOK = jobs.WithRunner(jobs.RunnerFunc(func(ctx context.Context, res *jobs
 	return json.RawMessage(`{}`), nil
 }))
 
-// awaitEvicted polls the manager until id has aged out of the ring
-// (retirement is asynchronous).
+// awaitEvicted polls the manager until id has aged out of the ring,
+// that is until a later job has run and retired after it.
 func awaitEvicted(t *testing.T, mgr *jobs.Manager, id string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

@@ -3,9 +3,11 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -219,6 +221,82 @@ func TestServerStreamLiveMatchesCached(t *testing.T) {
 	}
 	if !bytes.Equal(live, cached) {
 		t.Errorf("live and cached streams differ:\nlive:   %s\ncached: %s", live, cached)
+	}
+}
+
+// flushCounter is a ResponseWriter that counts Flush calls and closes
+// first on the first one.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	first   chan struct{}
+	flushes int
+}
+
+func (w *flushCounter) Flush() {
+	if w.flushes == 0 {
+		close(w.first)
+	}
+	w.flushes++
+	w.ResponseRecorder.Flush()
+}
+
+// TestServerStreamFlushes: a finished matrix job's stream goes out in
+// one flushed write, however many rows it has; a live job's stream
+// flushes its headers when it opens and its lines once the job is done.
+// Both send the same bytes.
+func TestServerStreamFlushes(t *testing.T) {
+	req := jobs.Request{Kind: jobs.KindMatrix, Bench: "paper-biquad", Options: jobs.OptionSpec{Points: 31}}
+	stream := func(mgr *jobs.Manager, id string) (*flushCounter, <-chan struct{}) {
+		w := &flushCounter{ResponseRecorder: httptest.NewRecorder(), first: make(chan struct{})}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			newServer(mgr).ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/result?stream=rows", nil))
+		}()
+		return w, done
+	}
+
+	ts, mgr := startServer(t, jobs.Config{Workers: 1})
+	v, err := mgr.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pollTerminal(t, ts.URL, v.ID, 30*time.Second)
+	finished, done := stream(mgr, v.ID)
+	<-done
+	if lines := bytes.Count(finished.Body.Bytes(), []byte("\n")); lines < 2 {
+		t.Fatalf("finished stream has %d lines: %s", lines, finished.Body)
+	}
+	if finished.flushes != 1 {
+		t.Errorf("finished stream flushed %d times, want 1", finished.flushes)
+	}
+	payload, _, err := mgr.Result(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	release := make(chan struct{})
+	_, liveMgr := startServer(t, jobs.Config{Workers: 1}, jobs.WithRunner(jobs.RunnerFunc(func(ctx context.Context, res *jobs.Resolved) (json.RawMessage, error) {
+		select {
+		case <-release:
+			return payload, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	})))
+	lv, err := liveMgr.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, done := stream(liveMgr, lv.ID)
+	<-live.first // the headers are out while the job runs
+	close(release)
+	<-done
+	if live.flushes != 2 {
+		t.Errorf("live stream flushed %d times, want 2", live.flushes)
+	}
+	if !bytes.Equal(live.Body.Bytes(), finished.Body.Bytes()) {
+		t.Errorf("live and finished streams differ:\nlive:     %s\nfinished: %s", live.Body, finished.Body)
 	}
 }
 

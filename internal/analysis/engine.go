@@ -14,7 +14,7 @@ import (
 // owns the driven clone (stimulus attached), the indexed MNA system with
 // its cached G/jωC split stamps, and a sweeper with its workspace. Those
 // are built exactly once; every subsequent sweep — nominal, faulty via
-// SweepFault/ApplyFault, or a singular-point retry — reuses them, which
+// ApplyFault, or a singular-point retry — reuses them, which
 // is what makes the incremental fault-simulation path clone-free and
 // allocation-flat. An Engine is not safe for concurrent use; give each
 // worker its own.
@@ -101,17 +101,6 @@ func (e *Engine) ApplyFault(f fault.Fault) error {
 // Reset restores the engine to its nominal state (exact snapshot restore;
 // see mna.System.Reset).
 func (e *Engine) Reset() { e.sys.Reset() }
-
-// SweepFault measures the fault's response over the grid: patch, sweep,
-// restore. The engine is back to nominal when it returns, whatever the
-// outcome.
-func (e *Engine) SweepFault(f fault.Fault, grid []float64) (*Response, error) {
-	if err := e.ApplyFault(f); err != nil {
-		return nil, err
-	}
-	defer e.Reset()
-	return e.SweepGrid(grid)
-}
 
 // RetrySingularPoints re-attempts the invalid points of resp, in place,
 // at deterministically jittered frequencies — up to attempts offsets per

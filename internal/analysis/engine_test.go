@@ -61,6 +61,22 @@ func TestEngineSweepGridFlushesMetrics(t *testing.T) {
 	}
 }
 
+// sweepPatched measures f's response over the grid the way the patch
+// path does: ApplyFault, SweepGrid, Reset. The engine is back to nominal
+// when it returns.
+func sweepPatched(t *testing.T, e *Engine, f fault.Fault, grid []float64) *Response {
+	t.Helper()
+	if err := e.ApplyFault(f); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Reset()
+	resp, err := e.SweepGrid(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 func TestEngineSweepFaultMatchesClone(t *testing.T) {
 	grid := SweepSpec{StartHz: 10, StopHz: 1e6, Points: 41}.Grid()
 	f := fault.Fault{ID: "fR1", Component: "R1", Kind: fault.Deviation, Factor: 1.3}
@@ -73,10 +89,7 @@ func TestEngineSweepFaultMatchesClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.SweepFault(f, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := sweepPatched(t, e, f, grid)
 
 	faulty, err := f.Apply(rcLowpass())
 	if err != nil {
@@ -92,7 +105,7 @@ func TestEngineSweepFaultMatchesClone(t *testing.T) {
 		}
 	}
 
-	// SweepFault must leave the engine exactly nominal: a repeat nominal
+	// Reset must leave the engine exactly nominal: a repeat nominal
 	// sweep is bit-identical (Reset restores stamp snapshots bitwise).
 	nominalAfter, err := e.SweepGrid(grid)
 	if err != nil {
@@ -100,7 +113,7 @@ func TestEngineSweepFaultMatchesClone(t *testing.T) {
 	}
 	for i := range nominalBefore.H {
 		if nominalAfter.H[i] != nominalBefore.H[i] {
-			t.Fatalf("point %d: nominal drifted after SweepFault: %v != %v",
+			t.Fatalf("point %d: nominal drifted after the patched sweep: %v != %v",
 				i, nominalAfter.H[i], nominalBefore.H[i])
 		}
 	}

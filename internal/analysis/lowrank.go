@@ -29,7 +29,7 @@ type lowRankFault struct {
 // patch at all propagate fault.ErrNotPatchable; patchable faults whose
 // stamp delta is not a single outer product (opamp models, source
 // amplitudes) propagate mna.ErrNotLowRank, and callers fall back to
-// ApplyFault/SweepFault.
+// ApplyFault.
 func (e *Engine) prepareLowRank(f fault.Fault, lf *lowRankFault) error {
 	name, v, err := f.PatchValue(e.driven)
 	if err != nil {

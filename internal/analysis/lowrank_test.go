@@ -93,11 +93,7 @@ func TestSweepLowRankMatchesSweepFault(t *testing.T) {
 	}
 	for j, f := range faults {
 		t.Run(f.ID, func(t *testing.T) {
-			want, err := e.SweepFault(f, grid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireClose(t, &row.Faulty[j], want)
+			requireClose(t, &row.Faulty[j], sweepPatched(t, e, f, grid))
 		})
 	}
 	// The walk must not have drifted the nominal state.
@@ -349,7 +345,8 @@ func TestSweepLowRankSingularUpdateFallback(t *testing.T) {
 // has a floating internal node (an all-zero row), so the basis
 // factorization fails at that one grid point while the rest of the grid
 // is fine. The walk must leave that point to the patched re-solve, and
-// the two together must agree with SweepFault on validity and values.
+// the two together must agree with the patched sweep on validity and
+// values.
 func TestSweepLowRankSingularNominalPoint(t *testing.T) {
 	c := rcLowpass()
 	c.Cap("CX", "out", "n2", 10e-9)
@@ -375,11 +372,7 @@ func TestSweepLowRankSingularNominalPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Reset()
-	want, err := e.SweepFault(f, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireClose(t, got, want)
+	requireClose(t, got, sweepPatched(t, e, f, grid))
 }
 
 // TestSweepLowRankRejectsBadState pins the guard rails: a basis over an

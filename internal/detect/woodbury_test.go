@@ -115,7 +115,11 @@ func TestWoodburyErrorWithinBand(t *testing.T) {
 				if s < 0 {
 					continue
 				}
-				patched, err := own.SweepFault(f, grid)
+				if err := own.ApplyFault(f); err != nil {
+					t.Fatalf("%s/%s/%s: %v", c.label, cfg.Label(), f.ID, err)
+				}
+				patched, err := own.SweepGrid(grid)
+				own.Reset()
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", c.label, cfg.Label(), f.ID, err)
 				}

@@ -54,7 +54,7 @@ func (s State) Terminal() bool {
 
 // job is the manager's internal record. All fields are guarded by the
 // manager's mutex; handlers only ever see immutable View snapshots. A
-// retired job (see retireJob) no longer changes.
+// retired job (see retireLocked) no longer changes.
 type job struct {
 	id       string
 	kind     Kind
@@ -68,7 +68,7 @@ type job struct {
 	started  time.Time
 	finished time.Time
 	cancel   context.CancelFunc
-	done     chan struct{} // closed by finishLocked
+	done     chan struct{} // closed by retireLocked
 
 	// Per-job tracing. Every job runs under its own always-enabled
 	// tracer, attached to the run context as an override, so the span
@@ -144,31 +144,32 @@ func (j *job) exportTrace(state State, tracer *obs.Tracer) *JobTrace {
 	return jt
 }
 
+// endTrace ends the job's queue wait (if still open) and its root span,
+// tagged with the terminal state, and exports the job's tracer.
+func (j *job) endTrace(state State) *JobTrace {
+	j.wait.End()
+	j.root.SetTag("state", string(state))
+	j.root.End()
+	return j.exportTrace(state, j.tracer)
+}
+
 // Manager owns the job table and composes the job layer: a Store for
 // finished payloads, a bounded worker pool for admission and dispatch,
 // and a Runner for execution. All methods are safe for concurrent use.
-// The job table holds live jobs only; finished ones retire into a ring
-// bounded by Config.TraceEntries.
+// The job table holds queued and running jobs only: a job retires into
+// a ring bounded by Config.TraceEntries in the step that finishes it,
+// and a cache hit goes straight to the ring.
 type Manager struct {
 	cfg    Config
 	store  Store
 	sched  *poolScheduler
 	runner Runner
-	traces *jobRing // retired jobs; lock order m.mu, then traces.mu
 
 	mu     sync.Mutex
 	jobs   map[string]*job
-	seq    int // IDs job-1 … job-seq have been issued
+	traces *jobRing // retired jobs
+	seq    int      // IDs job-1 … job-seq have been issued
 	closed bool
-
-	// Retirement runs on its own goroutine so no trace export ever
-	// happens under m.mu; Close drains it, so every finished job has
-	// retired once Close returns.
-	retMu     sync.Mutex
-	retQueue  []*job
-	retClosed bool
-	retWake   chan struct{} // buffered(1) nudge, never closed
-	retWG     sync.WaitGroup
 }
 
 // New starts a manager assembled from opts: unset seams default to the
@@ -187,18 +188,14 @@ func New(opts ...Option) *Manager {
 	if o.runner == nil {
 		o.runner = RunnerFunc(runResolved)
 	}
-	m := &Manager{
-		cfg:     o.cfg,
-		store:   o.store,
-		sched:   newPoolScheduler(o.cfg.Workers, o.cfg.QueueDepth),
-		runner:  o.runner,
-		traces:  newJobRing(o.cfg.TraceEntries),
-		jobs:    make(map[string]*job),
-		retWake: make(chan struct{}, 1),
+	return &Manager{
+		cfg:    o.cfg,
+		store:  o.store,
+		sched:  newPoolScheduler(o.cfg.Workers, o.cfg.QueueDepth),
+		runner: o.runner,
+		jobs:   make(map[string]*job),
+		traces: newJobRing(o.cfg.TraceEntries),
 	}
-	m.retWG.Add(1)
-	go m.retireLoop()
-	return m
 }
 
 // Config returns the normalized configuration the manager runs with.
@@ -271,9 +268,9 @@ func (m *Manager) SubmitCtx(ctx context.Context, req Request) (View, error) {
 		j.cached = true
 		j.result = payload
 		j.finished = j.created
-		m.jobs[j.id] = j
-		jDone.With(string(StateDone)).Inc()
-		m.finishLocked(j)
+		// The tree holds the root and jobs.cache_lookup only, so the
+		// export is cheap enough for the lock.
+		m.retireLocked(j, j.endTrace(StateDone))
 		return j.view(), nil
 	}
 	if m.cfg.SimWorkers > 0 && req.Options.Workers == 0 {
@@ -293,55 +290,15 @@ func (m *Manager) SubmitCtx(ctx context.Context, req Request) (View, error) {
 	return j.view(), nil
 }
 
-// finishLocked completes a job's terminal bookkeeping: its done channel
-// is closed (streaming watchers unblock) and the job is queued for
-// retirement. Caller holds m.mu and has already put j in a terminal
-// state.
-func (m *Manager) finishLocked(j *job) {
+// retireLocked is the one place a record leaves the table: it closes
+// j's done channel (streaming watchers unblock), keeps j's view fields,
+// payload and exported trace jt in the ring of retired jobs and drops
+// the rest. Caller holds m.mu and has already put j in a terminal state.
+func (m *Manager) retireLocked(j *job, jt *JobTrace) {
+	jDone.With(string(j.state)).Inc()
 	close(j.done)
-	j.wait.End()
-	j.root.SetTag("state", string(j.state))
-	j.root.End()
-	m.retMu.Lock()
-	m.retQueue = append(m.retQueue, j)
-	m.retMu.Unlock()
-	select {
-	case m.retWake <- struct{}{}:
-	default:
-	}
-}
-
-// retireLoop moves finished jobs from the table into the bounded ring;
-// it is the only place a record leaves the table.
-func (m *Manager) retireLoop() {
-	defer m.retWG.Done()
-	for {
-		m.retMu.Lock()
-		batch, quit := m.retQueue, m.retClosed
-		m.retQueue = nil
-		m.retMu.Unlock()
-		for _, j := range batch {
-			m.retireJob(j)
-		}
-		if quit {
-			// retClosed is set only once no job can finish any more,
-			// so the batch taken with it was the last.
-			return
-		}
-		<-m.retWake
-	}
-}
-
-// retireJob strips a finished job to its view fields, payload and
-// exported trace and moves it from the table into the ring. A terminal
-// job's fields no longer change, so the export runs without m.mu; the
-// move runs under it, so a lookup finds the job in exactly one place.
-func (m *Manager) retireJob(j *job) {
-	jt := j.exportTrace(j.state, j.tracer)
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	j.trace = jt
-	j.res, j.tracer, j.root, j.wait = nil, nil, nil, nil
+	j.res, j.tracer, j.root, j.wait, j.cancel = nil, nil, nil, nil, nil
 	m.traces.add(j)
 	delete(m.jobs, j.id)
 }
@@ -353,7 +310,7 @@ func (m *Manager) lookupLocked(id string) (*job, error) {
 	if j, ok := m.jobs[id]; ok {
 		return j, nil
 	}
-	if j, ok := m.traces.get(id); ok {
+	if j, ok := m.traces.byID[id]; ok {
 		return j, nil
 	}
 	if n := seqOf(id); n > 0 && n <= m.seq {
@@ -402,29 +359,31 @@ func (m *Manager) runJob(schedCtx context.Context, j *job) {
 	payload, err := m.runner.Run(jctx, res)
 	span.End()
 	cancel()
-	if err == nil {
-		// Store writes may touch disk (fsstore): off the manager lock.
-		m.store.Put(res.Key, payload)
-	}
-
-	m.mu.Lock()
-	j.cancel = nil
-	j.finished = obs.Now()
+	state := StateDone
 	switch {
 	case err == nil:
-		j.state = StateDone
-		j.result = payload
+		// Store writes may touch disk (fsstore): off the manager lock.
+		m.store.Put(res.Key, payload)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.state = StateCanceled
-		j.err = err.Error()
+		state = StateCanceled
 	default:
-		j.state = StateFailed
-		j.err = err.Error()
+		state = StateFailed
 		jlog.Warn("job failed", "job", j.id, "kind", res.Req.Kind, "err", err)
 	}
-	jDone.With(string(j.state)).Inc()
-	m.finishLocked(j)
-	m.mu.Unlock()
+	finished := obs.Now()
+	// The run's tree can be large: export it off the manager lock. Only
+	// this goroutine retires a running job, so its tracer stays put.
+	jt := j.endTrace(state)
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j.state, j.finished = state, finished
+	if err == nil {
+		j.result = payload
+	} else {
+		j.err = err.Error()
+	}
+	m.retireLocked(j, jt)
 }
 
 // find returns the job's payload and done channel alongside its snapshot.
@@ -463,12 +422,11 @@ func (m *Manager) Done(id string) (<-chan struct{}, View, error) {
 func (m *Manager) List() []View {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	retired := m.traces.all()
-	out := make([]View, 0, len(m.jobs)+len(retired))
+	out := make([]View, 0, len(m.jobs)+len(m.traces.entries))
 	for _, j := range m.jobs {
 		out = append(out, j.view())
 	}
-	for _, j := range retired {
+	for _, j := range m.traces.entries {
 		out = append(out, j.view())
 	}
 	slices.SortFunc(out, func(a, b View) int { return cmp.Compare(seqOf(a.ID), seqOf(b.ID)) })
@@ -492,9 +450,11 @@ func (m *Manager) Cancel(id string) (View, error) {
 		j.err = context.Canceled.Error()
 		j.finished = obs.Now()
 		jCancelRequests.Inc()
-		jDone.With(string(StateCanceled)).Inc()
 		j.wait.SetTag("canceled", "true")
-		m.finishLocked(j)
+		// The tree holds the root, jobs.cache_lookup and
+		// jobs.enqueue_wait only, so the export is cheap enough for the
+		// lock.
+		m.retireLocked(j, j.endTrace(StateCanceled))
 	case StateRunning:
 		jCancelRequests.Inc()
 		j.cancel() // worker observes ctx.Err and marks the terminal state
@@ -529,7 +489,9 @@ func (m *Manager) Trace(id string) (*JobTrace, error) {
 // TraceSummaries lists the traces of the retained retired jobs, newest
 // first, without their span trees.
 func (m *Manager) TraceSummaries() []JobTrace {
-	retired := m.traces.all()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	retired := m.traces.entries
 	out := make([]JobTrace, 0, len(retired))
 	for i := len(retired) - 1; i >= 0; i-- {
 		out = append(out, retired[i].trace.Summary())
@@ -550,24 +512,14 @@ func (m *Manager) StoreStats() StoreStats { return m.store.Stats() }
 // running jobs finish normally, and Close returns when the pool is idle.
 // If ctx expires first, every in-flight job is cancelled and Close waits
 // for the workers to acknowledge before returning ctx's error. Either
-// way — graceful or forced — the retirement queue is drained before
-// Close returns, so GET /v1/jobs/{id}/trace never races shutdown, and the
-// store is closed last.
+// way — graceful or forced — a job retires in the step that finishes
+// it, so every admitted job has retired once Close returns and GET
+// /v1/jobs/{id}/trace never races shutdown. The store is closed last.
 func (m *Manager) Close(ctx context.Context) error {
 	m.mu.Lock()
 	m.closed = true
 	m.mu.Unlock()
 	err := m.sched.Close(ctx)
-	// The scheduler is quiet and Submit is rejected, so no new job can
-	// be queued for retirement: drain what is there and stop the loop.
-	m.retMu.Lock()
-	m.retClosed = true
-	m.retMu.Unlock()
-	select {
-	case m.retWake <- struct{}{}:
-	default:
-	}
-	m.retWG.Wait()
 	if cerr := m.store.Close(); cerr != nil && err == nil {
 		err = cerr
 	}

@@ -1,10 +1,6 @@
 package jobs
 
-import (
-	"sync"
-
-	"analogdft/internal/obs"
-)
+import "analogdft/internal/obs"
 
 // JobTrace is the exported trace of one job: the W3C identity it ran
 // under, its state when exported, and the span tree.
@@ -26,10 +22,9 @@ func (jt *JobTrace) Summary() JobTrace {
 	return s
 }
 
-// jobRing holds the last max retired jobs (see Manager.retireJob); an
-// evicted job is gone for good. Safe for concurrent use.
+// jobRing holds the last max retired jobs (see Manager.retireLocked);
+// an evicted job is gone for good. The manager's mutex guards it.
 type jobRing struct {
-	mu      sync.Mutex
 	max     int
 	entries []*job // oldest first
 	byID    map[string]*job
@@ -42,8 +37,6 @@ func newJobRing(max int) *jobRing {
 
 // add retains j, evicting the oldest entry when full.
 func (r *jobRing) add(j *job) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if len(r.entries) == r.max {
 		delete(r.byID, r.entries[0].id)
 		copy(r.entries, r.entries[1:])
@@ -51,19 +44,4 @@ func (r *jobRing) add(j *job) {
 	}
 	r.entries = append(r.entries, j)
 	r.byID[j.id] = j
-}
-
-// get returns the retired job with the given ID.
-func (r *jobRing) get(id string) (*job, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	j, ok := r.byID[id]
-	return j, ok
-}
-
-// all returns the retained jobs, oldest first.
-func (r *jobRing) all() []*job {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]*job(nil), r.entries...)
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
-	"time"
 )
 
 // okRunner finishes every job at once with a fixed payload.
@@ -27,7 +26,6 @@ func TestManagerEvictionContract(t *testing.T) {
 			t.Fatal(err)
 		}
 		awaitState(t, m, v.ID)
-		awaitRetired(t, m, v.ID)
 		ids = append(ids, v.ID)
 	}
 
@@ -117,7 +115,6 @@ func TestManagerListMergesLiveAndRetired(t *testing.T) {
 		t.Fatal(err)
 	}
 	awaitState(t, m, fast.ID)
-	awaitRetired(t, m, fast.ID)
 	list := m.List()
 	if len(list) != 2 || list[0].ID != slow.ID || list[1].ID != fast.ID {
 		t.Fatalf("List = %+v, want [%s %s]", list, slow.ID, fast.ID)
@@ -128,9 +125,9 @@ func TestManagerListMergesLiveAndRetired(t *testing.T) {
 }
 
 // TestManagerTableBounded is the deterministic memory gate of the job
-// layer: however many cache hits the manager serves, it retains at most
-// the live jobs the scheduler admits plus the ring, and no retained job
-// pins its request, tracer or spans.
+// layer: a cache hit never enters the table, so however many hits the
+// manager serves it retains no finished job outside the bounded ring,
+// and no retained job pins its request, tracer or spans.
 func TestManagerTableBounded(t *testing.T) {
 	cfg := Config{Workers: 2, QueueDepth: 3, TraceEntries: 8}
 	store := NewMemStore(4)
@@ -158,27 +155,21 @@ func TestManagerTableBounded(t *testing.T) {
 		if !v.Cached {
 			t.Fatalf("submit %d missed the cache", i)
 		}
-	}
-	// Retirement is asynchronous: every job here is finished, so the
-	// table drains once the retire loop catches up.
-	live := func() int {
+		// No polling: the hit has retired by the time Submit returns.
 		m.mu.Lock()
-		defer m.mu.Unlock()
-		return len(m.jobs)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for live() > 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+		live := len(m.jobs)
+		m.mu.Unlock()
+		if live != 0 {
+			t.Fatalf("table holds %d jobs after cache hit %d", live, i)
+		}
 	}
 
-	bound := cfg.TraceEntries + cfg.Workers + cfg.QueueDepth
-	retired := m.traces.all()
-	if n := live() + len(retired); n > bound {
-		t.Errorf("manager holds %d live + %d retired jobs, bound %d", live(), len(retired), bound)
+	if n := len(m.List()); n != cfg.TraceEntries {
+		t.Errorf("List = %d jobs, want the ring's %d", n, cfg.TraceEntries)
 	}
-	if n := len(m.List()); n > bound {
-		t.Errorf("List = %d jobs, bound %d", n, bound)
-	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	retired := m.traces.entries
 	if len(retired) != cfg.TraceEntries {
 		t.Errorf("ring holds %d jobs, want %d", len(retired), cfg.TraceEntries)
 	}

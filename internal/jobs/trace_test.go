@@ -190,18 +190,46 @@ func TestJobTraceCanceledQueued(t *testing.T) {
 	}
 }
 
-// awaitRetired polls until the job's trace has moved from its live
-// tracer into the bounded ring (retirement is asynchronous).
-func awaitRetired(t *testing.T, m *Manager, id string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, ok := m.traces.get(id); ok {
-			return
-		}
-		time.Sleep(time.Millisecond)
+// TestCancelQueuedRetires: cancelling a queued job retires it before
+// Cancel returns — out of the table, into the ring with its exported
+// trace, whose queue-wait span is tagged as cancelled.
+func TestCancelQueuedRetires(t *testing.T) {
+	release := make(chan struct{})
+	m := testManager(t, Config{Workers: 1, QueueDepth: 2}, func(ctx context.Context, res *Resolved) (json.RawMessage, error) {
+		<-release
+		return json.RawMessage(`{}`), nil
+	})
+	defer close(release)
+	blocker, err := m.Submit(biquadRequest(t, 335))
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("trace of %s never retired", id)
+	waitRunning(t, m, blocker.ID)
+	queued, err := m.Submit(biquadRequest(t, 336))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	// No polling: Cancel's return must already imply retirement.
+	m.mu.Lock()
+	_, live := m.jobs[queued.ID]
+	j, retired := m.traces.byID[queued.ID]
+	m.mu.Unlock()
+	if live || !retired || j.trace == nil {
+		t.Fatalf("after Cancel: in table %v, in ring %v", live, retired)
+	}
+	if j.state != StateCanceled || j.trace.State != StateCanceled {
+		t.Errorf("retired state = %s, trace state = %s, want canceled", j.state, j.trace.State)
+	}
+	root := j.trace.Trace.Spans[0]
+	if root.Tags["state"] != string(StateCanceled) {
+		t.Errorf("root span tags = %v, want state=canceled", root.Tags)
+	}
+	if wait := findChild(root, "jobs.enqueue_wait"); wait == nil || wait.Tags["canceled"] != "true" {
+		t.Errorf("wait span = %+v, want canceled=true", wait)
+	}
 }
 
 func TestTraceRingEviction(t *testing.T) {
@@ -215,7 +243,6 @@ func TestTraceRingEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 		awaitState(t, m, v.ID)
-		awaitRetired(t, m, v.ID)
 		ids = append(ids, v.ID)
 	}
 	if _, err := m.Trace(ids[0]); !errors.Is(err, ErrTraceEvicted) {
@@ -258,7 +285,10 @@ func TestCloseForceCancelDrainsTraceRetirement(t *testing.T) {
 		t.Fatalf("Close: err = %v, want deadline exceeded", err)
 	}
 	// No polling: Close's return must already imply full retirement.
-	if _, ok := m.traces.get(v.ID); !ok {
+	m.mu.Lock()
+	_, retired := m.traces.byID[v.ID]
+	m.mu.Unlock()
+	if !retired {
 		t.Fatal("trace not in the ring after forced Close")
 	}
 	jt, err := m.Trace(v.ID)

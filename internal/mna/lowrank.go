@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"analogdft/internal/circuit"
-	"analogdft/internal/numeric"
 )
 
 // ErrNotLowRank flags a value patch that cannot be expressed as a rank-1
@@ -158,28 +157,6 @@ func (s *System) component(name string) (circuit.Component, error) {
 		return nil, fmt.Errorf("mna: unknown component %q", name)
 	}
 	return comp, nil
-}
-
-// AssembleValsInto assembles the MNA system at one frequency into
-// caller-owned storage: the M = G + jω·C values land in mv (length
-// Pattern().NNZ()) under the shared pattern, and rhs (length N())
-// receives the excitation. This is the exported face of the per-point
-// assembly the sweep loop uses, for callers that inspect or factor the
-// assembled matrix themselves (the rank-1 consistency tests check
-// RankOneDeltaInto against the assembled patch this way).
-func (s *System) AssembleValsInto(freqHz float64, mv, rhs []complex128) error {
-	rebuilt, err := s.ensureStamps()
-	if err != nil {
-		return err
-	}
-	if len(mv) != s.pat.NNZ() || len(rhs) != s.n {
-		return fmt.Errorf("%w: assemble into %d values/rhs %d, want %d/%d", numeric.ErrShape, len(mv), len(rhs), s.pat.NNZ(), s.n)
-	}
-	if _, err := s.assembleVals(freqHz, mv, rhs, &s.mBox); err != nil {
-		return err
-	}
-	accountStamps(rebuilt)
-	return nil
 }
 
 // NodeIndex returns the unknown-vector index of a node, or −1 for ground.

@@ -41,7 +41,8 @@ func assembleAt(t *testing.T, sys *System, freqHz float64) (*numeric.Matrix, []c
 	}
 	mv := make([]complex128, pat.NNZ())
 	rhs := make([]complex128, sys.N())
-	if err := sys.AssembleValsInto(freqHz, mv, rhs); err != nil {
+	var box numeric.CSRValues
+	if _, err := sys.assembleVals(freqHz, mv, rhs, &box); err != nil {
 		t.Fatal(err)
 	}
 	m := numeric.NewMatrix(sys.N(), sys.N())
@@ -189,25 +190,6 @@ func TestScaleAt(t *testing.T) {
 	got := d.ScaleAt(1 / (2 * 3.141592653589793))
 	if cmplx.Abs(got-(2+3i)) > 1e-12 {
 		t.Fatalf("ScaleAt = %v, want 2+3i", got)
-	}
-}
-
-// TestAssembleValsIntoShape checks the exported assembly validates
-// storage.
-func TestAssembleValsIntoShape(t *testing.T) {
-	sys, err := NewSystem(lowRankCircuit())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pat, err := sys.Pattern()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.AssembleValsInto(100, make([]complex128, 2), make([]complex128, sys.N())); !errors.Is(err, numeric.ErrShape) {
-		t.Fatalf("short values: err = %v, want ErrShape", err)
-	}
-	if err := sys.AssembleValsInto(100, make([]complex128, pat.NNZ()), make([]complex128, 1)); !errors.Is(err, numeric.ErrShape) {
-		t.Fatalf("short rhs: err = %v, want ErrShape", err)
 	}
 }
 

@@ -79,14 +79,13 @@ type System struct {
 	// Build storage embedded in the (already heap-allocated) System so
 	// the build allocates no separate structs: patStore backs pat, and
 	// the CSRValues adapters are fields because passing a field pointer
-	// as the adder interface never boxes. mBox is AssembleValsInto's
-	// per-point adapter; a Sweeper has its own, so Sweepers of one
-	// System may assemble it concurrently once its stamps are built and
-	// while no patch is live (ensureStamps and SetValue write it).
+	// as the adder interface never boxes. Each Sweeper has its own
+	// per-point adapter, so Sweepers of one System may assemble it
+	// concurrently once its stamps are built and while no patch is live
+	// (ensureStamps and SetValue write it).
 	patStore numeric.Pattern
 	gBox     numeric.CSRValues
 	cBox     numeric.CSRValues
-	mBox     numeric.CSRValues
 
 	// Patch state (SetValue/Reset): first-seen snapshots of every stamp
 	// slot and excitation entry a patch has touched, plus the current

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"analogdft/internal/circuit"
+	"analogdft/internal/numeric"
 )
 
 // stampBitsHash folds the exact bits of the G and C value arrays and the
@@ -104,7 +105,8 @@ func assembledBitsHash(t *testing.T, s *System, freqHz float64) string {
 		t.Fatal(err)
 	}
 	mv, rhs := make([]complex128, pat.NNZ()), make([]complex128, s.N())
-	if err := s.AssembleValsInto(freqHz, mv, rhs); err != nil {
+	var box numeric.CSRValues
+	if _, err := s.assembleVals(freqHz, mv, rhs, &box); err != nil {
 		t.Fatal(err)
 	}
 	h := fnv.New64a()

@@ -11,8 +11,8 @@ import (
 var ErrNoChain = errors.New("analogdft: bench has no DFT chain")
 
 // Session bundles the parameter train the DFT flows keep passing around —
-// a bench, a fault universe, an optional pinned Ω_reference and the
-// evaluation Options — behind one handle with context-aware methods. It
+// a bench, a fault universe and the evaluation Options (Options.Region
+// optionally pins Ω_reference) — behind one handle with context-aware methods. It
 // replaces call chains like
 //
 //	mod, _ := analogdft.ApplyDFT(bench.Circuit, bench.Chain)
@@ -36,10 +36,6 @@ type Session struct {
 	Bench *Bench
 	// Faults is the fault universe to evaluate.
 	Faults FaultList
-	// Region optionally pins Ω_reference for every method; zero derives
-	// it from the circuit. It is copied into Options.Region when Options
-	// does not pin one itself.
-	Region Region
 	// Options is the normalized evaluation parameter set.
 	Options Options
 
@@ -55,20 +51,10 @@ func NewSession(bench *Bench, faults FaultList, opts Options) *Session {
 	return &Session{Bench: bench, Faults: faults, Options: opts.Normalize()}
 }
 
-// opts returns the effective options: the session's options with the
-// session-level region pin applied.
-func (s *Session) opts() Options {
-	o := s.Options
-	if o.Region == (Region{}) {
-		o.Region = s.Region
-	}
-	return o
-}
-
 // Evaluate measures detectability of the session's faults on the
 // unmodified bench circuit (the §2 analysis). ctx cancels between cells.
 func (s *Session) Evaluate(ctx context.Context) (*Row, error) {
-	return EvaluateCircuitContext(ctx, s.Bench.Circuit, s.Faults, s.opts())
+	return EvaluateCircuitContext(ctx, s.Bench.Circuit, s.Faults, s.Options)
 }
 
 // Modified returns the DFT-modified circuit (the bench chain applied),
@@ -98,7 +84,7 @@ func (s *Session) Matrix(ctx context.Context) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	mx, err := BuildMatrixContext(ctx, mod, s.Faults, s.opts())
+	mx, err := BuildMatrixContext(ctx, mod, s.Faults, s.Options)
 	if err != nil {
 		return nil, err
 	}

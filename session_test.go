@@ -75,24 +75,13 @@ func TestSessionOptimizeZeroCostDefaults(t *testing.T) {
 
 func TestSessionRegionPin(t *testing.T) {
 	s := quickSession(t)
-	s.Region = Region{LoHz: 1e3, HiHz: 1e5}
+	s.Options.Region = Region{LoHz: 2e3, HiHz: 4e4}
 	row, err := s.Evaluate(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.Region != s.Region {
-		t.Errorf("row region %+v, want pinned %+v", row.Region, s.Region)
-	}
-	// An explicit Options.Region wins over the session pin.
-	s2 := quickSession(t)
-	s2.Region = Region{LoHz: 1e3, HiHz: 1e5}
-	s2.Options.Region = Region{LoHz: 2e3, HiHz: 4e4}
-	row2, err := s2.Evaluate(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row2.Region != s2.Options.Region {
-		t.Errorf("row region %+v, want options region %+v", row2.Region, s2.Options.Region)
+	if row.Region != s.Options.Region {
+		t.Errorf("row region %+v, want options region %+v", row.Region, s.Options.Region)
 	}
 }
 
