@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"analogdft/internal/circuit"
 	"analogdft/internal/fault"
@@ -28,14 +27,17 @@ import (
 //
 // NewBasis lowers the faults and sizes the basis; Fill computes it, one
 // ω chunk per call, and chunks may fill in parallel. A filled basis is
-// read-only and shared by every row.
+// read-only and shared by every row, and each worker walks it on the
+// basis's engine (Engine) or a fork of it, switched to its row's
+// configuration.
 type Basis struct {
 	ckt   *circuit.Circuit
 	chain []string
 	grid  []float64
-	// eng lowered the faults; it fills chunk 0, with the solver ls, and is
-	// then handed to the row whose matrix is A₀ (TakeEngine).
-	eng atomic.Pointer[Engine]
+	// eng lowered the faults and fills chunk 0 with the solver ls; then
+	// the rows run on it or on forks of it (Engine), and its chain
+	// opamps may switch.
+	eng *Engine
 	ls  numeric.LowRankSolver
 	k   int
 
@@ -68,17 +70,17 @@ func NewBasis(ckt *circuit.Circuit, chain []string, grid []float64, faults fault
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("%w: empty grid", ErrBadSweep)
 	}
-	e, err := NewEngine(ckt)
+	e, err := newEngine(ckt, chain)
 	if err != nil {
 		return nil, err
 	}
-	// Fill's chunks share e's system, so its stamps are built here, once.
+	// Fill's chunks and the forks share e's system, so its stamps are
+	// built here, once.
 	if _, err := e.sys.Pattern(); err != nil {
 		return nil, err
 	}
 	nf, nc := len(faults), len(chain)
-	b := &Basis{ckt: ckt, chain: chain, grid: grid, k: max(e.nodeIdx, 0), nc: nc, lfs: make([]lowRankFault, nf)}
-	b.eng.Store(e)
+	b := &Basis{ckt: ckt, chain: chain, grid: grid, eng: e, k: max(e.nodeIdx, 0), nc: nc, lfs: make([]lowRankFault, nf)}
 	// One slab for every index list: the slots, the leads, the rows, the
 	// w indices (at most five per opamp), the read sets' ends, and the
 	// read sets, each at most two v entries and the w indices.
@@ -168,11 +170,14 @@ func groupIncidences(lfs []lowRankFault) int {
 // it.
 func (b *Basis) Slots() []int { return b.slot }
 
-// TakeEngine hands the basis's own engine, nominal and built on the basis
-// circuit, to its first caller after Fill, and nil to every later one:
-// the row whose matrix is A₀ runs its tail on it instead of building
-// another.
-func (b *Basis) TakeEngine() *Engine { return b.eng.Swap(nil) }
+// Engine returns the basis's own engine, of the basis circuit and, until
+// a caller switches it, nominal and in the basis configuration; its
+// chain opamps SetFollowers switches. Once Fill is done nothing else
+// writes it, so a caller that has the basis to itself walks the basis
+// (SweepLowRank) and runs its rows' tails on it directly. Callers that
+// share the basis leave it untouched and each run on a fork of it
+// (Engine.Fork); forks may be made concurrently.
+func (b *Basis) Engine() *Engine { return b.eng }
 
 // Fill computes chunk c of chunks: the grid points from c·n/chunks up to
 // (c+1)·n/chunks. Chunk 0 runs on the basis's engine, every other on a
@@ -186,7 +191,7 @@ func (b *Basis) Fill(ctx context.Context, c, chunks int) error {
 	// Every chunk assembles the basis engine's system, whose stamps
 	// NewBasis built; chunks past the first bring their own sweeper and
 	// solver.
-	e := b.eng.Load()
+	e := b.eng
 	sw, ls := e.sw, &b.ls
 	if c > 0 {
 		var err error

@@ -40,13 +40,14 @@ func BenchmarkSweepLowRank(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			var row LowRankRow
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := basis.Fill(context.Background(), 0, 1); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := e.SweepLowRank(context.Background(), basis, nil); err != nil {
+				if err := e.SweepLowRank(context.Background(), basis, nil, &row); err != nil {
 					b.Fatal(err)
 				}
 			}

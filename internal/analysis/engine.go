@@ -17,22 +17,35 @@ import (
 // ApplyFault, or a singular-point retry — reuses them, which
 // is what makes the incremental fault-simulation path clone-free and
 // allocation-flat. An Engine is not safe for concurrent use; give each
-// worker its own.
+// worker its own — a fork (Fork) costs one value slab, not a rebuild.
+//
+// A basis's engine and its forks also switch configurations in place:
+// SetFollowers puts the chain opamps a configuration names in follower
+// mode on the engine's own system (mna.System.SetOpampMode), so one
+// engine serves every configuration row of a matrix.
 type Engine struct {
 	driven  *circuit.Circuit
 	sys     *mna.System
 	sw      *mna.Sweeper
 	nodeIdx int // observed node's unknown index, -1 for ground
+	// chain names the opamps SetFollowers may switch, in chain order;
+	// empty but on a basis's engine and its forks.
+	chain []string
 
-	// wb corrects a basis point to the engine's configuration
-	// (SweepLowRank).
-	wb numeric.Woodbury
+	// wb corrects a basis point to the engine's configuration, and
+	// incs[q] is incidence q at the walk's current point (SweepLowRank).
+	wb   numeric.Woodbury
+	incs []numeric.Incidence
 }
 
 // NewEngine prepares an engine for the (undriven) circuit: the input is
 // driven with a unit AC source and the output node is observed, exactly
 // as Sweep does per call.
-func NewEngine(ckt *circuit.Circuit) (*Engine, error) {
+func NewEngine(ckt *circuit.Circuit) (*Engine, error) { return newEngine(ckt, nil) }
+
+// newEngine is NewEngine for an engine whose chain opamps, configurable
+// with a test input, SetFollowers may switch.
+func newEngine(ckt *circuit.Circuit, chain []string) (*Engine, error) {
 	driven, err := mna.Driven(ckt)
 	if err != nil {
 		return nil, err
@@ -40,6 +53,11 @@ func NewEngine(ckt *circuit.Circuit) (*Engine, error) {
 	sys, err := mna.NewSystem(driven)
 	if err != nil {
 		return nil, err
+	}
+	if len(chain) > 0 {
+		if err := sys.Switchable(chain); err != nil {
+			return nil, err
+		}
 	}
 	out := circuit.CanonicalNode(driven.Output)
 	sw, err := sys.NewSweeper(out)
@@ -50,7 +68,50 @@ func NewEngine(ckt *circuit.Circuit) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{driven: driven, sys: sys, sw: sw, nodeIdx: nodeIdx}, nil
+	return &Engine{driven: driven, sys: sys, sw: sw, nodeIdx: nodeIdx, chain: chain}, nil
+}
+
+// Fork returns an engine of the same driven circuit in e's state that
+// shares e's system's pattern and indexing (mna.System.Fork) and owns
+// its values, its sweeper and its workspace, so it can be used alone
+// beside e. e must be unpatched; forks of one engine may be made
+// concurrently once its stamps are built, while nothing writes it.
+func (e *Engine) Fork() (*Engine, error) {
+	sys, err := e.sys.Fork()
+	if err != nil {
+		return nil, err
+	}
+	sw, err := sys.NewSweeper(circuit.CanonicalNode(e.driven.Output))
+	if err != nil {
+		return nil, err
+	}
+	return &Engine{driven: e.driven, sys: sys, sw: sw, nodeIdx: e.nodeIdx, chain: e.chain}, nil
+}
+
+// SetFollowers switches the engine to the configuration whose follower
+// opamps are followers, given as ascending indices into its chain: those
+// opamps go to follower mode and every other chain opamp to normal mode,
+// in place. The engine then solves the configured circuit's matrix bit
+// for bit (mna.System.SetOpampMode), and its solve errors give that
+// circuit's name, name (mna.System.SetName); value patches and Reset
+// leave the configuration alone.
+func (e *Engine) SetFollowers(name string, followers []int) error {
+	e.sys.SetName(name)
+	next := 0
+	for a, name := range e.chain {
+		mode := circuit.ModeNormal
+		if next < len(followers) && followers[next] == a {
+			mode = circuit.ModeFollower
+			next++
+		}
+		if err := e.sys.SetOpampMode(name, mode); err != nil {
+			return err
+		}
+	}
+	if next < len(followers) {
+		return fmt.Errorf("%w: followers %v outside a %d-opamp chain", ErrBadSweep, followers, len(e.chain))
+	}
+	return nil
 }
 
 // SweepGrid samples the transfer function over an explicit grid in the
@@ -99,7 +160,7 @@ func (e *Engine) ApplyFault(f fault.Fault) error {
 }
 
 // Reset restores the engine to its nominal state (exact snapshot restore;
-// see mna.System.Reset).
+// see mna.System.Reset) in the configuration SetFollowers last set.
 func (e *Engine) Reset() { e.sys.Reset() }
 
 // RetrySingularPoints re-attempts the invalid points of resp, in place,

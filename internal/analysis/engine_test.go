@@ -5,7 +5,11 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"analogdft/internal/circuits"
+	"analogdft/internal/dft"
 	"analogdft/internal/fault"
+	"analogdft/internal/mna"
+	"analogdft/internal/numeric"
 	"analogdft/internal/obs"
 )
 
@@ -180,5 +184,69 @@ func TestEngineRetrySingularPoints(t *testing.T) {
 	resp.Valid[0] = false
 	if r, s, err := e.RetrySingularPoints(resp, 0); err != nil || r != 0 || s != 0 {
 		t.Fatalf("zero-attempts retry = (%d, %d, %v)", r, s, err)
+	}
+}
+
+// TestSwitchedEngineNamesConfiguration checks that a solve error of an
+// engine switched to a configuration names the configured circuit, as
+// the error of an engine built on that circuit does, word for word, and
+// that the engine it was forked from keeps the functional circuit's name.
+func TestSwitchedEngineNamesConfiguration(t *testing.T) {
+	bench := circuits.PaperBiquad()
+	ckt := bench.Circuit.Clone()
+	// A capacitive divider off the input: singular at DC in every
+	// configuration.
+	ckt.Cap("CX1", ckt.Input, "iso", 1e-9)
+	ckt.Cap("CX2", "iso", "0", 1e-9)
+	m, err := dft.Apply(ckt, bench.Chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	functional, err := m.Configure(dft.Configuration{Index: 0, N: m.N()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := newEngine(functional, m.Chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solveErr := func(e *Engine) error {
+		t.Helper()
+		_, err := e.sw.VoltageAt(0)
+		var se *mna.SolveError
+		if !errors.As(err, &se) || !errors.Is(err, numeric.ErrSingular) {
+			t.Fatalf("err = %v, want a singular *mna.SolveError", err)
+		}
+		return err
+	}
+	for _, cfg := range m.Configurations(false)[1:] {
+		configured, err := m.Configure(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clone, err := NewEngine(configured)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fork, err := base.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var followers []int
+		for a := range m.Chain {
+			if cfg.Follower(a) {
+				followers = append(followers, a)
+			}
+		}
+		if err := fork.SetFollowers(configured.Name, followers); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := solveErr(fork).Error(), solveErr(clone).Error(); got != want {
+			t.Errorf("%s: switched engine's error %q, want %q", cfg.Label(), got, want)
+		}
+	}
+	var se *mna.SolveError
+	if errors.As(solveErr(base), &se); se.Circuit != functional.Name {
+		t.Errorf("basis engine's error names %q, want %q", se.Circuit, functional.Name)
 	}
 }

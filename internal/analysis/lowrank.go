@@ -39,7 +39,9 @@ func (e *Engine) prepareLowRank(f fault.Fault, lf *lowRankFault) error {
 }
 
 // LowRankRow is what one SweepLowRank walk measures on a configuration.
-// Every response shares the basis grid as its Freqs.
+// Every response shares the basis grid as its Freqs. The caller owns it:
+// a walk overwrites every field and reuses the storage of the walk
+// before, so a worker keeps one for all its rows.
 type LowRankRow struct {
 	// Nominal is the nominal response.
 	Nominal *Response
@@ -70,57 +72,82 @@ type LowRankRow struct {
 	Factored int
 
 	nominal Response
+	// The slabs the responses, the spreads and Approx are carved from.
+	hs     []complex128
+	valid  []bool
+	spread []float64
+	approx []bool
+}
+
+// reset sizes the row for a walk of nf faults over grid, every value
+// zero and every point invalid; approx says whether the walk corrects
+// its nominal (a row with followers).
+func (row *LowRankRow) reset(grid []float64, nf int, approx bool) {
+	np := len(grid)
+	row.hs = resize(row.hs, (nf+1)*np)
+	row.valid = resize(row.valid, (nf+1)*np)
+	row.nominal = Response{Freqs: grid, H: row.hs[:np:np], Valid: row.valid[:np:np]}
+	row.Nominal = &row.nominal
+	row.Faulty = resize(row.Faulty, nf)
+	for j := range row.Faulty {
+		seg := (j + 1) * np
+		row.Faulty[j] = Response{Freqs: grid, H: row.hs[seg : seg+np : seg+np], Valid: row.valid[seg : seg+np : seg+np]}
+	}
+	spreads := nf * np
+	if approx {
+		spreads += np
+	}
+	row.spread = resize(row.spread, spreads)
+	row.Spread, row.Approx, row.NominalSpread = row.spread[:nf*np:nf*np], nil, nil
+	if approx {
+		row.approx = resize(row.approx, np)
+		row.Approx, row.NominalSpread = row.approx, row.spread[nf*np:]
+	}
+	row.Factored = 0
+}
+
+// resize returns s with length n and every element zero, reusing its
+// storage when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // SweepLowRank walks the basis grid once and answers, at every point, the
-// engine's nominal and every rank-1 fault of the basis. The engine's
-// matrix must be the basis matrix with the chain opamps listed in s
-// (indices into the basis chain) in follower mode. Where the basis point
-// holds, the walk reads the nominal and each incidence (u, v) from it
-// through a Woodbury correction — none with an empty s, whose values are
-// the basis's bits — and answers each fault of the incidence's group in
-// a few operations (Incidence.Entry). Where A₀ is singular or the
-// correction's capacitance matrix fails its screen
-// (numeric.Woodbury.Factor), a row with followers solves its own nominal
-// alone and leaves every fault unanswered there.
+// engine's nominal and every rank-1 fault of the basis, into row. The
+// engine's matrix must be the basis matrix with the chain opamps listed
+// in s (indices into the basis chain) in follower mode: the basis's
+// engine or a fork of it switched there (SetFollowers), or an engine of
+// the configured circuit. Where the basis point holds, the walk reads the
+// nominal and each incidence (u, v) from it through a Woodbury
+// correction — none with an empty s, whose values are the basis's bits
+// — and answers each fault of the incidence's group in a few operations
+// (Incidence.Entry). Where A₀ is singular or the correction's
+// capacitance matrix fails its screen (numeric.Woodbury.Factor), a row
+// with followers solves its own nominal alone and leaves every fault
+// unanswered there.
 //
 // ctx is checked once per point; a cancelled walk returns ctx's error.
 // The engine is nominal when this returns.
-func (e *Engine) SweepLowRank(ctx context.Context, b *Basis, s []int) (*LowRankRow, error) {
+func (e *Engine) SweepLowRank(ctx context.Context, b *Basis, s []int, row *LowRankRow) error {
 	if e.sys.Patched() {
-		return nil, fmt.Errorf("%w: low-rank sweep on a patched system", ErrBadSweep)
+		return fmt.Errorf("%w: low-rank sweep on a patched system", ErrBadSweep)
 	}
 	grid, lfs := b.grid, b.lfs
-	np, nf := len(grid), len(lfs)
-	// The nominal's and the faults' values share one slab each, and so do
-	// their validity flags and the spreads.
-	hs, valid := make([]complex128, (nf+1)*np), make([]bool, (nf+1)*np)
-	row := &LowRankRow{
-		nominal: Response{Freqs: grid, H: hs[:np:np], Valid: valid[:np:np]},
-		Faulty:  make([]Response, nf),
-	}
-	row.Nominal = &row.nominal
-	for j := range row.Faulty {
-		seg := (j + 1) * np
-		row.Faulty[j] = Response{Freqs: grid, H: hs[seg : seg+np : seg+np], Valid: valid[seg : seg+np : seg+np]}
-	}
-	spreads := nf * np
-	if len(s) > 0 {
-		spreads += np
-		row.Approx = make([]bool, np)
-	}
-	row.Spread = make([]float64, spreads)
-	if row.Approx != nil {
-		row.Spread, row.NominalSpread = row.Spread[:nf*np:nf*np], row.Spread[nf*np:]
-	}
+	np := len(grid)
+	row.reset(grid, len(lfs), len(s) > 0)
 	var solves int64
 	defer func() { eLowRankSolves.Add(solves) }()
 	defer e.sw.FlushMetrics()
-	// incs[q] is incidence q at the current point.
-	incs := make([]numeric.Incidence, b.ni)
+	e.incs = resize(e.incs, b.ni)
+	incs := e.incs
 	for i, f := range grid {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		y0k, gk, wy, m := b.point(i)
 		if !b.ok(i) || !e.wb.Factor(m, b.nc, s) {
@@ -133,7 +160,7 @@ func (e *Engine) SweepLowRank(ctx context.Context, b *Basis, s []int) (*LowRankR
 				if errors.Is(err, numeric.ErrSingular) {
 					continue // the nominal stays invalid here
 				}
-				return nil, err
+				return err
 			}
 			row.Nominal.H[i], row.Nominal.Valid[i] = v, true
 			continue
@@ -169,7 +196,7 @@ func (e *Engine) SweepLowRank(ctx context.Context, b *Basis, s []int) (*LowRankR
 			row.Spread[j*np+i] = numeric.Abs1(cz) + inc.Rounding(sc)
 		}
 	}
-	return row, nil
+	return nil
 }
 
 // sameIncidence reports whether two deltas have the same factors u and

@@ -47,6 +47,12 @@ func filledBasis(t *testing.T, ckt *circuit.Circuit, grid []float64, faults ...f
 	return b
 }
 
+// walkRow runs e's SweepLowRank walk of b into a row of its own.
+func walkRow(e *Engine, ctx context.Context, b *Basis, s []int) (*LowRankRow, error) {
+	row := new(LowRankRow)
+	return row, e.SweepLowRank(ctx, b, s, row)
+}
+
 // requireClose compares a rank-1 response with a patched one: same
 // validity, values within rounding.
 func requireClose(t *testing.T, got, want *Response) {
@@ -82,7 +88,7 @@ func TestSweepLowRankMatchesSweepFault(t *testing.T) {
 		{ID: "fL1", Component: "L1", Kind: fault.Deviation, Factor: 1.5},
 		{ID: "fE1", Component: "E1", Kind: fault.Deviation, Factor: 0.5},
 	}
-	row, err := e.SweepLowRank(context.Background(), filledBasis(t, lrLadder(), grid, faults...), nil)
+	row, err := walkRow(e, context.Background(), filledBasis(t, lrLadder(), grid, faults...), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +137,7 @@ func TestSweepLowRankFactorsOncePerPoint(t *testing.T) {
 		t.Errorf("basis did %g factorizations, want %d", d, len(grid))
 	}
 	solves0, rank10 := counter("mna_solves_total"), counter("engine_lowrank_solve_total")
-	if _, err := e.SweepLowRank(context.Background(), b, nil); err != nil {
+	if _, err := walkRow(e, context.Background(), b, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := counter("mna_solves_total") - solves0; d != 0 {
@@ -167,7 +173,7 @@ func TestSweepLowRankSharesIncidence(t *testing.T) {
 	}
 	counter := func(name string) float64 { return obs.Reg().Snapshot()[name].Value }
 	inc0, rank10 := counter("engine_lowrank_incidence_total"), counter("engine_lowrank_solve_total")
-	row, err := e.SweepLowRank(context.Background(), filledBasis(t, c, grid, faults...), nil)
+	row, err := walkRow(e, context.Background(), filledBasis(t, c, grid, faults...), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +184,7 @@ func TestSweepLowRankSharesIncidence(t *testing.T) {
 		t.Errorf("walk answered %g fault-points, want %d", d, len(faults)*len(grid))
 	}
 	for j, f := range faults {
-		alone, err := e.SweepLowRank(context.Background(), filledBasis(t, c, grid, f), nil)
+		alone, err := walkRow(e, context.Background(), filledBasis(t, c, grid, f), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,8 +202,9 @@ func TestSweepLowRankSharesIncidence(t *testing.T) {
 // TestSweepAllocsFlatInGrid pins the allocation-flat sweep design: the
 // number of objects SweepGrid and SweepLowRank (over a filled basis)
 // allocate does not grow with the grid. Per-point work reuses the
-// sweeper's workspace and the walk's scratch, so only the response
-// buffers are allocated, once per sweep.
+// sweeper's workspace and the walk's scratch, so SweepGrid allocates
+// only its response buffers, once per sweep, and a walk into a reused
+// row nothing.
 func TestSweepAllocsFlatInGrid(t *testing.T) {
 	e, err := NewEngine(lrLadder())
 	if err != nil {
@@ -215,8 +222,9 @@ func TestSweepAllocsFlatInGrid(t *testing.T) {
 			}
 		})
 		b := filledBasis(t, lrLadder(), g, faults...)
+		var row LowRankRow
 		lowRank = testing.AllocsPerRun(5, func() {
-			if _, err := e.SweepLowRank(context.Background(), b, nil); err != nil {
+			if err := e.SweepLowRank(context.Background(), b, nil, &row); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -268,7 +276,7 @@ func TestPrepareLowRankFallbackTriggers(t *testing.T) {
 	if err := b.Fill(context.Background(), 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	row, err := e.SweepLowRank(context.Background(), b, nil)
+	row, err := walkRow(e, context.Background(), b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +314,7 @@ func TestSweepLowRankSingularUpdateFallback(t *testing.T) {
 	if err := b.Fill(context.Background(), 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	row, err := e.SweepLowRank(context.Background(), b, nil)
+	row, err := walkRow(e, context.Background(), b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +365,7 @@ func TestSweepLowRankSingularNominalPoint(t *testing.T) {
 	}
 	f := fault.Fault{ID: "fR1", Component: "R1", Kind: fault.Deviation, Factor: 1.3}
 	grid := []float64{0, rcCorner, 1e5}
-	row, err := e.SweepLowRank(context.Background(), filledBasis(t, c, grid, f), nil)
+	row, err := walkRow(e, context.Background(), filledBasis(t, c, grid, f), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,14 +402,14 @@ func TestSweepLowRankRejectsBadState(t *testing.T) {
 	if err := b.Fill(cancelled, 0, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled fill: err = %v, want context.Canceled", err)
 	}
-	if _, err := e.SweepLowRank(cancelled, b, nil); !errors.Is(err, context.Canceled) {
+	if _, err := walkRow(e, cancelled, b, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled walk: err = %v, want context.Canceled", err)
 	}
 	if err := e.ApplyFault(fault.Fault{ID: "g", Component: "C1", Kind: fault.Deviation, Factor: 2}); err != nil {
 		t.Fatal(err)
 	}
 	defer e.Reset()
-	if _, err := e.SweepLowRank(ctx, b, nil); !errors.Is(err, ErrBadSweep) {
+	if _, err := walkRow(e, ctx, b, nil); !errors.Is(err, ErrBadSweep) {
 		t.Fatalf("patched system: err = %v, want ErrBadSweep", err)
 	}
 }

@@ -10,7 +10,9 @@
 // configuration row is one task: the worker that claims it reads its
 // nominal and every rank-1 fault's answer from the basis, through a
 // small Woodbury correction for the opamps it puts in follower mode
-// (Sherman–Morrison), then re-solves under an in-place patch only the
+// (Sherman–Morrison), on the one engine it keeps for all its rows — the
+// basis's own, or a fork of it when workers share the basis, switched to
+// the row's configuration in place — then re-solves under an in-place patch only the
 // points those answers could not give or whose verdict they could not
 // settle; faults the basis cannot express climb the patch → clone
 // ladder. A single-circuit evaluation (EvaluateCircuit) is the one-row
@@ -226,7 +228,7 @@ func (o Options) Normalize() Options {
 }
 
 // thresholdAt returns the effective detection threshold for grid point i.
-func (o Options) thresholdAt(i int) float64 {
+func (o *Options) thresholdAt(i int) float64 {
 	if i >= 0 && i < len(o.EpsProfile) && o.EpsProfile[i] > o.Eps {
 		return o.EpsProfile[i]
 	}
@@ -341,7 +343,7 @@ func EvaluateCircuitContext(ctx context.Context, ckt *circuit.Circuit, faults fa
 	}
 	rr := newRowRunner(1, faults, opts, func(int) (rowSpec, error) {
 		what := func() string { return strconv.Quote(ckt.Name) }
-		return rowSpec{ckt: ckt, grid: grid, label: ckt.Name, what: what, maxDev: true}, nil
+		return rowSpec{ckt: ckt, grid: grid, name: ckt.Name, label: ckt.Name, what: what, maxDev: true}, nil
 	})
 	if opts.first == "" {
 		// On failure the row builds the basis itself and reports the error.
@@ -474,7 +476,7 @@ func endRetrySpan(s *obs.Span, recovered int) {
 }
 
 // ladder is the patch → clone part of the engine ladder: it produces the
-// faulty response of f on ckt and returns it with the engine that holds
+// faulty response of f on row sp over its grid and returns it with the engine that holds
 // the faulty state (nil when none was built) and the rung that answered,
 // so the caller's retry re-solves the faulty system and the caller's
 // Reset restores the engine to nominal. The rungs, in order:
@@ -482,19 +484,24 @@ func endRetrySpan(s *obs.Span, recovered int) {
 //  1. in-place patch, on eng when non-nil: the fault stamped into the
 //     reusable engine, with no clone, no system rebuild and no per-cell
 //     allocation beyond the response buffers;
-//  2. clone-and-rebuild: the faulty circuit cloned and a fresh engine
-//     built for the cell — the reference every other rung must match.
+//  2. clone-and-rebuild: the row's circuit (built on first use) cloned
+//     with the fault and a fresh engine built for the cell — the
+//     reference every other rung must match.
 //
 // A fault the patcher cannot express (opens, shorts, opamp model faults)
 // falls to the clone rung. The rank-1 rung above both lives in the row
 // sweep (rowRunner).
-func ladder(ctx context.Context, eng *analysis.Engine, ckt *circuit.Circuit, f fault.Fault, grid []float64) (*analysis.Engine, *analysis.Response, rung, error) {
+func ladder(ctx context.Context, eng *analysis.Engine, sp *rowSpec, f fault.Fault) (*analysis.Engine, *analysis.Response, rung, error) {
 	if eng != nil {
 		if err := eng.ApplyFault(f); err == nil {
-			resp, err := eng.SweepGrid(grid)
+			resp, err := eng.SweepGrid(sp.grid)
 			return eng, resp, rungPatch, err
 		}
 		fallback(ctx, f)
+	}
+	ckt, err := sp.circuit()
+	if err != nil {
+		return nil, nil, rungClone, err
 	}
 	faulty, err := f.Apply(ckt)
 	if err != nil {
@@ -506,7 +513,7 @@ func ladder(ctx context.Context, eng *analysis.Engine, ckt *circuit.Circuit, f f
 	if eng, err = analysis.NewEngine(faulty); err != nil {
 		return nil, nil, rungClone, err
 	}
-	resp, err := eng.SweepGrid(grid)
+	resp, err := eng.SweepGrid(sp.grid)
 	return eng, resp, rungClone, err
 }
 
@@ -624,30 +631,7 @@ func BuildMatrixContext(ctx context.Context, m *dft.Modified, faults fault.List,
 		return nil, err
 	}
 
-	// One task per configuration row. With PerConfigRegion each row gets
-	// its own grid and reads a basis of its own matrix over it; otherwise
-	// all rows share the functional region's grid and read one basis of
-	// the functional matrix, factored once per point.
-	rr := newRowRunner(len(configs), faults, opts, func(i int) (rowSpec, error) {
-		cfg := configs[i]
-		ckt, err := m.Configure(cfg)
-		if err != nil {
-			return rowSpec{}, err
-		}
-		rowGrid := grid
-		if opts.PerConfigRegion {
-			if rowRegion, err := analysis.ReferenceRegion(ckt, opts.Probe); err == nil {
-				rowGrid = rowRegion.Spec(opts.Points).Grid()
-			}
-		}
-		var followers []int
-		for a := range m.Chain {
-			if cfg.Follower(a) {
-				followers = append(followers, a)
-			}
-		}
-		return rowSpec{ckt: ckt, grid: rowGrid, followers: followers, label: cfg.Label(), what: cfg.String}, nil
-	})
+	rr := newRowRunner(len(configs), faults, opts, matrixRows(m, configs, grid, opts))
 	if !opts.PerConfigRegion && opts.first == "" {
 		// On failure every row reads a basis of its own matrix instead and
 		// reports whatever failed.
@@ -695,6 +679,41 @@ func BuildMatrixContext(ctx context.Context, m *dft.Modified, faults fault.List,
 		dlog.Warn("matrix degraded", "source", mx.Source, "failed_cells", n, "cells", len(evals))
 	}
 	return mx, nil
+}
+
+// matrixRows returns the spec of each configuration row of a matrix
+// build over grid, one task per row. With PerConfigRegion each row gets
+// its own grid and reads a basis of its own matrix over it, so its
+// configured circuit is built up front; otherwise all rows share the
+// functional region's grid and read one basis of the functional matrix,
+// factored once per point, and a row builds its circuit only if a cell
+// or an error needs it.
+func matrixRows(m *dft.Modified, configs []dft.Configuration, grid []float64, opts Options) func(i int) (rowSpec, error) {
+	return func(i int) (rowSpec, error) {
+		cfg := configs[i]
+		sp := rowSpec{
+			configure: func() (*circuit.Circuit, error) { return m.Configure(cfg) },
+			grid:      grid,
+			name:      m.Name(cfg),
+			label:     cfg.Label(),
+			what:      cfg.String,
+		}
+		if opts.PerConfigRegion {
+			ckt, err := sp.circuit()
+			if err != nil {
+				return rowSpec{}, err
+			}
+			if rowRegion, err := analysis.ReferenceRegion(ckt, opts.Probe); err == nil {
+				sp.grid = rowRegion.Spec(opts.Points).Grid()
+			}
+		}
+		for a := range m.Chain {
+			if cfg.Follower(a) {
+				sp.followers = append(sp.followers, a)
+			}
+		}
+		return sp, nil
+	}
 }
 
 // tracker merges per-cell stats and emits Progress snapshots in cell
@@ -771,11 +790,13 @@ func (t *tracker) finish(elapsed time.Duration) Stats {
 	return t.stats
 }
 
-// runParallel executes fn(ctx, 0..n-1) over at most workers goroutines
-// using a chunked scheduler: indices are claimed in fixed-size contiguous
-// chunks off an atomic cursor. fn must write only to index-distinct state
-// (shared accounting goes through the tracker's mutex), which keeps the
-// engine race-clean and its results independent of worker count.
+// runParallel executes fn(ctx, w, i) for i in 0..n-1 over at most
+// workers goroutines, w < min(workers, n) naming the goroutine that runs
+// it, using a chunked scheduler: indices are claimed in fixed-size
+// contiguous chunks off an atomic cursor. fn must write only to
+// index-distinct or goroutine-distinct state (shared accounting goes
+// through the tracker's mutex), which keeps the engine race-clean and
+// its results independent of worker count.
 // Cancelling ctx stops workers from starting new tasks; tasks already in
 // flight finish.
 //
@@ -786,7 +807,7 @@ func (t *tracker) finish(elapsed time.Duration) Stats {
 // schedule-dependent by nature — which chunks exist depends on the worker
 // count and the race for the cursor — so none of it is collected with
 // timing off, keeping traces and registry snapshots deterministic.
-func runParallel(ctx context.Context, n, workers int, fn func(ctx context.Context, i int)) {
+func runParallel(ctx context.Context, n, workers int, fn func(ctx context.Context, w, i int)) {
 	if workers > n {
 		workers = n
 	}
@@ -812,7 +833,7 @@ func runParallel(ctx context.Context, n, workers int, fn func(ctx context.Contex
 			if ctx != nil && ctx.Err() != nil {
 				return
 			}
-			fn(cctx, i)
+			fn(cctx, 0, i)
 		}
 		return
 	}
@@ -866,7 +887,7 @@ func runParallel(ctx context.Context, n, workers int, fn func(ctx context.Contex
 						cs.End()
 						return
 					}
-					fn(cctx, i)
+					fn(cctx, worker, i)
 				}
 				if timed {
 					cs.End()

@@ -329,7 +329,7 @@ func TestConfigByLabelMissing(t *testing.T) {
 func TestRunParallelCoversAll(t *testing.T) {
 	ctx := context.Background()
 	seen := make([]bool, 100)
-	runParallel(ctx, len(seen), 7, func(_ context.Context, i int) { seen[i] = true })
+	runParallel(ctx, len(seen), 7, func(_ context.Context, _, i int) { seen[i] = true })
 	for i, s := range seen {
 		if !s {
 			t.Fatalf("index %d not visited", i)
@@ -338,12 +338,12 @@ func TestRunParallelCoversAll(t *testing.T) {
 	// workers > n clamps to n; the shared counter must be atomic because
 	// the clamped path still runs multiple goroutines.
 	var count atomic.Int64
-	runParallel(ctx, 3, 10, func(_ context.Context, i int) { count.Add(1) })
+	runParallel(ctx, 3, 10, func(_ context.Context, _, i int) { count.Add(1) })
 	if count.Load() != 3 {
 		t.Fatalf("clamped parallel path ran %d times, want 3", count.Load())
 	}
 	count.Store(0)
-	runParallel(ctx, 5, 1, func(_ context.Context, i int) { count.Add(1) })
+	runParallel(ctx, 5, 1, func(_ context.Context, _, i int) { count.Add(1) })
 	if count.Load() != 5 {
 		t.Fatalf("sequential path ran %d times, want 5", count.Load())
 	}
@@ -353,11 +353,11 @@ func TestRunParallelCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var count atomic.Int64
-	runParallel(ctx, 50, 1, func(_ context.Context, i int) { count.Add(1) })
+	runParallel(ctx, 50, 1, func(_ context.Context, _, i int) { count.Add(1) })
 	if count.Load() != 0 {
 		t.Fatalf("sequential path ran %d cells under a cancelled context", count.Load())
 	}
-	runParallel(ctx, 50, 4, func(_ context.Context, i int) { count.Add(1) })
+	runParallel(ctx, 50, 4, func(_ context.Context, _, i int) { count.Add(1) })
 	if count.Load() != 0 {
 		t.Fatalf("parallel path ran %d cells under a cancelled context", count.Load())
 	}

@@ -234,8 +234,8 @@ func TestFollowerFallbackResolvedUnderPatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		walk, err := eng.SweepLowRank(ctx, b, followers)
-		if err != nil {
+		var walk analysis.LowRankRow
+		if err := eng.SweepLowRank(ctx, b, followers, &walk); err != nil {
 			t.Fatalf("%s: %v", cfg.Label(), err)
 		}
 		factored += walk.Factored

@@ -367,6 +367,77 @@ func TestRank1SolveAccounting(t *testing.T) {
 	}
 }
 
+// TestMatrixRowsShareOneEngine pins what a matrix build constructs,
+// whatever the worker count: the rows run on forks of the basis's
+// engine, switched in place to their configurations, so the build clones
+// one configuration (the functional one) and builds the stamps of one
+// system (the basis's). Only a row that reaches the clone rung builds its
+// configured circuit, once, and each clone-rung cell its own system.
+// Stamp builds are counted with timing on.
+func TestMatrixRowsShareOneEngine(t *testing.T) {
+	rt := obs.Default()
+	rt.SetTiming(true)
+	defer rt.SetTiming(false)
+	bench := circuits.PaperBiquad()
+	m, err := dft.Apply(bench.Circuit, bench.Chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := fault.DeviationUniverse(bench.Circuit, 0.10)
+	open := fault.Fault{ID: "R1:open", Component: "R1", Kind: fault.Open}
+	counter := func(name string) float64 { return obs.Reg().Snapshot()[name].Value }
+	for _, workers := range []int{1, 3} {
+		opts := Options{Eps: 0.10, MeasFloor: 0.01, Region: analysis.Region{LoHz: 100, HiHz: 5600}, Points: 61, Workers: workers}
+		rows := len(MatrixConfigs(m, opts))
+		for _, c := range []struct {
+			name                 string
+			faults               fault.List
+			configures, rebuilds int
+		}{
+			{"deviation", dev, 1, 1},
+			{"open", append(slices.Clone(dev), open), 1 + rows, 1 + rows},
+		} {
+			configures, rebuilds := counter("dft_configure_total"), counter("mna_stamp_rebuild_total")
+			if _, err := BuildMatrix(m, c.faults, opts); err != nil {
+				t.Fatal(err)
+			}
+			if got := int(counter("dft_configure_total") - configures); got != c.configures {
+				t.Errorf("workers=%d %s: %d configurations cloned, want %d", workers, c.name, got, c.configures)
+			}
+			if got := int(counter("mna_stamp_rebuild_total") - rebuilds); got != c.rebuilds {
+				t.Errorf("workers=%d %s: %d stamp builds, want %d", workers, c.name, got, c.rebuilds)
+			}
+		}
+	}
+}
+
+// TestMatrixRowsNameTheirCircuits checks that each matrix row carries the
+// name of the circuit Configure would build for it, which its switched
+// engine's solve errors report in place of the functional circuit's.
+func TestMatrixRowsNameTheirCircuits(t *testing.T) {
+	bench := circuits.PaperBiquad()
+	m, err := dft.Apply(bench.Circuit, bench.Chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Points: 11}.Normalize()
+	configs := matrixConfigs(m, opts)
+	spec := matrixRows(m, configs, nil, opts)
+	for i, cfg := range configs {
+		sp, err := spec(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		configured, err := m.Configure(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp.name != configured.Name {
+			t.Errorf("%s: row names %q, want %q", cfg.Label(), sp.name, configured.Name)
+		}
+	}
+}
+
 // TestRank1RowsRace runs the row sweep on four real threads: under -race
 // it checks that rows share nothing but the tracker and the counters, and
 // that the matrix is the single-worker one.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -33,19 +34,39 @@ const guardBand = 1e-6
 // rowSpec is one configuration row of an evaluation: the circuit, its
 // grid, and how spans and errors name it.
 type rowSpec struct {
-	ckt  *circuit.Circuit
-	grid []float64
+	// ckt is the row's circuit. A matrix row that reads the shared basis
+	// runs on its worker's switched engine and leaves it nil until
+	// something needs it — the clone rung, the patch and clone oracles,
+	// an error message — which then builds it once (circuit).
+	ckt       *circuit.Circuit
+	configure func() (*circuit.Circuit, error)
+	grid      []float64
 	// followers lists the chain opamps the row puts in follower mode, as
 	// indices into the basis chain (rowRunner.basis); empty for the basis
 	// circuit itself.
 	followers []int
-	label     string
+	// name is the name of the row's circuit, which a switched engine's
+	// solve errors report (analysis.Engine.SetFollowers).
+	name  string
+	label string
 	// what names the row in nominal errors; it is called only on failure.
 	what func() string
 	// maxDev marks a row that reports MaxDev: its tail also re-solves
 	// under the patch every point that could hold a cell's peak deviation
 	// (tail.resolve). Matrix rows discard MaxDev and skip that guard.
 	maxDev bool
+}
+
+// circuit returns the row's circuit, building it on first use.
+func (sp *rowSpec) circuit() (*circuit.Circuit, error) {
+	if sp.ckt == nil {
+		ckt, err := sp.configure()
+		if err != nil {
+			return nil, err
+		}
+		sp.ckt = ckt
+	}
+	return sp.ckt, nil
 }
 
 // rowRunner evaluates the cells of one or more configuration rows, one
@@ -55,10 +76,13 @@ type rowSpec struct {
 // basis through a Woodbury correction, or from a basis of the row's own
 // matrix when there is no shared one (walk). The row's cell tail then
 // settles each cell in fault order (cell), so a row writes only its own
-// evaluation slots and needs no locking beyond the tracker's. Rows are
-// claimed in ascending order; a row whose nominal phase fails stops every
-// row above it from starting, and rows below it still finish theirs, so
-// the error reported is always the lowest failing row's.
+// evaluation slots and needs no locking beyond the tracker's. A worker
+// runs every row it claims on one engine — the shared basis's own when it
+// is the only worker, else a fork of it — switched to each row's
+// configuration, and reuses the walk and the tail's scratch (worker).
+// Rows are claimed in ascending order; a row whose nominal phase fails
+// stops every row above it from starting, and rows below it still finish
+// theirs, so the error reported is always the lowest failing row's.
 type rowRunner struct {
 	opts   Options
 	faults fault.List
@@ -67,6 +91,8 @@ type rowRunner struct {
 	// built over the rows' shared grid for the same fault list; when nil,
 	// each row builds its own.
 	basis *analysis.Basis
+	// ws[w] is worker w's state.
+	ws    []worker
 	evals []FaultEval
 	errs  []error
 	tr    *tracker
@@ -86,12 +112,22 @@ func newRowRunner(rows int, faults fault.List, opts Options, spec func(i int) (r
 		opts:   opts,
 		faults: faults,
 		spec:   spec,
+		ws:     make([]worker, min(max(opts.Workers, 1), rows)),
 		evals:  make([]FaultEval, rows*len(faults)),
 		errs:   make([]error, rows),
 		tr:     newTracker(rows, len(faults), opts.Progress),
 	}
 	rr.lowest.Store(int64(rows))
 	return rr
+}
+
+// worker is what one worker keeps across the rows it claims: the engine
+// it runs them on, taken by its first row from the shared basis (walk),
+// the walk it writes each row into, and the row tail's scratch.
+type worker struct {
+	eng  *analysis.Engine
+	walk analysis.LowRankRow
+	tail tail
 }
 
 // newBasis builds and fills the basis of ckt — A₀, with the configurable
@@ -110,7 +146,7 @@ func newBasis(ctx context.Context, ckt *circuit.Circuit, chain []string, grid []
 		err = b.Fill(ctx, 0, 1)
 	} else {
 		errs := make([]error, chunks)
-		runParallel(ctx, chunks, workers, func(cctx context.Context, c int) {
+		runParallel(ctx, chunks, workers, func(cctx context.Context, _, c int) {
 			errs[c] = b.Fill(cctx, c, chunks)
 		})
 		err = cmp.Or(errs...)
@@ -129,11 +165,11 @@ func newBasis(ctx context.Context, ckt *circuit.Circuit, chain []string, grid []
 func (rr *rowRunner) run(ctx context.Context) ([]FaultEval, *tracker, error) {
 	cellsCtx, cellSpan := obs.Start(ctx, "detect.cells")
 	cellSpan.SetTag("cells", fmt.Sprint(len(rr.evals)))
-	runParallel(cellsCtx, len(rr.errs), rr.opts.Workers, func(cctx context.Context, i int) {
+	runParallel(cellsCtx, len(rr.errs), rr.opts.Workers, func(cctx context.Context, w, i int) {
 		if int64(i) > rr.lowest.Load() {
 			return
 		}
-		if err := rr.row(cctx, i); err != nil {
+		if err := rr.row(cctx, &rr.ws[w], i); err != nil {
 			rr.errs[i] = err
 			for {
 				cur := rr.lowest.Load()
@@ -156,9 +192,9 @@ func (rr *rowRunner) run(ctx context.Context) ([]FaultEval, *tracker, error) {
 	return rr.evals, rr.tr, nil
 }
 
-// row evaluates configuration row i under one detect.config span and
-// returns its nominal-phase error, if any.
-func (rr *rowRunner) row(ctx context.Context, i int) error {
+// row evaluates configuration row i on worker w under one detect.config
+// span and returns its nominal-phase error, if any.
+func (rr *rowRunner) row(ctx context.Context, w *worker, i int) error {
 	sp, err := rr.spec(i)
 	if err != nil {
 		return err
@@ -171,7 +207,7 @@ func (rr *rowRunner) row(ctx context.Context, i int) error {
 	if timed {
 		t0 = obs.Now()
 	}
-	eng, walk, slot, err := rr.walk(ctx, sp)
+	eng, walk, slot, err := rr.walk(ctx, w, &sp)
 	if err != nil {
 		return fmt.Errorf("detect: nominal sweep of %s: %w", sp.what(), err)
 	}
@@ -189,15 +225,18 @@ func (rr *rowRunner) row(ctx context.Context, i int) error {
 	rr.tr.nominal(i, st)
 
 	np := len(sp.grid)
-	t := tail{
+	t := &w.tail
+	*t = tail{
 		rr:      rr,
 		eng:     eng,
-		sp:      sp,
+		sp:      &sp,
 		nominal: nominal,
-		mag:     make([]float64, np),
+		mag:     append(t.mag[:0], make([]float64, np)...),
+		rel:     append(t.rel[:0], make([]float64, np)...),
 		approx:  walk.Approx,
 		nspread: walk.NominalSpread,
-		pts:     make([]int, 0, np),
+		pts:     slices.Grow(t.pts[:0], np),
+		npts:    t.npts[:0],
 		own:     int64(walk.Factored),
 	}
 	for i, ok := range nominal.Valid {
@@ -243,16 +282,23 @@ func (rr *rowRunner) row(ctx context.Context, i int) error {
 
 // walk returns the engine row sp runs its tail on, the row's walk — its
 // nominal and the rank-1 answers of the basis it read — and that basis's
-// slots. A row reads the shared basis; without one (PerConfigRegion, or
-// the shared basis failed) it reads a chain-less basis of its own circuit
-// over its own grid. The row whose matrix is the basis matrix runs on the
-// basis's engine. The patch/clone oracle rows take their nominal from
-// SweepGrid and never build or read a basis, so the oracles stay
-// independent of it; their walk counts every point as factored, and
+// slots. A row reads the shared basis on worker w's engine, switched to
+// the row's followers, and writes its walk into w's: the basis's own
+// engine when w is the only worker, which then has it to itself, and a
+// fork of it otherwise. Without a shared basis (PerConfigRegion, or the
+// shared basis failed) it reads a chain-less basis of its own circuit
+// over its own grid, on that basis's engine. The patch/clone oracle rows
+// take their nominal from SweepGrid on an engine of the configured
+// circuit and never build or read a basis, so the oracles stay
+// independent of both; their walk counts every point as factored, and
 // their slots are nil.
-func (rr *rowRunner) walk(ctx context.Context, sp rowSpec) (*analysis.Engine, *analysis.LowRankRow, []int, error) {
+func (rr *rowRunner) walk(ctx context.Context, w *worker, sp *rowSpec) (*analysis.Engine, *analysis.LowRankRow, []int, error) {
 	if rr.opts.first != "" {
-		eng, err := analysis.NewEngine(sp.ckt)
+		ckt, err := sp.circuit()
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		eng, err := analysis.NewEngine(ckt)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -262,25 +308,34 @@ func (rr *rowRunner) walk(ctx context.Context, sp rowSpec) (*analysis.Engine, *a
 		}
 		return eng, &analysis.LowRankRow{Nominal: nominal, Factored: len(sp.grid)}, nil, nil
 	}
-	b, s := rr.basis, sp.followers
-	var err error
-	if b == nil {
-		if b, err = newBasis(ctx, sp.ckt, nil, sp.grid, rr.faults, 1); err != nil {
+	if b := rr.basis; b != nil {
+		if w.eng == nil {
+			eng := b.Engine()
+			if len(rr.ws) > 1 {
+				var err error
+				if eng, err = eng.Fork(); err != nil {
+					return nil, nil, nil, err
+				}
+			}
+			w.eng = eng
+		}
+		if err := w.eng.SetFollowers(sp.name, sp.followers); err != nil {
 			return nil, nil, nil, err
 		}
-		s = nil
+		err := w.eng.SweepLowRank(ctx, b, sp.followers, &w.walk)
+		return w.eng, &w.walk, b.Slots(), err
 	}
-	var eng *analysis.Engine
-	if len(s) == 0 {
-		eng = b.TakeEngine()
+	ckt, err := sp.circuit()
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	if eng == nil {
-		if eng, err = analysis.NewEngine(sp.ckt); err != nil {
-			return nil, nil, nil, err
-		}
+	b, err := newBasis(ctx, ckt, nil, sp.grid, rr.faults, 1)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	walk, err := eng.SweepLowRank(ctx, b, s)
-	return eng, walk, b.Slots(), err
+	eng := b.Engine()
+	err = eng.SweepLowRank(ctx, b, nil, &w.walk)
+	return eng, &w.walk, b.Slots(), err
 }
 
 // tail is one row's cell tail: the row's engine and nominal, the reused
@@ -288,11 +343,14 @@ func (rr *rowRunner) walk(ctx context.Context, sp rowSpec) (*analysis.Engine, *a
 type tail struct {
 	rr      *rowRunner
 	eng     *analysis.Engine
-	sp      rowSpec
+	sp      *rowSpec
 	nominal *analysis.Response
 	// mag[i] is |nominal.H[i]| at every valid point.
 	mag      []float64
 	floorAbs float64
+	// rel[i] is the cell's deviation at point i (score); resolve fills it
+	// at every point it settles.
+	rel []float64
 	// approx[i] marks a nominal point a Woodbury correction formed, whose
 	// rounding nspread[i] bounds (analysis.LowRankRow); exact clears the
 	// mark. Both are nil for a row whose nominal is its own solve.
@@ -412,7 +470,11 @@ func (t *tail) cell(ctx context.Context, f fault.Fault, resp *analysis.Response,
 	}
 	err := func() error {
 		if t.nominal.ValidCount() == 0 {
-			return allInvalid(t.sp.ckt)
+			ckt, err := t.sp.circuit()
+			if err != nil {
+				return err
+			}
+			return allInvalid(ckt)
 		}
 		eng := t.eng
 		if resp != nil {
@@ -428,7 +490,7 @@ func (t *tail) cell(ctx context.Context, f fault.Fault, resp *analysis.Response,
 				eng = nil
 			}
 			var err error
-			eng, resp, r, err = ladder(ctx, eng, t.sp.ckt, f, t.sp.grid)
+			eng, resp, r, err = ladder(ctx, eng, t.sp, f)
 			if eng != nil {
 				defer eng.Reset()
 			}
@@ -485,21 +547,35 @@ func (t *tail) finish(ctx context.Context, eng *analysis.Engine, f fault.Fault, 
 			}
 		}
 	}
-	return t.score(eval, resp)
+	return t.score(eval, resp, !solved)
 }
 
 // score fills eval's verdict from a faulty response measured against the
 // row's nominal, point by point as RelativeDeviation measures it:
 // Definition 1 detectability, the ω-detectability percentage (the share
 // of grid points deviating beyond their threshold) and the peak deviation
-// MaxDev, with +Inf reported as math.MaxFloat64.
-func (t *tail) score(eval *FaultEval, resp *analysis.Response) error {
+// MaxDev, with +Inf reported as math.MaxFloat64. A rank-1 answer comes
+// with rel already scored by resolve at every point it did not list
+// (settled); only the listed points, whose H or |Hn| the re-solves may
+// have changed since, are scored again.
+func (t *tail) score(eval *FaultEval, resp *analysis.Response, settled bool) error {
 	if err := analysis.SameGrid(t.nominal, resp); err != nil {
 		return err
 	}
+	rescore := func(i int) {
+		t.rel[i], _, _ = analysis.MagDeviation(t.mag[i], resp.H[i], t.nominal.Valid[i], resp.Valid[i], t.floorAbs)
+	}
+	if settled {
+		for _, i := range t.pts {
+			rescore(i)
+		}
+	} else {
+		for i := range resp.H {
+			rescore(i)
+		}
+	}
 	n, peak := 0, 0.0
-	for i, h := range resp.H {
-		rel, _, _ := analysis.MagDeviation(t.mag[i], h, t.nominal.Valid[i], resp.Valid[i], t.floorAbs)
+	for i, rel := range t.rel {
 		if rel > t.rr.opts.thresholdAt(i) {
 			n++
 		}
@@ -536,6 +612,7 @@ func (t *tail) resolve(f fault.Fault, resp *analysis.Response, spread []float64)
 			continue
 		}
 		rel, band, unsettled := t.settle(i, resp.H[i], spread[i], true)
+		t.rel[i] = rel
 		if unsettled {
 			t.pts = append(t.pts, i)
 			t.guarded++

@@ -72,8 +72,8 @@ func TestWoodburyErrorWithinBand(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			walk, err := walkEng.SweepLowRank(ctx, b, followers)
-			if err != nil {
+			walk := new(analysis.LowRankRow)
+			if err := walkEng.SweepLowRank(ctx, b, followers, walk); err != nil {
 				t.Fatalf("%s/%s: %v", c.label, cfg.Label(), err)
 			}
 			own, err := analysis.NewEngine(ckt)

@@ -199,9 +199,13 @@ func (m *Modified) Configure(cfg Configuration) (*circuit.Circuit, error) {
 			op.Mode = circuit.ModeNormal
 		}
 	}
-	ckt.Name = fmt.Sprintf("%s@%s", m.Base.Name, cfg.Label())
+	ckt.Name = m.Name(cfg)
 	return ckt, nil
 }
+
+// Name returns the name Configure gives cfg's circuit: the base circuit's
+// name at cfg's label.
+func (m *Modified) Name(cfg Configuration) string { return m.Base.Name + "@" + cfg.Label() }
 
 // FollowerOpamps returns the names of the chain opamps in follower mode
 // under cfg, in chain order — the opamp product of the §4.3 mapping

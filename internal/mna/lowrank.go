@@ -146,11 +146,8 @@ func (s *System) valueDelta(comp circuit.Component, v float64, d *RankOne) (floa
 
 // component builds the stamps if need be and looks name up.
 func (s *System) component(name string) (circuit.Component, error) {
-	if !s.stampsBuilt {
-		if err := s.buildStamps(); err != nil {
-			return nil, err
-		}
-		accountStamps(true)
+	if err := s.prepareStamps(); err != nil {
+		return nil, err
 	}
 	comp, ok := s.ckt.Component(name)
 	if !ok {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"analogdft/internal/circuit"
 	"analogdft/internal/numeric"
@@ -62,6 +63,9 @@ func (e *SolveError) Unwrap() error { return e.Err }
 // point into slots the pattern reserves for them.
 type System struct {
 	ckt *circuit.Circuit
+	// name is the circuit name solve errors report: ckt's, or the
+	// configured circuit's once a switched system is named (SetName).
+	name string
 
 	nodeIndex map[string]int // non-ground node name -> 0-based index
 	nodeNames []string       // inverse of nodeIndex
@@ -94,6 +98,12 @@ type System struct {
 	patchG, patchC patchTarget
 	snapRHS        map[int]complex128
 	patchedVals    map[string]float64
+
+	// switchable lists the opamps SetOpampMode may switch (Switchable),
+	// and modes[i] is the mode the system holds switchable[i] in, so a
+	// shared circuit is never mutated.
+	switchable []*circuit.Opamp
+	modes      []circuit.OpampMode
 }
 
 // NewSystem validates and indexes a circuit for analysis. The circuit is
@@ -102,6 +112,7 @@ type System struct {
 func NewSystem(ckt *circuit.Circuit) (*System, error) {
 	s := &System{
 		ckt:       ckt,
+		name:      ckt.Name,
 		nodeIndex: make(map[string]int),
 		branchOf:  make(map[string]int),
 	}
@@ -130,6 +141,46 @@ func NewSystem(ckt *circuit.Circuit) (*System, error) {
 		return nil, fmt.Errorf("%w: empty system", circuit.ErrInvalid)
 	}
 	return s, nil
+}
+
+// Fork returns a system of the same circuit that shares s's index maps,
+// CSR pattern and switchable opamps and owns copies of what solving,
+// patching and switching write: the G and C values, the excitation and
+// the opamp modes. A fork costs one value slab, not a component walk,
+// and does not count as a stamp build. s must hold no live patch; forks
+// of one system may be made concurrently once its stamps are built and
+// while nothing writes it, and each is then used alone.
+func (s *System) Fork() (*System, error) {
+	if s.Patched() {
+		return nil, fmt.Errorf("%w: fork of a patched system", ErrUnsupported)
+	}
+	if err := s.prepareStamps(); err != nil {
+		return nil, err
+	}
+	nnz := len(s.gval)
+	slab := make([]complex128, 2*nnz+s.n)
+	f := &System{
+		ckt:         s.ckt,
+		name:        s.name,
+		nodeIndex:   s.nodeIndex,
+		nodeNames:   s.nodeNames,
+		branchOf:    s.branchOf,
+		n:           s.n,
+		stampsBuilt: true,
+		pat:         s.pat,
+		gval:        slab[:nnz:nnz],
+		cval:        slab[nnz : 2*nnz : 2*nnz],
+		rhs0:        slab[2*nnz:],
+		dynamic:     s.dynamic,
+		switchable:  s.switchable,
+		modes:       slices.Clone(s.modes),
+	}
+	copy(f.gval, s.gval)
+	copy(f.cval, s.cval)
+	copy(f.rhs0, s.rhs0)
+	f.gBox = numeric.CSRValues{P: s.pat, Vals: f.gval}
+	f.cBox = numeric.CSRValues{P: s.pat, Vals: f.cval}
+	return f, nil
 }
 
 // N returns the number of unknowns.
@@ -227,6 +278,16 @@ func (s *System) ensureStamps() (rebuilt bool, err error) {
 	return true, nil
 }
 
+// prepareStamps is ensureStamps for a caller that assembles nothing: a
+// build it does is counted as one, and a cache hit as nothing.
+func (s *System) prepareStamps() error {
+	rebuilt, err := s.ensureStamps()
+	if rebuilt {
+		accountStamps(true)
+	}
+	return err
+}
+
 // assembleVals produces the MNA system for one frequency: the fused
 // scale-add M = G + jω·C over the pattern's nonzeros, written into mv
 // (length pat.NNZ()), the cached excitation copied into rhs (length n),
@@ -264,7 +325,7 @@ func (s *System) assembleVals(freqHz float64, mv, rhs []complex128, box *numeric
 // Pattern builds the stamp caches if necessary and returns the shared CSR
 // pattern every assembly of the system writes under.
 func (s *System) Pattern() (*numeric.Pattern, error) {
-	if _, err := s.ensureStamps(); err != nil {
+	if err := s.prepareStamps(); err != nil {
 		return nil, err
 	}
 	return s.pat, nil

@@ -155,22 +155,40 @@ func oracleCorpus(t *testing.T) []oracleCase {
 		{"singlepole", sp, []string{"R1", "C1", "R1"}},
 	}
 
-	configured := func(prefix string, ckt *circuit.Circuit, chain []string) {
-		m, err := dft.Apply(ckt, chain)
-		if err != nil {
-			t.Fatalf("%s: %v", prefix, err)
-		}
-		for _, cfg := range m.Configurations(true) {
-			c, err := m.Configure(cfg)
+	for _, om := range oracleModified(t) {
+		for _, cfg := range om.m.Configurations(true) {
+			c, err := om.m.Configure(cfg)
 			if err != nil {
-				t.Fatalf("%s %s: %v", prefix, cfg.Label(), err)
+				t.Fatalf("%s %s: %v", om.name, cfg.Label(), err)
 			}
 			driven, err := Driven(c)
 			if err != nil {
-				t.Fatalf("%s %s: %v", prefix, cfg.Label(), err)
+				t.Fatalf("%s %s: %v", om.name, cfg.Label(), err)
 			}
-			corpus = append(corpus, oracleCase{prefix + "/" + cfg.Label(), driven, firstRC(driven)})
+			corpus = append(corpus, oracleCase{om.name + "/" + cfg.Label(), driven, firstRC(driven)})
 		}
+	}
+	return corpus
+}
+
+// namedModified is one DFT-modified circuit of the corpus.
+type namedModified struct {
+	name string
+	m    *dft.Modified
+}
+
+// oracleModified returns the modified circuits whose every configuration
+// the corpus holds: every library bench (the n=6–7 single-opamp benches
+// included), the two single-opamp benchmark decks and netgen seeds 1–5.
+func oracleModified(t *testing.T) []namedModified {
+	t.Helper()
+	var out []namedModified
+	add := func(name string, ckt *circuit.Circuit, chain []string) {
+		m, err := dft.Apply(ckt, chain)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out = append(out, namedModified{name, m})
 	}
 	lib := circuits.Library()
 	names := make([]string, 0, len(lib))
@@ -179,7 +197,7 @@ func oracleCorpus(t *testing.T) []oracleCase {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		configured(name, lib[name].Circuit, lib[name].Chain)
+		add(name, lib[name].Circuit, lib[name].Chain)
 	}
 	for _, deck := range []string{"mfb-bandpass", "sallen-key-hp"} {
 		fh, err := os.Open(filepath.Join("..", "..", "bench", "decks", deck+".cir"))
@@ -191,16 +209,16 @@ func oracleCorpus(t *testing.T) []oracleCase {
 		if err != nil {
 			t.Fatalf("%s: %v", deck, err)
 		}
-		configured("deck="+deck, d.Circuit, d.Chain)
+		add("deck="+deck, d.Circuit, d.Chain)
 	}
 	for seed := int64(1); seed <= 5; seed++ {
 		b, err := netgen.Random(netgen.Spec{Stages: 2, Seed: seed, AllowBiquad: seed%3 == 0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		configured(fmt.Sprintf("netgen-seed=%d", seed), b.Circuit, b.Chain)
+		add(fmt.Sprintf("netgen-seed=%d", seed), b.Circuit, b.Chain)
 	}
-	return corpus
+	return out
 }
 
 // firstRC names the first resistor and first capacitor of ckt, then the
@@ -353,5 +371,57 @@ func requireSameStamps(t *testing.T, stage string, sys *System, ref *denseRef) {
 				t.Fatalf("%s: %s[%d,%d] csr %v, dense %v", stage, p.name, i/sys.n, i%sys.n, m.Data[i], p.want.Data[i])
 			}
 		}
+	}
+}
+
+// TestSwitchedSweeperMatchesDenseBitExact extends the dense oracle to
+// the in-place configuration switch: on every modified circuit of the
+// corpus, one fork of the switchable functional system is switched
+// through every configuration in turn, and at each its sweeper must
+// match the dense reference of the switched stamps bit for bit, nominal,
+// under composed SetValue patches and after Reset — whose snapshots
+// must leave the switch in place.
+func TestSwitchedSweeperMatchesDenseBitExact(t *testing.T) {
+	for _, om := range oracleModified(t) {
+		t.Run(om.name, func(t *testing.T) {
+			base := switchableFunctional(t, om.m)
+			sys, err := base.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sw, err := sys.NewSweeper(sys.NodeNames()[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			patch := firstRC(sys.ckt)
+			for _, cfg := range om.m.Configurations(true) {
+				switchTo(t, sys, om.m, cfg)
+				ref := newDenseRef(t, sys)
+				check := func(stage string) {
+					t.Helper()
+					stage = cfg.Label() + " " + stage
+					solved := 0
+					for _, f := range oracleGrid {
+						want, wantErr := ref.solve(f)
+						_, err := sw.VoltageAt(f)
+						if requireSameBits(t, stage, f, sw.ws.RHS, err, want, wantErr) {
+							solved++
+						}
+					}
+					if solved == 0 {
+						t.Fatalf("%s: every grid point singular: nothing compared", stage)
+					}
+					requireSameStamps(t, stage, sys, ref)
+				}
+				check("nominal")
+				for k, name := range patch {
+					patchBoth(t, sys, ref, name, patchValue(sys.ckt, name, k))
+				}
+				check("patched")
+				sys.Reset()
+				ref = newDenseRef(t, sys)
+				check("reset")
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package mna
 
 import (
 	"fmt"
+	"slices"
 
 	"analogdft/internal/circuit"
 	"analogdft/internal/numeric"
@@ -96,6 +97,68 @@ func (s *System) Reset() {
 
 // Patched reports whether any component value is currently patched.
 func (s *System) Patched() bool { return len(s.patchedVals) > 0 }
+
+// Switchable names the opamps SetOpampMode may switch, each a
+// configurable opamp with a test input: the build then gives both of
+// each one's constraint rows slots in the pattern. It must precede the
+// first assembly, and a system that switches nothing needs no call.
+func (s *System) Switchable(names []string) error {
+	if s.stampsBuilt {
+		return fmt.Errorf("%w: opamps named switchable after the stamps were built", ErrUnsupported)
+	}
+	ops := make([]*circuit.Opamp, len(names))
+	modes := make([]circuit.OpampMode, len(names))
+	for i, name := range names {
+		comp, ok := s.ckt.Component(name)
+		op, isOp := comp.(*circuit.Opamp)
+		if !ok || !isOp || !op.Configurable || op.TestIn == "" {
+			return fmt.Errorf("%w: %q is not a configurable opamp with a test input", ErrUnsupported, name)
+		}
+		ops[i], modes[i] = op, op.Mode
+	}
+	s.switchable, s.modes = ops, modes
+	return nil
+}
+
+// SetOpampMode switches switchable opamp name to mode in place, as if
+// its circuit held it there, without cloning or mutating the circuit:
+// the multi-configuration technique's configurations are this one
+// system with some chain opamps switched to follower mode. An ideal
+// opamp's constraint row lives in G; its slots are cleared and the row
+// of the new mode is added into them, the adds the build makes for that
+// mode, so the stamps hold the configured circuit's bits. A single-pole
+// opamp's row is stamped per point in the mode the system holds. Value
+// patches are independent of the switch, and Reset leaves it in place.
+func (s *System) SetOpampMode(name string, mode circuit.OpampMode) error {
+	comp, err := s.component(name)
+	if err != nil {
+		return err
+	}
+	op, _ := comp.(*circuit.Opamp)
+	i := slices.Index(s.switchable, op)
+	if i < 0 {
+		return fmt.Errorf("%w: %q is not a switchable opamp", ErrUnsupported, name)
+	}
+	if err := checkMode(op, mode); err != nil {
+		return err
+	}
+	if s.modes[i] == mode {
+		return nil
+	}
+	s.modes[i] = mode
+	if op.Model == circuit.ModelIdeal {
+		// Nothing but the opamp's own row writes its branch row.
+		br := s.branchOf[name]
+		clear(s.gval[s.pat.RowPtr[br]:s.pat.RowPtr[br+1]])
+		s.opampRow(op, mode, 0).addTo(&s.gBox, br)
+	}
+	return nil
+}
+
+// SetName sets the circuit name the system's solve errors report
+// (SolveError): a system switched to a configuration (SetOpampMode)
+// names the configured circuit, not the one it was built from.
+func (s *System) SetName(name string) { s.name = name }
 
 // patchRHS adds delta to excitation entry idx, snapshotting its
 // pre-patch value the first time it is touched.

@@ -3,6 +3,7 @@ package mna
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"analogdft/internal/circuit"
 	"analogdft/internal/numeric"
@@ -32,7 +33,8 @@ func (c *coordCollector) Add(i, j int, _ complex128) {
 // buildStamps performs the two component walks of one System. A symbolic
 // pass first collects the touched coordinates — including the per-point
 // opamp constraint rows, which must own slots in the pattern even though
-// their cached values stay zero — into one CSR pattern. The numeric pass
+// their cached values stay zero, and both modes' rows of every
+// switchable opamp (Switchable) — into one CSR pattern. The numeric pass
 // then stamps every frequency-independent entry into the G values (and
 // the excitation into rhs0) and every entry proportional to jω into the
 // C values — capacitors as +C farads, inductor branch equations as −L
@@ -55,6 +57,15 @@ func (s *System) buildStamps() error {
 		// coordinates — but the walk must be the per-point one so the
 		// dynamic rows' slots enter the pattern.
 		s.stampOpampRow(col, op, 1i)
+	}
+	for _, op := range s.switchable {
+		// Both constraint rows of a switchable opamp own slots, so
+		// SetOpampMode switches it within the pattern. The row not in
+		// force holds explicit zeros, which the sparse LU skips as the
+		// dense LU skips every zero (DESIGN §15): the bits do not move.
+		br := s.branchOf[op.Name()]
+		s.opampRow(op, circuit.ModeNormal, 1i).addTo(col, br)
+		s.opampRow(op, circuit.ModeFollower, 1i).addTo(col, br)
 	}
 	if err := s.patStore.InitFromCoords(s.n, col.coords); err != nil {
 		return err
@@ -290,14 +301,9 @@ func (d *RankOne) addTo(m adder, coef float64) {
 // stampOpampRow fills them per frequency point, and nothing else ever
 // writes into an opamp's own branch row.
 func (s *System) buildOpampStamp(g adder, c *circuit.Opamp) error {
-	switch c.Mode {
-	case circuit.ModeNormal:
-	case circuit.ModeFollower:
-		if !c.Configurable || c.TestIn == "" {
-			return fmt.Errorf("%w: opamp %q in follower mode without test input", ErrUnsupported, c.Name())
-		}
-	default:
-		return fmt.Errorf("%w: opamp %q mode %v", ErrUnsupported, c.Name(), c.Mode)
+	mode := s.modeOf(c)
+	if err := checkMode(c, mode); err != nil {
+		return err
 	}
 	br := s.branchOf[c.Name()]
 	if out := s.node(c.Out); out >= 0 {
@@ -305,7 +311,7 @@ func (s *System) buildOpampStamp(g adder, c *circuit.Opamp) error {
 	}
 	switch c.Model {
 	case circuit.ModelIdeal:
-		s.opampRow(c, c.Mode, 0).addTo(g, br)
+		s.opampRow(c, mode, 0).addTo(g, br)
 	case circuit.ModelSinglePole:
 		// Dynamic: stamped per point.
 	default:
@@ -314,14 +320,39 @@ func (s *System) buildOpampStamp(g adder, c *circuit.Opamp) error {
 	return nil
 }
 
+// checkMode rejects a mode the stamps cannot state for c: follower mode
+// needs a configurable opamp with a test input.
+func checkMode(c *circuit.Opamp, mode circuit.OpampMode) error {
+	switch mode {
+	case circuit.ModeNormal:
+	case circuit.ModeFollower:
+		if !c.Configurable || c.TestIn == "" {
+			return fmt.Errorf("%w: opamp %q in follower mode without test input", ErrUnsupported, c.Name())
+		}
+	default:
+		return fmt.Errorf("%w: opamp %q mode %v", ErrUnsupported, c.Name(), mode)
+	}
+	return nil
+}
+
+// modeOf returns the mode the system holds opamp c in: its circuit's,
+// unless SetOpampMode switched it.
+func (s *System) modeOf(c *circuit.Opamp) circuit.OpampMode {
+	if i := slices.Index(s.switchable, c); i >= 0 {
+		return s.modes[i]
+	}
+	return c.Mode
+}
+
 // stampOpampRow writes the frequency-dependent constraint row of a
-// single-pole opamp into the assembled matrix. The row arrives all-zero
-// from the fused scale-add — the split stamps never touch it, and its
-// slots are part of the pattern with zero cached values — so plain adds
-// reproduce exactly what the one-shot stamping used to write. Modes and
-// models were validated by buildStamps.
+// single-pole opamp, in the mode the system holds it, into the assembled
+// matrix. The row arrives all-zero from the fused scale-add — the split
+// stamps never touch it, and its slots are part of the pattern with zero
+// cached values — so plain adds reproduce exactly what the one-shot
+// stamping used to write. Modes and models were validated by buildStamps
+// and SetOpampMode.
 func (s *System) stampOpampRow(m adder, c *circuit.Opamp, jw complex128) {
-	s.opampRow(c, c.Mode, jw).addTo(m, s.branchOf[c.Name()])
+	s.opampRow(c, s.modeOf(c), jw).addTo(m, s.branchOf[c.Name()])
 }
 
 // opRow is one opamp constraint row: at most three entries, in the

@@ -86,14 +86,14 @@ func (sw *Sweeper) FactorAt(freqHz float64) (*numeric.SparseLU, []complex128, er
 	lu, err := sw.ws.SparseFactor()
 	if err != nil {
 		sw.tally.record(err, t0, timed)
-		return nil, nil, &SolveError{Circuit: sw.sys.ckt.Name, FreqHz: freqHz, Err: err}
+		return nil, nil, &SolveError{Circuit: sw.sys.name, FreqHz: freqHz, Err: err}
 	}
 	if err := lu.SolveInPlace(sw.ws.RHS); err != nil {
 		sw.tally.record(err, t0, timed)
 		// Wrapped exactly like the factorization failure above, so
 		// analysis.ClassifyError and the retry policies classify a failed
 		// back-substitution identically to a failed factorization.
-		return nil, nil, &SolveError{Circuit: sw.sys.ckt.Name, FreqHz: freqHz, Err: err}
+		return nil, nil, &SolveError{Circuit: sw.sys.name, FreqHz: freqHz, Err: err}
 	}
 	sw.tally.record(nil, t0, timed)
 	return lu, sw.ws.RHS, nil

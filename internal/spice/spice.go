@@ -185,11 +185,16 @@ func trimFloat(v float64) string {
 	return s
 }
 
+// maxLine is the longest line Parse reads, in bytes.
+const maxLine = 1 << 20
+
 // Parse reads a deck and builds the circuit.
 func Parse(r io.Reader) (*Deck, error) {
 	deck := &Deck{Circuit: circuit.New("netlist"), Lines: make(map[string]int)}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	// The buffer starts small and grows with the longest line, up to the
+	// 1 MiB line limit: a deck of a few hundred bytes pays for no more.
+	sc.Buffer(nil, maxLine)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

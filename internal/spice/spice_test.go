@@ -192,6 +192,24 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseLineLimit pins the 1 MiB line limit: a 100 KiB line parses
+// (here an element with a long trailing comment) and a line over the
+// limit fails with ErrSyntax naming its line.
+func TestParseLineLimit(t *testing.T) {
+	long := "R2 a 0 2k ;" + strings.Repeat("x", 100<<10) + "\n"
+	d, err := ParseString("R1 a 0 1k\n" + long + "R3 a 0 3k\n")
+	if err != nil {
+		t.Fatalf("100 KiB line: %v", err)
+	}
+	if got := len(d.Circuit.Components()); got != 3 {
+		t.Fatalf("100 KiB line: %d components, want 3", got)
+	}
+	_, err = ParseString("R1 a 0 1k\n* " + strings.Repeat("x", maxLine) + "\nR2 a 0 2k\n")
+	if want := "spice: syntax error: line 2: bufio.Scanner: token too long"; !errors.Is(err, ErrSyntax) || err.Error() != want {
+		t.Fatalf("line over 1 MiB: err = %v, want %q", err, want)
+	}
+}
+
 func TestParseErrorCarriesLineNumber(t *testing.T) {
 	_, err := ParseString("R1 a 0 1k\nR2 b 0 oops\n")
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
