@@ -324,11 +324,17 @@ func (s *server) streamRows(w http.ResponseWriter, r *http.Request) {
 	emit(streamEvent{Type: "result", Result: payload})
 }
 
-// payloadRows reads a matrix job's row events from its payload. Stored
-// payloads are untrusted input, so one that does not decode, or whose
-// det or omega rows do not match its configurations, is an error.
+// payloadRows reads a matrix job's row events from its payload, decoding
+// only the fields the rows carry (jobs.MatrixResult's configs, det and
+// omega). Stored payloads are untrusted input, so one that does not
+// decode, or whose det or omega rows do not match its configurations, is
+// an error.
 func payloadRows(payload json.RawMessage) ([]jobs.RowEvent, error) {
-	var mx jobs.MatrixResult
+	var mx struct {
+		Configs []string    `json:"configs"`
+		Det     [][]bool    `json:"det"`
+		Omega   [][]float64 `json:"omega"`
+	}
 	if err := json.Unmarshal(payload, &mx); err != nil {
 		return nil, fmt.Errorf("malformed matrix payload: %w", err)
 	}

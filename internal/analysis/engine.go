@@ -142,17 +142,26 @@ func (e *Engine) SweepGrid(grid []float64) (*Response, error) {
 	return resp, nil
 }
 
-// ApplyFault expresses the fault as an in-place stamp patch on the live
-// system. Faults that cannot be patched — opens, shorts, opamp model
-// faults (fault.ErrNotPatchable), or values the stamps cannot express
-// (mna.ErrUnsupported) — leave the engine nominal and return the error;
-// callers fall back to the clone-per-cell path.
+// ApplyFault patches the fault into the live system in place, as its
+// fault.Patch states it, until Reset: a single-pole opamp's model
+// through mna.System.SetOpampModel, which solves the clone Apply would
+// build bit for bit, and a component value — a deviation, or the value
+// that emulates an open or a short — through SetValue, which adds the
+// value's change to the stamps and so agrees with the clone to their
+// rounding. Either holds in the configuration SetFollowers set. A fault
+// Apply refuses fails with Apply's error, and a value the stamps cannot
+// express with mna.ErrUnsupported; either leaves the engine as it was.
 func (e *Engine) ApplyFault(f fault.Fault) error {
-	name, v, err := f.PatchValue(e.driven)
+	p, err := f.Patch(e.driven)
 	if err != nil {
 		return err
 	}
-	if err := e.sys.SetValue(name, v); err != nil {
+	if p.Opamp {
+		err = e.sys.SetOpampModel(p.Component, p.A0, p.PoleHz)
+	} else {
+		err = e.sys.SetValue(p.Component, p.Value)
+	}
+	if err != nil {
 		return err
 	}
 	ePatches.Inc()

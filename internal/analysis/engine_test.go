@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"analogdft/internal/circuit"
 	"analogdft/internal/circuits"
 	"analogdft/internal/dft"
 	"analogdft/internal/fault"
@@ -123,33 +124,83 @@ func TestEngineSweepFaultMatchesClone(t *testing.T) {
 	}
 }
 
-func TestEngineApplyFaultNotPatchable(t *testing.T) {
-	e, err := NewEngine(rcLowpass())
+// TestEngineApplyFaultEveryKind holds the patch of every fault kind to
+// the clone Apply builds, on the paper biquad with single-pole opamps
+// over its whole band: opamp faults read the patched model in the
+// per-point row the clone stamps from its own, so they must agree bit
+// for bit; opens and shorts add an extreme value delta to the stamps the
+// clone builds afresh, so they agree to the rounding of the nominal
+// stamps (within 1e-12 of the nominal response's peak plus the clone's
+// |H|). Faults Apply refuses — an opamp
+// fault on an ideal opamp, an open on a source — fail with Apply's text,
+// and no patch leaves the engine off nominal after Reset.
+func TestEngineApplyFaultEveryKind(t *testing.T) {
+	bench := circuits.PaperBiquad()
+	sp := bench.Circuit.Clone()
+	for _, op := range sp.Opamps() {
+		op.Model, op.A0, op.PoleHz = circuit.ModelSinglePole, 1e5, 10
+	}
+	grid := SweepSpec{StartHz: 10, StopHz: 1e7, Points: 61}.Grid()
+	e, err := NewEngine(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []fault.Fault{
-		{ID: "o", Component: "R1", Kind: fault.Open},
-		{ID: "s", Component: "C1", Kind: fault.Short},
+	nominal, err := e.SweepGrid(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := 0.0
+	for _, h := range nominal.H {
+		peak = max(peak, cmplx.Abs(h))
+	}
+	faults := append(fault.CatastrophicUniverse(sp), fault.OpampUniverse(sp, 0.01, 0.01)...)
+	for _, f := range faults {
+		got := sweepPatched(t, e, f, grid)
+		faulty, err := f.Apply(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SweepOnGrid(faulty, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounding := f.Kind == fault.Open || f.Kind == fault.Short
+		for i := range want.H {
+			tol := 0.0
+			if rounding {
+				tol = 1e-12 * (peak + cmplx.Abs(want.H[i]))
+			}
+			if got.Valid[i] != want.Valid[i] || cmplx.Abs(got.H[i]-want.H[i]) > tol ||
+				(tol == 0 && !sameBits(got.H[i:i+1], want.H[i:i+1])) {
+				t.Fatalf("%s at %g Hz: patched %v (valid %t), clone %v (valid %t)",
+					f.ID, grid[i], got.H[i], got.Valid[i], want.H[i], want.Valid[i])
+			}
+		}
+	}
+	ideal, err := NewEngine(bench.Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		e   *Engine
+		ckt *circuit.Circuit
+		f   fault.Fault
+	}{
+		{ideal, bench.Circuit, fault.Fault{ID: "g", Component: "OP2", Kind: fault.OpampGain, Factor: 0.01}},
+		{e, sp, fault.Fault{ID: "p", Component: "R1", Kind: fault.OpampPole, Factor: 0.01}},
+		{e, sp, fault.Fault{ID: "o", Component: "OP1", Kind: fault.Open}},
 	} {
-		if err := e.ApplyFault(f); !errors.Is(err, fault.ErrNotPatchable) {
-			t.Errorf("%s fault: err = %v, want ErrNotPatchable", f.Kind, err)
+		_, aerr := c.f.Apply(c.ckt)
+		if err := c.e.ApplyFault(c.f); err == nil || aerr == nil || err.Error() != aerr.Error() {
+			t.Errorf("%s on %s: ApplyFault err %v, Apply err %v", c.f.Kind, c.f.Component, err, aerr)
 		}
 	}
-	// The failed applications must not have disturbed the engine.
-	grid := []float64{100, rcCorner, 1e5}
-	got, err := e.SweepGrid(grid)
+	after, err := e.SweepGrid(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SweepOnGrid(rcLowpass(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.H {
-		if got.H[i] != want.H[i] {
-			t.Fatalf("point %d: engine no longer nominal: %v != %v", i, got.H[i], want.H[i])
-		}
+	if !sameBits(after.H, nominal.H) {
+		t.Fatal("the engine is off nominal after the patches")
 	}
 }
 

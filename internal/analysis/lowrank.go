@@ -25,17 +25,23 @@ type lowRankFault struct {
 }
 
 // prepareLowRank lowers the fault to its rank-1 delta into lf, without
-// touching the live system and without allocating. Faults that cannot
-// patch at all propagate fault.ErrNotPatchable; patchable faults whose
-// stamp delta is not a single outer product (opamp models, source
-// amplitudes) propagate mna.ErrNotLowRank, and callers fall back to
-// ApplyFault.
+// touching the live system and without allocating. Only deviations are
+// answered on rank 1: an opamp fault changes A(jω) in its row, which no
+// fixed u·vᵀ with GCoef + jω·CCoef states, and an open or short puts the
+// update's denominator 1 + s·vᵀz near 1e±9, where numeric.UpdateTolerance
+// and numeric.PivotTolerance disagree on which points are singular. Those
+// kinds, and deviations whose delta is not one outer product (source
+// amplitudes), return an error wrapping mna.ErrNotLowRank; the row tail
+// answers them under their patch (ApplyFault).
 func (e *Engine) prepareLowRank(f fault.Fault, lf *lowRankFault) error {
-	name, v, err := f.PatchValue(e.driven)
+	if f.Kind != fault.Deviation {
+		return fmt.Errorf("%w: %s fault on %q", mna.ErrNotLowRank, f.Kind, f.Component)
+	}
+	p, err := f.Patch(e.driven)
 	if err != nil {
 		return err
 	}
-	return e.sys.RankOneDeltaInto(name, v, &lf.delta)
+	return e.sys.RankOneDeltaInto(p.Component, p.Value, &lf.delta)
 }
 
 // LowRankRow is what one SweepLowRank walk measures on a configuration.

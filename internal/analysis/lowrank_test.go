@@ -241,10 +241,10 @@ func TestSweepAllocsFlatInGrid(t *testing.T) {
 	t.Logf("allocs per sweep: SweepGrid %v, SweepLowRank %v", grid61, lr61)
 }
 
-// TestPrepareLowRankFallbackTriggers covers the refusals callers use to
-// pick the fallback path: unpatchable fault kinds propagate
-// fault.ErrNotPatchable (→ clone path), patchable faults whose delta is
-// not rank-1 propagate mna.ErrNotLowRank (→ in-place patch path).
+// TestPrepareLowRankFallbackTriggers covers the refusals that send a
+// fault from the rank-1 walk to the in-place patch: every kind but a
+// deviation (here an open), and a deviation whose delta is not rank-1 (a
+// source amplitude), propagate mna.ErrNotLowRank.
 func TestPrepareLowRankFallbackTriggers(t *testing.T) {
 	c := circuit.New("fb")
 	c.R("R1", "in", "out", 1e3)
@@ -258,8 +258,8 @@ func TestPrepareLowRankFallbackTriggers(t *testing.T) {
 	open := fault.Fault{ID: "o", Component: "R1", Kind: fault.Open}
 	source := fault.Fault{ID: "i", Component: "I1", Kind: fault.Deviation, Factor: 2}
 	var lf lowRankFault
-	if err := e.prepareLowRank(open, &lf); !errors.Is(err, fault.ErrNotPatchable) {
-		t.Errorf("open fault: err = %v, want ErrNotPatchable", err)
+	if err := e.prepareLowRank(open, &lf); !errors.Is(err, mna.ErrNotLowRank) {
+		t.Errorf("open fault: err = %v, want ErrNotLowRank", err)
 	}
 	if err := e.prepareLowRank(source, &lf); !errors.Is(err, mna.ErrNotLowRank) {
 		t.Errorf("current-source fault: err = %v, want ErrNotLowRank", err)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"analogdft/internal/analysis"
+	"analogdft/internal/circuit"
 	"analogdft/internal/circuits"
 	"analogdft/internal/dft"
 	"analogdft/internal/fault"
@@ -54,6 +56,47 @@ func BenchmarkRowWalk(b *testing.B) {
 				rr := newRowRunner(len(configs), faults, opts, matrixRows(m, configs, grid, opts))
 				rr.basis = basis
 				if _, _, err := rr.run(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFaultKinds is the matrix rung of the fault kinds that are not
+// deviations: every configuration row of the paper biquad under its
+// catastrophic universe (an open and a short on every passive), and of
+// the paper biquad on single-pole opamps (A0 1e5, pole 10 Hz) under its
+// opamp universe (A0 and pole ×0.01 on every opamp). Each builds the
+// whole matrix at the default points over the paper's region on one
+// worker.
+func BenchmarkFaultKinds(b *testing.B) {
+	singlePole := func() *circuits.Bench {
+		bench := circuits.PaperBiquad()
+		for _, op := range bench.Circuit.Opamps() {
+			op.Model, op.A0, op.PoleHz = circuit.ModelSinglePole, 1e5, 10
+		}
+		return bench
+	}
+	for _, uc := range []struct {
+		name     string
+		bench    *circuits.Bench
+		universe func(*circuit.Circuit) fault.List
+	}{
+		{"catastrophic", circuits.PaperBiquad(), fault.CatastrophicUniverse},
+		{"opamp", singlePole(), func(ckt *circuit.Circuit) fault.List { return fault.OpampUniverse(ckt, 0.01, 0.01) }},
+	} {
+		b.Run(fmt.Sprintf("universe=%s", uc.name), func(b *testing.B) {
+			m, err := dft.Apply(uc.bench.Circuit, uc.bench.Chain)
+			if err != nil {
+				b.Fatal(err)
+			}
+			faults := uc.universe(uc.bench.Circuit)
+			opts := Options{Eps: 0.10, MeasFloor: 0.01, Region: analysis.Region{LoHz: 100, HiHz: 5600}, Workers: 1}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildMatrix(m, faults, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

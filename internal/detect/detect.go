@@ -14,11 +14,12 @@
 // basis's own, or a fork of it when workers share the basis, switched to
 // the row's configuration in place — then re-solves under an in-place patch only the
 // points those answers could not give or whose verdict they could not
-// settle; faults the basis cannot express climb the patch → clone
-// ladder. A single-circuit evaluation (EvaluateCircuit) is the one-row
-// case of the same walk. Results land in fixed matrix positions. The
-// engine is race-clean (each row writes only its own slots; shared
-// accounting goes through a mutex-guarded reducer) and error-transparent:
+// settle; every other fault (an open, a short, an opamp fault) is
+// answered under its in-place patch alone. A single-circuit evaluation
+// (EvaluateCircuit) is the one-row case of the same walk. Results land
+// in fixed matrix positions. The engine is race-clean (each row writes
+// only its own slots; shared accounting goes through a mutex-guarded
+// reducer) and error-transparent:
 // a cell whose simulation fails is never silently recorded as
 // "undetectable" — it is reported as a structured CellError, escalated
 // (FailFast) or re-solved on a jittered grid (Retry) according to
@@ -416,9 +417,10 @@ func observeCell(ctx context.Context, seconds float64, r rung) {
 
 // allInvalid is the error of every cell whose nominal baseline has no
 // valid point: the deviation profile would be identically zero, so the
-// cell records an error instead of a silent "undetectable".
-func allInvalid(ckt *circuit.Circuit) error {
-	return fmt.Errorf("detect: nominal response of %q: %w", ckt.Name, analysis.ErrAllInvalid)
+// cell records an error instead of a silent "undetectable". name is the
+// row's circuit's.
+func allInvalid(name string) error {
+	return fmt.Errorf("detect: nominal response of %q: %w", name, analysis.ErrAllInvalid)
 }
 
 // retryNominal accounts a configuration's nominal sweep. Under the Retry
@@ -445,20 +447,6 @@ func needsRetry(resp *analysis.Response, opts Options) bool {
 	return opts.OnError == Retry && resp.InvalidCount() > 0
 }
 
-// fallback records a cell leaving the patch rung for the clone rung: it
-// is counted in engine_fallback_total and marked by a detect.fallback
-// span tagged from=patch.
-// Which cells fall back is a property of the circuit and fault list — not
-// of the schedule — so these spans are always recorded and the exported
-// tree shape stays deterministic.
-func fallback(ctx context.Context, f fault.Fault) {
-	dEngineFallback.Inc()
-	_, s := obs.Start(ctx, "detect.fallback")
-	s.SetTag("fault", f.String())
-	s.SetTag("from", string(rungPatch))
-	s.End()
-}
-
 // retrySpan opens a marker span around the jittered re-solve loop of a
 // cell with singular points. Singularity is deterministic per cell, so
 // the span set is schedule-independent; only durations vary.
@@ -475,29 +463,24 @@ func endRetrySpan(s *obs.Span, recovered int) {
 	s.End()
 }
 
-// ladder is the patch → clone part of the engine ladder: it produces the
-// faulty response of f on row sp over its grid and returns it with the engine that holds
-// the faulty state (nil when none was built) and the rung that answered,
-// so the caller's retry re-solves the faulty system and the caller's
-// Reset restores the engine to nominal. The rungs, in order:
-//
-//  1. in-place patch, on eng when non-nil: the fault stamped into the
-//     reusable engine, with no clone, no system rebuild and no per-cell
-//     allocation beyond the response buffers;
-//  2. clone-and-rebuild: the row's circuit (built on first use) cloned
-//     with the fault and a fresh engine built for the cell — the
-//     reference every other rung must match.
-//
-// A fault the patcher cannot express (opens, shorts, opamp model faults)
-// falls to the clone rung. The rank-1 rung above both lives in the row
-// sweep (rowRunner).
-func ladder(ctx context.Context, eng *analysis.Engine, sp *rowSpec, f fault.Fault) (*analysis.Engine, *analysis.Response, rung, error) {
-	if eng != nil {
-		if err := eng.ApplyFault(f); err == nil {
-			resp, err := eng.SweepGrid(sp.grid)
-			return eng, resp, rungPatch, err
+// ladder is the engine ladder below the rank-1 walk: it produces the
+// faulty response of f on row sp over its grid and returns it with the
+// engine that holds the faulty state (nil when none does) and the rung
+// that answered, so the caller's retry re-solves the faulty system and
+// its Reset restores the engine to nominal. In production every fault
+// answers on the patch rung, patched into eng in place
+// (analysis.Engine.ApplyFault); a fault that does not apply to its
+// component fails there with Apply's error. The clone rung — the row's
+// circuit cloned with the fault and a fresh engine for the cell — runs
+// only when clone is set: the reference the tests hold every other rung
+// to (Options.first).
+func ladder(eng *analysis.Engine, sp *rowSpec, f fault.Fault, clone bool) (*analysis.Engine, *analysis.Response, rung, error) {
+	if !clone {
+		if err := eng.ApplyFault(f); err != nil {
+			return nil, nil, rungPatch, err
 		}
-		fallback(ctx, f)
+		resp, err := eng.SweepGrid(sp.grid)
+		return eng, resp, rungPatch, err
 	}
 	ckt, err := sp.circuit()
 	if err != nil {
@@ -507,9 +490,6 @@ func ladder(ctx context.Context, eng *analysis.Engine, sp *rowSpec, f fault.Faul
 	if err != nil {
 		return nil, nil, rungClone, err
 	}
-	// A throwaway engine per cell keeps this rung the reference path
-	// (fresh clone, fresh system); reusing it for the retry skips only a
-	// redundant rebuild.
 	if eng, err = analysis.NewEngine(faulty); err != nil {
 		return nil, nil, rungClone, err
 	}

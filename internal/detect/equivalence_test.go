@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"analogdft/internal/analysis"
+	"analogdft/internal/circuit"
 	"analogdft/internal/circuits"
 	"analogdft/internal/dft"
 	"analogdft/internal/fault"
@@ -87,9 +88,10 @@ func TestEngineEquivalenceBiquad(t *testing.T) {
 	requireEquivalent(t, m, faults, opts)
 }
 
-// TestEngineEquivalenceFallback mixes catastrophic faults (which the
-// patch rung cannot express) into the universe: every such cell
-// must fall back to the clone rung and still agree exactly.
+// TestEngineEquivalenceFallback mixes faults the rank-1 walk does not
+// answer into the universe — an open, a short, and an opamp fault the
+// ideal opamps refuse — whose cells the in-place patch answers: they
+// must agree with the clone reference exactly.
 func TestEngineEquivalenceFallback(t *testing.T) {
 	bench := circuits.PaperBiquad()
 	m, err := dft.Apply(bench.Circuit, bench.Chain)
@@ -106,6 +108,36 @@ func TestEngineEquivalenceFallback(t *testing.T) {
 		MeasFloor: 0.01,
 		Region:    analysis.Region{LoHz: 100, HiHz: 5600},
 		Points:    31,
+	}
+	requireEquivalent(t, m, faults, opts)
+}
+
+// TestEngineEquivalenceSinglePole holds the patch of every fault kind
+// the rank-1 walk does not answer to the clone reference on the paper
+// biquad with single-pole opamps: its catastrophic universe and two opamp
+// universes (A0 and pole ×0.01; A0 ×0.5 and pole ×3), in every
+// configuration including the transparent one the opamp test runs in.
+func TestEngineEquivalenceSinglePole(t *testing.T) {
+	bench := circuits.PaperBiquad()
+	ckt := bench.Circuit.Clone()
+	for _, op := range ckt.Opamps() {
+		op.Model, op.A0, op.PoleHz = circuit.ModelSinglePole, 1e5, 10
+	}
+	m, err := dft.Apply(ckt, bench.Chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := append(fault.CatastrophicUniverse(ckt), fault.OpampUniverse(ckt, 0.01, 0.01)...)
+	for _, f := range fault.OpampUniverse(ckt, 0.5, 3) {
+		f.ID += "'"
+		faults = append(faults, f)
+	}
+	opts := Options{
+		Eps:                0.10,
+		MeasFloor:          0.01,
+		Region:             analysis.Region{LoHz: 100, HiHz: 5600},
+		Points:             61,
+		IncludeTransparent: true,
 	}
 	requireEquivalent(t, m, faults, opts)
 }

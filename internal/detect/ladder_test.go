@@ -12,25 +12,26 @@ import (
 	"analogdft/internal/obs"
 )
 
-// fallbackTags builds the one-fault matrix under a private tracer and
-// returns the ordered "from" tags of its detect.fallback spans together
-// with the engine_fallback_total delta of the build.
-func fallbackTags(t *testing.T, m *dft.Modified, f fault.Fault, opts Options) (*Matrix, []string, int64) {
+// ladderRungs builds the one-fault matrix under a private tracer and
+// returns it with the build's detect_rank1_cells_total and
+// engine_patch_total deltas: the cells the rank-1 walk answered and the
+// patches the tail applied. It fails the test on any detect.fallback
+// span: no cell may step from the patch to a clone.
+func ladderRungs(t *testing.T, m *dft.Modified, f fault.Fault, opts Options) (mx *Matrix, rank1, patches int64) {
 	t.Helper()
 	tr := obs.NewTracer()
 	tr.SetEnabled(true)
 	ctx := obs.ContextWithTracer(context.Background(), tr)
-	before := obs.Reg().Snapshot()["engine_fallback_total"].Value
+	counter := func(name string) int64 { return int64(obs.Reg().Snapshot()[name].Value) }
+	r0, p0 := counter("detect_rank1_cells_total"), counter("engine_patch_total")
 	mx, err := BuildMatrixContext(ctx, m, fault.List{f}, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", f.ID, err)
 	}
-	delta := int64(obs.Reg().Snapshot()["engine_fallback_total"].Value - before)
-	var tags []string
 	var walk func(n *obs.SpanNode)
 	walk = func(n *obs.SpanNode) {
 		if n.Name == "detect.fallback" {
-			tags = append(tags, n.Tags["from"])
+			t.Errorf("%s: a detect.fallback span: no cell may leave the patch rung", f.ID)
 		}
 		for _, c := range n.Children {
 			walk(c)
@@ -39,15 +40,16 @@ func fallbackTags(t *testing.T, m *dft.Modified, f fault.Fault, opts Options) (*
 	for _, root := range tr.Export().Spans {
 		walk(root)
 	}
-	return mx, tags, delta
+	return mx, counter("detect_rank1_cells_total") - r0, counter("engine_patch_total") - p0
 }
 
-// TestFallbackLadderPinned pins the cell pipeline's fallback ladder on the
-// paper biquad: for each fault kind, the number of
-// fallbacks, the ordered rungs they fell from (one span per rung left, per
-// cell, in cell order at Workers=1) and the resulting matrix column. The
-// column is pinned as the per-configuration count of detecting grid
-// points, which fixes Det (count > 0) and Omega (100·count/points) exactly.
+// TestFallbackLadderPinned pins the cell pipeline's ladder on the paper
+// biquad: for each fault kind, the rung that answered every row's cell —
+// the rank-1 walk for the deviation, which patches none of its 7 rows
+// here, and the in-place patch for every other kind, one per row — and
+// the resulting matrix column. The column is pinned as the
+// per-configuration count of detecting grid points, which fixes Det
+// (count > 0) and Omega (100·count/points) exactly.
 func TestFallbackLadderPinned(t *testing.T) {
 	bench := circuits.PaperBiquad()
 	m, err := dft.Apply(bench.Circuit, bench.Chain)
@@ -68,35 +70,24 @@ func TestFallbackLadderPinned(t *testing.T) {
 		"short":     {ID: "C1:short", Component: "C1", Kind: fault.Short},
 		"opamp":     {ID: "OP2:gain", Component: "OP2", Kind: fault.OpampGain, Factor: 0.01},
 	}
-	rows := func(tag ...string) []string {
-		var out []string
-		for range 7 {
-			out = append(out, tag...)
-		}
-		return out
-	}
 	full := []int{31, 0, 31, 0, 31, 0, 31}
 	none := []int{0, 0, 0, 0, 0, 0, 0}
 	cases := []struct {
-		fault  string
-		tags   []string
-		counts []int
-		errs   int
+		fault          string
+		rank1, patches int64
+		counts         []int
+		errs           int
 	}{
-		{"deviation", nil, []int{0, 0, 27, 0, 0, 0, 0}, 0},
-		{"open", rows("patch"), full, 0},
-		{"short", rows("patch"), full, 0},
-		{"opamp", rows("patch"), none, 7},
+		{"deviation", 7, 0, []int{0, 0, 27, 0, 0, 0, 0}, 0},
+		{"open", 0, 7, full, 0},
+		{"short", 0, 7, full, 0},
+		{"opamp", 0, 0, none, 7},
 	}
 	for _, c := range cases {
 		label := c.fault
-		opts := base
-		mx, tags, delta := fallbackTags(t, m, faults[c.fault], opts)
-		if !slices.Equal(tags, c.tags) {
-			t.Errorf("%s: fallback tags %q, want %q", label, tags, c.tags)
-		}
-		if delta != int64(len(c.tags)) {
-			t.Errorf("%s: engine_fallback_total delta %d, want %d", label, delta, len(c.tags))
+		mx, rank1, patches := ladderRungs(t, m, faults[c.fault], base)
+		if rank1 != c.rank1 || patches != c.patches {
+			t.Errorf("%s: %d rank-1 cells and %d patches, want %d and %d", label, rank1, patches, c.rank1, c.patches)
 		}
 		if mx.NumConfigs() != len(c.counts) {
 			t.Fatalf("%s: %d configurations, want %d", label, mx.NumConfigs(), len(c.counts))
@@ -115,9 +106,17 @@ func TestFallbackLadderPinned(t *testing.T) {
 			t.Errorf("%s: detecting points per configuration %v, want %v", label, got, c.counts)
 		}
 		// The ideal opamps of the paper biquad have no gain to fault, so
-		// OP2:gain fails on every rung and records one error per row.
+		// OP2:gain fails its patch with Apply's error, once per row.
 		if len(mx.CellErrors) != c.errs {
 			t.Errorf("%s: %d cell errors, want %d: %v", label, len(mx.CellErrors), c.errs, mx.CellErrors)
+		}
+		if c.errs > 0 {
+			_, want := faults[c.fault].Apply(bench.Circuit)
+			for _, ce := range mx.CellErrors {
+				if want == nil || ce.Err.Error() != want.Error() {
+					t.Errorf("%s: cell error %q, Apply's %v", label, ce.Err, want)
+				}
+			}
 		}
 	}
 }

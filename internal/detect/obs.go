@@ -31,12 +31,6 @@ var (
 		"evaluations aborted by the FailFast policy")
 	dCancelled = obs.Reg().Counter("detect_cancelled_total",
 		"evaluations abandoned because the caller's context was cancelled")
-	// dEngineFallback counts patch → clone steps: the rank-1 answer stands
-	// in for the patch, so a fault that is not rank-1 starts at the patch
-	// rung without counting.
-	dEngineFallback = obs.Reg().Counter("engine_fallback_total",
-		"steps from one rung of the cell engine ladder to the next (rank-1, in-place patch, clone-and-rebuild)")
-
 	// The rank-1 tallies of the row sweep. Which cells are rank-1, and
 	// which of their points the identity cannot answer or the guard
 	// cannot settle, are properties of the cell set: always live, like

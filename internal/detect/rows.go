@@ -35,9 +35,8 @@ const guardBand = 1e-6
 // grid, and how spans and errors name it.
 type rowSpec struct {
 	// ckt is the row's circuit. A matrix row that reads the shared basis
-	// runs on its worker's switched engine and leaves it nil until
-	// something needs it — the clone rung, the patch and clone oracles,
-	// an error message — which then builds it once (circuit).
+	// runs on its worker's switched engine and leaves it nil; only the
+	// patch and clone oracles build it, once (circuit).
 	ckt       *circuit.Circuit
 	configure func() (*circuit.Circuit, error)
 	grid      []float64
@@ -458,8 +457,8 @@ func (t *tail) exactFloor() (float64, error) {
 // and those whose verdict — or, on a MaxDev row, whose peak — it could
 // not settle are re-solved under an in-place patch of f, after which resp
 // holds the patch rung's response bit for bit at every point that can
-// decide the cell. Without a rank-1 answer, f climbs the patch → clone
-// ladder. Either way, a corrected nominal point the answer's verdict
+// decide the cell. Without a rank-1 answer, f is answered by ladder:
+// under its patch, or on the clone oracle. Either way, a corrected nominal point the answer's verdict
 // could turn on is first made exact.
 func (t *tail) cell(ctx context.Context, f fault.Fault, resp *analysis.Response, spread []float64) (FaultEval, cellStats, rung) {
 	eval := FaultEval{Fault: f}
@@ -470,11 +469,7 @@ func (t *tail) cell(ctx context.Context, f fault.Fault, resp *analysis.Response,
 	}
 	err := func() error {
 		if t.nominal.ValidCount() == 0 {
-			ckt, err := t.sp.circuit()
-			if err != nil {
-				return err
-			}
-			return allInvalid(ckt)
+			return allInvalid(t.sp.name)
 		}
 		eng := t.eng
 		if resp != nil {
@@ -486,11 +481,8 @@ func (t *tail) cell(ctx context.Context, f fault.Fault, resp *analysis.Response,
 				return err
 			}
 		} else {
-			if t.rr.opts.first == rungClone {
-				eng = nil
-			}
 			var err error
-			eng, resp, r, err = ladder(ctx, eng, t.sp, f)
+			eng, resp, r, err = ladder(eng, t.sp, f, t.rr.opts.first == rungClone)
 			if eng != nil {
 				defer eng.Reset()
 			}

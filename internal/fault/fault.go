@@ -3,9 +3,10 @@
 // components — the fault universe of the paper's experiments — plus
 // catastrophic open/short faults as an extension.
 //
-// A Fault is applied by cloning the circuit and mutating the primary value
-// of the faulty component, so fault simulation never disturbs the nominal
-// netlist.
+// What a Fault does is one Patch: a component's value, or a single-pole
+// opamp's model, set to faulty values. Apply sets it on a clone of the
+// circuit, and engines patch it into a live system in place, so fault
+// simulation never disturbs the nominal netlist.
 package fault
 
 import (
@@ -17,12 +18,6 @@ import (
 
 // ErrBadFault is returned for malformed faults.
 var ErrBadFault = errors.New("fault: bad fault")
-
-// ErrNotPatchable flags a fault that cannot be expressed as an in-place
-// value patch on a live MNA system: catastrophic opens/shorts and opamp
-// model faults change how the component is stamped, not just a stamped
-// value, so incremental engines must fall back to cloning the circuit.
-var ErrNotPatchable = errors.New("fault: not expressible as a value patch")
 
 // Kind distinguishes fault models.
 type Kind int
@@ -129,51 +124,62 @@ func (f Fault) multiplier(kind circuit.Kind) (float64, error) {
 	return 0, fmt.Errorf("%w: %s fault on %v component", ErrBadFault, f.Kind, kind)
 }
 
-// Apply returns a faulty deep copy of the circuit. The original circuit is
-// untouched.
-func (f Fault) Apply(ckt *circuit.Circuit) (*circuit.Circuit, error) {
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	faulty := ckt.Clone()
-	if f.Kind.isOpamp() {
-		if err := f.applyOpamp(faulty); err != nil {
-			return nil, err
-		}
-	} else {
-		v, err := faulty.Valued(f.Component)
-		if err != nil {
-			return nil, err
-		}
-		comp, _ := faulty.Component(f.Component)
-		mult, err := f.multiplier(comp.Kind())
-		if err != nil {
-			return nil, err
-		}
-		v.SetValue(v.Value() * mult)
-	}
-	faulty.Name = fmt.Sprintf("%s[%s]", ckt.Name, f.ID)
-	return faulty, nil
+// Patch is what a fault does to its circuit: it sets the primary value
+// of component Component to Value, or, for an opamp fault, the
+// single-pole opamp's model to A0 and PoleHz. It is the one statement of
+// a fault, read by Apply, which sets it on a clone, and by engines that
+// patch a live system in place (analysis.Engine.ApplyFault), so the two
+// cannot disagree on what a fault is.
+type Patch struct {
+	Component  string
+	Value      float64
+	Opamp      bool
+	A0, PoleHz float64
 }
 
-// PatchValue expresses the fault as a (component, newValue) pair for
-// engines that patch a live system in place instead of cloning the
-// circuit. Only Deviation faults are patchable: opens, shorts and opamp
-// faults return an error wrapping ErrNotPatchable so callers can fall
-// back to Apply. The circuit is only read (for the nominal value), never
-// mutated.
-func (f Fault) PatchValue(ckt *circuit.Circuit) (component string, value float64, err error) {
+// Patch states what f does to ckt, which is only read, never mutated:
+// an R, L or C fault — or a deviation of any valued component — sets the
+// primary value to its nominal times the kind's multiplier (Factor for a
+// deviation; the extreme factors emulating an open or a short), and an
+// opamp fault sets the single-pole opamp's A0 or pole to its nominal
+// times Factor and the other to its nominal. A fault that does not apply
+// to its component returns an error wrapping ErrBadFault.
+func (f Fault) Patch(ckt *circuit.Circuit) (Patch, error) {
 	if err := f.Validate(); err != nil {
-		return "", 0, err
+		return Patch{}, err
 	}
-	if f.Kind != Deviation {
-		return "", 0, fmt.Errorf("%w: %s fault on %q", ErrNotPatchable, f.Kind, f.Component)
+	if f.Kind.isOpamp() {
+		return f.opampPatch(ckt)
 	}
 	v, err := ckt.Valued(f.Component)
 	if err != nil {
-		return "", 0, err
+		return Patch{}, err
 	}
-	return f.Component, v.Value() * f.Factor, nil
+	comp, _ := ckt.Component(f.Component)
+	mult, err := f.multiplier(comp.Kind())
+	if err != nil {
+		return Patch{}, err
+	}
+	return Patch{Component: f.Component, Value: v.Value() * mult}, nil
+}
+
+// Apply returns a faulty deep copy of the circuit: a clone with f's Patch
+// set. The original circuit is untouched.
+func (f Fault) Apply(ckt *circuit.Circuit) (*circuit.Circuit, error) {
+	p, err := f.Patch(ckt)
+	if err != nil {
+		return nil, err
+	}
+	faulty := ckt.Clone()
+	comp, _ := faulty.Component(p.Component)
+	if p.Opamp {
+		op := comp.(*circuit.Opamp)
+		op.A0, op.PoleHz = p.A0, p.PoleHz
+	} else {
+		comp.(circuit.Valued).SetValue(p.Value)
+	}
+	faulty.Name = fmt.Sprintf("%s[%s]", ckt.Name, f.ID)
+	return faulty, nil
 }
 
 // List is an ordered fault list.

@@ -31,28 +31,27 @@ func opampKindString(k Kind) (string, bool) {
 	return "", false
 }
 
-// applyOpamp mutates the named opamp of an already-cloned circuit.
-func (f Fault) applyOpamp(faulty *circuit.Circuit) error {
-	comp, ok := faulty.Component(f.Component)
+// opampPatch is Patch for the opamp kinds: the named opamp, on the
+// single-pole model, gets its A0 or pole times Factor.
+func (f Fault) opampPatch(ckt *circuit.Circuit) (Patch, error) {
+	comp, ok := ckt.Component(f.Component)
 	if !ok {
-		return fmt.Errorf("%w: %q", circuit.ErrUnknownName, f.Component)
+		return Patch{}, fmt.Errorf("%w: %q", circuit.ErrUnknownName, f.Component)
 	}
 	op, ok := comp.(*circuit.Opamp)
 	if !ok {
-		return fmt.Errorf("%w: %s fault on non-opamp %q", ErrBadFault, f.Kind, f.Component)
+		return Patch{}, fmt.Errorf("%w: %s fault on non-opamp %q", ErrBadFault, f.Kind, f.Component)
 	}
 	if op.Model != circuit.ModelSinglePole {
-		return fmt.Errorf("%w: %s fault needs the single-pole model on %q", ErrBadFault, f.Kind, f.Component)
+		return Patch{}, fmt.Errorf("%w: %s fault needs the single-pole model on %q", ErrBadFault, f.Kind, f.Component)
 	}
-	switch f.Kind {
-	case OpampGain:
-		op.A0 *= f.Factor
-	case OpampPole:
-		op.PoleHz *= f.Factor
-	default:
-		return fmt.Errorf("%w: kind %v", ErrBadFault, f.Kind)
+	p := Patch{Component: f.Component, Opamp: true, A0: op.A0, PoleHz: op.PoleHz}
+	if f.Kind == OpampGain {
+		p.A0 *= f.Factor
+	} else {
+		p.PoleHz *= f.Factor
 	}
-	return nil
+	return p, nil
 }
 
 // OpampUniverse builds opamp-internal faults for every single-pole opamp

@@ -98,6 +98,10 @@ type System struct {
 	patchG, patchC patchTarget
 	snapRHS        map[int]complex128
 	patchedVals    map[string]float64
+	// opPatches are the live model patches of single-pole opamps
+	// (SetOpampModel), which the per-point constraint rows read in place
+	// of the circuit's A0 and pole.
+	opPatches []opampPatch
 
 	// switchable lists the opamps SetOpampMode may switch (Switchable),
 	// and modes[i] is the mode the system holds switchable[i] in, so a
@@ -331,13 +335,19 @@ func (s *System) Pattern() (*numeric.Pattern, error) {
 	return s.pat, nil
 }
 
-// openLoopGain evaluates the single-pole model A(jω) = A0/(1 + jω/ωp).
-func openLoopGain(c *circuit.Opamp, jw complex128) complex128 {
-	a0 := c.A0
+// openLoopGain evaluates c's single-pole model A(jω) = A0/(1 + jω/ωp),
+// with the A0 and pole of its live patch (SetOpampModel) if it has one,
+// else its circuit's.
+func (s *System) openLoopGain(c *circuit.Opamp, jw complex128) complex128 {
+	a0, pole := c.A0, c.PoleHz
+	for _, p := range s.opPatches {
+		if p.op == c {
+			a0, pole = p.a0, p.poleHz
+		}
+	}
 	if a0 == 0 {
 		a0 = 1e5 // sane default: 100 dB opamp
 	}
-	pole := c.PoleHz
 	if pole <= 0 {
 		pole = 10 // Hz, typical dominant pole of a 1 MHz-GBW opamp
 	}

@@ -23,10 +23,9 @@ import (
 // SetValue calls on the same component compose (the delta is computed
 // from the current patched value).
 //
-// Components whose behavior is not a single stamped value — opamps, and a
-// resistor patched to exactly zero (infinite conductance) — return an
-// error wrapping ErrUnsupported; callers fall back to cloning the circuit
-// and building a fresh System.
+// Components whose behavior is not a single stamped value — opamps,
+// whose model SetOpampModel patches, and a resistor patched to exactly
+// zero (infinite conductance) — return an error wrapping ErrUnsupported.
 func (s *System) SetValue(name string, v float64) error {
 	comp, err := s.component(name)
 	if err != nil {
@@ -79,10 +78,44 @@ func (s *System) SetValue(name string, v float64) error {
 	return nil
 }
 
+// SetOpampModel patches the open-loop model of single-pole opamp name
+// to DC gain a0 and pole poleHz, as if its circuit held those values,
+// without cloning or mutating the circuit: the opamp's constraint row is
+// stamped per point, in whatever mode the system holds it, from the
+// patched model. Nothing cached is written, so the patch composes with
+// SetValue, and Reset forgets it. Any other component returns an error
+// wrapping ErrUnsupported.
+func (s *System) SetOpampModel(name string, a0, poleHz float64) error {
+	comp, err := s.component(name)
+	if err != nil {
+		return err
+	}
+	op, ok := comp.(*circuit.Opamp)
+	if !ok || op.Model != circuit.ModelSinglePole {
+		return fmt.Errorf("%w: %q is not a single-pole opamp", ErrUnsupported, name)
+	}
+	for i := range s.opPatches {
+		if s.opPatches[i].op == op {
+			s.opPatches[i].a0, s.opPatches[i].poleHz = a0, poleHz
+			return nil
+		}
+	}
+	s.opPatches = append(s.opPatches, opampPatch{op: op, a0: a0, poleHz: poleHz})
+	return nil
+}
+
+// opampPatch is a live patch of one single-pole opamp's model.
+type opampPatch struct {
+	op         *circuit.Opamp
+	a0, poleHz float64
+}
+
 // Reset restores every stamp entry touched by SetValue to its snapshotted
 // nominal value — an exact bitwise restore, not an inverse delta — and
-// forgets all patches. A System with no live patches is untouched.
+// forgets all patches, opamp models included. A System with no live
+// patches is untouched.
 func (s *System) Reset() {
+	s.opPatches = s.opPatches[:0]
 	if len(s.patchedVals) == 0 {
 		return
 	}
@@ -95,8 +128,9 @@ func (s *System) Reset() {
 	clear(s.patchedVals)
 }
 
-// Patched reports whether any component value is currently patched.
-func (s *System) Patched() bool { return len(s.patchedVals) > 0 }
+// Patched reports whether any component value or opamp model is
+// currently patched.
+func (s *System) Patched() bool { return len(s.patchedVals) > 0 || len(s.opPatches) > 0 }
 
 // Switchable names the opamps SetOpampMode may switch, each a
 // configurable opamp with a test input: the build then gives both of

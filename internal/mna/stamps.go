@@ -398,7 +398,7 @@ func (s *System) opampRow(c *circuit.Opamp, mode circuit.OpampMode, jw complex12
 		}
 		return r
 	}
-	a := openLoopGain(c, jw)
+	a := s.openLoopGain(c, jw)
 	r.add(s.node(c.Out), 1)
 	if mode == circuit.ModeFollower {
 		// Unity-feedback buffer: V(out) = A/(1+A) · V(test).

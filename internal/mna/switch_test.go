@@ -2,6 +2,8 @@ package mna
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"analogdft/internal/circuit"
@@ -204,5 +206,128 @@ func TestSetOpampModeRefusals(t *testing.T) {
 	}
 	if _, err := sys.Fork(); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("Fork of a patched system: err = %v, want ErrUnsupported", err)
+	}
+}
+
+// TestOpampPatchedSystemMatchesConfigured holds the in-place opamp model
+// patch to the faulty configured clone, in the manner of
+// TestSwitchedSystemMatchesConfigured: on the paper biquad and the
+// six-opamp lowpass with single-pole opamps, a fork of the switchable
+// functional system, switched to every configuration and with each
+// opamp's A0 and then its pole patched to a hundredth (SetOpampModel),
+// must assemble the clone's G + jωC and excitation — that
+// configuration's circuit with the opamp's model changed the same way —
+// bit for bit at every grid point, and its sweeper must return the
+// clone's VoltageAt bits and singular verdicts. Reset must forget the
+// patch: the stamp bits and the assembly are the unpatched system's.
+// Opamps without a single-pole model take no patch, and a patched
+// system no fork.
+func TestOpampPatchedSystemMatchesConfigured(t *testing.T) {
+	grid := append([]float64{0}, numeric.LogSpace(10, 1e6, 25)...)
+	ms6, err := circuits.MultiStageLowpass(6, 10e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string]*circuits.Bench{"paper-biquad": circuits.PaperBiquad(), "multistage-lp-6": ms6} {
+		t.Run(name, func(t *testing.T) {
+			sp := b.Circuit.Clone()
+			for _, op := range sp.Opamps() {
+				op.Model, op.A0, op.PoleHz = circuit.ModelSinglePole, 1e5, 10
+			}
+			m, err := dft.Apply(sp, b.Chain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := switchableFunctional(t, m)
+			sys, err := base.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := circuit.CanonicalNode(base.ckt.Output)
+			sw, err := sys.NewSweeper(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cfg := range m.Configurations(true) {
+				switchTo(t, sys, m, cfg)
+				hash := stampBitsHash(sys)
+				nominal, _ := assembledDense(t, sys, grid[len(grid)/2])
+				for _, op := range sp.Opamps() {
+					for _, pole := range []bool{false, true} {
+						ckt, err := m.Configure(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						comp, _ := ckt.Component(op.Name())
+						faulty := comp.(*circuit.Opamp)
+						if pole {
+							faulty.PoleHz *= 0.01
+						} else {
+							faulty.A0 *= 0.01
+						}
+						if err := sys.SetOpampModel(op.Name(), faulty.A0, faulty.PoleHz); err != nil {
+							t.Fatal(err)
+						}
+						label := fmt.Sprintf("%s %s pole=%t", cfg.Label(), op.Name(), pole)
+						driven, err := Driven(ckt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ref, err := NewSystem(driven)
+						if err != nil {
+							t.Fatal(err)
+						}
+						refSw, err := ref.NewSweeper(out)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, f := range grid {
+							got, gotRHS := assembledDense(t, sys, f)
+							want, wantRHS := assembledDense(t, ref, f)
+							for i := range want.Data {
+								if !sameC128(got.Data[i], want.Data[i]) {
+									t.Fatalf("%s at %g Hz: M[%d,%d] patched %v, clone %v", label, f, i/sys.n, i%sys.n, got.Data[i], want.Data[i])
+								}
+							}
+							for i := range wantRHS {
+								if !sameC128(gotRHS[i], wantRHS[i]) {
+									t.Fatalf("%s at %g Hz: rhs[%d] patched %v, clone %v", label, f, i, gotRHS[i], wantRHS[i])
+								}
+							}
+							v, err := sw.VoltageAt(f)
+							rv, rerr := refSw.VoltageAt(f)
+							if (err != nil || rerr != nil) && !(errors.Is(err, numeric.ErrSingular) && errors.Is(rerr, numeric.ErrSingular)) {
+								t.Fatalf("%s at %g Hz: patched err %v, clone err %v", label, f, err, rerr)
+							}
+							if err == nil && !sameC128(v, rv) {
+								t.Fatalf("%s at %g Hz: V(out) patched %v, clone %v", label, f, v, rv)
+							}
+						}
+						if !sys.Patched() {
+							t.Fatalf("%s: the patched system reports no patch", label)
+						}
+						sys.Reset()
+						after, _ := assembledDense(t, sys, grid[len(grid)/2])
+						if sys.Patched() || stampBitsHash(sys) != hash || !slices.EqualFunc(after.Data, nominal.Data, sameC128) {
+							t.Fatalf("%s: Reset left the patch in place", label)
+						}
+					}
+				}
+			}
+			ideal := switchableFunctional(t, switchBenches(t)["paper-biquad"])
+			if err := ideal.SetOpampModel(m.Chain[0], 1e3, 10); !errors.Is(err, ErrUnsupported) {
+				t.Errorf("SetOpampModel on an ideal opamp: err = %v, want ErrUnsupported", err)
+			}
+			if p := sp.Passives()[0].Name(); !errors.Is(sys.SetOpampModel(p, 1e3, 10), ErrUnsupported) {
+				t.Errorf("SetOpampModel on passive %s: want ErrUnsupported", p)
+			}
+			if err := sys.SetOpampModel(m.Chain[0], 1e5, 1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Fork(); !errors.Is(err, ErrUnsupported) {
+				t.Errorf("Fork of an opamp-patched system: err = %v, want ErrUnsupported", err)
+			}
+			sys.Reset()
+		})
 	}
 }

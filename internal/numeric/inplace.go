@@ -92,6 +92,3 @@ func (f *LU) SolveInPlace(b []complex128) error {
 	}
 	return nil
 }
-
-// Pivot exposes the permutation buffer so hot loops can recycle it.
-func (f *LU) Pivot() []int { return f.pivot }

@@ -202,18 +202,10 @@ func Fit(resp *analysis.Response, numOrder, denOrder int) (*Rational, error) {
 	// unknowns are real; solve the complex system and take real parts
 	// (imaginary parts vanish up to numerical noise for conjugate-
 	// symmetric data; magnitude-only data still yields a usable fit).
-	ah := conjTranspose(a)
-	ata, err := ah.Mul(a)
-	if err != nil {
-		return nil, err
-	}
-	atb, err := ah.MulVec(rhs)
-	if err != nil {
-		return nil, err
-	}
+	ata, atb := normalEquations(a, rhs)
 	// Tikhonov damping keeps near-singular fits (over-specified orders)
 	// solvable.
-	lambda := 1e-12 * ata.MaxAbs()
+	lambda := 1e-12 * maxAbsEntry(ata)
 	for i := 0; i < ata.Rows; i++ {
 		ata.Add(i, i, complex(lambda, 0))
 	}
@@ -231,15 +223,35 @@ func Fit(resp *analysis.Response, numOrder, denOrder int) (*Rational, error) {
 	return r, nil
 }
 
-// conjTranspose returns the conjugate transpose of m.
-func conjTranspose(m *numeric.Matrix) *numeric.Matrix {
-	out := numeric.NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, cmplx.Conj(m.At(i, j)))
+// normalEquations returns AᴴA and Aᴴb, every entry summed over A's rows
+// in order (a zero factor of AᴴA's sums skipped).
+func normalEquations(a *numeric.Matrix, b []complex128) (*numeric.Matrix, []complex128) {
+	ata, atb := numeric.NewMatrix(a.Cols, a.Cols), make([]complex128, a.Cols)
+	for i := range atb {
+		orow := ata.Row(i)
+		for k := 0; k < a.Rows; k++ {
+			x := cmplx.Conj(a.At(k, i))
+			atb[i] += x * b[k]
+			if x == 0 {
+				continue
+			}
+			for j, v := range a.Row(k) {
+				orow[j] += x * v
+			}
 		}
 	}
-	return out
+	return ata, atb
+}
+
+// maxAbsEntry returns the largest element magnitude of m.
+func maxAbsEntry(m *numeric.Matrix) float64 {
+	peak := 0.0
+	for _, v := range m.Data {
+		if a := cmplx.Abs(v); a > peak {
+			peak = a
+		}
+	}
+	return peak
 }
 
 // MaxRelError returns the worst relative magnitude error of the model

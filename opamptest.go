@@ -101,6 +101,10 @@ func RunOpampTest(b *Bench, a0, poleHz, gainFactor, poleFactor, passiveFrac floa
 		return nil, fmt.Errorf("functional evaluation: %w", err)
 	}
 	passive := DeviationFaults(sp.Circuit, passiveFrac)
+	if opts.Region == (Region{}) {
+		// The same circuit: its region is the one just derived.
+		opts.Region = res.Transparent.Region
+	}
 	if res.PassiveInTransparent, err = detect.EvaluateCircuit(transparent, passive, opts); err != nil {
 		return nil, fmt.Errorf("passive-in-transparent evaluation: %w", err)
 	}

@@ -61,6 +61,12 @@ func TestRunOpampTest(t *testing.T) {
 	if fc := res.PassiveInTransparent.FaultCoverage(); fc != 0 {
 		t.Errorf("transparent passive coverage = %g, want 0", fc)
 	}
+	// Both transparent rows measure over the one region derived from the
+	// transparent circuit.
+	if res.PassiveInTransparent.Region != res.Transparent.Region {
+		t.Errorf("passive-in-transparent region %+v, transparent region %+v",
+			res.PassiveInTransparent.Region, res.Transparent.Region)
+	}
 }
 
 func TestRunOpampTestNeedsOpamps(t *testing.T) {
